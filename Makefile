@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test docs-check bench bench-update bench-session bench-batch bench-broker bench-gate lint coverage profile chaos
+.PHONY: test docs-check bench bench-update bench-session bench-batch bench-broker bench-gate bench-e2e lint coverage profile chaos
 
 ## Coverage ratchet for the CI coverage job: fail below this line rate.
 ## Raise it when coverage grows; never lower it to make a PR pass.
@@ -57,6 +57,14 @@ chaos:
 ## Fail on >20% mean-time regressions in the gated benchmark groups.
 bench-gate:
 	$(PYTHON) benchmarks/check_regression.py
+
+## End-to-end benchmark (BENCHMARK.json): both workloads for one seed,
+## 30 s each; the last line of each run is its JSON result.  A/B two
+## commits by running this in each checkout with alternating seeds.
+SEED ?= 1
+bench-e2e:
+	python3 e2ebench/run.py --workload laptop-suite --seed $(SEED) --seconds 30
+	python3 e2ebench/run.py --workload sharded-table1 --seed $(SEED) --seconds 30
 
 ## cProfile a smoke-scale table1 run: per-unit .prof dumps plus a merged
 ## top-25 cumulative summary in $(PROFILE_DIR)/profile.txt.  Override the

@@ -1,8 +1,8 @@
-"""Setuptools entry point.
+"""Packaging for the ``repro`` library.
 
-The project metadata lives in ``pyproject.toml``; this shim exists so that
-``pip install -e .`` also works on older toolchains (setuptools without
-``wheel``/PEP-660 editable support), such as fully offline environments.
+This file holds the project's metadata and dependencies; there is no
+``pyproject.toml``.  ``pip install -e .`` installs the package from
+``src/``; without installing, set ``PYTHONPATH=src``.
 """
 
 from setuptools import find_packages, setup

@@ -21,7 +21,11 @@ carrying the model, the generator, the per-configuration statistics, the
 cost ledger, the candidate pool, the curve, the held-out test set and the
 benchmark's stateful noise components.  Only the benchmark itself is
 dropped (it holds unpicklable memoisation caches) and reattached on resume
-through :meth:`TuningSession.attach_benchmark`.
+through :meth:`TuningSession.attach_benchmark`.  The model pickles only
+its posterior's source of truth and recompiles the rest lazily, and every
+pickle carries :attr:`TuningSession._CHECKPOINT_FORMAT`: a blob with any
+other stamp refuses to load, which checkpoint loaders treat as "restart
+the unit".
 
 Determinism contract: a session driven ask/tell against a live profiler
 sharing :attr:`TuningSession.rng` reproduces the pre-refactor inline loop
@@ -230,33 +234,37 @@ class TuningSession:
 
     # -------------------------------------------------------- (un)pickling
 
+    #: Layout version of a pickled session, stamped into every checkpoint.
+    #: Bump it whenever a change to the session or to anything it pickles
+    #: (model, pool, ledger, curve) means an older checkpoint would not
+    #: resume bit-identically.
+    _CHECKPOINT_FORMAT = 1
+
     def __getstate__(self) -> dict:
         """Drop the benchmark (unpicklable memoisation caches) and the model
         factory (often a closure); capture the benchmark's stateful noise
         components so :meth:`attach_benchmark` can restore them.  The model
         factory is only consulted on the first :meth:`ask`, which always
-        precedes the first checkpoint, so dropping it loses nothing."""
+        precedes the first checkpoint, so dropping it loses nothing.  The
+        model pickles only its posterior's source of truth (see
+        :meth:`DynamicTreeRegressor.__getstate__`)."""
         state = self.__dict__.copy()
         if self._benchmark is not None:
             state["_noise_model"] = self._benchmark.noise_model
         state["_benchmark"] = None
         state["_model_factory"] = None
+        state["_checkpoint_format"] = self._CHECKPOINT_FORMAT
         return state
 
     def __setstate__(self, state: dict) -> None:
-        if "_plan" not in state or "_rng" not in state:
-            # An old-style LearnerCheckpoint blob (the dataclass this class
-            # replaced) unpickles into the aliased class with foreign
-            # fields; surface it as the error the checkpoint loaders treat
-            # as "corrupt/stale: restart the unit".
+        if state.pop("_checkpoint_format", None) != self._CHECKPOINT_FORMAT:
+            # A checkpoint from another layout (or no session at all):
+            # surface it as the error the checkpoint loaders treat as
+            # "stale: restart the unit".
             raise AttributeError(
-                "incompatible checkpoint: not a pickled TuningSession"
+                "incompatible checkpoint: not a pickled TuningSession of "
+                f"format {self._CHECKPOINT_FORMAT}"
             )
-        # Sessions pickled before batch acquisition landed lack the batch
-        # bookkeeping; default it so they resume on the sequential path.
-        state.setdefault("_batch_requests", [])
-        state.setdefault("_batch_results", {})
-        state.setdefault("_fold_start", 0)
         self.__dict__.update(state)
 
     def attach_benchmark(self, benchmark) -> None:

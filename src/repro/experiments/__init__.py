@@ -48,7 +48,6 @@ from .registry import (
     run_artifacts,
     spec_names,
 )
-from .run_all import run_all
 from .runner import ExperimentRunner, RunManifest, RunnerError, run_paper_run
 from .table1 import PAPER_TABLE1_SPEEDUPS, Table1Result, run_table1, table1_from_comparisons
 from .table2 import Table2Result, run_table2
@@ -93,3 +92,17 @@ __all__ = [
     "Table2Result",
     "run_table2",
 ]
+
+
+def __getattr__(name: str):
+    # ``run_all`` is resolved on first use: importing its module here would
+    # put it in ``sys.modules`` before ``python -m
+    # repro.experiments.run_all`` executes it, which makes runpy warn.
+    # The submodule shares the function's name, so code that imports the
+    # submodule first should take the function from it directly.
+    if name == "run_all":
+        from .run_all import run_all as function
+
+        globals()["run_all"] = function
+        return function
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

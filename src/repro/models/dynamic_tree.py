@@ -293,6 +293,46 @@ class _Node:
         assert self.left is not None and self.right is not None
         return self.left.leaves() + self.right.leaves()
 
+    def __reduce__(self):
+        # Positional state, no per-node slot names.  Pickle memoizes the
+        # rebuilt node, so a subtree several particles share copy-on-write
+        # is written once and stays one object after load.
+        return (
+            _restore_node,
+            (
+                self.depth,
+                self.split_dim,
+                self.split_value,
+                self.left,
+                self.right,
+                self.leaf,
+                self.indices,
+                self.shared,
+            ),
+        )
+
+
+def _restore_node(
+    depth: int,
+    split_dim: Optional[int],
+    split_value: float,
+    left: Optional[_Node],
+    right: Optional[_Node],
+    leaf: Optional[GaussianLeafModel],
+    indices: List[int],
+    shared: bool,
+) -> _Node:
+    """Unpickle a :class:`_Node` from its :meth:`_Node.__reduce__` state."""
+    node = _Node(depth)
+    node.split_dim = split_dim
+    node.split_value = split_value
+    node.left = left
+    node.right = right
+    node.leaf = leaf
+    node.indices = indices
+    node.shared = shared
+    return node
+
 
 class _GrowProposal(NamedTuple):
     """The winning candidate split of a batched grow-proposal scan.
@@ -385,8 +425,7 @@ class DynamicTreeRegressor(SurrogateModel):
         self._depth_cache: Dict[int, Tuple[float, float, float]] = {}
         # Count-indexed NIG term tables (see LeafTermTables) and the
         # depth-indexed tree-prior table the vectorized scoring gathers
-        # from.  Accessed through getattr-guarded helpers so checkpoints
-        # pickled before these attributes existed keep loading.
+        # from; built on first use (and again after unpickling).
         self._term_tables: Optional[LeafTermTables] = None
         self._depth_arrays: Optional[np.ndarray] = None
         # Scalar-draw frontend for the batched update: a bulk RNG replay
@@ -401,42 +440,41 @@ class DynamicTreeRegressor(SurrogateModel):
         # they measure.
         self._phase_timings = dict.fromkeys(self._PHASES, 0.0)
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # Checkpoints written before the cache rows carried sufficient
-        # statistics, or before compilations recorded their leaf-node
-        # mapping, hold flat state the batched gather phase cannot use:
-        # drop it and let the next update recompile lazily.
-        flats = self.__dict__.get("_flat") or []
-        stale = any(
-            flat is not None
-            and (
-                flat.caches.data.shape[1] != LeafCacheArrays.N_COLUMNS
-                or getattr(flat, "leaf_nodes", None) is None
-            )
-            for flat in flats
-        )
-        if stale:
-            self._flat = [None] * len(flats)
-            self._flat_shared = [False] * len(flats)
-            self._forest = None
-            self._forest_cache = None
-            self._forest_stale = {}
-            self._forest_dirty = True
+    def __getstate__(self) -> dict:
+        """Pickle the posterior's source of truth, not what derives from it.
+
+        The particles, training buffers, RNG, prior and config are kept.
+        The per-particle compilations, the concatenated forest and the
+        count/depth term tables are dropped: after load the next
+        predict, ALC score or update recompiles them lazily through the
+        same paths a fresh particle takes, with bit-identical values.
+        Dropping them is most of a checkpoint's size and pickle time.
+        """
+        state = self.__dict__.copy()
+        count = len(self._particles)
+        state["_flat"] = [None] * count
+        state["_flat_shared"] = [False] * count
+        state["_forest"] = None
+        state["_forest_cache"] = None
+        state["_forest_stale"] = {}
+        state["_forest_dirty"] = True
+        state["_term_tables"] = None
+        state["_depth_arrays"] = None
+        return state
+
+    def __deepcopy__(self, memo: dict) -> "DynamicTreeRegressor":
+        # An in-memory copy keeps the compiled state: rebuilding it would
+        # only make the copy's next update slower.
+        clone = type(self).__new__(type(self))
+        memo[id(self)] = clone
+        clone.__dict__.update(copy.deepcopy(self.__dict__, memo))
+        return clone
 
     # ----------------------------------------------------------- properties
 
     @property
     def config(self) -> DynamicTreeConfig:
         return self._config
-
-    def _timings(self) -> Dict[str, float]:
-        """The per-phase accumulator (created on demand for old pickles)."""
-        timings = getattr(self, "_phase_timings", None)
-        if timings is None:
-            timings = dict.fromkeys(self._PHASES, 0.0)
-            self._phase_timings = timings
-        return timings
 
     @property
     def phase_timings(self) -> Dict[str, float]:
@@ -450,7 +488,7 @@ class DynamicTreeRegressor(SurrogateModel):
         Only the batched update path records; :meth:`reset_phase_timings`
         zeroes the counters.
         """
-        return dict(self._timings())
+        return dict(self._phase_timings)
 
     def reset_phase_timings(self) -> None:
         """Zero the :attr:`phase_timings` accumulators."""
@@ -512,8 +550,8 @@ class DynamicTreeRegressor(SurrogateModel):
         clone._forest_stale = {}
         clone._forest_dirty = True
         clone._depth_cache = self._depth_cache
-        clone._term_tables = getattr(self, "_term_tables", None)
-        clone._depth_arrays = getattr(self, "_depth_arrays", None)
+        clone._term_tables = self._term_tables
+        clone._depth_arrays = self._depth_arrays
         clone._replay = ReplayDraws(clone._rng)
         clone._generator_draws = GeneratorDraws(clone._rng)
         clone._draws = clone._generator_draws
@@ -729,7 +767,7 @@ class DynamicTreeRegressor(SurrogateModel):
         X = np.atleast_2d(np.asarray(features, dtype=float))
         count = float(len(self._particles))
         mean, variance = self._ensure_forest().predict_components(X)
-        if getattr(self._config, "float_mode", "exact") == "fast":
+        if self._config.float_mode == "fast":
             # Pairwise reductions: tolerance-tested against the sequential
             # accumulation, not bit-identical to it.
             means = np.add.reduce(mean, axis=0) / count
@@ -801,7 +839,7 @@ class DynamicTreeRegressor(SurrogateModel):
         # reference-variance mass of the entire forest.
         reference_leaf_ids = forest.route(R)
         reference_variance = forest.leaf_variance[reference_leaf_ids]
-        fast = getattr(self._config, "float_mode", "exact") == "fast"
+        fast = self._config.float_mode == "fast"
         # Sequential (cumsum) accumulation keeps every score bit-identical to
         # the reference loop; bincount also adds weights in input order.  In
         # fast mode the pairwise np.add.reduce stands in (tolerance-tested).
@@ -920,15 +958,12 @@ class DynamicTreeRegressor(SurrogateModel):
         deep-copying them, and the routing arrays are permuted to the
         post-resample particle order.
         """
-        timings = self._timings()
+        timings = self._phase_timings
         tic = perf_counter()
         particles = self._particles
         count = len(particles)
         config = self._config
-        kernels = get_kernels(
-            getattr(config, "backend", "numpy"),
-            getattr(config, "float_mode", "exact") == "fast",
-        )
+        kernels = get_kernels(config.backend, config.float_mode == "fast")
         forest = self._ensure_forest()
         gids, nodes, parents, depths = kernels.route_update(
             forest.split_dim,
@@ -1037,11 +1072,11 @@ class DynamicTreeRegressor(SurrogateModel):
         """The count-indexed NIG term tables for the current prior.
 
         Rebuilt whenever :meth:`fit` installs a fresh :class:`LMLCache`
-        (identity check), and lazily created on models unpickled from
-        checkpoints that predate the attribute.
+        (identity check), and lazily created on first use and after
+        unpickling (checkpoints do not carry them).
         """
         assert self._lml is not None
-        tables = getattr(self, "_term_tables", None)
+        tables = self._term_tables
         if tables is None or tables.lml is not self._lml:
             tables = LeafTermTables(self._lml)
             self._term_tables = tables
@@ -1054,7 +1089,7 @@ class DynamicTreeRegressor(SurrogateModel):
         head ``log(p) + 2*log1p(-p_child)``, and ``log(p)``.  The values
         depend only on the frozen config, so the table never goes stale.
         """
-        table = getattr(self, "_depth_arrays", None)
+        table = self._depth_arrays
         if table is None or table.shape[0] <= max_depth:
             size = max(16, 2 * (max_depth + 1))
             table = np.empty((size, 3))
@@ -1159,14 +1194,14 @@ class DynamicTreeRegressor(SurrogateModel):
         """
         assert self._prior is not None and self._lml is not None
         assert self._X is not None and self._y is not None
-        timings = self._timings()
+        timings = self._phase_timings
         tic = perf_counter()
         particles = self._particles
         count = len(particles)
         config = self._config
         min_leaf = config.min_leaf
         n_candidates = config.n_split_candidates
-        fast = getattr(config, "float_mode", "exact") == "fast"
+        fast = config.float_mode == "fast"
         dims = x.shape[0]
         neg_inf = -math.inf
         flats = self._flat
@@ -1351,7 +1386,7 @@ class DynamicTreeRegressor(SurrogateModel):
         # arithmetic elementwise — the expression grouping and the scalar-
         # rounded log map keep every score bit-identical to the LMLCache
         # evaluation the reference path performs.
-        kernels = get_kernels(getattr(config, "backend", "numpy"), fast)
+        kernels = get_kernels(config.backend, fast)
         tables = self._leaf_term_tables()
         prior = self._prior
         prior_beta = prior.beta

@@ -67,6 +67,11 @@ class NIGPrior:
         if self.beta <= 0:
             raise ValueError("beta must be positive")
 
+    def __reduce__(self):
+        # The count-term memo is rebuilt on demand; it grows with the
+        # training size, so checkpoints leave it out.
+        return (NIGPrior, (self.mean, self.kappa, self.alpha, self.beta))
+
     @classmethod
     def from_observations(
         cls, values: Iterable[float], kappa: float = 0.1, alpha: float = 2.0
@@ -136,6 +141,12 @@ class GaussianLeafModel:
         clone._lml_cache = self._lml_cache
         clone._logpdf_terms_cache = self._logpdf_terms_cache
         return clone
+
+    def __reduce__(self):
+        # The memo caches are pure functions of the prior and the
+        # statistics, so a checkpoint carries only those and the caches
+        # are recomputed (bit-identically) on demand after load.
+        return (_restore_leaf, (self.prior, self._count, self._sum, self._sum_sq))
 
     def add(self, value: float) -> None:
         """Absorb one observation."""
@@ -306,6 +317,13 @@ class GaussianLeafModel:
         return result
 
 
+def _restore_leaf(
+    prior: NIGPrior, count: int, total: float, total_sq: float
+) -> GaussianLeafModel:
+    """Unpickle a :class:`GaussianLeafModel` from its sufficient statistics."""
+    return GaussianLeafModel.from_sufficient_stats(prior, count, total, total_sq)
+
+
 def _predictive_count_terms(prior: NIGPrior, count: int) -> Tuple[float, float, float]:
     """``(dof, coef, lgamma(coef) - lgamma(dof / 2))`` of the predictive log-pdf.
 
@@ -388,6 +406,10 @@ class LMLCache:
     def __init__(self, prior: NIGPrior) -> None:
         self.prior = prior
         self._terms_by_count: dict = {}
+
+    def __reduce__(self):
+        # Like the prior's memo: recomputed on demand, not checkpointed.
+        return (LMLCache, (self.prior,))
 
     def _terms(self, n: int) -> Tuple[float, float, float, float, float]:
         terms = self._terms_by_count.get(n)

@@ -8,6 +8,10 @@ breakage of the API surface is caught.
 from __future__ import annotations
 
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -140,6 +144,23 @@ class TestRunAll:
             assert needle in out, f"--help does not mention {needle}"
         assert "checkpoint" in out
         assert "worker processes" in out
+
+    def test_module_entry_point_does_not_warn(self):
+        """`python -m repro.experiments.run_all` runs clean under -W error:
+        the package must not import the entry point's module eagerly."""
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        completed = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "repro.experiments.run_all", "--help"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
 
     def test_runner_api_exported(self):
         from repro.experiments import (

@@ -400,6 +400,39 @@ class TestCheckpointIntegrity:
         (run_dir / "checkpoints" / "table1--mm--p--r000.pkl.sha256").unlink()
         assert context.load_checkpoint() == {"examples": 7}
 
+    @pytest.mark.parametrize("stamp", ["current", "foreign", "missing"])
+    def test_format_stamp_decides_resume(self, tmp_path, monkeypatch, stamp):
+        """Only a session stamped with the current checkpoint format
+        resumes; any other stamp, or none, restarts the unit."""
+        from repro.core.session import TuningSession
+
+        _, context = self._context(tmp_path)
+        mm = get_benchmark("mm")
+        test_set = build_test_set(mm, size=10, observations=2, rng=np.random.default_rng(8))
+        session = ActiveLearner(mm, rng=np.random.default_rng(7)).start_session(test_set)
+        stamped = TuningSession.__getstate__
+        if stamp == "foreign":
+            monkeypatch.setattr(
+                TuningSession, "_CHECKPOINT_FORMAT", TuningSession._CHECKPOINT_FORMAT + 1
+            )
+        elif stamp == "missing":
+            monkeypatch.setattr(
+                TuningSession,
+                "__getstate__",
+                lambda self: {
+                    key: value
+                    for key, value in stamped(self).items()
+                    if key != "_checkpoint_format"
+                },
+            )
+        context.save_checkpoint(session)
+        monkeypatch.undo()
+        loaded = context.load_checkpoint()
+        if stamp == "current":
+            assert isinstance(loaded, TuningSession)
+        else:
+            assert loaded is None
+
 
 class TestJournalRecovery:
     def _journal(self, tmp_path, payload):
