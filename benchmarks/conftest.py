@@ -4,8 +4,9 @@ Every benchmark runs a scaled-down version of one of the paper's
 tables/figures (or an ablation of a design choice) and prints the same
 rows/series the paper reports.  The scale is deliberately small so the whole
 harness finishes in a few minutes; pass ``--bench-scale=laptop`` for the
-larger configuration used to fill EXPERIMENTS.md, or edit
-:class:`repro.experiments.ExperimentScale` for anything bigger.
+larger laptop-scale configuration, or use ``python -m
+repro.experiments.run_all`` (see ``docs/reproduction.md``) for full
+reports at any :class:`repro.experiments.ExperimentScale`.
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ import pytest
 from repro.experiments.table1 import run_table1
 
 #: Representative subset: one quiet benchmark, one noisy one, the motivation
-#: kernel.  The full 11-benchmark table is what EXPERIMENTS.md reports.
+#: kernel.  ``python -m repro.experiments.run_all --only table1`` renders the
+#: full 11-benchmark table (see ``docs/reproduction.md``).
 BENCHMARKS = ("mm", "lu", "gemver")
 
 

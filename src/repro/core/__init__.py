@@ -27,7 +27,7 @@ from .curves import (
     time_to_reach,
 )
 from .evaluation import TestSet, build_test_set, evaluate_rmse
-from .learner import ActiveLearner, LearnerCheckpoint, LearnerConfig, LearningResult
+from .learner import ActiveLearner, LearnerConfig, LearningResult
 from .plans import (
     SamplingPlan,
     adaptive_ci_plan,
@@ -64,7 +64,6 @@ __all__ = [
     "build_test_set",
     "evaluate_rmse",
     "ActiveLearner",
-    "LearnerCheckpoint",
     "LearnerConfig",
     "LearningResult",
     "SamplingPlan",

@@ -74,7 +74,9 @@ class CandidatePool:
 
         ``n_fresh`` is the paper's ``nc``; fresh candidates are drawn from
         the space excluding everything already observed, so the two halves of
-        the pool never overlap.
+        the pool never overlap.  The observation-count dict itself is the
+        exclusion set (no per-draw copy).  An :meth:`exhausted` pool
+        returns an empty list without drawing from ``rng``.
         """
         if n_fresh < 0:
             raise ValueError("n_fresh cannot be negative")

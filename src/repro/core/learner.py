@@ -42,8 +42,7 @@ pure functions; the one piece of *stateful* benchmark state, the noise
 model's frequency-drift walk, rides along in the session for
 :meth:`~repro.core.session.TuningSession.attach_benchmark` to restore).
 The sharded experiment backend (:mod:`repro.experiments.runner`) uses this
-to survive killed paper-scale runs.  ``LearnerCheckpoint`` is a
-compatibility alias for the session class.
+to survive killed paper-scale runs.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from .evaluation import TestSet
 from .plans import SamplingPlan, sequential_plan
 from .session import TuningSession
 
-__all__ = ["LearnerConfig", "LearningResult", "LearnerCheckpoint", "ActiveLearner"]
+__all__ = ["LearnerConfig", "LearningResult", "ActiveLearner"]
 
 ModelFactory = Callable[[np.random.Generator], SurrogateModel]
 
@@ -167,14 +166,6 @@ class LearningResult:
     @property
     def total_observations(self) -> int:
         return sum(self.observation_counts.values())
-
-
-#: Compatibility alias: a checkpoint *is* a pickled
-#: :class:`~repro.core.session.TuningSession` now.  Code that type-checks
-#: or unpickles old-style ``LearnerCheckpoint`` dataclasses must restart
-#: the affected unit (the sharded runner already treats an unreadable
-#: checkpoint as "start fresh").
-LearnerCheckpoint = TuningSession
 
 
 class ActiveLearner:

@@ -16,13 +16,13 @@ future measurement service.
 The session covers the full lifecycle of Algorithm 1 — ``seeding`` (the
 ``n_initial`` bootstrap configurations), ``learning`` (acquisition-driven
 selection) and ``done`` — and is fully picklable mid-run: a pickled
-session *is* the checkpoint (``LearnerCheckpoint`` is now a thin alias),
-carrying the model, the generator, the per-configuration statistics, the
-cost ledger, the candidate pool, the curve, the held-out test set and the
-benchmark's stateful noise components.  Only the benchmark itself is
-dropped (it holds unpicklable memoisation caches) and reattached on resume
-through :meth:`TuningSession.attach_benchmark`.  The model pickles only
-its posterior's source of truth and recompiles the rest lazily, and every
+session *is* the checkpoint, carrying the model, the generator, the
+per-configuration statistics, the cost ledger, the candidate pool, the
+curve, the held-out test set and the benchmark's stateful noise
+components.  Only the benchmark itself is dropped (it holds unpicklable
+memoisation caches) and reattached on resume through
+:meth:`TuningSession.attach_benchmark`.  The model pickles only its
+posterior's source of truth and recompiles the rest lazily, and every
 pickle carries :attr:`TuningSession._CHECKPOINT_FORMAT`: a blob with any
 other stamp refuses to load, which checkpoint loaders treat as "restart
 the unit".
@@ -183,8 +183,7 @@ class TuningSession:
 
     @property
     def next_iteration(self) -> int:
-        """The next Algorithm-1 iteration index (compat with the old
-        ``LearnerCheckpoint.next_iteration`` field)."""
+        """The next Algorithm-1 iteration index."""
         return self._iteration
 
     @property
@@ -525,9 +524,8 @@ class TuningSession:
         if self._budget_exhausted():
             self._finish()
             return []
-        if self._pool.exhausted():
-            self._finish()
-            return []
+        # An exhausted pool draws nothing (and consumes no randomness), so
+        # the empty draw is the exhaustion check.
         candidates = self._pool.draw(config.n_candidates, self._rng)
         if not candidates:
             self._finish()
@@ -567,8 +565,8 @@ class TuningSession:
             return self._finish()
         if self._budget_exhausted():
             return self._finish()
-        if self._pool.exhausted():
-            return self._finish()
+        # An exhausted pool draws nothing (and consumes no randomness), so
+        # the empty draw is the exhaustion check.
         candidates = self._pool.draw(config.n_candidates, self._rng)
         if not candidates:
             return self._finish()

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from collections.abc import Mapping, Set
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -130,16 +131,44 @@ class SearchSpace:
         self._value_sets: Tuple[frozenset, ...] = tuple(
             frozenset(param.values) for param in self._parameters
         )
-        mids = np.empty(len(self._parameters), dtype=float)
-        scales = np.empty(len(self._parameters), dtype=float)
+        d = len(self._parameters)
+        mids = np.empty(d, dtype=float)
+        scales = np.empty(d, dtype=float)
+        # The array-native draw table: per-parameter cardinalities and a
+        # (d, max_card) value table, padded with zeros that a sampled index
+        # never reaches.
+        self._cardinalities = np.array(
+            [p.cardinality for p in self._parameters], dtype=np.int64
+        )
+        self._value_table = np.zeros((d, self._cardinalities.max()), dtype=np.int64)
         for i, param in enumerate(self._parameters):
             lo = param.values[0]
             hi = param.values[-1]
             mids[i] = (lo + hi) / 2.0
             # Standard deviation of a uniform distribution over [lo, hi].
             scales[i] = (hi - lo) / math.sqrt(12.0) if hi > lo else 1.0
+            self._value_table[i, : param.cardinality] = param.values
         self._feature_mid = mids
         self._feature_scale = scales
+        self._size = math.prod(int(card) for card in self._cardinalities)
+        # Batch validation keys: value v of parameter j is admissible iff
+        # j * stride + v is in the sorted key table.  Values are >= 1, so
+        # clipping a value into [0, stride] maps every inadmissible value to
+        # a key that is not in the table; the trailing -1 lets an index one
+        # past the end compare unequal.
+        self._key_stride = int(self._value_table.max()) + 1
+        self._key_offsets = np.arange(d, dtype=np.int64) * self._key_stride
+        keys = (self._value_table + self._key_offsets[:, None])[self._value_table > 0]
+        self._admissible_keys = np.append(np.sort(keys), -1)
+
+    def __reduce__(self):
+        # Pickle only the parameters: the lookup tables are rebuilt on load.
+        return (SearchSpace, (self._parameters,))
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickles written before __reduce__ existed carry the instance
+        # dict of an older layout; rebuild from its parameters.
+        self.__init__(state["_parameters"])
 
     @property
     def parameters(self) -> Tuple[TunableParameter, ...]:
@@ -152,10 +181,7 @@ class SearchSpace:
     @property
     def size(self) -> int:
         """Total number of configurations (product of cardinalities)."""
-        total = 1
-        for param in self._parameters:
-            total *= param.cardinality
-        return total
+        return self._size
 
     def parameter(self, name: str) -> TunableParameter:
         for param in self._parameters:
@@ -199,10 +225,22 @@ class SearchSpace:
 
     def random_configuration(self, rng: np.random.Generator) -> Tuple[int, ...]:
         """One configuration sampled uniformly at random."""
-        return tuple(
-            param.values[int(rng.integers(param.cardinality))]
-            for param in self._parameters
-        )
+        return self._draw_block(1, rng)[0]
+
+    def _draw_block(self, rows: int, rng: np.random.Generator) -> List[Tuple[int, ...]]:
+        """``rows`` uniform configurations from one ``(rows, d)`` index draw.
+
+        Draw-order contract: ``Generator.integers(cardinalities, size=(k, d))``
+        consumes the bit stream exactly like ``k * d`` scalar
+        ``integers(cardinality)`` calls in row-major order (parameter by
+        parameter within a row), so a block draw leaves the generator in
+        the same state, and yields the same rows, as drawing one
+        configuration at a time.  Changing this order changes every seeded
+        trajectory.
+        """
+        indices = rng.integers(self._cardinalities, size=(rows, self.dimensions))
+        values = self._value_table[np.arange(self.dimensions), indices]
+        return [tuple(row) for row in values.tolist()]
 
     def sample_distinct(
         self, count: int, rng: np.random.Generator, exclude: Iterable[Sequence[int]] = ()
@@ -211,12 +249,17 @@ class SearchSpace:
 
         ``exclude`` lists configurations that must not be returned (e.g. the
         training examples already seen, so the candidate pool stays fresh).
+        A set or mapping keyed by configuration tuples is used as-is for
+        membership tests; any other iterable is canonicalised into a set.
         Raises ``ValueError`` if the space cannot supply that many distinct
         configurations.
         """
         if count < 0:
             raise ValueError("count cannot be negative")
-        excluded = {tuple(int(v) for v in cfg) for cfg in exclude}
+        if isinstance(exclude, (Set, Mapping)):
+            excluded = exclude
+        else:
+            excluded = {tuple(int(v) for v in cfg) for cfg in exclude}
         available = self.size - len(excluded)
         if count > available:
             raise ValueError(
@@ -226,16 +269,20 @@ class SearchSpace:
         result: List[Tuple[int, ...]] = []
         # Rejection sampling is efficient because SPAPT spaces are many orders
         # of magnitude larger than any sample we draw; fall back to exhaustive
-        # enumeration only for tiny synthetic spaces used in tests.
+        # enumeration only for tiny synthetic spaces used in tests.  Each
+        # round draws exactly as many rows as a one-at-a-time loop would
+        # still be guaranteed to draw, so the generator ends in the same
+        # state as with per-configuration draws.
         attempts = 0
         max_attempts = max(1000, count * 50)
         while len(result) < count and attempts < max_attempts:
-            attempts += 1
-            candidate = self.random_configuration(rng)
-            if candidate in excluded or candidate in chosen:
-                continue
-            chosen.add(candidate)
-            result.append(candidate)
+            need = min(count - len(result), max_attempts - attempts)
+            attempts += need
+            for candidate in self._draw_block(need, rng):
+                if candidate in excluded or candidate in chosen:
+                    continue
+                chosen.add(candidate)
+                result.append(candidate)
         if len(result) < count:
             for candidate in self._enumerate():
                 if candidate in excluded or candidate in chosen:
@@ -290,20 +337,43 @@ class SearchSpace:
         something similar to the Standard Normal Distribution" described in
         Section 4.5 of the paper.
         """
-        values = self.validate(configuration)
-        return (np.asarray(values, dtype=float) - self._feature_mid) / self._feature_scale
+        return self.normalize_many([configuration])[0]
 
     def normalize_many(self, configurations: Sequence[Sequence[int]]) -> np.ndarray:
         """Normalise a batch of configurations into a 2-D feature matrix.
 
-        The whole batch is validated row by row but normalised with a single
-        broadcast over the precomputed midpoint/scale vectors.
+        The batch is validated column-wise against the admissible values
+        with one ``searchsorted`` and normalised with a single broadcast over the precomputed
+        midpoint/scale vectors; an invalid row raises the same
+        ``ValueError`` as :meth:`validate`.
         """
-        rows = [self.validate(cfg) for cfg in configurations]
-        if not rows:
-            raise ValueError("normalize_many() needs at least one configuration")
-        matrix = np.asarray(rows, dtype=float)
+        matrix = self._validated_matrix(configurations)
         return (matrix - self._feature_mid) / self._feature_scale
+
+    def _validated_matrix(self, configurations: Sequence[Sequence[int]]) -> np.ndarray:
+        """The configurations as a validated ``(n, d)`` integer matrix."""
+        if not len(configurations):
+            raise ValueError("normalize_many() needs at least one configuration")
+        try:
+            matrix = np.asarray(configurations, dtype=np.int64)
+        except (ValueError, TypeError, OverflowError):
+            matrix = None
+        if matrix is None or matrix.ndim != 2 or matrix.shape[1] != self.dimensions:
+            # Ragged, wrong-arity or non-integer rows: the per-row check
+            # names the first offending row.
+            return np.asarray([self.validate(cfg) for cfg in configurations], dtype=np.int64)
+        keys = np.clip(matrix, 0, self._key_stride) + self._key_offsets
+        positions = np.searchsorted(self._admissible_keys[:-1], keys)
+        admissible = self._admissible_keys[positions] == keys
+        if not admissible.all():
+            # The first offending entry in row-major order is the one
+            # validate() reports when checking the rows one by one.
+            row, column = np.argwhere(~admissible)[0]
+            raise ValueError(
+                f"{int(matrix[row, column])} is not admissible for parameter "
+                f"{self._parameters[column].name!r}"
+            )
+        return matrix
 
     def describe(self) -> str:
         """A human-readable multi-line description of the space."""

@@ -339,11 +339,6 @@ class SpaptBenchmark:
         self._sensitivity_cache = lru_cache(maxsize=cache_size)(
             self._sensitivity_uncached
         )
-        # Normalised feature vectors, keyed by configuration tuple: the
-        # learner re-features the same candidates every iteration (revisitable
-        # pools, reference subsets), so each configuration is normalised once.
-        self._feature_cache: Dict[Tuple[int, ...], np.ndarray] = {}
-        self._feature_cache_size = cache_size
 
     def _validate_parameters(self) -> None:
         loop_vars = set(self._kernel.loop_names())
@@ -414,25 +409,12 @@ class SpaptBenchmark:
     # -------------------------------------------------------------- features
 
     def features(self, configuration: Sequence[int]) -> np.ndarray:
-        """Normalised (scaled and centred) feature vector of a configuration.
-
-        Cached per configuration; the returned array is marked read-only
-        because it is shared between calls.
-        """
-        key = tuple(int(v) for v in configuration)
-        cached = self._feature_cache.get(key)
-        if cached is None:
-            cached = self._space.normalize(key)
-            cached.flags.writeable = False
-            if len(self._feature_cache) < self._feature_cache_size:
-                self._feature_cache[key] = cached
-        return cached
+        """Normalised (scaled and centred) feature vector of a configuration."""
+        return self._space.normalize_many([configuration])[0]
 
     def features_many(self, configurations: Sequence[Sequence[int]]) -> np.ndarray:
-        """One feature matrix for a batch of configurations (cache-backed)."""
-        if not len(configurations):
-            return self._space.normalize_many(configurations)
-        return np.vstack([self.features(cfg) for cfg in configurations])
+        """One feature matrix for a batch of configurations."""
+        return self._space.normalize_many(configurations)
 
     def transform_configuration(
         self, configuration: Sequence[int]

@@ -175,11 +175,11 @@ class TestRunAll:
             run_paper_run,
             spec_names,
         )
-        from repro.core import LearnerCheckpoint
+        from repro.core import TuningSession
 
         for obj in (ExperimentRunner, ExperimentSpec, RunManifest, RunnerError,
                     UnitContext, WorkUnit, get_spec, run_artifacts,
-                    run_paper_run, spec_names, LearnerCheckpoint):
+                    run_paper_run, spec_names, TuningSession):
             assert obj.__doc__
 
     def test_every_registered_spec_satisfies_the_contract(self):
