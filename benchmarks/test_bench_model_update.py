@@ -54,8 +54,6 @@ def _as_reference(model: DynamicTreeRegressor) -> DynamicTreeRegressor:
     clone._prior = model._prior
     clone._lml = model._lml
     clone._particles = [root.copy() for root in model._particles]
-    clone._flat = [None] * len(model._particles)
-    clone._flat_shared = [False] * len(model._particles)
     return clone
 
 
@@ -167,18 +165,17 @@ def test_bench_particle_update_1000(benchmark, paper_scale_model, kernel):
 def test_bench_forest_maintenance_1000(benchmark, paper_scale_model, forest):
     """First predict/ALC batch after an update at 1 000 particles.
 
-    This is the per-iteration cost the incremental forest amortises: the
-    untimed setup absorbs one observation, the timed body scores a
-    candidate batch — paying the forest repair (``incremental``) or the
-    full ``FlatForest.from_trees`` rebuild (``rebuild``) plus the routing
-    itself.  Their ratio in ``BENCH_model.json`` is the tracked win of the
-    incremental maintenance; equivalence is pinned separately by
-    ``tests/test_incremental_forest.py``.
+    This is the per-iteration cost the in-place particle forest amortises:
+    the untimed setup absorbs one observation, the timed body scores a
+    candidate batch — reading the forest the update kept in step
+    (``incremental``) or recompiling it from every particle (``rebuild``:
+    the setup drops the compiled forest) plus the routing itself.  Their
+    ratio in ``BENCH_model.json`` is the tracked win of the in-place
+    maintenance; equivalence is pinned separately by
+    ``tests/test_particle_forest.py``.
     """
     fitted, X, y = paper_scale_model
     model = copy.deepcopy(fitted)
-    if forest == "rebuild":
-        model._config = dataclasses.replace(model.config, incremental_forest=False)
     rng = np.random.default_rng(5)
     candidates = rng.uniform(-1.5, 1.5, size=(20, X.shape[1]))
     reference = candidates[:10]
@@ -189,6 +186,8 @@ def test_bench_forest_maintenance_1000(benchmark, paper_scale_model, forest):
         i = 200 + state["i"] % 20
         state["i"] += 1
         model.update(X[i], float(y[i]))
+        if forest == "rebuild":
+            model._particle_forest = None
         return (), {}
 
     def score_batch():

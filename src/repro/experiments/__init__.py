@@ -26,83 +26,68 @@ Every driver takes an :class:`repro.experiments.config.ExperimentScale`
 a ``render()`` method that prints the same rows/series the paper reports.
 """
 
-from .ablations import (
-    AblationResult,
-    AblationRow,
-    run_acquisition_ablation,
-    run_model_ablation,
-)
-from .config import ExperimentScale
-from .figure1 import Figure1Result, run_figure1
-from .figure2 import Figure2Result, run_figure2
-from .figure5 import Figure5Result, figure5_from_table1, run_figure5
-from .figure6 import PAPER_FIGURE6_BENCHMARKS, Figure6Result, run_figure6
-from .noise_robustness import NoiseRobustnessResult, run_noise_robustness, scaled_benchmark
-from .paper_scale import PaperScaleSmokeResult, run_paper_scale_smoke
-from .registry import (
-    DEFAULT_ARTIFACTS,
-    ExperimentSpec,
-    UnitContext,
-    WorkUnit,
-    get_spec,
-    run_artifacts,
-    spec_names,
-)
-from .runner import ExperimentRunner, RunManifest, RunnerError, run_paper_run
-from .table1 import PAPER_TABLE1_SPEEDUPS, Table1Result, run_table1, table1_from_comparisons
-from .table2 import Table2Result, run_table2
+import importlib
 
-__all__ = [
-    "ExperimentScale",
-    "Figure1Result",
-    "run_figure1",
-    "Figure2Result",
-    "run_figure2",
-    "Figure5Result",
-    "figure5_from_table1",
-    "run_figure5",
-    "PAPER_FIGURE6_BENCHMARKS",
-    "Figure6Result",
-    "run_figure6",
-    "NoiseRobustnessResult",
-    "run_noise_robustness",
-    "scaled_benchmark",
-    "AblationResult",
-    "AblationRow",
-    "run_acquisition_ablation",
-    "run_model_ablation",
-    "PaperScaleSmokeResult",
-    "run_paper_scale_smoke",
-    "run_all",
-    "DEFAULT_ARTIFACTS",
-    "ExperimentSpec",
-    "UnitContext",
-    "WorkUnit",
-    "get_spec",
-    "run_artifacts",
-    "spec_names",
-    "ExperimentRunner",
-    "RunManifest",
-    "RunnerError",
-    "run_paper_run",
-    "PAPER_TABLE1_SPEEDUPS",
-    "Table1Result",
-    "run_table1",
-    "table1_from_comparisons",
-    "Table2Result",
-    "run_table2",
-]
+#: Re-exported name -> the submodule defining it.  Every name resolves on
+#: first use: importing the modules here would put the ones with a
+#: ``__main__`` block in ``sys.modules`` before ``python -m
+#: repro.experiments.<module>`` executes them, which makes runpy warn.
+_EXPORTS = {
+    "AblationResult": "ablations",
+    "AblationRow": "ablations",
+    "run_acquisition_ablation": "ablations",
+    "run_model_ablation": "ablations",
+    "ExperimentScale": "config",
+    "Figure1Result": "figure1",
+    "run_figure1": "figure1",
+    "Figure2Result": "figure2",
+    "run_figure2": "figure2",
+    "Figure5Result": "figure5",
+    "figure5_from_table1": "figure5",
+    "run_figure5": "figure5",
+    "PAPER_FIGURE6_BENCHMARKS": "figure6",
+    "Figure6Result": "figure6",
+    "run_figure6": "figure6",
+    "NoiseRobustnessResult": "noise_robustness",
+    "run_noise_robustness": "noise_robustness",
+    "scaled_benchmark": "noise_robustness",
+    "PaperScaleSmokeResult": "paper_scale",
+    "run_paper_scale_smoke": "paper_scale",
+    "run_all": "run_all",
+    "DEFAULT_ARTIFACTS": "registry",
+    "ExperimentSpec": "registry",
+    "UnitContext": "registry",
+    "WorkUnit": "registry",
+    "get_spec": "registry",
+    "run_artifacts": "registry",
+    "spec_names": "registry",
+    "ExperimentRunner": "runner",
+    "RunManifest": "runner",
+    "RunnerError": "runner",
+    "run_paper_run": "runner",
+    "PAPER_TABLE1_SPEEDUPS": "table1",
+    "Table1Result": "table1",
+    "run_table1": "table1",
+    "table1_from_comparisons": "table1",
+    "Table2Result": "table2",
+    "run_table2": "table2",
+}
+
+__all__ = list(_EXPORTS)
 
 
 def __getattr__(name: str):
-    # ``run_all`` is resolved on first use: importing its module here would
-    # put it in ``sys.modules`` before ``python -m
-    # repro.experiments.run_all`` executes it, which makes runpy warn.
-    # The submodule shares the function's name, so code that imports the
-    # submodule first should take the function from it directly.
-    if name == "run_all":
-        from .run_all import run_all as function
+    # The ``run_all`` submodule shares the function's name: once the
+    # submodule has been imported, the package attribute names the
+    # module, so code that imports the submodule first should take the
+    # function from it directly.
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
 
-        globals()["run_all"] = function
-        return function
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

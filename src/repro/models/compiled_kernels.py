@@ -4,9 +4,9 @@ The batched update path of :class:`~repro.models.dynamic_tree.DynamicTreeRegress
 funnels its per-particle inner loops through three kernels:
 
 * **route_all** — route one feature vector through every particle at once
-  over the concatenated :class:`~repro.models.flat_tree.FlatForest`
-  segment arrays (the reweight/resample front-end and the stay-patch id
-  lookup);
+  over the flat arrays of a :class:`~repro.models.flat_tree.FlatForest`
+  (``route_update``, the reweight front-end, also records each particle's
+  leaf node, parent and depth);
 * **reweight_log_weights** — the fused gather + Student-t log-pdf
   accumulation over :class:`~repro.models.leaf.LeafCacheArrays` rows;
 * **grow_scores** — the fused candidate scan: given the padded
@@ -110,7 +110,7 @@ def route_all_numpy(
 ) -> np.ndarray:
     """Global leaf ids of one row routed through every tree of a forest.
 
-    Level-synchronous descent over the concatenated segment arrays: all
+    Level-synchronous descent over the forest's flat arrays: all
     particles still sitting on an internal node are advanced together,
     so the loop count is the deepest particle's depth instead of
     ``n_particles`` Python descents.

@@ -27,34 +27,34 @@ Leaves use the constant (Gaussian) model of :mod:`repro.models.leaf`; the
 tree prior is the standard Chipman-George-McCulloch
 ``p_split(depth) = alpha * (1 + depth)^-beta``.
 
-Prediction and the ALC score are served from per-particle
-:class:`~repro.models.flat_tree.FlatTree` compilations — flat NumPy arrays
-descended level-by-level for a whole batch of rows at once — rather than
-per-row Python ``descend()`` loops.
+Prediction, the ALC score and the update path all read one
+:class:`~repro.models.flat_tree.ParticleForest`: every particle's tree
+compiled into a row of padded NumPy arrays, descended level-by-level for
+a whole batch of rows and particles at once rather than by per-row Python
+``descend()`` loops.
 
 The sequential **update** path (Algorithm 1's per-observation model update)
 is batched across particles as well, which is what makes paper-scale
 particle counts (5 000) tractable:
 
-* **reweight** — the incoming ``x`` is routed through every particle's
-  flat compilation (a scalar descent over plain-list navigation mirrors —
-  cheaper than assembling the concatenated forest, which the update path
-  never needs), and the predictive log-pdfs come from cached per-leaf
-  log-pdf terms (one row read plus one scalar ``math.log1p`` per particle)
-  instead of ``n_particles`` per-node Python descents;
+* **reweight** — one ``route_update`` descent routes the incoming ``x``
+  through every particle's forest row together, and the predictive
+  log-pdfs come from the cached per-leaf log-pdf terms of the leaves it
+  lands on (one fused gather plus the backend's ``log1p`` map) instead of
+  ``n_particles`` per-node Python descents;
 * **resample** — the systematic resampler duplicates particles
-  *copy-on-write*: duplicates share the original tree and its flat
-  compilation, and nodes are cloned lazily, path-by-path, the first time a
-  subsequent move actually mutates them (``_Node.shared`` marks
-  possibly-shared nodes; cloning a node flags its children), so a resample
-  costs O(1) per duplicate instead of a deep tree copy;
+  *copy-on-write*: duplicates share the original tree, and nodes are
+  cloned lazily, path-by-path, the first time a subsequent move actually
+  mutates them (``_Node.shared`` marks possibly-shared nodes; cloning a
+  node flags its children), so a resample costs O(1) tree work per
+  duplicate plus one row gather of the forest;
 * **propagate** — the stay/grow/prune scores are computed from sufficient
   statistics through a per-prior :class:`~repro.models.leaf.LMLCache`
   (count-dependent ``lgamma``/``log`` terms memoized), the grow proposal
-  scores all candidate splits with one batched masked-cumsum scan, and the
-  stay moves — the overwhelming majority — are applied as a single batched
-  leaf-statistics patch over the affected flat arrays; only grow/prune
-  particles fall back to per-node Python mutation and recompilation.
+  scores all candidate splits with one batched masked-cumsum scan, and
+  the moves land on the forest as three batched array operations: one
+  row write for every stay, one splice for every grow and one for every
+  prune.  Only the ``_Node`` mutation itself stays per particle.
 
 Every floating-point operation and every RNG draw in the batched path
 replays the per-particle reference implementation exactly (sequential
@@ -72,13 +72,13 @@ import copy
 import math
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .base import Prediction, SurrogateModel
 from .compiled_kernels import BACKENDS, get_kernels, nig_beta_n
-from .flat_tree import FlatForest, FlatTree, IncrementalForest
+from .flat_tree import FlatForest, ParticleForest
 from .leaf import (
     GaussianLeafModel,
     LeafCacheArrays,
@@ -123,15 +123,6 @@ class DynamicTreeConfig:
     implementations (slow — only useful for equivalence testing).  The two
     modes produce bit-identical seeded trajectories.
 
-    ``incremental_forest`` keeps the concatenated
-    :class:`~repro.models.flat_tree.FlatForest` alive across updates and
-    repairs only the particles that changed (see
-    :class:`~repro.models.flat_tree.IncrementalForest`) instead of
-    rebuilding it from every tree on the first predict/ALC batch after an
-    update.  Both settings produce bit-identical predictions and ALC
-    scores; disabling it restores the always-rebuild path (the oracle the
-    incremental maintenance is equivalence-tested against).
-
     ``backend`` selects the kernel set the batched update dispatches to
     (see :mod:`repro.models.compiled_kernels`): ``"numpy"`` (the default,
     bit-exact), ``"numba"`` (jitted when numba is installed, silently
@@ -158,7 +149,6 @@ class DynamicTreeConfig:
     prior_kappa: float = 0.1
     prior_alpha: float = 3.0
     vectorized: bool = True
-    incremental_forest: bool = True
     backend: str = "numpy"
     float_mode: str = "exact"
 
@@ -339,9 +329,8 @@ class _GrowProposal(NamedTuple):
 
     Carries everything :meth:`DynamicTreeRegressor._apply_grow_batched`
     needs to build the two children without re-scanning: the split itself,
-    both sides' sufficient statistics and marginal likelihoods (already
-    consumed by the grow score), and the boolean membership mask over the
-    leaf's observations with the incoming point in the last position.
+    both sides' sufficient statistics, and the boolean membership mask over
+    the leaf's observations with the incoming point in the last position.
     """
 
     dim: int
@@ -349,11 +338,9 @@ class _GrowProposal(NamedTuple):
     n_left: int
     sum_left: float
     sum_sq_left: float
-    left_lml: float
     n_right: int
     sum_right: float
     sum_sq_right: float
-    right_lml: float
     mask: np.ndarray
 
 
@@ -366,8 +353,9 @@ class _UpdateRouting(NamedTuple):
     each particle's leaf and prune-sibling statistics straight from the
     forest's packed cache columns instead of re-walking ``_Node``
     objects.  After a resample the per-particle arrays are permuted to
-    the post-resample particle order; ``forest`` keeps the *pre-resample*
-    segment layout (the global ids index into it correctly either way).
+    the post-resample particle order while ``forest`` keeps viewing the
+    *pre-resample* rows, so the global ids still index into it; local
+    node and leaf ids (``global % capacity``) hold in either layout.
     """
 
     forest: FlatForest
@@ -399,27 +387,10 @@ class DynamicTreeRegressor(SurrogateModel):
         self._prior: Optional[NIGPrior] = None
         self._lml: Optional[LMLCache] = None
         self._particles: List[_Node] = []
-        # Lazily compiled FlatTree per particle; ``None`` marks "needs
-        # recompilation" (fresh particle, or structure changed by grow/prune).
-        # ``_flat_shared[i]`` marks a compilation shared copy-on-write with
-        # another particle after a resample: it must be copied before the
-        # next leaf patch lands on it.
-        self._flat: List[Optional[FlatTree]] = []
-        self._flat_shared: List[bool] = []
-        # Concatenation of every particle's FlatTree.  With
-        # ``incremental_forest`` the padded arrays persist across updates
-        # and ``_ensure_forest`` repairs only the changed particles
-        # (``_forest_stale`` records the in-place leaf patches it must
-        # mirror); otherwise the concatenation is rebuilt lazily after any
-        # update (the concatenated arrays snapshot the per-tree arrays, so
-        # in-place leaf patches do not carry over).
-        self._forest: Optional[FlatForest] = None
-        self._forest_cache: Optional[IncrementalForest] = None
-        # ``(slot, local leaf id) -> cache row values`` patched since the
-        # last sync (latest patch wins), plus a dirty bit so predict/ALC
-        # calls between updates skip the per-particle sync scan entirely.
-        self._forest_stale: Dict[Tuple[int, int], Tuple[float, ...]] = {}
-        self._forest_dirty = False
+        # Every particle compiled into one padded array set, built on the
+        # first predict/ALC/update after ``fit`` or a load and then kept in
+        # step by each batched update.  The reference path drops it.
+        self._particle_forest: Optional[ParticleForest] = None
         # Per-depth tree-prior log terms (split probabilities only depend on
         # the frozen config, and every particle's scores reuse them).
         self._depth_cache: Dict[int, Tuple[float, float, float]] = {}
@@ -444,20 +415,13 @@ class DynamicTreeRegressor(SurrogateModel):
         """Pickle the posterior's source of truth, not what derives from it.
 
         The particles, training buffers, RNG, prior and config are kept.
-        The per-particle compilations, the concatenated forest and the
-        count/depth term tables are dropped: after load the next
-        predict, ALC score or update recompiles them lazily through the
-        same paths a fresh particle takes, with bit-identical values.
-        Dropping them is most of a checkpoint's size and pickle time.
+        The particle forest and the count/depth term tables are dropped:
+        after load the next predict, ALC score or update recompiles them
+        from the particles, with bit-identical values.  Dropping them is
+        most of a checkpoint's size and pickle time.
         """
         state = self.__dict__.copy()
-        count = len(self._particles)
-        state["_flat"] = [None] * count
-        state["_flat_shared"] = [False] * count
-        state["_forest"] = None
-        state["_forest_cache"] = None
-        state["_forest_stale"] = {}
-        state["_forest_dirty"] = True
+        state["_particle_forest"] = None
         state["_term_tables"] = None
         state["_depth_arrays"] = None
         return state
@@ -480,11 +444,13 @@ class DynamicTreeRegressor(SurrogateModel):
     def phase_timings(self) -> Dict[str, float]:
         """Cumulative wall-clock seconds spent in each batched-update phase.
 
-        Keys: ``"reweight"`` (forest sync + routing + predictive
-        log-weights), ``"resample"`` (ESS decision + systematic
-        permutation), ``"propagate-score"`` (stat gathers, grow-candidate
-        tables, move scoring and the draw inversion) and
-        ``"propagate-apply"`` (tree mutation + flat/forest patches).
+        Keys: ``"reweight"`` (routing + predictive log-weights; the first
+        update after ``fit`` or a load also compiles the particle forest
+        here), ``"resample"`` (ESS decision + systematic permutation +
+        forest row gather), ``"propagate-score"`` (stat gathers,
+        grow-candidate tables, move scoring and the draw inversion) and
+        ``"propagate-apply"`` (tree mutation + the forest's stay write and
+        grow/prune splices).
         Only the batched update path records; :meth:`reset_phase_timings`
         zeroes the counters.
         """
@@ -511,18 +477,17 @@ class DynamicTreeRegressor(SurrogateModel):
 
         Batch acquisition (kriging believer) needs a throwaway model to
         absorb believed observations.  A deep copy clones every particle
-        tree, compilation and forest — almost all of which the few fantasy
-        updates never touch.  Instead the copy *shares* the particle trees
-        and flat compilations copy-on-write: every node is flagged
-        ``shared`` (the same authoritative invariant a resample
-        establishes) and every compilation marked shared, so whichever
-        model mutates a path or patches a leaf row first clones just that
-        piece.  The training buffers are copied (updates append to them
-        in place), the RNG is deep-copied so fantasy draws do not consume
-        the real model's stream, and the memoized pure caches (LML,
-        count-term tables, depth terms) stay shared — both sides only
-        ever add deterministically recomputable entries.  The copy builds
-        its own incremental forest lazily on first use.
+        tree — almost all of which the few fantasy updates never touch.
+        Instead the copy *shares* the particle trees copy-on-write: every
+        node is flagged ``shared`` (the same authoritative invariant a
+        resample establishes), so whichever model mutates a path first
+        clones just that path.  The particle forest's arrays are copied
+        (one memcpy each; the leaf-node lists are never mutated in place,
+        so both forests share them), as are the training buffers (updates
+        append to them in place).  The RNG is deep-copied so fantasy draws
+        do not consume the real model's stream, and the memoized pure
+        caches (LML, count-term tables, depth terms) stay shared — both
+        sides only ever add deterministically recomputable entries.
         """
         clone = type(self).__new__(type(self))
         clone._config = self._config
@@ -541,14 +506,8 @@ class DynamicTreeRegressor(SurrogateModel):
                     stack.append(node.left)
                     stack.append(node.right)
         clone._particles = list(self._particles)
-        clone._flat = list(self._flat)
-        count = len(self._flat)
-        self._flat_shared = [True] * count
-        clone._flat_shared = [True] * count
-        clone._forest = None
-        clone._forest_cache = None
-        clone._forest_stale = {}
-        clone._forest_dirty = True
+        forest = self._particle_forest
+        clone._particle_forest = None if forest is None else forest.copy()
         clone._depth_cache = self._depth_cache
         clone._term_tables = self._term_tables
         clone._depth_arrays = self._depth_arrays
@@ -594,18 +553,11 @@ class DynamicTreeRegressor(SurrogateModel):
         self._lml = LMLCache(self._prior)
         self._depth_cache = {}
         self._particles = []
-        self._flat = []
-        self._flat_shared = []
-        self._forest = None
-        self._forest_cache = None
-        self._forest_stale.clear()
-        self._forest_dirty = True
+        self._particle_forest = None
         for _ in range(self._config.n_particles):
             root = _Node(depth=0)
             root.leaf = GaussianLeafModel(self._prior)
             self._particles.append(root)
-            self._flat.append(None)
-            self._flat_shared.append(False)
         order = self._rng.permutation(X.shape[0])
         for index in order:
             self.update(X[index], float(y[index]))
@@ -632,8 +584,8 @@ class DynamicTreeRegressor(SurrogateModel):
     def _update_batched(self, x: np.ndarray, y: float) -> None:
         """One SMC update with all cross-particle work batched.
 
-        The reweight routes the incoming point through every particle's flat
-        compilation and the propagate step runs as a three-phase pipeline
+        The reweight routes the incoming point through every particle's
+        forest row and the propagate step runs as a three-phase pipeline
         (see :meth:`_propagate_all`) whose cross-particle work — candidate
         partition sums, split thresholds, move probabilities, the move draw
         inversion and the stay-move leaf patch — runs as a handful of array
@@ -654,110 +606,39 @@ class DynamicTreeRegressor(SurrogateModel):
             if self._n >= 1:
                 routing = self._resample(x, y)
             index = self._append_observation(x, y)
-            self._forest = None
-            self._forest_dirty = True
             self._propagate_all(x, y, index, routing)
         finally:
             if replaying:
                 self._replay.end()
             self._draws = self._generator_draws
 
-    def _patch_stays(
-        self,
-        slots: np.ndarray,
-        leaf_ids: np.ndarray,
-        rows: np.ndarray,
-        forest: FlatForest,
-    ) -> None:
-        """Apply every stay move's leaf-statistics patch in one pass.
-
-        ``rows`` holds the already-computed cache rows, one per slot in
-        ``slots`` — produced by the batched term-table arithmetic, bit-
-        identical to what :meth:`~repro.models.leaf.LeafCacheArrays.patch`
-        would recompute from each leaf's memoized scalar posterior.  The
-        per-particle compilations are already privately owned (the apply
-        loop copies any still-shared one before recording its stay), so
-        each patch is a single row assignment.  The same rows are then
-        scattered straight into the live incremental forest's segments:
-        a row whose particle was permuted by the resample (or whose
-        compilation object changed) lands in a segment the next sync
-        rewrites wholesale anyway, and rows in identity-kept segments
-        make them current — so no per-row stale bookkeeping is needed
-        (the ``_forest_stale`` dict remains only for the reference path).
-        """
-        flats = self._flat
-        lids = leaf_ids.tolist()
-        for j, slot in enumerate(slots.tolist()):
-            flats[slot].caches.data[lids[j]] = rows[j]
-        cache = self._forest_cache
-        if cache is not None and forest is cache.forest:
-            forest.caches.data[forest.leaf_offsets[slots] + leaf_ids] = rows
-
     def _update_reference(self, x: np.ndarray, y: float) -> None:
         """Per-particle reference implementation of one SMC update.
 
         Python descents and eager tree copies throughout; kept as the
-        oracle the batched kernel's trajectories are tested against.
+        oracle the batched kernel's trajectories are tested against.  It
+        keeps no compiled state: the particle forest is dropped.
         """
         if self._n >= 1:
             self._resample_reference(x, y)
         index = self._append_observation(x, y)
-        self._forest = None
-        self._forest_dirty = True
+        self._particle_forest = None
         for particle_index, root in enumerate(self._particles):
-            new_root, structural, leaf = self._propagate(root, x, y, index)
-            self._particles[particle_index] = new_root
-            flat = self._flat[particle_index]
-            if structural:
-                self._flat[particle_index] = None
-            elif flat is not None:
-                # Stay move: the structure is intact, only the statistics of
-                # the leaf containing ``x`` changed — patch them in place.
-                assert leaf.leaf is not None
-                leaf_id = flat.route_one(x)
-                row = flat.patch_leaf(leaf_id, leaf.leaf)
-                if self._forest_cache is not None:
-                    self._forest_stale[(particle_index, leaf_id)] = row
+            self._particles[particle_index] = self._propagate(root, x, y, index)
 
     # ----------------------------------------------------------- prediction
 
-    def _flat_tree(self, particle_index: int) -> FlatTree:
-        """The (lazily compiled) flat representation of one particle."""
-        flat = self._flat[particle_index]
-        if flat is None:
-            flat = FlatTree.compile(self._particles[particle_index])
-            self._flat[particle_index] = flat
-        return flat
-
     def _ensure_forest(self) -> FlatForest:
-        """The concatenated forest, repaired or rebuilt as needed.
+        """The particle forest's flat view, compiling the forest if needed.
 
-        With ``incremental_forest`` the padded forest persists across
-        updates: particles whose :class:`FlatTree` object is unchanged keep
-        their segments (stay-move leaf patches are mirrored row-by-row from
-        ``_forest_stale``), recompiled/resampled particles get their
-        segments rewritten in place, and only a capacity overflow or a
-        particle-count change triggers a full rebuild.  Without the flag
-        every call after an update rebuilds via ``FlatForest.from_trees``
-        — the equivalence oracle for the incremental path.
+        The forest is compiled from the particles on the first call after
+        ``fit`` or a load; every batched update keeps it in step after that.
         """
-        if self._config.incremental_forest:
-            cache = self._forest_cache
-            if cache is not None and not self._forest_dirty:
-                return cache.forest
-            flats = [self._flat_tree(i) for i in range(len(self._particles))]
-            if cache is None or not cache.sync(flats, self._forest_stale):
-                cache = IncrementalForest(flats)
-                self._forest_cache = cache
-            self._forest_stale.clear()
-            self._forest_dirty = False
-            return cache.forest
-        self._forest_stale.clear()
-        if self._forest is None:
-            self._forest = FlatForest.from_trees(
-                [self._flat_tree(i) for i in range(len(self._particles))]
-            )
-        return self._forest
+        forest = self._particle_forest
+        if forest is None:
+            forest = ParticleForest.compile(self._particles)
+            self._particle_forest = forest
+        return forest.view()
 
     def predict(self, features: np.ndarray) -> Prediction:
         if not self._particles or not self._n:
@@ -938,25 +819,21 @@ class DynamicTreeRegressor(SurrogateModel):
     def _resample(self, x: np.ndarray, y: float) -> _UpdateRouting:
         """Batched reweight-and-resample; returns the update's routing context.
 
-        The reweight is three kernel calls over the concatenated segment
-        arrays: one all-particles ``route_update`` descent — recording
-        each particle's leaf node, parent node and descent depth alongside
-        the leaf id, the structural context the propagate gather phase
-        reads instead of re-walking ``_Node`` objects — one fused
+        The reweight is three kernel calls over the particle forest's flat
+        view: one all-particles ``route_update`` descent — recording each
+        particle's leaf node, parent node and descent depth alongside the
+        leaf id, the structural context the propagate gather phase reads
+        instead of re-walking ``_Node`` objects — one fused
         gather-and-log-pdf pass over the leaf cache rows, and the offset
-        subtraction that localises the global ids.  With the incremental
-        forest (the default) the forest is synced here, at the *top* of
-        the update, which also keeps it incrementally repaired across
-        back-to-back updates instead of being recompiled per predict;
-        without it the same calls run over a fresh ``from_trees``
-        snapshot.  Either way the arithmetic is the cached-log-pdf-terms
-        evaluation with the backend's ``log1p`` flavour (scalar-rounded
-        in exact mode — numpy's rounds differently and the resample
-        decision is sampled from these weights).  When the effective
-        sample size calls for a resample, duplicated particles *share*
-        the original tree and flat compilation copy-on-write instead of
-        deep-copying them, and the routing arrays are permuted to the
-        post-resample particle order.
+        subtraction that localises the global ids.  The arithmetic is the
+        cached-log-pdf-terms evaluation with the backend's ``log1p``
+        flavour (scalar-rounded in exact mode — numpy's rounds differently
+        and the resample decision is sampled from these weights).  When
+        the effective sample size calls for a resample, duplicated
+        particles *share* the original tree copy-on-write instead of
+        deep-copying it, the forest gathers its rows into the new particle
+        order, and the routing arrays are permuted to match (the routing's
+        view keeps reading the pre-resample rows).
         """
         timings = self._phase_timings
         tic = perf_counter()
@@ -996,14 +873,14 @@ class DynamicTreeRegressor(SurrogateModel):
         occurrences = np.bincount(chosen, minlength=count)
         duplicated = occurrences > 1
         for j in np.flatnonzero(duplicated).tolist():
-            # Copy-on-write: every occurrence shares the tree and its
-            # compilation; the first move that mutates either clones just
-            # what it touches.  The *whole* tree is flagged, not just the
-            # root, so ``shared`` stays authoritative — a False flag
-            # guarantees single ownership, which is what lets the apply
-            # phase mutate leaves straight out of the compilation's leaf
-            # map without re-walking the tree (``clone_shallow`` upholds
-            # the invariant when it hands its children a second owner).
+            # Copy-on-write: every occurrence shares the tree; the first
+            # move that mutates it clones just the path it touches.  The
+            # *whole* tree is flagged, not just the root, so ``shared``
+            # stays authoritative — a False flag guarantees single
+            # ownership, which is what lets the apply phase mutate leaves
+            # straight out of the forest's leaf-node map without
+            # re-walking the tree (``clone_shallow`` upholds the invariant
+            # when it hands its children a second owner).
             stack = [particles[j]]
             while stack:
                 node = stack.pop()
@@ -1011,11 +888,8 @@ class DynamicTreeRegressor(SurrogateModel):
                 if node.left is not None:
                     stack.append(node.left)
                     stack.append(node.right)
-        flats = self._flat
-        shared = np.fromiter(self._flat_shared, dtype=bool, count=count)
         self._particles = [particles[j] for j in chosen_indices]
-        self._flat = [flats[j] for j in chosen_indices]
-        self._flat_shared = (shared[chosen] | duplicated[chosen]).tolist()
+        self._particle_forest.gather(chosen)
         routing = _UpdateRouting(
             forest,
             local_ids[chosen],
@@ -1043,28 +917,16 @@ class DynamicTreeRegressor(SurrogateModel):
             return
         chosen_indices = self._systematic_indices(weights, self._rng.random())
         # Deduplicate by particle *index*: the first occurrence keeps the
-        # original tree (and its flat compilation), later occurrences get
-        # independent copies.
+        # original tree, later occurrences get independent copies.
         new_particles: List[_Node] = []
-        new_flat: List[Optional[FlatTree]] = []
         used_original: set[int] = set()
         for j in chosen_indices:
-            flat = self._flat[j]
             if j not in used_original:
                 new_particles.append(self._particles[j])
-                new_flat.append(flat)
                 used_original.add(j)
             else:
                 new_particles.append(self._particles[j].copy())
-                copied = flat.copy() if flat is not None else None
-                if copied is not None:
-                    # The eager tree copy made fresh ``_Node`` objects the
-                    # compilation's leaf map knows nothing about.
-                    copied.leaf_nodes = None
-                new_flat.append(copied)
         self._particles = new_particles
-        self._flat = new_flat
-        self._flat_shared = [False] * len(new_particles)
 
     # ----------------------------------------------------- batched propagate
 
@@ -1165,7 +1027,7 @@ class DynamicTreeRegressor(SurrogateModel):
            gathers over the forest's packed cache columns, the prune
            siblings and tree-prior depth terms follow from the recorded
            parent nodes, and the only remaining per-particle loop collects
-           each leaf's training-row indices through the compilations'
+           each leaf's training-row indices through the forest's
            ``leaf_nodes`` maps.  The grow proposals' RNG draws run in
            exactly the reference order (the replayed stream makes the draw
            *values* independent of when they are interpreted); the
@@ -1186,11 +1048,13 @@ class DynamicTreeRegressor(SurrogateModel):
            no-ops in the sequential sums), so the batch reproduces each
            particle's reference arithmetic bit-for-bit.
         3. **apply** — moves mutate the trees through one copy-on-write
-           descent per particle (a pure pointer walk on private paths);
-           grow/prune moves splice the particle's flat compilation in
-           place (:meth:`FlatTree.grow_at` / :meth:`FlatTree.prune_at`)
-           instead of invalidating it, and the stay moves land on the flat
-           compilations as one batched leaf-statistics patch.
+           descent per particle (a pure pointer walk on private paths, or
+           no walk at all for a private leaf), then land on the particle
+           forest as three batched operations: one row write of every
+           stay's leaf, one splice of every grow and one of every prune
+           (see :class:`~repro.models.flat_tree.ParticleForest`).  All new
+           cache rows come from one pass of term-table arithmetic
+           (:meth:`_cache_rows`).
         """
         assert self._prior is not None and self._lml is not None
         assert self._X is not None and self._y is not None
@@ -1204,7 +1068,7 @@ class DynamicTreeRegressor(SurrogateModel):
         fast = config.float_mode == "fast"
         dims = x.shape[0]
         neg_inf = -math.inf
-        flats = self._flat
+        particle_forest = self._particle_forest
 
         # --------------------- phase 1a: routed state gathers
         # Leaf sufficient statistics, descent depths, prune siblings and
@@ -1229,6 +1093,7 @@ class DynamicTreeRegressor(SurrogateModel):
             sib_totals_pr = np.empty(0)
             sib_sqs_pr = np.empty(0)
             sib_lmls_pr = np.empty(0)
+            is_left = np.zeros(count, dtype=bool)
             ids_list: Optional[List[int]] = None
         else:
             forest = routing.forest
@@ -1244,11 +1109,8 @@ class DynamicTreeRegressor(SurrogateModel):
             # Root-leaves carry parent ``-1`` — the in-bounds negative
             # index reads garbage that the ``parents >= 0`` guard masks.
             left_of_parent = forest.left[parents_arr]
-            sib_nodes = np.where(
-                left_of_parent == routing.nodes,
-                forest.right[parents_arr],
-                left_of_parent,
-            )
+            is_left = left_of_parent == routing.nodes
+            sib_nodes = np.where(is_left, forest.right[parents_arr], left_of_parent)
             prunable = (parents_arr >= 0) & (forest.split_dim[sib_nodes] == -1)
             pr = np.flatnonzero(prunable)
             sib_rows = data[forest.leaf_slot[sib_nodes[pr]]]
@@ -1257,9 +1119,9 @@ class DynamicTreeRegressor(SurrogateModel):
             sib_sqs_pr = sib_rows[:, LeafCacheArrays.SUM_SQ]
             sib_lmls_pr = sib_rows[:, LeafCacheArrays.LML]
             ids_list = routing.local_ids.tolist()
+            leaf_nodes = particle_forest.leaf_nodes
             for i in range(count):
-                nodes_map = flats[i].leaf_nodes
-                extend_rows(nodes_map[ids_list[i]].indices)
+                extend_rows(leaf_nodes[i][ids_list[i]].indices)
         sizes_list = leaf_ns.tolist()
 
         # ------------------------- phase 1b: batched grow-proposal tables
@@ -1586,142 +1448,198 @@ class DynamicTreeRegressor(SurrogateModel):
         score_matrix /= score_matrix.sum(axis=1)[:, None]
         cdf = np.cumsum(score_matrix, axis=1)
         cdf /= cdf[:, -1:]
-        moves = (cdf <= uniforms[:, None]).sum(axis=1).tolist()
+        moves = (cdf <= uniforms[:, None]).sum(axis=1)
 
         toc = perf_counter()
         timings["propagate-score"] += toc - tic
         tic = toc
 
         # ---------------------------------------------- phase 3: apply
-        # Stay and grow moves mutate the leaf named by the compilation's
-        # leaf map directly whenever its ``shared`` flag is clear (the
-        # flag is authoritative: resample flags whole duplicated trees),
-        # so in the common steady state no tree is walked at all.  Shared
-        # leaves and every prune go through ``_descend_cow`` — a pure
-        # pointer walk on privately owned paths, shared-node cloning
-        # otherwise.  Grow/prune moves additionally *derive* the
-        # particle's updated flat compilation from the old one (one
-        # splice per structural move) instead of invalidating it, so
-        # steady-state updates never re-enter FlatTree.compile.
-        stay_slots: List[int] = []
-        flat_shared = self._flat_shared
-        best_slot_list = best_slot.tolist()
-        best_left_list = best_left.tolist()
-        best_right_list = best_right.tolist()
-        prunable_list = prunable.tolist()
-        has_ids = ids_list is not None
+        # The moves mutate the ``_Node`` trees one particle at a time,
+        # grouped by kind (each touches only its own particle's private
+        # path, so the order across particles does not matter).  Stay and
+        # grow moves mutate the leaf named by the forest's leaf-node map
+        # directly whenever its ``shared`` flag is clear (the flag is
+        # authoritative: resample flags whole duplicated trees), so in the
+        # common steady state no tree is walked at all.  Shared leaves and
+        # every prune go through ``_descend_cow`` — a pure pointer walk on
+        # privately owned paths, shared-node cloning otherwise.  The
+        # leaf-node lists are replaced, never mutated, so lists shared by
+        # resample duplicates stay valid for both.  The forest itself is
+        # then updated in three batched operations.
+        prune_mask = (moves == 2) & prunable
+        grow_mask = (moves == 1) & (best_slot >= 0)
+        prunes = np.flatnonzero(prune_mask)
+        grows = np.flatnonzero(grow_mask)
+        stays = np.flatnonzero(~(prune_mask | grow_mask))
         descend_cow = self._descend_cow
-        for i in range(count):
-            move = moves[i]
-            if move == 2 and prunable_list[i]:
-                # Prune needs the parent (and must own the path to it),
-                # so it always takes the full copy-on-write walk.
-                leaf, parent, root = descend_cow(particles[i], x)
-                particles[i] = root
-                is_left = parent.left is leaf
-                sibling = parent.right if is_left else parent.left
-                assert sibling is not None
-                old_flat = flats[i]
-                self._apply_prune(root, parent, leaf, sibling, x, y, index)
-                if old_flat is not None and has_ids:
-                    lid = ids_list[i]
-                    flats[i] = old_flat.prune_at(lid if is_left else lid - 1, parent)
-                else:
-                    flats[i] = None
-                flat_shared[i] = False
-                continue
-            # Stay and grow only mutate the leaf itself.  The compilation's
-            # leaf map already names it, and an unshared flag is
-            # authoritative (resample flags whole duplicated trees), so a
-            # private leaf can be mutated in place with no tree walk at
-            # all; a shared flag falls back to the path-cloning descent.
-            flat = flats[i] if has_ids else None
-            if flat is not None:
-                leaf = flat.leaf_nodes[ids_list[i]]
-                if leaf.shared:
-                    leaf, _, root = descend_cow(particles[i], x)
-                    particles[i] = root
-            else:
-                leaf, _, root = descend_cow(particles[i], x)
-                particles[i] = root
-            c = best_slot_list[i]
-            if move == 1 and c >= 0:
-                n_points = sizes_list[i] + 1
-                count_left = int(n_left_matrix[i, c])
-                right_slot = n_candidates + c
-                old_flat = flats[i]
-                self._apply_grow_batched(
-                    leaf,
-                    _GrowProposal(
-                        dim=int(dim_matrix[i, c]),
-                        threshold=float(thresholds[i, c]),
-                        n_left=count_left,
-                        sum_left=float(sums[i, 0, c]),
-                        sum_sq_left=float(sums[i, 1, c]),
-                        left_lml=best_left_list[i],
-                        n_right=n_points - count_left,
-                        sum_right=float(sums[i, 0, right_slot]),
-                        sum_sq_right=float(sums[i, 1, right_slot]),
-                        right_lml=best_right_list[i],
-                        mask=masks[i, :n_points, c],
-                    ),
-                    index,
-                )
-                if old_flat is not None and has_ids:
-                    flats[i] = old_flat.grow_at(ids_list[i], leaf)
-                else:
-                    flats[i] = None
-                flat_shared[i] = False
-            else:
-                assert leaf.leaf is not None
-                leaf.leaf.add(y)
-                leaf.indices.append(index)
-                flat = flats[i]
-                if flat is not None:
-                    if flat_shared[i]:
-                        # Copy-on-write: the compilation is still shared
-                        # with a resample sibling; copy it before the
-                        # batched patch lands.
-                        flat = flat.copy()
-                        flats[i] = flat
-                        flat_shared[i] = False
-                    # The COW walk may have replaced the leaf object; keep
-                    # the compilation's leaf map pointing at the live node.
-                    flat.leaf_nodes[ids_list[i]] = leaf
-                    stay_slots.append(i)
-        if stay_slots:
-            # Batched leaf-cache rows for every stay move: the posterior
-            # row entries are the same table gathers + elementwise
-            # arithmetic (same grouping, scalar-rounded logs) as
-            # GaussianLeafModel.predictive_logpdf_terms — including the
-            # sufficient-statistics and marginal-likelihood columns the
-            # next update's gather phase reads back.
-            assert routing is not None
-            stays = np.asarray(stay_slots, dtype=np.intp)
-            counts_s = counts_stay[stays]
-            kappa_s = kappa_stay[stays]
-            alpha_s = alpha_stay[stays]
-            beta_s = beta_stay[stays]
-            pk_pm = prior_kappa * prior_mean
-            mean_s = (pk_pm + totals_stay[stays]) / kappa_s
-            scale_s = (beta_s * (kappa_s + 1.0)) / (alpha_s * kappa_s)
-            dof_s = tables.dof[counts_s]
-            rows = np.empty((stays.size, LeafCacheArrays.N_COLUMNS))
-            rows[:, LeafCacheArrays.MEAN] = mean_s
-            rows[:, LeafCacheArrays.VARIANCE] = (scale_s * dof_s) / (dof_s - 2.0)
-            rows[:, LeafCacheArrays.COUNT] = counts_s
-            rows[:, LeafCacheArrays.LOGPDF_SCALE] = dof_s * scale_s
-            rows[:, LeafCacheArrays.LOGPDF_COEF] = tables.coef[counts_s]
-            rows[:, LeafCacheArrays.LOGPDF_CONST] = tables.lgamma_part[
-                counts_s
-            ] - 0.5 * kernels.log_array(tables.dof_pi[counts_s] * scale_s)
-            rows[:, LeafCacheArrays.SUM] = totals_stay[stays]
-            rows[:, LeafCacheArrays.SUM_SQ] = sqs_stay[stays]
-            rows[:, LeafCacheArrays.LML] = stay_lml[stays]
-            self._patch_stays(
-                stays, routing.local_ids[stays], rows, routing.forest
+        leaf_nodes = None if routing is None else particle_forest.leaf_nodes
+
+        def owned_leaf(i: int) -> _Node:
+            if leaf_nodes is not None:
+                leaf = leaf_nodes[i][ids_list[i]]
+                if not leaf.shared:
+                    return leaf
+            leaf, _, root = descend_cow(particles[i], x)
+            particles[i] = root
+            return leaf
+
+        # Prunes only exist once the model has data (``routing`` is set).
+        prune_left_ids = np.where(is_left[prunes], 0, -1) + (
+            0 if routing is None else routing.local_ids[prunes]
+        )
+        for i, left_id in zip(prunes.tolist(), prune_left_ids.tolist()):
+            # Prune needs the parent (and must own the path to it), so it
+            # always takes the full copy-on-write walk.
+            leaf, parent, root = descend_cow(particles[i], x)
+            particles[i] = root
+            sibling = parent.right if parent.left is leaf else parent.left
+            assert sibling is not None
+            self._apply_prune(root, parent, leaf, sibling, x, y, index)
+            nodes = leaf_nodes[i]
+            leaf_nodes[i] = nodes[:left_id] + [parent] + nodes[left_id + 2 :]
+
+        best_grow = best_slot[grows]
+        n_left_grow = n_left_matrix[grows, best_grow]
+        n_right_grow = n_points_arr[grows] - n_left_grow
+        grow_sums = sums[grows[:, None], :, np.stack([best_grow, n_candidates + best_grow], axis=1)]
+        proposals = zip(
+            grows.tolist(),
+            best_grow.tolist(),
+            dim_matrix[grows, best_grow].tolist(),
+            thresholds[grows, best_grow].tolist(),
+            n_left_grow.tolist(),
+            n_right_grow.tolist(),
+            grow_sums.tolist(),
+        )
+        for i, c, dim, threshold, n_left, n_right, ((sum_l, sq_l), (sum_r, sq_r)) in proposals:
+            leaf = owned_leaf(i)
+            self._apply_grow_batched(
+                leaf,
+                _GrowProposal(
+                    dim=dim,
+                    threshold=threshold,
+                    n_left=n_left,
+                    sum_left=sum_l,
+                    sum_sq_left=sq_l,
+                    n_right=n_right,
+                    sum_right=sum_r,
+                    sum_sq_right=sq_r,
+                    mask=masks[i, : n_left + n_right, c],
+                ),
+                index,
             )
+            if leaf_nodes is not None:
+                nodes = leaf_nodes[i]
+                leaf_id = ids_list[i]
+                leaf_nodes[i] = nodes[:leaf_id] + [leaf.left, leaf.right] + nodes[leaf_id + 1 :]
+
+        for i in stays.tolist():
+            leaf = owned_leaf(i)
+            assert leaf.leaf is not None
+            leaf.leaf.add(y)
+            leaf.indices.append(index)
+            if leaf_nodes is not None:
+                nodes = leaf_nodes[i]
+                leaf_id = ids_list[i]
+                if nodes[leaf_id] is not leaf:
+                    # The copy-on-write walk replaced the leaf object.
+                    nodes = list(nodes)
+                    nodes[leaf_id] = leaf
+                    leaf_nodes[i] = nodes
+
+        if routing is not None:
+            # Every new leaf-cache row in one pass: stays absorb ``y``,
+            # grows get both children from the proposal's partition
+            # statistics, prunes merge leaf and sibling and then absorb
+            # ``y`` — in the operand order of ``merge(...).add(y)``, which
+            # is not the order the prune score sums in.
+            sib = np.searchsorted(pr, prunes)  # positions in the prunable arrays
+            rows = self._cache_rows(
+                np.concatenate([
+                    counts_stay[stays],
+                    n_left_grow,
+                    n_right_grow,
+                    (leaf_ns[prunes] + sib_ns_pr[sib]) + 1,
+                ]),
+                np.concatenate([
+                    totals_stay[stays],
+                    grow_sums[:, 0, 0],
+                    grow_sums[:, 1, 0],
+                    (leaf_totals[prunes] + sib_totals_pr[sib]) + y,
+                ]),
+                np.concatenate([
+                    sqs_stay[stays],
+                    grow_sums[:, 0, 1],
+                    grow_sums[:, 1, 1],
+                    (leaf_sqs[prunes] + sib_sqs_pr[sib]) + y * y,
+                ]),
+                kernels,
+            )
+            n_stay = stays.size
+            n_grow = grows.size
+            local_ids = routing.local_ids
+            capacity = particle_forest.capacity
+            particle_forest.data[stays, local_ids[stays]] = rows[:n_stay]
+            if n_grow:
+                particle_forest.grow(
+                    grows,
+                    routing.nodes[grows] % capacity,
+                    local_ids[grows],
+                    dim_matrix[grows, best_grow],
+                    thresholds[grows, best_grow],
+                    rows[n_stay : n_stay + 2 * n_grow].reshape(2, n_grow, -1).swapaxes(0, 1),
+                )
+            if prunes.size:
+                particle_forest.prune(
+                    prunes,
+                    routing.parents[prunes] % capacity,
+                    prune_left_ids,
+                    rows[n_stay + 2 * n_grow :],
+                )
         timings["propagate-apply"] += perf_counter() - tic
+
+    def _cache_rows(
+        self,
+        counts: np.ndarray,
+        totals: np.ndarray,
+        total_sqs: np.ndarray,
+        kernels,
+    ) -> np.ndarray:
+        """Leaf-cache rows of leaves holding ``(count, sum, sum_sq)`` statistics.
+
+        The same count-table gathers and elementwise arithmetic (same
+        grouping, the backend's ``log`` map) as
+        :meth:`~repro.models.leaf.LeafCacheArrays.patch` evaluates per leaf
+        through :class:`~repro.models.leaf.GaussianLeafModel`, so in exact
+        mode every row is bit-identical to compiling the leaf.  Every count
+        must be at least 1 and already covered by the term tables.
+        """
+        tables = self._leaf_term_tables()
+        prior = self._prior
+        kappa_n = tables.kappa_n[counts]
+        alpha_n = tables.alpha_n[counts]
+        beta_n = nig_beta_n(
+            counts, totals, total_sqs, kappa_n, prior.beta, prior.kappa, prior.mean
+        )
+        scale = (beta_n * (kappa_n + 1.0)) / (alpha_n * kappa_n)
+        dof = tables.dof[counts]
+        rows = np.empty((counts.shape[0], LeafCacheArrays.N_COLUMNS))
+        rows[:, LeafCacheArrays.MEAN] = (prior.kappa * prior.mean + totals) / kappa_n
+        rows[:, LeafCacheArrays.VARIANCE] = (scale * dof) / (dof - 2.0)
+        rows[:, LeafCacheArrays.COUNT] = counts
+        rows[:, LeafCacheArrays.LOGPDF_SCALE] = dof * scale
+        rows[:, LeafCacheArrays.LOGPDF_COEF] = tables.coef[counts]
+        rows[:, LeafCacheArrays.LOGPDF_CONST] = tables.lgamma_part[
+            counts
+        ] - 0.5 * kernels.log_array(tables.dof_pi[counts] * scale)
+        rows[:, LeafCacheArrays.SUM] = totals
+        rows[:, LeafCacheArrays.SUM_SQ] = total_sqs
+        rows[:, LeafCacheArrays.LML] = (
+            (tables.head[counts] - alpha_n * kernels.log_array(beta_n))
+            + tables.mid[counts]
+        ) - tables.tail[counts]
+        return rows
 
     def _apply_grow_batched(
         self, leaf: _Node, proposal: _GrowProposal, index: int
@@ -1737,8 +1655,8 @@ class DynamicTreeRegressor(SurrogateModel):
         mask = proposal.mask
         old_mask = mask[:-1]
         indices = np.asarray(leaf.indices, dtype=np.intp)
-        left_indices = [int(i) for i in indices[old_mask]]
-        right_indices = [int(i) for i in indices[~old_mask]]
+        left_indices = indices[old_mask].tolist()
+        right_indices = indices[~old_mask].tolist()
         if bool(mask[-1]):
             left_indices.append(index)
         else:
@@ -1764,15 +1682,10 @@ class DynamicTreeRegressor(SurrogateModel):
 
     # --------------------------------------------------- reference propagate
 
-    def _propagate(
-        self, root: _Node, x: np.ndarray, y: float, index: int
-    ) -> Tuple[_Node, bool, _Node]:
+    def _propagate(self, root: _Node, x: np.ndarray, y: float, index: int) -> _Node:
         """Apply one stochastic stay/grow/prune move at the leaf containing ``x``.
 
-        Returns ``(new_root, structural_change, touched_leaf)``;
-        ``structural_change`` is true for grow/prune moves (the particle's
-        flat compilation must be rebuilt) and false for stay moves (only
-        ``touched_leaf``'s statistics changed).
+        Returns the particle's (possibly new) root.
         """
         leaf, parent = root.descend_with_parent(x)
         assert leaf.leaf is not None and self._prior is not None
@@ -1833,14 +1746,13 @@ class DynamicTreeRegressor(SurrogateModel):
 
         if move == 1 and grow_proposal is not None:
             self._apply_grow(leaf, grow_proposal, index)
-            return root, True, leaf
+            return root
         if move == 2 and prune_possible:
             assert parent is not None and sibling is not None
-            new_root = self._apply_prune(root, parent, leaf, sibling, x, y, index)
-            return new_root, True, parent
+            return self._apply_prune(root, parent, leaf, sibling, x, y, index)
         leaf.leaf.add(y)
         leaf.indices.append(index)
-        return root, False, leaf
+        return root
 
     def _propose_grow(
         self, leaf: _Node, x: np.ndarray, y: float

@@ -1,42 +1,40 @@
-"""Flattened-array representation of one particle's tree.
+"""Flattened-array representations of the particle trees.
 
 The dynamic tree spends essentially all of its prediction/acquisition time
 descending trees: every ``predict()`` and every ALC score routes hundreds of
 rows through every particle.  Doing that with per-row Python ``descend()``
-loops costs a Python-level branch per (row, level, particle); compiling each
-particle's ``_Node`` tree once into flat NumPy arrays turns the same work
-into a handful of vectorized gathers per tree *level*.
+loops costs a Python-level branch per (row, level, particle); lowering the
+particles' ``_Node`` trees into flat NumPy arrays turns the same work into a
+handful of vectorized gathers per tree *level*.
 
-:class:`FlatTree` stores, per node, ``split_dim`` (``-1`` for leaves),
-``split_value`` and ``left``/``right`` child indices, and per *leaf* a row
-of cached posterior statistics in a
-:class:`~repro.models.leaf.LeafCacheArrays`: the posterior-predictive mean,
-variance and observation count of its
-:class:`~repro.models.leaf.GaussianLeafModel`, plus the value-independent
-terms of the predictive log-pdf consumed by the batched SMC reweight step.
-:meth:`route` descends all rows level-by-level with array ops and returns
-**stable integer leaf ids** (positions in pre-order), which downstream code
-uses instead of fragile ``id(node)`` dictionary keys.
-
-A flat tree stays valid as long as the particle's *structure* is unchanged:
-a "stay" move only sharpens one leaf's sufficient statistics, which
-:meth:`patch_leaf` mirrors in O(1) without recompiling; "grow"/"prune"
-moves invalidate the compilation (the owner drops its cache and recompiles
-lazily).  Trees duplicated by a particle resample share one compilation
-copy-on-write: the owner copies the arrays only when a patch is about to
-land on a still-shared tree.
+* :class:`FlatTree` compiles one ``_Node`` tree: per node ``split_dim``
+  (``-1`` for leaves), ``split_value``, ``left``/``right`` child indices
+  and a pre-order leaf id, and per *leaf* a row of cached posterior
+  statistics in a :class:`~repro.models.leaf.LeafCacheArrays` (the
+  posterior-predictive mean, variance and observation count, the
+  value-independent terms of the predictive log-pdf, the sufficient
+  statistics and the log marginal likelihood).  It seeds the particle
+  forest and is the oracle the forest's in-place updates are tested
+  against.
+* :class:`ParticleForest` holds every particle's compilation as one padded
+  ``(n_particles, capacity)`` array set and is the only compiled state the
+  batched model keeps: each SMC update splices its stay/grow/prune moves
+  and its resample into the arrays with a constant number of array
+  operations, whatever the number of particles moving.
+* :class:`FlatForest` is the flattened view the routing, reweight and ALC
+  kernels read: one :meth:`FlatForest.route` call descends all
+  ``n_particles × n_rows`` (particle, row) pairs together.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .compiled_kernels import route_all_numpy
 from .leaf import GaussianLeafModel, LeafCacheArrays
 
-__all__ = ["FlatTree", "FlatForest", "IncrementalForest"]
+__all__ = ["FlatTree", "FlatForest", "ParticleForest"]
 
 
 class FlatTree:
@@ -57,8 +55,9 @@ class FlatTree:
         pre-order, so they are stable for a given structure.
     caches:
         :class:`~repro.models.leaf.LeafCacheArrays` with one row per leaf
-        id (``leaf_mean``/``leaf_variance``/``leaf_count`` are views of it,
-        kept for the established attribute surface).
+        id.
+    leaf_nodes:
+        Leaf id -> the particle's ``_Node`` leaf, in pre-order.
     """
 
     __slots__ = (
@@ -71,7 +70,6 @@ class FlatTree:
         "leaf_nodes",
         "n_nodes",
         "n_leaves",
-        "_nav",
     )
 
     def __init__(
@@ -82,8 +80,7 @@ class FlatTree:
         right: np.ndarray,
         leaf_slot: np.ndarray,
         caches: LeafCacheArrays,
-        nav: Optional[Tuple[list, list, list, list, list]] = None,
-        leaf_nodes: Optional[list] = None,
+        leaf_nodes: list,
     ) -> None:
         self.split_dim = split_dim
         self.split_value = split_value
@@ -91,38 +88,17 @@ class FlatTree:
         self.right = right
         self.leaf_slot = leaf_slot
         self.caches = caches
-        # Leaf id -> the particle's ``_Node`` leaf, in pre-order (``None``
-        # for compilations whose caller did not supply the mapping).  The
-        # batched update's gather phase reads each leaf's training-row
-        # indices through this O(1) lookup instead of a Python descent.
-        # Entries may reference *shared* nodes after a resample — reads
-        # are always safe, mutation must still go through the tree's
-        # copy-on-write descent.
         self.leaf_nodes = leaf_nodes
         self.n_nodes = int(split_dim.shape[0])
         self.n_leaves = len(caches)
-        # Plain-list mirror of the structure arrays for scalar descents:
-        # Python-list indexing beats numpy scalar extraction several-fold
-        # at route_one's grain.  Built lazily — the batched update path
-        # derives thousands of FlatTrees per update (grow_at/prune_at) and
-        # routes through the forest arrays instead, so most compilations
-        # never take a scalar descent.  The structure never mutates after
-        # compilation, so copies share the mirror.
-        self._nav = nav
 
     @property
     def leaf_mean(self) -> np.ndarray:
         return self.caches.mean
 
     @property
-    def leaf_variance(self) -> np.ndarray:
-        return self.caches.variance
-
-    @property
     def leaf_count(self) -> np.ndarray:
         return self.caches.count
-
-    # ---------------------------------------------------------- compilation
 
     @classmethod
     def compile(cls, root) -> "FlatTree":
@@ -166,27 +142,6 @@ class FlatTree:
             leaf_nodes=leaf_nodes,
         )
 
-    def copy(self) -> "FlatTree":
-        """An independent copy of the mutable state.
-
-        Only the leaf caches and the leaf-node mapping are ever patched in
-        place, so the copy shares the (immutable-after-compile) structure
-        arrays and the scalar navigation mirror — a resample duplicate
-        costs one ``(n_leaves, 9)`` array copy plus one list copy.
-        """
-        return FlatTree(
-            split_dim=self.split_dim,
-            split_value=self.split_value,
-            left=self.left,
-            right=self.right,
-            leaf_slot=self.leaf_slot,
-            caches=self.caches.copy(),
-            nav=self._nav,
-            leaf_nodes=list(self.leaf_nodes) if self.leaf_nodes is not None else None,
-        )
-
-    # -------------------------------------------------------------- queries
-
     def route(self, X: np.ndarray) -> np.ndarray:
         """Leaf ids of every row of ``X``, descending level-by-level.
 
@@ -208,203 +163,17 @@ class FlatTree:
             active = active[still_internal]
         return self.leaf_slot[nodes]
 
-    def route_one(self, x) -> int:
-        """Leaf id of a single feature vector (scalar descent, no row setup).
-
-        ``x`` may be an array or a plain sequence; callers descending many
-        trees pass ``x.tolist()`` once so every comparison is
-        float-against-float.
-        """
-        nav = self._nav
-        if nav is None:
-            nav = self._nav = (
-                self.split_dim.tolist(),
-                self.split_value.tolist(),
-                self.left.tolist(),
-                self.right.tolist(),
-                self.leaf_slot.tolist(),
-            )
-        split_dim, split_value, left, right, leaf_slot = nav
-        index = 0
-        dim = split_dim[0]
-        while dim >= 0:
-            index = left[index] if x[dim] <= split_value[index] else right[index]
-            dim = split_dim[index]
-        return leaf_slot[index]
-
-    def predict_components(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Cached posterior-predictive ``(mean, variance)`` of every row."""
-        leaf_ids = self.route(X)
-        return self.caches.mean[leaf_ids], self.caches.variance[leaf_ids]
-
-    # ------------------------------------------------------------- patching
-
-    def patch_leaf(self, leaf_id: int, leaf: GaussianLeafModel) -> Tuple[float, ...]:
-        """Refresh one leaf's cached statistics after a "stay" move.
-
-        Returns the written cache row (see
-        :meth:`~repro.models.leaf.LeafCacheArrays.patch`).
-        """
-        return self.caches.patch(leaf_id, leaf)
-
-    # ---------------------------------------------------------- derivations
-
-    def grow_at(self, leaf_id: int, node) -> "FlatTree":
-        """The compilation of this tree after growing leaf ``leaf_id``.
-
-        ``node`` is the just-split ``_Node`` (its ``split_dim``/``split_value``
-        are set and both children are leaves).  Pre-order numbering makes the
-        incremental derivation a pair of array splices: the leaf's node index
-        ``v`` becomes the internal node, its children land at ``v+1``/``v+2``,
-        node indices after ``v`` shift by ``+2`` and leaf ids after ``leaf_id``
-        by ``+1``.  The result is bit-identical to ``FlatTree.compile`` on the
-        mutated particle — structure arrays and cache rows alike (the new
-        leaf rows come from the same memoized ``patch`` path) — at O(n) array
-        copies instead of an O(n) *Python recursion* with per-node appends.
-        """
-        v = int(np.flatnonzero(self.leaf_slot == leaf_id)[0])
-        n = self.n_nodes
-        split_dim = np.empty(n + 2, dtype=np.intp)
-        split_value = np.empty(n + 2)
-        left = np.empty(n + 2, dtype=np.intp)
-        right = np.empty(n + 2, dtype=np.intp)
-        leaf_slot = np.empty(n + 2, dtype=np.intp)
-
-        split_dim[:v] = self.split_dim[:v]
-        split_dim[v] = int(node.split_dim)
-        split_dim[v + 1] = -1
-        split_dim[v + 2] = -1
-        split_dim[v + 3 :] = self.split_dim[v + 1 :]
-
-        split_value[:v] = self.split_value[:v]
-        split_value[v] = float(node.split_value)
-        split_value[v + 1] = 0.0
-        split_value[v + 2] = 0.0
-        split_value[v + 3 :] = self.split_value[v + 1 :]
-
-        # Only the parent of ``v`` points *at* ``v`` (index unchanged);
-        # every pointer beyond ``v`` moves with its target.
-        shifted_left = np.where(self.left > v, self.left + 2, self.left)
-        shifted_right = np.where(self.right > v, self.right + 2, self.right)
-        left[:v] = shifted_left[:v]
-        left[v] = v + 1
-        left[v + 1] = -1
-        left[v + 2] = -1
-        left[v + 3 :] = shifted_left[v + 1 :]
-        right[:v] = shifted_right[:v]
-        right[v] = v + 2
-        right[v + 1] = -1
-        right[v + 2] = -1
-        right[v + 3 :] = shifted_right[v + 1 :]
-
-        shifted_slot = np.where(self.leaf_slot > leaf_id, self.leaf_slot + 1, self.leaf_slot)
-        leaf_slot[:v] = shifted_slot[:v]
-        leaf_slot[v] = -1
-        leaf_slot[v + 1] = leaf_id
-        leaf_slot[v + 2] = leaf_id + 1
-        leaf_slot[v + 3 :] = shifted_slot[v + 1 :]
-
-        data = np.empty((self.n_leaves + 1, LeafCacheArrays.N_COLUMNS))
-        data[:leaf_id] = self.caches.data[:leaf_id]
-        data[leaf_id + 2 :] = self.caches.data[leaf_id + 1 :]
-        caches = LeafCacheArrays(data)
-        caches.patch(leaf_id, node.left.leaf)
-        caches.patch(leaf_id + 1, node.right.leaf)
-        nodes = self.leaf_nodes
-        if nodes is not None:
-            nodes = nodes[:leaf_id] + [node.left, node.right] + nodes[leaf_id + 1 :]
-        return FlatTree(
-            split_dim=split_dim,
-            split_value=split_value,
-            left=left,
-            right=right,
-            leaf_slot=leaf_slot,
-            caches=caches,
-            leaf_nodes=nodes,
-        )
-
-    def prune_at(self, left_leaf_id: int, parent_node) -> "FlatTree":
-        """The compilation of this tree after pruning a leaf pair.
-
-        ``left_leaf_id`` is the *left* child's leaf id (its sibling is
-        ``left_leaf_id + 1``); ``parent_node`` the just-pruned ``_Node``
-        (its ``leaf`` holds the merged model).  In pre-order the left child
-        immediately follows its parent, so the parent sits at
-        ``index(left child) - 1``: the two child rows are cut out, node
-        indices beyond them shift ``-2`` and leaf ids beyond the pair shift
-        ``-1``.  Bit-identical to recompiling the pruned particle.
-        """
-        merged_leaf = parent_node.leaf
-        v_left = int(np.flatnonzero(self.leaf_slot == left_leaf_id)[0])
-        parent = v_left - 1
-        n = self.n_nodes
-        split_dim = np.empty(n - 2, dtype=np.intp)
-        split_value = np.empty(n - 2)
-        left = np.empty(n - 2, dtype=np.intp)
-        right = np.empty(n - 2, dtype=np.intp)
-        leaf_slot = np.empty(n - 2, dtype=np.intp)
-
-        split_dim[:parent] = self.split_dim[:parent]
-        split_dim[parent] = -1
-        split_dim[parent + 1 :] = self.split_dim[parent + 3 :]
-
-        split_value[:parent] = self.split_value[:parent]
-        split_value[parent] = 0.0
-        split_value[parent + 1 :] = self.split_value[parent + 3 :]
-
-        # No surviving pointer targets the removed pair (only ``parent``
-        # pointed there, and it becomes a leaf), so a single ``> parent+2``
-        # shift repairs every remaining pointer.
-        shifted_left = np.where(self.left > parent + 2, self.left - 2, self.left)
-        shifted_right = np.where(self.right > parent + 2, self.right - 2, self.right)
-        left[:parent] = shifted_left[:parent]
-        left[parent] = -1
-        left[parent + 1 :] = shifted_left[parent + 3 :]
-        right[:parent] = shifted_right[:parent]
-        right[parent] = -1
-        right[parent + 1 :] = shifted_right[parent + 3 :]
-
-        shifted_slot = np.where(
-            self.leaf_slot > left_leaf_id + 1, self.leaf_slot - 1, self.leaf_slot
-        )
-        leaf_slot[:parent] = shifted_slot[:parent]
-        leaf_slot[parent] = left_leaf_id
-        leaf_slot[parent + 1 :] = shifted_slot[parent + 3 :]
-
-        data = np.empty((self.n_leaves - 1, LeafCacheArrays.N_COLUMNS))
-        data[:left_leaf_id] = self.caches.data[:left_leaf_id]
-        data[left_leaf_id + 1 :] = self.caches.data[left_leaf_id + 2 :]
-        caches = LeafCacheArrays(data)
-        caches.patch(left_leaf_id, merged_leaf)
-        nodes = self.leaf_nodes
-        if nodes is not None:
-            nodes = nodes[:left_leaf_id] + [parent_node] + nodes[left_leaf_id + 2 :]
-        return FlatTree(
-            split_dim=split_dim,
-            split_value=split_value,
-            left=left,
-            right=right,
-            leaf_slot=leaf_slot,
-            caches=caches,
-            leaf_nodes=nodes,
-        )
-
 
 class FlatForest:
-    """All of a model's particle trees concatenated into one array set.
+    """All of a model's particle trees as one flat array set.
 
-    Per-particle :class:`FlatTree` routing still pays a fixed NumPy
-    dispatch cost per (particle, level); at bench scale (tens of particles,
-    tens of rows) that overhead dominates.  The forest concatenates every
-    particle's node and leaf arrays — child indices and leaf ids shifted by
-    per-particle offsets — so one :meth:`route` call descends all
-    ``n_particles × n_rows`` (particle, row) pairs together, and the array
-    ops run over thousands of elements instead of dozens.
-
-    Leaf ids returned by the forest are *global*: particle ``p``'s local
-    leaf ``i`` becomes ``leaf_offsets[p] + i``.  ``n_leaves`` is the total,
-    so a single ``bincount`` aggregates per-leaf statistics across the whole
-    forest without per-particle bookkeeping.
+    Child indices and leaf ids are *global*: particle ``p``'s root sits at
+    node ``roots[p]`` and its local leaf ``i`` is global leaf
+    ``leaf_offsets[p] + i``.  One :meth:`route` call therefore descends
+    every (particle, row) pair together, and ``n_leaves`` bounds every
+    global id, so a single ``bincount`` aggregates per-leaf statistics
+    across the whole forest without per-particle bookkeeping.  Entries
+    between particles that no root reaches are never read.
     """
 
     __slots__ = (
@@ -443,48 +212,12 @@ class FlatForest:
         self.n_leaves = len(caches)
 
     @property
-    def leaf_mean(self) -> np.ndarray:
-        return self.caches.mean
-
-    @property
     def leaf_variance(self) -> np.ndarray:
         return self.caches.variance
 
     @property
     def leaf_count(self) -> np.ndarray:
         return self.caches.count
-
-    @classmethod
-    def from_trees(cls, trees: Sequence[FlatTree]) -> "FlatForest":
-        """Concatenate per-particle compilations, shifting indices by offsets."""
-        if not trees:
-            raise ValueError("a forest needs at least one tree")
-        node_counts = np.asarray([tree.n_nodes for tree in trees], dtype=np.intp)
-        leaf_counts = np.asarray([tree.n_leaves for tree in trees], dtype=np.intp)
-        node_offsets = np.concatenate([[0], np.cumsum(node_counts[:-1])]).astype(np.intp)
-        leaf_offsets = np.concatenate([[0], np.cumsum(leaf_counts[:-1])]).astype(np.intp)
-        # Shift child/leaf indices by their tree's offset in one vectorized
-        # pass over the concatenated arrays (a per-tree np.where would pay
-        # thousands of numpy dispatches per forest rebuild at paper-scale
-        # particle counts).
-        node_shift = np.repeat(node_offsets, node_counts)
-        leaf_shift = np.repeat(leaf_offsets, node_counts)
-        left = np.concatenate([tree.left for tree in trees])
-        right = np.concatenate([tree.right for tree in trees])
-        leaf_slot = np.concatenate([tree.leaf_slot for tree in trees])
-        left = np.where(left >= 0, left + node_shift, -1)
-        right = np.where(right >= 0, right + node_shift, -1)
-        leaf_slot = np.where(leaf_slot >= 0, leaf_slot + leaf_shift, -1)
-        return cls(
-            split_dim=np.concatenate([tree.split_dim for tree in trees]),
-            split_value=np.concatenate([tree.split_value for tree in trees]),
-            left=left,
-            right=right,
-            leaf_slot=leaf_slot,
-            caches=LeafCacheArrays.concatenate([tree.caches for tree in trees]),
-            roots=node_offsets,
-            leaf_offsets=leaf_offsets,
-        )
 
     def route(self, X: np.ndarray) -> np.ndarray:
         """Global leaf ids, shape ``(n_particles, n_rows)``.
@@ -507,251 +240,283 @@ class FlatForest:
             active = active[still_internal]
         return self.leaf_slot[nodes].reshape(self.n_particles, n)
 
-    def route_one(self, x: np.ndarray) -> np.ndarray:
-        """Global leaf ids of ONE row routed through every tree, shape ``(n_particles,)``.
-
-        This is the one-row-many-trees kernel behind the batched SMC update:
-        reweighting and the propagate front-end both need "which leaf holds
-        ``x``" for every particle.  The descent lives in
-        :func:`repro.models.compiled_kernels.route_all_numpy` (shared with
-        the jitted backends), which advances all particles together in
-        depth-many vectorized steps instead of ``n_particles`` Python
-        descents.
-        """
-        return route_all_numpy(
-            self.split_dim,
-            self.split_value,
-            self.left,
-            self.right,
-            self.leaf_slot,
-            self.roots,
-            x,
-        )
-
     def predict_components(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per-particle predictive ``(mean, variance)``, each ``(n_particles, n_rows)``."""
         leaf_ids = self.route(X)
         return self.caches.mean[leaf_ids], self.caches.variance[leaf_ids]
 
 
-class IncrementalForest:
-    """A :class:`FlatForest` maintained *in place* across model updates.
+class ParticleForest:
+    """Every particle's compiled tree, one padded row per particle.
 
-    ``FlatForest.from_trees`` touches every node of every particle —
-    O(total nodes) of concatenation and index shifting — and the dynamic
-    tree used to pay it on the first predict/ALC batch after *every*
-    update, even though a typical update only patches one leaf row per
-    particle (stay moves) and restructures a handful of particles
-    (grow/prune, resample duplicates).  This class keeps the concatenated
-    arrays alive between updates and repairs exactly what changed:
+    ``split_dim``, ``split_value``, ``left``, ``right`` and ``leaf_slot``
+    are ``(n_particles, capacity)`` arrays and ``data`` is the
+    ``(n_particles, leaf_capacity, 9)`` leaf-cache block.  Row ``p`` holds
+    particle ``p`` in pre-order, exactly as :meth:`FlatTree.compile` lays
+    it out, except that child pointers are global node ids
+    (``p * capacity + local``) and leaf slots global leaf ids
+    (``p * leaf_capacity + local``); ``-1`` sentinels stay ``-1``.  The
+    flattened arrays are therefore a valid :class:`FlatForest`
+    (:meth:`view`), and local indices are ``global % capacity``.  Entries
+    past a row's ``n_nodes`` live nodes are padding no root reaches.
 
-    * each particle's segment is allocated with *capacity slack*
-      (``~2x`` its node/leaf count), so a recompiled tree that still fits
-      is written back into its own segment — O(segment), no other
-      particle moves and no offsets change;
-    * "stay" moves, the overwhelming majority, arrive as ``(slot,
-      leaf_id)`` stale-row records and are repaired by copying single
-      cache rows — O(particles) per update instead of O(total nodes);
-    * a tree that outgrows its segment (or a particle-count change)
-      aborts :meth:`sync`, and the owner rebuilds with fresh capacities —
-      amortised over the doublings of the tree, like a growing array.
+    ``leaf_nodes[p]`` maps particle ``p``'s local leaf ids to its ``_Node``
+    leaves.  The lists are never mutated in place — a change installs a
+    new list — so resample duplicates and fantasy copies share them
+    freely.
 
-    Padding entries between a segment's live nodes and its capacity are
-    never reachable (children only point inside the live prefix and roots
-    sit at segment starts), so the padded arrays behave exactly like the
-    tight ``from_trees`` arrays under :meth:`FlatForest.route`: routing
-    decisions, gathered leaf statistics and ``bincount`` groupings are
-    bit-identical, only the numeric values of the global leaf ids differ.
-
-    Ownership tracking is by object identity: the forest remembers which
-    :class:`FlatTree` instance each segment was written from.  A tree
-    patched in place (stay move) keeps its identity and reports the
-    patched rows through ``stale_rows``; every other change installs a
-    *different* ``FlatTree`` object in the slot, which :meth:`sync`
-    detects and repairs at the cheapest sufficient grain — a cache-segment
-    copy when the structure arrays are shared (copy-on-write cache copies
-    after a resample), a full segment rewrite otherwise (grow/prune
-    recompilations, resample permutations).
+    Every update is a constant number of array operations, however many
+    particles move: stays are one write into ``data``, all
+    grows one splice (:meth:`grow`), all prunes one splice (:meth:`prune`)
+    and a resample one row gather (:meth:`gather`).  The capacity doubles
+    when a grow would overflow it, so the rows are compiled from the
+    ``_Node`` trees only when the forest is first built.
     """
 
     __slots__ = (
-        "forest",
-        "_trees",
-        "_node_caps",
-        "_leaf_caps",
-        "_node_offsets",
-        "_leaf_offsets",
-        "n_particles",
+        "split_dim",
+        "split_value",
+        "left",
+        "right",
+        "leaf_slot",
+        "data",
+        "n_nodes",
+        "leaf_nodes",
     )
 
-    #: Extra node/leaf rows reserved per segment beyond the current tree
-    #: size; a grow move adds two nodes (one leaf), so doubling plus a
-    #: small constant gives each particle room for many structural moves
-    #: before a full rebuild is needed.
-    MIN_SLACK = 8
+    #: Smallest row capacity (nodes); the initial capacity is the smallest
+    #: power of two at least this large and twice the biggest tree.
+    MIN_CAPACITY = 32
 
-    def __init__(self, trees: Sequence[FlatTree]) -> None:
-        if not trees:
-            raise ValueError("a forest needs at least one tree")
-        self.n_particles = len(trees)
-        self._trees: List[Optional[FlatTree]] = [None] * len(trees)
-        node_caps = np.asarray(
-            [2 * tree.n_nodes + self.MIN_SLACK for tree in trees], dtype=np.intp
+    _ARRAYS = ("split_dim", "split_value", "left", "right", "leaf_slot", "data", "n_nodes")
+
+    def __init__(self, n_particles: int, capacity: int) -> None:
+        leaf_capacity = (capacity + 1) // 2
+        shape = (n_particles, capacity)
+        self.split_dim = np.full(shape, -1, dtype=np.intp)
+        self.split_value = np.zeros(shape)
+        self.left = np.full(shape, -1, dtype=np.intp)
+        self.right = np.full(shape, -1, dtype=np.intp)
+        self.leaf_slot = np.full(shape, -1, dtype=np.intp)
+        self.data = np.zeros((n_particles, leaf_capacity, LeafCacheArrays.N_COLUMNS))
+        self.n_nodes = np.zeros(n_particles, dtype=np.intp)
+        self.leaf_nodes: List[list] = [[] for _ in range(n_particles)]
+
+    @property
+    def capacity(self) -> int:
+        return int(self.split_dim.shape[1])
+
+    @property
+    def leaf_capacity(self) -> int:
+        return int(self.data.shape[1])
+
+    @classmethod
+    def compile(cls, roots: Sequence) -> "ParticleForest":
+        """Compile every particle's ``_Node`` tree into a fresh forest."""
+        trees = [FlatTree.compile(root) for root in roots]
+        node_counts = np.asarray([tree.n_nodes for tree in trees], dtype=np.intp)
+        leaf_counts = (node_counts + 1) // 2
+        capacity = cls.MIN_CAPACITY
+        while capacity < 2 * int(node_counts.max()):
+            capacity *= 2
+        forest = cls(len(trees), capacity)
+        leaf_capacity = forest.leaf_capacity
+        particles = np.arange(len(trees), dtype=np.intp)
+        rows = np.repeat(particles, node_counts)
+        cols = np.arange(rows.shape[0], dtype=np.intp) - np.repeat(
+            np.cumsum(node_counts) - node_counts, node_counts
         )
-        leaf_caps = np.asarray(
-            [2 * tree.n_leaves + self.MIN_SLACK for tree in trees], dtype=np.intp
+        forest.split_dim[rows, cols] = np.concatenate([t.split_dim for t in trees])
+        forest.split_value[rows, cols] = np.concatenate([t.split_value for t in trees])
+        for name, stride in (
+            ("left", capacity),
+            ("right", capacity),
+            ("leaf_slot", leaf_capacity),
+        ):
+            local = np.concatenate([getattr(t, name) for t in trees])
+            np.add(local, rows * stride, out=local, where=local >= 0)
+            getattr(forest, name)[rows, cols] = local
+        leaf_rows = np.repeat(particles, leaf_counts)
+        leaf_cols = np.arange(leaf_rows.shape[0], dtype=np.intp) - np.repeat(
+            np.cumsum(leaf_counts) - leaf_counts, leaf_counts
         )
-        node_offsets = np.concatenate([[0], np.cumsum(node_caps[:-1])]).astype(np.intp)
-        leaf_offsets = np.concatenate([[0], np.cumsum(leaf_caps[:-1])]).astype(np.intp)
-        total_nodes = int(node_caps.sum())
-        total_leaves = int(leaf_caps.sum())
-        self._node_caps = node_caps
-        self._leaf_caps = leaf_caps
-        self._node_offsets = node_offsets
-        self._leaf_offsets = leaf_offsets
-        # Padding nodes are marked as leaves with no slot; they are
-        # unreachable by construction, the marks only keep accidental
-        # reads well-defined.
-        split_dim = np.full(total_nodes, -1, dtype=np.intp)
-        split_value = np.zeros(total_nodes)
-        left = np.full(total_nodes, -1, dtype=np.intp)
-        right = np.full(total_nodes, -1, dtype=np.intp)
-        leaf_slot = np.full(total_nodes, -1, dtype=np.intp)
-        caches = LeafCacheArrays(np.zeros((total_leaves, LeafCacheArrays.N_COLUMNS)))
-        self.forest = FlatForest(
-            split_dim=split_dim,
-            split_value=split_value,
-            left=left,
-            right=right,
-            leaf_slot=leaf_slot,
-            caches=caches,
-            roots=node_offsets,
-            leaf_offsets=leaf_offsets,
+        forest.data[leaf_rows, leaf_cols] = np.concatenate(
+            [t.caches.data for t in trees], axis=0
         )
-        self._write_segments(list(range(len(trees))), trees)
+        forest.n_nodes = node_counts
+        forest.leaf_nodes = [tree.leaf_nodes for tree in trees]
+        return forest
 
-    def _write_segments(self, slots: List[int], trees: Sequence[FlatTree]) -> None:
-        """Install each ``trees[slot]`` into its padded segment, batched.
+    def view(self) -> FlatForest:
+        """The flattened arrays as a :class:`FlatForest` (views, not copies).
 
-        One concatenate-and-scatter per field instead of a handful of numpy
-        calls per slot, so the cost scales with the *changed* node count
-        plus one pass over the changed slots — a sync that repairs 5% of
-        the particles pays ~5% of a full rebuild.
-
-        The child/leaf indices are shifted by plain adds with no ``-1``
-        masking: a leaf's ``left``/``right`` and an internal node's
-        ``leaf_slot`` are never dereferenced (routing only follows children
-        of internal nodes and only reads leaf slots of leaves), so the
-        shifted ``-1`` sentinels may hold garbage without affecting any
-        query — ``split_dim``, the one array routing branches on, is copied
-        exactly.
+        Built on demand rather than cached: a cached view would not follow
+        the arrays through :meth:`gather`, a capacity change or a copy.
         """
-        forest = self.forest
-        source = [trees[slot] for slot in slots]
-        slots_arr = np.asarray(slots, dtype=np.intp)
-        node_counts = np.asarray([tree.n_nodes for tree in source], dtype=np.intp)
-        leaf_counts = np.asarray([tree.n_leaves for tree in source], dtype=np.intp)
-        node_offsets = self._node_offsets[slots_arr]
-        leaf_offsets = self._leaf_offsets[slots_arr]
+        count, capacity = self.split_dim.shape
+        return FlatForest(
+            split_dim=self.split_dim.reshape(-1),
+            split_value=self.split_value.reshape(-1),
+            left=self.left.reshape(-1),
+            right=self.right.reshape(-1),
+            leaf_slot=self.leaf_slot.reshape(-1),
+            caches=LeafCacheArrays(self.data.reshape(-1, LeafCacheArrays.N_COLUMNS)),
+            roots=np.arange(count, dtype=np.intp) * capacity,
+            leaf_offsets=np.arange(count, dtype=np.intp) * self.leaf_capacity,
+        )
 
-        node_shift = np.repeat(node_offsets, node_counts)
-        starts = np.cumsum(node_counts) - node_counts
-        dest = node_shift + (
-            np.arange(int(node_counts.sum()), dtype=np.intp)
-            - np.repeat(starts, node_counts)
-        )
-        forest.split_dim[dest] = np.concatenate([tree.split_dim for tree in source])
-        forest.split_value[dest] = np.concatenate(
-            [tree.split_value for tree in source]
-        )
-        forest.left[dest] = (
-            np.concatenate([tree.left for tree in source]) + node_shift
-        )
-        forest.right[dest] = (
-            np.concatenate([tree.right for tree in source]) + node_shift
-        )
-        forest.leaf_slot[dest] = np.concatenate(
-            [tree.leaf_slot for tree in source]
-        ) + np.repeat(leaf_offsets, node_counts)
+    def copy(self) -> "ParticleForest":
+        """An independent forest; the (never mutated) leaf-node lists are shared."""
+        clone = ParticleForest.__new__(ParticleForest)
+        for name in self._ARRAYS:
+            setattr(clone, name, getattr(self, name).copy())
+        clone.leaf_nodes = list(self.leaf_nodes)
+        return clone
 
-        leaf_starts = np.cumsum(leaf_counts) - leaf_counts
-        leaf_dest = np.repeat(leaf_offsets, leaf_counts) + (
-            np.arange(int(leaf_counts.sum()), dtype=np.intp)
-            - np.repeat(leaf_starts, leaf_counts)
-        )
-        forest.caches.data[leaf_dest] = np.concatenate(
-            [tree.caches.data for tree in source], axis=0
-        )
-        recorded = self._trees
-        for slot, tree in zip(slots, source):
-            recorded[slot] = tree
+    # ---------------------------------------------------------------- updates
 
-    def sync(
+    def gather(self, chosen: np.ndarray) -> None:
+        """Resample: row ``j`` becomes a copy of row ``chosen[j]``.
+
+        The gathered arrays are new objects, so a :class:`FlatForest` view
+        taken before the gather keeps reading the pre-resample rows.
+        """
+        capacity = self.capacity
+        shift = (np.arange(chosen.shape[0], dtype=np.intp) - chosen)[:, None]
+        for name, stride in (
+            ("left", capacity),
+            ("right", capacity),
+            ("leaf_slot", self.leaf_capacity),
+        ):
+            moved = getattr(self, name)[chosen]
+            np.add(moved, shift * stride, out=moved, where=moved >= 0)
+            setattr(self, name, moved)
+        self.split_dim = self.split_dim[chosen]
+        self.split_value = self.split_value[chosen]
+        self.data = self.data[chosen]
+        self.n_nodes = self.n_nodes[chosen]
+        nodes = self.leaf_nodes
+        self.leaf_nodes = [nodes[j] for j in chosen.tolist()]
+
+    def grow(
         self,
-        trees: Sequence[FlatTree],
-        stale_rows: "dict[Tuple[int, int], Tuple[float, ...]]",
-    ) -> bool:
-        """Bring the forest up to date with ``trees``; False forces a rebuild.
+        rows: np.ndarray,
+        nodes: np.ndarray,
+        leaf_ids: np.ndarray,
+        split_dims: np.ndarray,
+        split_values: np.ndarray,
+        child_rows: np.ndarray,
+    ) -> None:
+        """Split leaf node ``nodes[k]`` (leaf id ``leaf_ids[k]``) of row ``rows[k]``.
 
-        ``trees`` must hold one compiled :class:`FlatTree` per particle, in
-        particle order; ``stale_rows`` maps ``(slot, local leaf id)`` to the
-        cache-row values patched in place since the last sync (latest patch
-        wins, which a dict gives for free), applied as one batched fancy
-        assignment.  A tree whose *structure arrays* are unchanged but whose
-        cache matrix is a new object (a copy-on-write cache copy after a
-        resample) only has its cache segment recopied; a structurally new
-        tree gets a full segment rewrite.  Either way the slot's recorded
-        stale rows are dropped — the segment copy is the current truth and
-        the recorded values may predate it.  Returns ``False`` (leaving the
-        forest unusable until rebuilt) when the particle count changed or a
-        recompiled tree no longer fits its segment capacity.
+        The node becomes internal on ``(split_dims[k], split_values[k])``;
+        its children land at ``nodes[k] + 1``/``+ 2`` with leaf ids
+        ``leaf_ids[k]``/``+ 1`` and cache rows ``child_rows[k, 0]``/``[k, 1]``
+        (``child_rows`` is ``(len(rows), 2, 9)``).  Later nodes shift by
+        +2 and later leaves by +1 — one splice for all rows.
         """
-        if len(trees) != self.n_particles:
-            return False
-        recorded = self._trees
-        node_caps = self._node_caps
-        leaf_caps = self._leaf_caps
-        data = self.forest.caches.data
-        leaf_offsets = self._leaf_offsets
-        changed: List[int] = []
-        rewritten: set = set()
-        for slot, tree in enumerate(trees):
-            known = recorded[slot]
-            if tree is known:
-                continue
-            rewritten.add(slot)
-            if known is not None and tree.split_dim is known.split_dim:
-                # Copy-on-write cache copy: identical structure, fresh
-                # cache matrix — refresh the cache segment only.  (The
-                # structure arrays may be shared by a *different* tree that
-                # arrived here through a resample, so recorded stale rows
-                # for this slot are stale-by-lineage and must be dropped —
-                # hence the ``rewritten`` membership above.)
-                offset = int(leaf_offsets[slot])
-                data[offset : offset + tree.n_leaves] = tree.caches.data
-                recorded[slot] = tree
-                continue
-            if tree.n_nodes > node_caps[slot] or tree.n_leaves > leaf_caps[slot]:
-                return False
-            changed.append(slot)
-        if changed:
-            self._write_segments(changed, trees)
-        if stale_rows:
-            if rewritten:
-                items = [
-                    (key, row)
-                    for key, row in stale_rows.items()
-                    if key[0] not in rewritten
-                ]
-            else:
-                items = list(stale_rows.items())
-            if items:
-                count = len(items)
-                slots = np.fromiter(
-                    (key[0] for key, _ in items), dtype=np.intp, count=count
-                )
-                ids = np.fromiter(
-                    (key[1] for key, _ in items), dtype=np.intp, count=count
-                )
-                data[leaf_offsets[slots] + ids] = [row for _, row in items]
-        return True
+        needed = int(self.n_nodes[rows].max()) + 2
+        if needed > self.capacity:
+            capacity = 2 * self.capacity
+            while capacity < needed:
+                capacity *= 2
+            self._reserve(capacity)
+        self._shift(rows, nodes, 2, leaf_ids, 1)
+        capacity = self.capacity
+        global_nodes = rows * capacity + nodes
+        self.split_dim[rows, nodes] = split_dims
+        self.split_value[rows, nodes] = split_values
+        self.left[rows, nodes] = global_nodes + 1
+        self.right[rows, nodes] = global_nodes + 2
+        self.leaf_slot[rows, nodes] = -1
+        children = (rows[:, None], nodes[:, None] + np.array([1, 2]))
+        self.split_dim[children] = -1
+        self.split_value[children] = 0.0
+        self.left[children] = -1
+        self.right[children] = -1
+        pair = np.array([0, 1])
+        self.leaf_slot[children] = (rows * self.leaf_capacity + leaf_ids)[:, None] + pair
+        self.data[rows[:, None], leaf_ids[:, None] + pair] = child_rows
+
+    def prune(
+        self,
+        rows: np.ndarray,
+        parents: np.ndarray,
+        leaf_ids: np.ndarray,
+        merged_rows: np.ndarray,
+    ) -> None:
+        """Collapse internal node ``parents[k]`` of row ``rows[k]`` into a leaf.
+
+        Both children of each parent are leaves; ``leaf_ids[k]`` is the
+        *left* child's id, which the merged leaf takes over with cache row
+        ``merged_rows[k]``.  Later nodes shift by -2 and later leaves by
+        -1 — one splice for all rows.
+        """
+        self._shift(rows, parents, -2, leaf_ids, -1)
+        self.split_dim[rows, parents] = -1
+        self.split_value[rows, parents] = 0.0
+        self.left[rows, parents] = -1
+        self.right[rows, parents] = -1
+        self.leaf_slot[rows, parents] = rows * self.leaf_capacity + leaf_ids
+        self.data[rows, leaf_ids] = merged_rows
+
+    def _shift(
+        self,
+        rows: np.ndarray,
+        node_at: np.ndarray,
+        node_delta: int,
+        leaf_at: np.ndarray,
+        leaf_delta: int,
+    ) -> None:
+        """Move each row's nodes after ``node_at`` and leaves after ``leaf_at``.
+
+        ``node_delta``/``leaf_delta`` are ``+2``/``+1`` for a grow (room for
+        two children) and ``-2``/``-1`` for a prune (the two children
+        removed).  Pointers and leaf slots into the moved range are fixed
+        with one ``where`` each; the entries the move vacates or leaves
+        behind are the caller's to overwrite.
+        """
+        capacity = self.capacity
+        leaf_capacity = self.leaf_capacity
+        block = rows[:, None]
+        cols = np.arange(capacity, dtype=np.intp)
+        src = np.where(cols > node_at[:, None], cols - node_delta, cols)
+        np.clip(src, 0, capacity - 1, out=src)
+        # A prune removes the two nodes after the parent, so only pointers
+        # past them move; a grow moves every pointer past the split leaf.
+        moved_above = (rows * capacity + node_at + max(0, -node_delta))[:, None]
+        for name in ("left", "right"):
+            array = getattr(self, name)
+            moved = array[block, src]
+            np.add(moved, node_delta, out=moved, where=moved > moved_above)
+            array[rows] = moved
+        self.split_dim[rows] = self.split_dim[block, src]
+        self.split_value[rows] = self.split_value[block, src]
+        slots = self.leaf_slot[block, src]
+        slots_above = (rows * leaf_capacity + leaf_at + max(0, -leaf_delta))[:, None]
+        np.add(slots, leaf_delta, out=slots, where=slots > slots_above)
+        self.leaf_slot[rows] = slots
+        leaf_cols = np.arange(leaf_capacity, dtype=np.intp)
+        leaf_src = np.where(leaf_cols > leaf_at[:, None], leaf_cols - leaf_delta, leaf_cols)
+        np.clip(leaf_src, 0, leaf_capacity - 1, out=leaf_src)
+        self.data[rows] = self.data[block, leaf_src]
+        self.n_nodes[rows] += node_delta
+
+    def _reserve(self, capacity: int) -> None:
+        """Widen every row to ``capacity`` nodes, rebasing the global ids."""
+        old_capacity = self.capacity
+        old_leaf_capacity = self.leaf_capacity
+        grown = ParticleForest(self.split_dim.shape[0], capacity)
+        for name in ("split_dim", "split_value", "left", "right", "leaf_slot"):
+            getattr(grown, name)[:, :old_capacity] = getattr(self, name)
+            setattr(self, name, getattr(grown, name))
+        grown.data[:, :old_leaf_capacity] = self.data
+        self.data = grown.data
+        particles = np.arange(self.split_dim.shape[0], dtype=np.intp)[:, None]
+        for name, shift in (
+            ("left", capacity - old_capacity),
+            ("right", capacity - old_capacity),
+            ("leaf_slot", grown.leaf_capacity - old_leaf_capacity),
+        ):
+            ids = getattr(self, name)
+            np.add(ids, particles * shift, out=ids, where=ids >= 0)

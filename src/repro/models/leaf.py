@@ -538,21 +538,22 @@ class LeafCacheArrays:
     :class:`~repro.models.flat_tree.FlatTree` /
     :class:`~repro.models.flat_tree.FlatForest`: prediction and the ALC
     score gather ``mean``/``variance`` (column views), the batched reweight
-    step reads whole rows via :meth:`logpdf_row`, the batched propagate
-    step gathers the sufficient-statistics and LML columns instead of
-    calling per-leaf Python methods, and a "stay" move refreshes the one
-    affected row via :meth:`patch`.  The single backing matrix is
-    deliberate: copy-on-write resample copies, forest concatenation and
-    row patches each touch one array instead of nine, which is what keeps
-    those paths off the per-particle numpy-dispatch floor at paper-scale
-    particle counts.
+    step reads whole rows, and the batched propagate step gathers the
+    sufficient-statistics and LML columns instead of calling per-leaf
+    Python methods.  The single backing matrix is deliberate: resample row
+    gathers, forest splices and stay-move row writes each touch one array
+    instead of nine, which is what keeps those paths off the per-particle
+    numpy-dispatch floor at paper-scale particle counts.
 
-    The per-row values are produced by the leaf models' memoized scalar
-    methods rather than by numpy transcendentals: ``np.log``/``np.log1p``
-    are *not* bit-identical to their ``math`` counterparts (SIMD
-    implementations round differently on ~1e-4 of inputs), and the particle
-    moves are sampled from scores built on these values, so a single
-    mismatched bit would silently fork seeded trajectories.
+    :meth:`patch` fills a row from a leaf model's memoized scalar methods
+    (``math`` transcendentals, as :meth:`FlatTree.compile` needs); the
+    batched update computes its rows with the same grouping from count
+    tables and the backend's ``log`` map, which is bit-identical in exact
+    mode.  ``np.log``/``np.log1p`` are *not* bit-identical to their
+    ``math`` counterparts (SIMD implementations round differently on ~1e-4
+    of inputs), and the particle moves are sampled from scores built on
+    these values, so a single mismatched bit would silently fork seeded
+    trajectories.
     """
 
     __slots__ = ("data",)
@@ -622,10 +623,6 @@ class LeafCacheArrays:
             arrays.patch(slot, leaf)
         return arrays
 
-    @classmethod
-    def concatenate(cls, parts: Sequence["LeafCacheArrays"]) -> "LeafCacheArrays":
-        return cls(np.concatenate([part.data for part in parts], axis=0))
-
     def copy(self) -> "LeafCacheArrays":
         return LeafCacheArrays(self.data.copy())
 
@@ -637,9 +634,7 @@ class LeafCacheArrays:
     def patch(self, slot: int, leaf: GaussianLeafModel) -> Tuple[float, ...]:
         """Refresh one row from a leaf model's (memoized) posterior.
 
-        Returns the written row as a tuple so callers tracking patches (the
-        incremental forest's stale-row records) get the values without
-        re-reading the array.
+        Returns the written row as a tuple.
         """
         mean, dof_scale, coef, const = leaf.predictive_logpdf_terms()
         count, total, total_sq = leaf.sufficient_stats()

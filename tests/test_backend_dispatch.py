@@ -13,9 +13,9 @@ transcendentals).  These tests pin the contract around that knob:
   installed);
 * checkpoint round-trips: the backend choice is part of the pickled model
   configuration and survives kill → ``--resume``;
-* the zero-compile invariant: the flat forest is compiled exactly once
-  per particle for the lifetime of a model — updates derive compilations
-  incrementally and never call :meth:`FlatTree.compile` again;
+* the zero-compile invariant: the particle forest is compiled exactly
+  once per particle for the lifetime of a model — updates splice it in
+  place and never call :meth:`FlatTree.compile` again;
 * the ``numba-fast`` deviation budget, at the kernel level and end to end.
 
 Trajectory bit-identity of ``backend="numba"`` against the
@@ -273,9 +273,8 @@ class TestZeroCompileInvariant:
 
         :meth:`FlatTree.compile` runs exactly ``n_particles`` times for the
         lifetime of a model: once per particle when the forest is first
-        built.  Every later structural move derives the new compilation
-        incrementally (``grow_at``/``prune_at``) and resample copies share
-        compilations copy-on-write, so a long update/predict interleaving
+        built.  Every later move is spliced into the forest in place and a
+        resample gathers its rows, so a long update/predict interleaving
         adds zero compile calls.
         """
         calls = {"count": 0}

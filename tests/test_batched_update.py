@@ -230,7 +230,10 @@ class TestCopyOnWriteResample:
                 assert fast_leaf.leaf.count == slow_leaf.leaf.count
 
     def test_shared_flat_compilations_are_copied_before_patch(self):
-        """Two particles never patch the same FlatTree caches object."""
+        """A move on one resample duplicate never leaks into another's
+        compiled row: after every update each particle's forest row holds
+        its own leaves' statistics and its leaf-node map names its own
+        leaves, even though duplicates share trees and maps."""
         X, y = _piecewise_data(100, 3, 8)
         model = DynamicTreeRegressor(
             DynamicTreeConfig(n_particles=16, resample_threshold=1.0),
@@ -239,15 +242,17 @@ class TestCopyOnWriteResample:
         model.fit(X[:60], y[:60])
         for i in range(60, 100):
             model.update(X[i], float(y[i]))
-            seen = {}
-            for index, flat in enumerate(model._flat):
-                if flat is None:
-                    continue
-                other = seen.setdefault(id(flat.caches.data), index)
-                if other != index:
-                    assert model._flat_shared[index] or model._flat_shared[other], (
-                        f"particles {other} and {index} share leaf caches unflagged"
-                    )
+            forest = model._particle_forest
+            for index, root in enumerate(model._particles):
+                leaves = root.leaves()
+                fresh = LeafCacheArrays.from_leaves([leaf.leaf for leaf in leaves])
+                assert np.array_equal(
+                    forest.data[index, : len(leaves)], fresh.data
+                ), f"particle {index}: forest row differs from its leaves"
+                nodes = forest.leaf_nodes[index]
+                assert len(nodes) == len(leaves) and all(
+                    a is b for a, b in zip(nodes, leaves)
+                ), f"particle {index}: leaf-node map names foreign leaves"
 
 
 class TestSystematicResampler:

@@ -49,7 +49,7 @@ MAX_MID_RUN_BYTES = 150_000
 DERIVED_CLASSES = {
     "FlatTree",
     "FlatForest",
-    "IncrementalForest",
+    "ParticleForest",
     "LeafCacheArrays",
     "LeafTermTables",
 }
@@ -166,8 +166,7 @@ class TestLeanCheckpoint:
         for index in (shared_index, len(blobs) - 1):
             session = _NoDerivedState(io.BytesIO(blobs[index])).load()
             model = session.model
-            assert all(flat is None for flat in model._flat)
-            assert model._forest_cache is None
+            assert model._particle_forest is None
 
     def test_shared_subtree_stays_one_object(self, recorded):
         _, _, blobs, (shared_index, located) = recorded

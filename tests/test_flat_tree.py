@@ -5,8 +5,8 @@ safe if it is numerically indistinguishable from the per-node reference
 implementation it replaced — the particle moves are *sampled* from scores,
 so even tiny drift changes trajectories.  These tests grow real particle
 trees on random data and assert (a) routing identity, (b) prediction/ALC
-agreement to 1e-10, (c) that the stay-move patching keeps stale caches
-honest, and (d) that a seeded ``ActiveLearner`` run produces the same
+agreement to 1e-10, (c) that the particle forest's in-place updates keep
+its caches honest, and (d) that a seeded ``ActiveLearner`` run produces the same
 learning curve in vectorized and reference modes.
 """
 
@@ -18,7 +18,8 @@ import pytest
 from repro.core.evaluation import build_test_set
 from repro.core.learner import ActiveLearner, LearnerConfig
 from repro.models.dynamic_tree import DynamicTreeConfig, DynamicTreeRegressor
-from repro.models.flat_tree import FlatForest, FlatTree
+from repro.models.compiled_kernels import route_all_numpy
+from repro.models.flat_tree import FlatTree
 from repro.spapt.suite import get_benchmark
 
 
@@ -53,13 +54,6 @@ class TestFlatTreeRouting:
                 expected = leaves.index(root.descend(X[i]))
                 assert leaf_ids[i] == expected
 
-    def test_route_one_matches_route(self):
-        model, rng = _grown_model(3)
-        x = rng.uniform(-2, 2, size=4)
-        for root in model._particles:
-            flat = FlatTree.compile(root)
-            assert flat.route_one(x) == flat.route(x[None, :])[0]
-
     def test_leaf_ids_are_preorder_stable(self):
         model, _ = _grown_model(5)
         root = model._particles[0]
@@ -73,7 +67,7 @@ class TestFlatTreeRouting:
         model, rng = _grown_model(9)
         X = rng.uniform(-2, 2, size=(30, 4))
         trees = [FlatTree.compile(root) for root in model._particles]
-        forest = FlatForest.from_trees(trees)
+        forest = model._ensure_forest()
         forest_ids = forest.route(X)
         assert forest_ids.shape == (len(trees), 30)
         for p, tree in enumerate(trees):
@@ -83,16 +77,24 @@ class TestFlatTreeRouting:
             )
 
     def test_forest_route_one_matches_per_tree_route_one(self):
-        """The one-row-many-trees kernel agrees with per-tree scalar descents."""
+        """The one-row-many-trees kernel agrees with per-tree descents."""
         model, rng = _grown_model(13)
         trees = [FlatTree.compile(root) for root in model._particles]
-        forest = FlatForest.from_trees(trees)
+        forest = model._ensure_forest()
         for _ in range(10):
             x = rng.uniform(-2.5, 2.5, size=4)
-            global_ids = forest.route_one(x)
+            global_ids = route_all_numpy(
+                forest.split_dim,
+                forest.split_value,
+                forest.left,
+                forest.right,
+                forest.leaf_slot,
+                forest.roots,
+                x,
+            )
             assert global_ids.shape == (len(trees),)
             for p, tree in enumerate(trees):
-                assert global_ids[p] - forest.leaf_offsets[p] == tree.route_one(x)
+                assert global_ids[p] - forest.leaf_offsets[p] == tree.route(x[None, :])[0]
 
     def test_single_leaf_tree(self):
         model = DynamicTreeRegressor(
@@ -125,9 +127,8 @@ class TestVectorizedEquivalence:
         np.testing.assert_allclose(fast, slow, rtol=1e-10)
 
     def test_caches_survive_updates(self):
-        """Interleaved predicts and updates: patched/recompiled caches never
-        drift from the reference path (stay moves patch, grow/prune moves
-        recompile)."""
+        """Interleaved predicts and updates: the forest's in-place stay
+        writes and grow/prune splices never drift from the reference path."""
         model, rng = _grown_model(21, n=60)
         for step in range(40):
             x = rng.uniform(-2, 2, size=4)

@@ -1,0 +1,234 @@
+"""Tests for the particle forest, the batched model's only compiled state.
+
+Every batched update splices its stay/grow/prune moves and its resample
+into one ``(n_particles, capacity)`` array set in place.  These tests pin
+that the result is indistinguishable from compiling the particles afresh:
+
+* after every update each forest row equals ``FlatTree.compile`` of its
+  particle (structure, leaf slots and cache rows, with global ids
+  localised) and the leaf-node map names the particle's own ``_Node``
+  leaves — on discrete and continuous features, at 10 and 40 particles,
+  under resample-every-update (duplicates spliced), and across a capacity
+  doubling;
+* predictions and ALC scores are bitwise those of a forest recompiled
+  before every query and of the ``vectorized=False`` reference path;
+* ``copy.deepcopy`` and ``fantasy_copy`` clones evolve independently of
+  their original in both directions.
+"""
+
+from __future__ import annotations
+
+import copy
+
+import numpy as np
+import pytest
+
+from repro.models.dynamic_tree import DynamicTreeConfig, DynamicTreeRegressor
+from repro.models.flat_tree import FlatTree, ParticleForest
+
+
+def _training_data(size, dims=5, seed=0, discrete=False):
+    rng = np.random.default_rng(seed)
+    if discrete:
+        # Few distinct values per feature, like normalised SPAPT parameters:
+        # candidate splits see duplicate columns.
+        X = rng.integers(0, 4, size=(size, dims)) - 1.5
+    else:
+        X = rng.uniform(-1.5, 1.5, size=(size, dims))
+    y = (
+        1.0
+        + 0.3 * X[:, 0]
+        + np.where(X[:, 1] > 0, 0.5, 0.0)
+        + rng.normal(0, 0.05, size)
+    )
+    return X, y
+
+
+def _localise(ids, offset):
+    return np.where(ids >= 0, ids - offset, -1)
+
+
+def _assert_matches_compile(model):
+    """Every forest row equals a fresh compile of its particle."""
+    forest = model._particle_forest
+    assert forest is not None
+    capacity = forest.capacity
+    leaf_capacity = forest.leaf_capacity
+    assert forest.split_dim.shape[0] == model.n_particles
+    for p, root in enumerate(model._particles):
+        fresh = FlatTree.compile(root)
+        n = fresh.n_nodes
+        assert forest.n_nodes[p] == n
+        assert np.array_equal(forest.split_dim[p, :n], fresh.split_dim)
+        assert np.array_equal(forest.split_value[p, :n], fresh.split_value)
+        node_offset = p * capacity
+        assert np.array_equal(_localise(forest.left[p, :n], node_offset), fresh.left)
+        assert np.array_equal(_localise(forest.right[p, :n], node_offset), fresh.right)
+        assert np.array_equal(
+            _localise(forest.leaf_slot[p, :n], p * leaf_capacity), fresh.leaf_slot
+        )
+        assert np.array_equal(forest.data[p, : fresh.n_leaves], fresh.caches.data)
+        nodes = forest.leaf_nodes[p]
+        assert len(nodes) == fresh.n_leaves
+        assert all(a is b for a, b in zip(nodes, fresh.leaf_nodes))
+
+
+def _assert_same_queries(a, b, probe, reference):
+    pa, pb = a.predict(probe), b.predict(probe)
+    assert np.array_equal(pa.mean, pb.mean)
+    assert np.array_equal(pa.variance, pb.variance)
+    assert np.array_equal(
+        a.expected_average_variance(probe, reference),
+        b.expected_average_variance(probe, reference),
+    )
+
+
+def _model_pair(n_particles=40, seed=3, resample_threshold=0.5):
+    """Identically seeded models; the second recompiles before each query."""
+    config = DynamicTreeConfig(
+        n_particles=n_particles, resample_threshold=resample_threshold
+    )
+    live = DynamicTreeRegressor(config, rng=np.random.default_rng(seed))
+    rebuilt = DynamicTreeRegressor(config, rng=np.random.default_rng(seed))
+    return live, rebuilt
+
+
+class TestBitIdentity:
+    def test_predict_and_alc_bit_identical_across_updates(self):
+        X, y = _training_data(240)
+        live, rebuilt = _model_pair()
+        live.fit(X[:30], y[:30])
+        rebuilt.fit(X[:30], y[:30])
+        rng = np.random.default_rng(9)
+        probe = rng.uniform(-1.5, 1.5, size=(30, X.shape[1]))
+        reference = rng.uniform(-1.5, 1.5, size=(20, X.shape[1]))
+        for i in range(30, 240):
+            live.update(X[i], float(y[i]))
+            rebuilt.update(X[i], float(y[i]))
+            rebuilt._particle_forest = None
+            _assert_same_queries(live, rebuilt, probe, reference)
+
+    def test_aggressive_resampling_stays_bit_identical(self):
+        """A resample-every-update regime gathers duplicate rows, and then
+        splices them independently, on every single update."""
+        X, y = _training_data(120, seed=5)
+        live, rebuilt = _model_pair(resample_threshold=1.0, seed=11)
+        live.fit(X[:20], y[:20])
+        rebuilt.fit(X[:20], y[:20])
+        probe = X[:25]
+        for i in range(20, 120):
+            live.update(X[i], float(y[i]))
+            rebuilt.update(X[i], float(y[i]))
+            rebuilt._particle_forest = None
+            p_live = live.predict(probe)
+            p_rebuilt = rebuilt.predict(probe)
+            assert np.array_equal(p_live.mean, p_rebuilt.mean)
+            assert np.array_equal(p_live.variance, p_rebuilt.variance)
+
+    def test_trajectories_match_reference_implementation(self):
+        """The forest sits under the vectorized kernels, so the whole stack
+        must still replay the per-particle reference."""
+        X, y = _training_data(90, seed=7)
+        config = DynamicTreeConfig(n_particles=12)
+        vectorized = DynamicTreeRegressor(config, rng=np.random.default_rng(2))
+        reference = DynamicTreeRegressor(
+            DynamicTreeConfig(n_particles=12, vectorized=False),
+            rng=np.random.default_rng(2),
+        )
+        vectorized.fit(X[:15], y[:15])
+        reference.fit(X[:15], y[:15])
+        probe = X[:20]
+        for i in range(15, 90):
+            vectorized.update(X[i], float(y[i]))
+            reference.update(X[i], float(y[i]))
+        p_vec = vectorized.predict(probe)
+        p_ref = reference.predict(probe)
+        assert np.array_equal(p_vec.mean, p_ref.mean)
+        assert np.array_equal(p_vec.variance, p_ref.variance)
+
+
+class TestCompileOracle:
+    @pytest.mark.parametrize("discrete", [False, True], ids=["continuous", "discrete"])
+    @pytest.mark.parametrize("n_particles", [10, 40])
+    def test_rows_match_compile_after_every_update(self, discrete, n_particles):
+        """Resampling on every update splices rows that started as
+        duplicates; every 7th update the queries also match the reference
+        path bitwise."""
+        X, y = _training_data(160, seed=21, discrete=discrete)
+        config = DynamicTreeConfig(n_particles=n_particles, resample_threshold=1.0)
+        model = DynamicTreeRegressor(config, rng=np.random.default_rng(4))
+        reference = DynamicTreeRegressor(
+            DynamicTreeConfig(
+                n_particles=n_particles, resample_threshold=1.0, vectorized=False
+            ),
+            rng=np.random.default_rng(4),
+        )
+        model.fit(X[:12], y[:12])
+        reference.fit(X[:12], y[:12])
+        probe = X[:15]
+        moved = set()
+        for step, i in enumerate(range(12, 160)):
+            model.update(X[i], float(y[i]))
+            reference.update(X[i], float(y[i]))
+            _assert_matches_compile(model)
+            moved.update(model._particle_forest.n_nodes.tolist())
+            if step % 7 == 0:
+                _assert_same_queries(model, reference, probe, probe[:6])
+        assert len(moved) > 3, "trees never grew or pruned"
+
+    def test_capacity_doubling_keeps_rows_exact(self, monkeypatch):
+        """A small minimum capacity makes the trees outgrow their rows
+        several times; every doubling rebases the global ids."""
+        monkeypatch.setattr(ParticleForest, "MIN_CAPACITY", 4)
+        X, y = _training_data(150, dims=3, seed=8)
+        model = DynamicTreeRegressor(
+            DynamicTreeConfig(n_particles=10, resample_threshold=1.0),
+            rng=np.random.default_rng(5),
+        )
+        model.fit(X[:2], y[:2])
+        model.predict(X[:1])
+        capacities = {model._particle_forest.capacity}
+        for i in range(2, 150):
+            model.update(X[i], float(y[i]))
+            capacities.add(model._particle_forest.capacity)
+            _assert_matches_compile(model)
+        assert len(capacities) >= 3, f"capacity never doubled twice: {capacities}"
+
+
+class TestCopies:
+    @pytest.mark.parametrize("make_copy", ["deepcopy", "fantasy_copy"])
+    def test_copies_evolve_independently(self, make_copy):
+        X, y = _training_data(140, seed=13)
+        model = DynamicTreeRegressor(
+            DynamicTreeConfig(n_particles=20), rng=np.random.default_rng(6)
+        )
+        model.fit(X[:30], y[:30])
+        for i in range(30, 60):
+            model.update(X[i], float(y[i]))
+        probe, reference = X[:20], X[20:30]
+
+        def snapshot(m):
+            prediction = m.predict(probe)
+            return (
+                prediction.mean,
+                prediction.variance,
+                m.expected_average_variance(probe, reference),
+            )
+
+        def same(a, b):
+            return all(np.array_equal(u, v) for u, v in zip(a, b))
+
+        clone = copy.deepcopy(model) if make_copy == "deepcopy" else model.fantasy_copy()
+        before = snapshot(model)
+        assert same(snapshot(clone), before)
+        for i in range(60, 90):
+            clone.update(X[i], float(y[i]))
+        assert same(snapshot(model), before)
+        _assert_matches_compile(clone)
+
+        clone_before = snapshot(clone)
+        for i in range(90, 120):
+            model.update(X[i], float(y[i]))
+        assert same(snapshot(clone), clone_before)
+        _assert_matches_compile(model)
+        _assert_matches_compile(clone)

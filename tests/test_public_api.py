@@ -18,6 +18,16 @@ import pytest
 import repro
 
 
+def _source_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    return env
+
+
 PACKAGES = [
     "repro.core",
     "repro.models",
@@ -145,22 +155,42 @@ class TestRunAll:
         assert "checkpoint" in out
         assert "worker processes" in out
 
-    def test_module_entry_point_does_not_warn(self):
-        """`python -m repro.experiments.run_all` runs clean under -W error:
+    @pytest.mark.parametrize("module", ["run_all", "paper_scale"])
+    def test_module_entry_point_does_not_warn(self, module):
+        """`python -m repro.experiments.<module>` runs clean under -W error:
         the package must not import the entry point's module eagerly."""
-        src = pathlib.Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(src) + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
         completed = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "repro.experiments.run_all", "--help"],
-            env=env,
+            [sys.executable, "-W", "error", "-m", f"repro.experiments.{module}", "--help"],
+            env=_source_env(),
             capture_output=True,
             text=True,
             timeout=120,
         )
         assert completed.returncode == 0, completed.stderr
+
+    def test_package_import_leaves_entry_points_unimported(self):
+        """`import repro.experiments` imports no module with a ``__main__``
+        block, so none of them can warn under ``python -m``."""
+        package = pathlib.Path(repro.__file__).parent / "experiments"
+        entry_points = {
+            f"repro.experiments.{path.stem}"
+            for path in package.glob("*.py")
+            if 'if __name__ == "__main__"' in path.read_text()
+        }
+        assert {"repro.experiments.run_all", "repro.experiments.table1"} <= entry_points
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.experiments; print(' '.join(sys.modules))",
+            ],
+            env=_source_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert not entry_points & set(completed.stdout.split())
 
     def test_runner_api_exported(self):
         from repro.experiments import (

@@ -400,18 +400,24 @@ class TestCheckpointIntegrity:
         (run_dir / "checkpoints" / "table1--mm--p--r000.pkl.sha256").unlink()
         assert context.load_checkpoint() == {"examples": 7}
 
-    @pytest.mark.parametrize("stamp", ["current", "foreign", "missing"])
+    @pytest.mark.parametrize("stamp", ["current", "previous", "foreign", "missing"])
     def test_format_stamp_decides_resume(self, tmp_path, monkeypatch, stamp):
         """Only a session stamped with the current checkpoint format
-        resumes; any other stamp, or none, restarts the unit."""
+        resumes; any other stamp, or none, restarts the unit.  Format 1
+        blobs (per-particle compilations, before the particle forest) are
+        the ``previous`` case."""
         from repro.core.session import TuningSession
+
+        assert TuningSession._CHECKPOINT_FORMAT == 2
 
         _, context = self._context(tmp_path)
         mm = get_benchmark("mm")
         test_set = build_test_set(mm, size=10, observations=2, rng=np.random.default_rng(8))
         session = ActiveLearner(mm, rng=np.random.default_rng(7)).start_session(test_set)
         stamped = TuningSession.__getstate__
-        if stamp == "foreign":
+        if stamp == "previous":
+            monkeypatch.setattr(TuningSession, "_CHECKPOINT_FORMAT", 1)
+        elif stamp == "foreign":
             monkeypatch.setattr(
                 TuningSession, "_CHECKPOINT_FORMAT", TuningSession._CHECKPOINT_FORMAT + 1
             )
