@@ -7,7 +7,12 @@ configuration) to a deterministic runtime and compile time.
 
 from .cache import CacheLevel, MemoryHierarchy, haswell_hierarchy
 from .cpu import CoreModel, haswell_core
-from .cost_model import CostBreakdown, MachineCostModel, TransformConfiguration
+from .cost_model import (
+    CostBreakdown,
+    CostEvaluation,
+    MachineCostModel,
+    TransformConfiguration,
+)
 
 __all__ = [
     "CacheLevel",
@@ -16,6 +21,7 @@ __all__ = [
     "CoreModel",
     "haswell_core",
     "CostBreakdown",
+    "CostEvaluation",
     "MachineCostModel",
     "TransformConfiguration",
 ]

@@ -27,9 +27,16 @@ analytical treatments of dense loop nests:
    ``adi`` (Figure 2) and the broad sweet spots of Figure 1.
 
 The model works from the *base* (untransformed) kernel plus the
-configuration, using closed forms for the effect of each transformation,
-which keeps a single evaluation at a few tens of microseconds — fast enough
-to generate the paper's 10 000-configuration datasets for all 11 benchmarks.
+configuration, using closed forms for the effect of each transformation.
+Everything that does not depend on the configuration (the distinct
+references, their subscript terms, reuse spans and strides) is analysed
+once per body, and :meth:`MachineCostModel.evaluate` derives the runtime,
+its breakdown, the compile time and the noise sensitivity from one pass
+over a configuration.  A cold evaluation of all three takes 0.15–0.18 ms
+per configuration, averaged over 301 configurations of each of the 11
+SPAPT benchmarks on a 2-vCPU Xeon VM
+(``python -m pytest benchmarks/test_bench_cost_model.py``), so pricing
+a 10 000-configuration dataset takes under two seconds per benchmark.
 The transformation passes in :mod:`repro.ir.transforms` produce the actual
 transformed IR and are used by the tests to validate the closed forms
 (statement replication counts, step widening, footprint capping).
@@ -37,17 +44,23 @@ transformed IR and are used by the tests to validate the closed forms
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from ..ir.analysis import innermost_bodies, InnermostBodyStats, reference_stride
 from ..ir.expr import affine_coefficients
-from ..ir.loopnest import ArrayRef, Kernel, Loop, Statement
+from ..ir.loopnest import Kernel, Statement
 from .cache import MemoryHierarchy, haswell_hierarchy
 from .cpu import CoreModel, haswell_core
 
-__all__ = ["TransformConfiguration", "CostBreakdown", "MachineCostModel"]
+__all__ = [
+    "TransformConfiguration",
+    "CostBreakdown",
+    "CostEvaluation",
+    "MachineCostModel",
+]
 
 
 @dataclass(frozen=True)
@@ -116,18 +129,43 @@ class CostBreakdown:
         )
 
 
+class CostEvaluation(NamedTuple):
+    """Everything the model derives from one configuration, in one pass."""
+
+    runtime_seconds: float
+    compile_seconds: float
+    noise_sensitivity: float
+    breakdown: CostBreakdown
+
+
+#: A distinct reference's subscripts: per dimension, the dimension size and
+#: the ``(loop depth, |coefficient|)`` terms of its non-zero loop variables,
+#: in :func:`~repro.ir.expr.affine_coefficients` order.
+_Subscripts = Tuple[Tuple[float, Tuple[Tuple[int, int], ...]], ...]
+
+
 @dataclass(frozen=True)
 class _BodyInfo:
-    """Pre-computed, configuration-independent facts about one innermost body."""
+    """Configuration-independent facts about one innermost body, analysed once.
+
+    Loops are referred to by their depth in ``loop_vars`` (outermost first).
+    """
 
     stats: InnermostBodyStats
     loop_vars: Tuple[str, ...]
-    trip_counts: Dict[str, float]
-    refs: Tuple[ArrayRef, ...]
-    ref_strides: Tuple[int, ...]
-    ref_loop_vars: Tuple[frozenset, ...]
-    array_dims: Dict[str, Tuple[int, ...]]
-    element_bytes: Dict[str, int]
+    trip_counts: Tuple[float, ...]
+    #: Per depth: the iterations of the loops nested inside that one.
+    inner_iterations: Tuple[float, ...]
+    #: The distinct references (by array and subscripts): element bytes and
+    #: subscripts, the input of the footprint of every loop suffix.
+    footprint_refs: Tuple[Tuple[int, _Subscripts], ...]
+    #: Every reference in body order: whether each loop's variable appears
+    #: in its subscripts, the suffix-footprint entry its reuse spans, and its
+    #: innermost-loop stride in bytes.
+    refs: Tuple[Tuple[Tuple[bool, ...], int, int], ...]
+    compute_cycles: float
+    store_fraction: float
+    instructions: float
 
 
 class MachineCostModel:
@@ -188,309 +226,256 @@ class MachineCostModel:
     def core(self) -> CoreModel:
         return self._core
 
+    def with_time_scale(self, time_scale: float) -> "MachineCostModel":
+        """This model under another runtime calibration; the analysis is shared."""
+        if time_scale <= 0:
+            raise ValueError("time_scale must be positive")
+        scaled = copy.copy(self)
+        scaled._time_scale = time_scale
+        return scaled
+
     # ------------------------------------------------------------------ setup
 
     def _analyse_body(self, stats: InnermostBodyStats) -> _BodyInfo:
         chain = stats.context.loops
         loop_vars = tuple(loop.var for loop in chain)
-        trip_counts: Dict[str, float] = {}
+        depth_of = {var: depth for depth, var in enumerate(loop_vars)}
+        trip_counts: List[float] = []
         bindings: Dict[str, int] = dict(self._kernel.sizes)
         for loop in chain:
             lower = loop.lower.evaluate(bindings)
             upper = loop.upper.evaluate(bindings)
-            trip = max((upper - lower) / loop.step, 1.0)
-            trip_counts[loop.var] = trip
+            trip_counts.append(max((upper - lower) / loop.step, 1.0))
             bindings[loop.var] = (lower + max(upper - 1, lower)) // 2
-        statements = [
-            node for node in stats.context.innermost.body if isinstance(node, Statement)
-        ]
-        refs: List[ArrayRef] = []
-        for stmt in statements:
-            refs.extend(stmt.refs())
-        innermost_var = loop_vars[-1]
-        array_dims: Dict[str, Tuple[int, ...]] = {}
-        element_bytes: Dict[str, int] = {}
-        strides: List[int] = []
-        ref_loop_vars: List[frozenset] = []
-        loop_var_set = set(loop_vars)
-        for ref in refs:
-            decl = self._kernel.array(ref.array)
-            if ref.array not in array_dims:
-                array_dims[ref.array] = tuple(
-                    d.evaluate(self._kernel.sizes) for d in decl.dims
-                )
-                element_bytes[ref.array] = decl.element_bytes
-            strides.append(
-                reference_stride(
-                    ref, innermost_var, self._kernel, array_dims[ref.array]
-                )
-            )
-            ref_loop_vars.append(frozenset(ref.free_vars() & loop_var_set))
+        inner_iterations: List[float] = []
+        for depth in range(len(chain)):
+            iterations = 1.0
+            for trip in trip_counts[depth + 1 :]:
+                iterations *= max(trip, 1.0)
+            inner_iterations.append(iterations)
+        footprint_refs: Dict[Tuple[str, Tuple[str, ...]], Tuple[int, _Subscripts]] = {}
+        refs: List[Tuple[Tuple[bool, ...], int, int]] = []
+        for node in stats.context.innermost.body:
+            if not isinstance(node, Statement):
+                continue
+            for ref in node.refs():
+                decl = self._kernel.array(ref.array)
+                dims = tuple(d.evaluate(self._kernel.sizes) for d in decl.dims)
+                key = (ref.array, tuple(str(i) for i in ref.indices))
+                if key not in footprint_refs:
+                    subscripts = tuple(
+                        (float(dim_size), tuple(
+                            (depth_of[var], abs(coeff))
+                            for var, coeff in affine_coefficients(index).items()
+                            if var in depth_of and coeff != 0
+                        ))
+                        for dim_size, index in zip(dims, ref.indices)
+                    )
+                    footprint_refs[key] = (decl.element_bytes, subscripts)
+                free = ref.free_vars()
+                varies = tuple(var in free for var in loop_vars)
+                # The reuse of a reference is carried by the innermost loop
+                # whose variable is not in its subscripts, and spans the loops
+                # nested inside that one.  A reference that varies with every
+                # loop has no temporal reuse: it spans the whole traversal.
+                carriers = [depth for depth, v in enumerate(varies) if not v]
+                suffix = carriers[-1] + 1 if carriers else 0
+                stride = reference_stride(ref, loop_vars[-1], self._kernel, dims)
+                refs.append((varies, suffix, stride * decl.element_bytes))
         return _BodyInfo(
             stats=stats,
             loop_vars=loop_vars,
-            trip_counts=trip_counts,
+            trip_counts=tuple(trip_counts),
+            inner_iterations=tuple(inner_iterations),
+            footprint_refs=tuple(footprint_refs.values()),
             refs=tuple(refs),
-            ref_strides=tuple(strides),
-            ref_loop_vars=tuple(ref_loop_vars),
-            array_dims=array_dims,
-            element_bytes=element_bytes,
+            compute_cycles=self._core.compute_cycles(stats.flops),
+            store_fraction=stats.stores / max(stats.loads + stats.stores, 1),
+            instructions=(stats.flops + stats.loads + stats.stores) * 1.3 + 4.0,
         )
 
     # -------------------------------------------------------------- public API
 
-    def runtime_seconds(self, configuration: TransformConfiguration) -> float:
-        """True mean runtime (seconds) of the kernel under ``configuration``."""
-        return self.breakdown(configuration).total_seconds * self._time_scale
+    def evaluate(self, configuration: TransformConfiguration) -> CostEvaluation:
+        """Runtime, breakdown, compile time and noise sensitivity in one pass.
 
-    def breakdown(self, configuration: TransformConfiguration) -> CostBreakdown:
-        """Per-component runtime contributions (before the time-scale factor)."""
+        The noise sensitivity is a heteroskedasticity knob in [0, 1] for the
+        noise substrate.  Two kinds of configurations are especially
+        sensitive to memory-layout perturbations (the dominant noise source
+        the paper discusses): those whose per-tile working set, at any loop
+        depth, sits near a cache capacity boundary — ASLR and physical page
+        allocation then decide whether conflict misses appear — and those in
+        the register-pressure *transition* region, where small code-layout
+        changes decide whether the spill code stays in the fast path.  It is
+        the maximum contribution over all loop nests.
+        """
         compute = memory = overhead = spill = icache = 0.0
+        generated_statements = 0.0
+        sensitivity = 0.0
         for body in self._bodies:
-            c, m, o, s, i = self._body_cycles(body, configuration)
+            c, m, o, s, i, unroll_product, sensitivity = self._evaluate_body(
+                body, configuration, sensitivity
+            )
             iterations = body.stats.iterations
             compute += c * iterations
             memory += m * iterations
             overhead += o * iterations
             spill += s * iterations
             icache += i * iterations
+            generated_statements += body.stats.statements * unroll_product
         cycle = self._core.cycle_seconds
-        return CostBreakdown(
+        breakdown = CostBreakdown(
             compute_seconds=compute * cycle,
             memory_seconds=memory * cycle,
             overhead_seconds=overhead * cycle,
             spill_seconds=spill * cycle,
             icache_seconds=icache * cycle,
         )
-
-    def compile_seconds(self, configuration: TransformConfiguration) -> float:
-        """Compile time (seconds) of the kernel under ``configuration``."""
-        generated_statements = 0.0
         tile_loops = sum(
-            1
-            for var, tile in configuration.cache_tiles.items()
-            if tile and tile > 1
+            1 for tile in configuration.cache_tiles.values() if tile and tile > 1
         )
-        for body in self._bodies:
-            unroll_product = self._unroll_product(body, configuration)
-            generated_statements += body.stats.statements * unroll_product
         optimisation_cost = (
             self._compile_per_statement * generated_statements ** self._compile_exponent
         )
-        return (
-            self._compile_base
-            + min(optimisation_cost, self._compile_cap)
-            + 0.05 * tile_loops
+        return CostEvaluation(
+            runtime_seconds=breakdown.total_seconds * self._time_scale,
+            compile_seconds=(
+                self._compile_base
+                + min(optimisation_cost, self._compile_cap)
+                + 0.05 * tile_loops
+            ),
+            noise_sensitivity=min(sensitivity, 1.0),
+            breakdown=breakdown,
         )
 
+    def runtime_seconds(self, configuration: TransformConfiguration) -> float:
+        """True mean runtime (seconds) of the kernel under ``configuration``."""
+        return self.evaluate(configuration).runtime_seconds
+
+    def breakdown(self, configuration: TransformConfiguration) -> CostBreakdown:
+        """Per-component runtime contributions (before the time-scale factor)."""
+        return self.evaluate(configuration).breakdown
+
+    def compile_seconds(self, configuration: TransformConfiguration) -> float:
+        """Compile time (seconds) of the kernel under ``configuration``."""
+        return self.evaluate(configuration).compile_seconds
+
     def noise_sensitivity(self, configuration: TransformConfiguration) -> float:
-        """Heteroskedasticity knob in [0, 1] for the noise substrate.
-
-        Two kinds of configurations are especially sensitive to memory-layout
-        perturbations (the dominant noise source the paper discusses):
-
-        * configurations whose per-tile working set sits near a cache
-          capacity boundary — ASLR and physical page allocation then decide
-          whether conflict misses appear or not; and
-        * configurations in the register-pressure *transition* region, where
-          small code-layout changes decide whether the spill code stays in
-          the fast path.
-
-        The returned value is the maximum contribution over all loop nests.
-        """
-        sensitivity = 0.0
-        for body in self._bodies:
-            # Check the footprint of every loop depth: tiling and problem
-            # size decide which of them lands near a capacity boundary.
-            for level in range(len(body.loop_vars)):
-                footprint = self._tile_footprint_bytes(body, configuration, level)
-                sensitivity = max(
-                    sensitivity, self._hierarchy.boundary_proximity(footprint)
-                )
-            pressure = self._live_values(body, configuration) / self._core.vector_registers
-            onset = self._core.spill_onset_ratio
-            width = max(self._core.spill_transition_width, 1e-6)
-            transition = math.exp(-(((pressure - (onset + width)) / width) ** 2))
-            sensitivity = max(sensitivity, 0.6 * transition)
-        return min(sensitivity, 1.0)
+        """Heteroskedasticity knob in [0, 1] (see :meth:`evaluate`)."""
+        return self.evaluate(configuration).noise_sensitivity
 
     # ----------------------------------------------------------- per-body math
 
-    def _unroll_product(
-        self, body: _BodyInfo, configuration: TransformConfiguration
-    ) -> int:
-        product = 1
-        for var in body.loop_vars:
-            product *= configuration.unroll_factor(var)
-            product *= configuration.register_tile(var)
-        return product
-
-    def _effective_extent(
-        self, body: _BodyInfo, var: str, configuration: TransformConfiguration
-    ) -> float:
-        trip = body.trip_counts.get(var, 1.0)
-        tile = configuration.cache_tile(var)
-        if tile is not None and tile >= 1:
-            return float(min(trip, tile))
-        return trip
-
-    def _touched_bytes(
+    def _evaluate_body(
         self,
         body: _BodyInfo,
-        inner_vars: Sequence[str],
         configuration: TransformConfiguration,
-    ) -> float:
-        """Bytes touched by one full execution of the loops in ``inner_vars``."""
-        inner = set(inner_vars)
-        seen: set[Tuple[str, Tuple[str, ...]]] = set()
-        total = 0.0
-        for ref in body.refs:
-            key = (ref.array, tuple(str(i) for i in ref.indices))
-            if key in seen:
-                continue
-            seen.add(key)
-            dims = body.array_dims[ref.array]
-            elements = 1.0
-            for dim_size, index in zip(dims, ref.indices):
-                coeffs = affine_coefficients(index)
-                extent = 1.0
-                for var, coeff in coeffs.items():
-                    if var in inner and coeff != 0:
-                        extent *= max(
-                            abs(coeff)
-                            * self._effective_extent(body, var, configuration),
-                            1.0,
-                        )
-                elements *= min(extent, float(dim_size))
-            total += elements * body.element_bytes[ref.array]
-        return total
+        sensitivity: float,
+    ) -> Tuple[float, float, float, float, float, int, float]:
+        """One body's per-source-iteration cycles, unroll product and sensitivity.
 
-    def _tile_footprint_bytes(
-        self, body: _BodyInfo, configuration: TransformConfiguration, level: int
-    ) -> float:
-        """Footprint of the loops inside (and including) depth ``level``."""
-        inner_vars = body.loop_vars[level:]
-        return self._touched_bytes(body, inner_vars, configuration)
-
-    def _reuse_footprint(
-        self,
-        body: _BodyInfo,
-        ref_vars: frozenset,
-        configuration: TransformConfiguration,
-    ) -> float:
-        """Data volume touched between consecutive reuses of a reference.
-
-        The reuse of a reference is carried by the innermost enclosing loop
-        whose variable does not appear in its subscripts; the footprint is
-        everything touched by the loops nested inside that one.  References
-        that vary with every loop have no temporal reuse — their footprint is
-        effectively the whole traversal.
+        The cycles are (compute, memory, overhead, spill, icache); the spill
+        and I-cache contributions are the *extra* cycles caused by the
+        multiplicative register-pressure and instruction-cache slowdowns
+        applied to the compute/memory/overhead base.  ``sensitivity`` is the
+        running maximum over the bodies evaluated so far.
         """
-        reuse_level: Optional[int] = None
-        for level in range(len(body.loop_vars) - 1, -1, -1):
-            if body.loop_vars[level] not in ref_vars:
-                reuse_level = level
-                break
-        if reuse_level is None:
-            return self._touched_bytes(body, body.loop_vars, configuration)
-        inner_vars = body.loop_vars[reuse_level + 1 :]
-        if not inner_vars:
-            return 0.0
-        return self._touched_bytes(body, inner_vars, configuration)
+        core = self._core
+        hierarchy = self._hierarchy
+        depth = len(body.loop_vars)
 
-    def _live_values(
-        self, body: _BodyInfo, configuration: TransformConfiguration
-    ) -> float:
-        """Approximate simultaneously live values in the unrolled/jammed body."""
-        live = 0.0
-        for ref_vars in body.ref_loop_vars:
-            replicas = 1.0
-            for var in body.loop_vars:
-                factor = configuration.unroll_factor(var) * configuration.register_tile(var)
-                if var in ref_vars:
-                    replicas *= factor
-            live += replicas
-        # A handful of scalars (accumulators, induction variables) are always live.
-        return live + 4.0
+        # Per-loop factor table: body copies (unroll x register tile), jammed
+        # replicas a value invariant to the loop is reused across (plain
+        # unrolling counts only for the innermost loop, where the compiler
+        # can reuse the loaded value within the body), the cache tile, and
+        # the iterations one execution of the loop spans once tiled.
+        replication: List[int] = []
+        reuse: List[int] = []
+        tiles: List[Optional[int]] = []
+        extents: List[float] = []
+        for var, trip in zip(body.loop_vars, body.trip_counts):
+            register_tile = configuration.register_tile(var)
+            tile = configuration.cache_tile(var)
+            replication.append(configuration.unroll_factor(var) * register_tile)
+            reuse.append(register_tile)
+            tiles.append(tile)
+            extents.append(trip if tile is None else float(min(trip, tile)))
+        inner_unroll = reuse[-1] = replication[-1]
+        unroll_product = 1
+        for factor in replication:
+            unroll_product *= factor
 
-    def _body_cycles(
-        self, body: _BodyInfo, configuration: TransformConfiguration
-    ) -> Tuple[float, float, float, float, float]:
-        """Per-source-iteration (compute, memory, overhead, spill, icache) cycles.
+        # Suffix-footprint table: entry d holds the bytes touched by one full
+        # execution of the loops at depth >= d (cache tiling caps their
+        # extents); the last entry, a reuse within one innermost iteration,
+        # touches nothing in between.
+        footprints = [0.0] * (depth + 1)
+        for level in range(depth):
+            total = 0.0
+            for element_bytes, subscripts in body.footprint_refs:
+                elements = 1.0
+                for dim_size, terms in subscripts:
+                    extent = 1.0
+                    for loop, coeff in terms:
+                        if loop >= level:
+                            extent *= max(coeff * extents[loop], 1.0)
+                    elements *= min(extent, dim_size)
+                total += elements * element_bytes
+            footprints[level] = total
+            sensitivity = max(sensitivity, hierarchy.boundary_proximity(total))
 
-        The spill and I-cache contributions are the *extra* cycles caused by
-        the multiplicative register-pressure and instruction-cache slowdowns
-        applied to the compute/memory/overhead base.
-        """
-        stats = body.stats
-        innermost_var = body.loop_vars[-1]
-        inner_unroll = configuration.unroll_factor(innermost_var) * configuration.register_tile(
-            innermost_var
-        )
-
-        compute = self._core.compute_cycles(stats.flops)
-
-        # Memory: per-reference expected latency.  Register tiling
-        # (unroll-and-jam) keeps values live across jammed replicas, so
-        # references that are invariant to a register-tiled loop issue less
-        # often; plain unrolling of a loop gives the same effect for
-        # references invariant to that loop only when it is the innermost one
-        # (the compiler can then reuse the loaded value within the body).
+        # Memory: per-reference expected latency, issued less often when a
+        # register-tiled loop keeps the value live across jammed replicas.
+        # Register pressure: the replicas of every reference are live at once.
         loads = 0.0
         memory = 0.0
-        for ref, stride, ref_vars in zip(body.refs, body.ref_strides, body.ref_loop_vars):
+        live = 0.0
+        for varies, suffix, stride_bytes in body.refs:
             weight = 1.0
-            for var in body.loop_vars:
-                if var in ref_vars:
-                    continue
-                reuse_factor = configuration.register_tile(var)
-                if var == innermost_var:
-                    reuse_factor *= configuration.unroll_factor(var)
-                if reuse_factor > 1:
+            replicas = 1.0
+            for in_subscripts, copies, reuse_factor in zip(varies, replication, reuse):
+                if in_subscripts:
+                    replicas *= copies
+                elif reuse_factor > 1:
                     weight /= reuse_factor
-            element_bytes = body.element_bytes[ref.array]
-            footprint = self._reuse_footprint(body, ref_vars, configuration)
-            access_cycles = self._hierarchy.expected_access_cycles(
-                footprint, stride * element_bytes
+            access_cycles = hierarchy.expected_access_cycles(
+                footprints[suffix], stride_bytes
             )
             memory += weight * access_cycles
             loads += weight
-        store_fraction = stats.stores / max(stats.loads + stats.stores, 1)
-        stores = store_fraction * loads
-        issue = self._core.issue_cycles(loads, stores)
-        memory = max(memory / max(self._core.load_ports, 1.0), issue)
+            live += replicas
+        # A handful of scalars (accumulators, induction variables) are always live.
+        live_values = live + 4.0
+        stores = body.store_fraction * loads
+        issue = core.issue_cycles(loads, stores)
+        memory = max(memory / max(core.load_ports, 1.0), issue)
 
         # Loop overhead: branch/induction work amortised by the innermost
         # unroll factor, plus a small cost for each extra tile-loop level and
         # for remainder iterations when the unroll factor does not divide the
         # (average) trip count.
-        overhead = self._core.loop_overhead_cycles(max(inner_unroll, 1))
-        inner_trip = body.trip_counts[innermost_var]
+        overhead = core.loop_overhead_cycles(max(inner_unroll, 1))
+        inner_trip = body.trip_counts[-1]
         if inner_unroll > 1 and inner_trip > 0:
             remainder = (inner_trip % inner_unroll) / inner_trip
-            overhead += self._core.branch_overhead_cycles * remainder * 0.5
-        for var in body.loop_vars:
-            tile = configuration.cache_tile(var)
+            overhead += core.branch_overhead_cycles * remainder * 0.5
+        for tile, inner_iterations in zip(tiles, body.inner_iterations):
             if tile is not None:
                 # One extra loop level: setup cost paid once per tile, spread
                 # across the iterations of the loops nested inside it.
-                extra = self._core.loop_setup_cycles / max(tile, 1.0)
-                inner_iterations = 1.0
-                for inner_var in body.loop_vars[body.loop_vars.index(var) + 1 :]:
-                    inner_iterations *= max(body.trip_counts.get(inner_var, 1.0), 1.0)
+                extra = core.loop_setup_cycles / max(tile, 1.0)
                 overhead += extra / max(inner_iterations, 1.0)
 
+        compute = body.compute_cycles
         base = max(compute, memory) + overhead
-
-        spill_multiplier = self._core.register_pressure_multiplier(
-            self._live_values(body, configuration)
-        )
-        body_instructions = (
-            (stats.flops + stats.loads + stats.stores) * 1.3 + 4.0
-        ) * self._unroll_product(body, configuration)
-        icache_multiplier = self._core.icache_multiplier(body_instructions)
-
+        spill_multiplier = core.register_pressure_multiplier(live_values)
+        icache_multiplier = core.icache_multiplier(body.instructions * unroll_product)
         spill = base * (spill_multiplier - 1.0)
         icache = base * spill_multiplier * (icache_multiplier - 1.0)
 
-        return compute, memory, overhead, spill, icache
+        pressure = live_values / core.vector_registers
+        onset = core.spill_onset_ratio
+        width = max(core.spill_transition_width, 1e-6)
+        transition = math.exp(-(((pressure - (onset + width)) / width) ** 2))
+        sensitivity = max(sensitivity, 0.6 * transition)
+        return compute, memory, overhead, spill, icache, unroll_product, sensitivity

@@ -28,7 +28,11 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..ir.loopnest import Kernel
-from ..machine.cost_model import MachineCostModel, TransformConfiguration
+from ..machine.cost_model import (
+    CostEvaluation,
+    MachineCostModel,
+    TransformConfiguration,
+)
 from ..measurement.noise import NoiseModel, NoiseProfile, noise_model_from_profile
 from .kernels import KERNEL_BUILDERS
 from .search_space import ParameterKind, SearchSpace, TunableParameter
@@ -315,7 +319,7 @@ class SpaptBenchmark:
         self._kernel = spec.build_kernel()
         self._space = SearchSpace(spec.parameters)
         self._validate_parameters()
-        base_model = MachineCostModel(
+        model = MachineCostModel(
             self._kernel,
             compile_base_seconds=spec.compile_base_seconds,
             compile_per_statement_seconds=spec.compile_per_statement_seconds,
@@ -323,22 +327,14 @@ class SpaptBenchmark:
         baseline = self._space.to_transform_configuration(
             self._space.default_configuration()
         )
-        baseline_runtime = base_model.runtime_seconds(baseline)
-        scale = spec.target_runtime_seconds / baseline_runtime
-        self._model = MachineCostModel(
-            self._kernel,
-            time_scale=scale,
-            compile_base_seconds=spec.compile_base_seconds,
-            compile_per_statement_seconds=spec.compile_per_statement_seconds,
+        self._model = model.with_time_scale(
+            spec.target_runtime_seconds / model.runtime_seconds(baseline)
         )
         self._noise_model = noise_model_from_profile(spec.noise_profile)
-        # Per-configuration caches: the learners revisit configurations many
-        # times and dataset generation touches each configuration 35 times.
-        self._runtime_cache = lru_cache(maxsize=cache_size)(self._runtime_uncached)
-        self._compile_cache = lru_cache(maxsize=cache_size)(self._compile_uncached)
-        self._sensitivity_cache = lru_cache(maxsize=cache_size)(
-            self._sensitivity_uncached
-        )
+        # One evaluation per configuration serves all three protocol methods:
+        # the learners revisit configurations many times and dataset
+        # generation touches each configuration 35 times.
+        self._evaluations = lru_cache(maxsize=cache_size)(self._evaluate)
 
     def _validate_parameters(self) -> None:
         loop_vars = set(self._kernel.loop_names())
@@ -396,15 +392,15 @@ class SpaptBenchmark:
 
     def true_runtime(self, configuration: Sequence[int]) -> float:
         """Deterministic mean runtime (seconds) of a configuration."""
-        return self._runtime_cache(self._space.validate(configuration))
+        return self._evaluations(self._space.validate(configuration)).runtime_seconds
 
     def compile_time(self, configuration: Sequence[int]) -> float:
         """Compile time (seconds) of a configuration."""
-        return self._compile_cache(self._space.validate(configuration))
+        return self._evaluations(self._space.validate(configuration)).compile_seconds
 
     def noise_sensitivity(self, configuration: Sequence[int]) -> float:
         """Heteroskedasticity knob in [0, 1] for the noise substrate."""
-        return self._sensitivity_cache(self._space.validate(configuration))
+        return self._evaluations(self._space.validate(configuration)).noise_sensitivity
 
     # -------------------------------------------------------------- features
 
@@ -424,20 +420,8 @@ class SpaptBenchmark:
 
     # -------------------------------------------------------------- internal
 
-    def _runtime_uncached(self, configuration: Tuple[int, ...]) -> float:
-        return self._model.runtime_seconds(
-            self._space.to_transform_configuration(configuration)
-        )
-
-    def _compile_uncached(self, configuration: Tuple[int, ...]) -> float:
-        return self._model.compile_seconds(
-            self._space.to_transform_configuration(configuration)
-        )
-
-    def _sensitivity_uncached(self, configuration: Tuple[int, ...]) -> float:
-        return self._model.noise_sensitivity(
-            self._space.to_transform_configuration(configuration)
-        )
+    def _evaluate(self, configuration: Tuple[int, ...]) -> CostEvaluation:
+        return self._model.evaluate(self._space.to_transform_configuration(configuration))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -55,7 +55,11 @@ class TestTransformToCostPipeline:
 
         generated_statements = innermost_bodies(transformed)[0].statements
         model = MachineCostModel(mm_benchmark.kernel)
-        assert generated_statements == model._unroll_product(model._bodies[0], lowered)
+        # Compile time: 1 s, plus 0.0015 s x (generated statements)^0.8, plus
+        # 0.05 s per cache-tiled loop.
+        assert model.compile_seconds(lowered) == pytest.approx(
+            1.0 + 0.0015 * generated_statements ** 0.8 + 0.05, rel=1e-12
+        )
 
     def test_profiler_cost_reflects_runtime_and_compile_scale(self, mm_benchmark):
         profiler = Profiler(mm_benchmark, rng=np.random.default_rng(0))

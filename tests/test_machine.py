@@ -228,7 +228,10 @@ class TestMachineCostModel:
         from repro.ir.analysis import innermost_bodies
 
         generated = innermost_bodies(transformed)[0].statements
-        assert generated == model._unroll_product(model._bodies[0], config)
+        # Compile time is 1 s plus 0.0015 s x (generated statements)^0.8.
+        assert model.compile_seconds(config) == pytest.approx(
+            1.0 + 0.0015 * generated ** 0.8, rel=1e-12
+        )
 
 
 # --------------------------------------------------------------------------
