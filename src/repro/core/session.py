@@ -236,10 +236,11 @@ class TuningSession:
     #: Layout version of a pickled session, stamped into every checkpoint.
     #: Bump it whenever a change to the session or to anything it pickles
     #: (model, pool, ledger, curve) means an older checkpoint would not
-    #: resume bit-identically.  Format 2: the model's compiled state is
-    #: one particle forest (format-1 models carried per-particle
-    #: compilations and an incremental forest).
-    _CHECKPOINT_FORMAT = 2
+    #: resume bit-identically.  Format 3: the model's particles travel as
+    #: an array snapshot of its particle forest (format 2 pickled them as
+    #: ``_Node`` objects; format 1 also carried per-particle compilations
+    #: and an incremental forest).
+    _CHECKPOINT_FORMAT = 3
 
     def __getstate__(self) -> dict:
         """Drop the benchmark (unpicklable memoisation caches) and the model

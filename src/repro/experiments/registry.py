@@ -143,13 +143,14 @@ class WorkUnit:
 
 
 class UnitContext:
-    """Checkpoint/progress facilities handed to an executing unit.
+    """Checkpoint facilities handed to an executing unit.
 
-    The base class is the in-memory no-op (no checkpointing, no progress
-    files); the sharded runner substitutes a file-backed context that
-    persists checkpoints atomically, feeds the ETA display and renews the
-    unit's claim lease.  Specs whose units are long learner runs route
-    these through :func:`execute_learner_run`; short units ignore them.
+    The base class is the in-memory no-op (no checkpointing); the sharded
+    runner substitutes a file-backed context that commits each checkpoint
+    — state, digest and example progress, which feeds the ETA display —
+    as one atomically written file.  Specs whose units are long learner
+    runs route these through :func:`execute_learner_run`; short units
+    ignore them.
     """
 
     #: Training examples between checkpoints; 0 disables checkpointing.
@@ -190,11 +191,9 @@ class UnitContext:
         """The unit's most recent checkpoint, or None to start fresh."""
         return None
 
-    def save_checkpoint(self, state: Any) -> None:
-        """Persist ``state`` (must serialise before returning)."""
-
-    def progress(self, done: int, target: int) -> None:
-        """Report intra-unit progress (e.g. training examples so far)."""
+    def save_checkpoint(self, state: Any, done: int, target: int) -> None:
+        """Persist ``state`` (must serialise before returning) together with
+        the unit's progress: ``done`` of ``target`` training examples."""
 
 
 class ExperimentSpec(ABC):
@@ -549,9 +548,8 @@ def execute_learner_run(
     )
 
     def sink(session: TuningSession) -> None:
-        context.save_checkpoint(session)
-        context.progress(
-            session.training_examples, config.learner.max_training_examples
+        context.save_checkpoint(
+            session, session.training_examples, config.learner.max_training_examples
         )
 
     policy = context.broker_policy

@@ -13,17 +13,20 @@ from a persistent on-disk queue:
 * ``<run_dir>/results/<unit>.pkl`` — one atomically written payload per
   completed unit; a unit with a result file is never re-run;
 * ``<run_dir>/checkpoints/<unit>.pkl`` — the in-flight unit's most recent
-  checkpoint (for learner units: a pickled
-  :class:`~repro.core.session.TuningSession`), refreshed atomically
-  every ``checkpoint_interval`` training examples and deleted when the
-  unit completes.  A killed run resumes from the last checkpoint, and the
-  resumed trajectory is bit-identical to the uninterrupted one;
+  checkpoint, refreshed every ``checkpoint_interval`` training examples
+  and deleted when the unit completes.  One file, written with one
+  fsynced atomic rename: a JSON header line (the payload's sha256 and the
+  unit's example progress, which feeds the ETA) followed by the pickled
+  state (for learner units a :class:`~repro.core.session.TuningSession`).
+  A killed run resumes from the last checkpoint, and the resumed
+  trajectory is bit-identical to the uninterrupted one;
 * ``<run_dir>/claims/<unit>.claim`` — per-unit claim files created with
   ``O_EXCL`` (host + pid + lease timestamp), so several *machines* can
   point workers at one shared run directory: a unit is executed by
   whichever worker wins the atomic create, peers skip fresh claims and
   poll for the owner's result, and a claim whose lease expired (owner
-  died) is taken over via an atomic rename — exactly one contender wins;
+  died) is taken over via an atomic rename — exactly one contender wins.
+  The owner's heartbeat thread renews the lease while the unit runs;
 * ``<run_dir>/log/events.jsonl`` — an append-only journal of claim /
   execute / publish / takeover / fail / quarantine events (host, pid,
   timestamps), fsynced per event, the audit trail the contention tests
@@ -431,25 +434,34 @@ class RunManifest:
 # ----------------------------------------------------------- unit execution
 
 
+def _checkpoint_header(line: bytes) -> Optional[dict]:
+    """The header record of a checkpoint file's first line, or None.
+
+    A file without one (truncated, corrupt, or written before checkpoints
+    carried a header) yields None.
+    """
+    try:
+        record = json.loads(line)
+    except ValueError:
+        return None
+    if not isinstance(record, dict) or not isinstance(record.get("sha256"), str):
+        return None
+    return record
+
+
 class _FileUnitContext(UnitContext):
-    """File-backed checkpoint/progress context for one claimed unit.
+    """File-backed checkpoint context for one claimed unit.
 
-    Checkpoints and progress counters are written atomically; every
-    checkpoint also renews the unit's claim lease, so a live long-running
-    unit is never mistaken for a dead one as long as its checkpoint
-    cadence beats the lease.
-
-    Every checkpoint carries a sha256 sidecar (``<unit>.pkl.sha256``)
-    committed after the checkpoint itself: a corrupted or truncated
-    checkpoint — bitrot, a torn filesystem, a partial copy — fails the
-    digest check on load and the unit restarts cleanly instead of
-    resuming from garbage.  The checkpoint/sidecar pair is two atomic
-    renames, so a kill between them leaves a new checkpoint with the old
-    digest; the mismatch is detected and the unit restarts from scratch
-    (correct, merely slower), while a kill before either rename leaves
-    the previous good pair intact and the unit resumes from it.
-    Sidecar-less checkpoints (from runs predating the sidecar) load
-    unverified.
+    A checkpoint is one file committed by one fsynced atomic rename: a
+    JSON header line carrying the sha256 of the payload and the unit's
+    progress (``examples`` of ``target``), then the pickled state.  A kill
+    anywhere in the write leaves either the previous checkpoint or the
+    new one, never a mix.  A file whose header is missing or whose digest
+    does not match the payload — bitrot, a torn filesystem, a partial
+    copy, a header-less checkpoint from an older layout — is journalled
+    as ``checkpoint-corrupt`` and deleted, and the unit restarts cleanly
+    instead of resuming from garbage.  The claim lease is renewed by the
+    unit's :class:`_ClaimHeartbeat`, not by checkpoints.
     """
 
     def __init__(
@@ -457,7 +469,6 @@ class _FileUnitContext(UnitContext):
         run_dir: pathlib.Path,
         unit: WorkUnit,
         checkpoint_interval: int,
-        lease_seconds: float,
         replay_trace: Optional[str] = None,
         replay_rescore_from: Tuple[str, ...] = (),
         broker_policy: Optional[BrokerPolicy] = None,
@@ -470,72 +481,52 @@ class _FileUnitContext(UnitContext):
         self.broker_policy = broker_policy
         self._run_dir = run_dir
         self._checkpoint_path = run_dir / "checkpoints" / f"{unit.unit_id}.pkl"
-        self._digest_path = run_dir / "checkpoints" / f"{unit.unit_id}.pkl.sha256"
-        self._progress_path = run_dir / "progress" / f"{unit.unit_id}.json"
-        self._claim_path = run_dir / "claims" / f"{unit.unit_id}.claim"
-        self._lease_seconds = lease_seconds
 
     def load_checkpoint(self) -> Optional[Any]:
-        if not self._checkpoint_path.exists():
-            return None
         try:
-            payload = self._checkpoint_path.read_bytes()
+            blob = self._checkpoint_path.read_bytes()
         except OSError:
             return None
-        try:
-            expected = self._digest_path.read_text("utf-8").strip()
-        except OSError:
-            expected = None  # pre-sidecar checkpoint: load unverified
-        if expected is not None and sha256(payload).hexdigest() != expected:
-            # Corrupted or truncated checkpoint: discard the pair and
-            # restart the unit cleanly rather than resume from garbage.
+        line, _, payload = blob.partition(b"\n")
+        header = _checkpoint_header(line)
+        if header is None or sha256(payload).hexdigest() != header["sha256"]:
+            # Corrupted, truncated or header-less checkpoint: discard it
+            # and restart the unit cleanly rather than resume from garbage.
             _append_event(self._run_dir, "checkpoint-corrupt", self.unit_id)
-            for stale in (self._checkpoint_path, self._digest_path):
-                try:
-                    stale.unlink()
-                except OSError:
-                    pass
+            self.cleanup()
             return None
         try:
             return pickle.loads(payload)
         except (pickle.UnpicklingError, EOFError, AttributeError, ValueError):
-            return None  # corrupt/stale checkpoint: restart the unit
+            return None  # stale checkpoint layout: restart the unit
 
-    def save_checkpoint(self, state: Any) -> None:
+    def save_checkpoint(self, state: Any, done: int, target: int) -> None:
         payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        _atomic_write_bytes(self._checkpoint_path, payload)
-        _atomic_write_bytes(
-            self._digest_path,
-            (sha256(payload).hexdigest() + "\n").encode("utf-8"),
+        header = json.dumps(
+            {
+                "sha256": sha256(payload).hexdigest(),
+                "examples": done,
+                "target": target,
+            }
         )
-        _renew_claim(self._claim_path, self._lease_seconds)
-
-    def progress(self, done: int, target: int) -> None:
         _atomic_write_bytes(
-            self._progress_path,
-            json.dumps({"examples": done, "target": target}).encode("utf-8"),
+            self._checkpoint_path, header.encode("utf-8") + b"\n" + payload
         )
 
     def cleanup(self) -> None:
-        for stale in (
-            self._checkpoint_path,
-            self._digest_path,
-            self._progress_path,
-        ):
-            try:
-                stale.unlink()
-            except OSError:
-                pass
+        try:
+            self._checkpoint_path.unlink()
+        except OSError:
+            pass
 
 
 class _ClaimHeartbeat:
     """Daemon thread renewing a claim's lease while its unit executes.
 
-    Learner units renew on every checkpoint anyway; units that never
-    checkpoint (table2's dataset sweep, the figures, a noise level) would
-    otherwise outlive their lease and get taken over mid-execution by a
-    polling peer.  The heartbeat renews at a third of the lease, so a
-    live owner's claim is never stale no matter how long the unit runs.
+    Every executing unit runs under one, checkpointing or not: without it
+    a long unit would outlive its lease and get taken over mid-execution
+    by a polling peer.  The heartbeat renews at a third of the lease, so
+    a live owner's claim is never stale no matter how long the unit runs.
     """
 
     def __init__(self, claim_path: pathlib.Path, lease_seconds: float) -> None:
@@ -601,7 +592,6 @@ def _execute_unit(
                 base,
                 unit,
                 checkpoint_interval,
-                lease_seconds,
                 replay_trace,
                 replay_rescore_from=spec.replay_rescore_from,
                 broker_policy=broker_policy,
@@ -807,8 +797,7 @@ class ExperimentRunner:
             # journal line; cut it before this run appends to the file.
             _recover_journal(self.run_dir)
             return existing
-        for sub in ("results", "checkpoints", "progress", "claims", "log",
-                    "failed"):
+        for sub in ("results", "checkpoints", "claims", "log", "failed"):
             (self.run_dir / sub).mkdir(parents=True, exist_ok=True)
         manifest.write(self.manifest_path, self.scale, self.artifacts)
         return manifest
@@ -1117,18 +1106,18 @@ class ExperimentRunner:
         )
         elapsed = time.monotonic() - state["started"]
         inflight = []
-        progress_dir = self.run_dir / "progress"
-        if progress_dir.is_dir():
-            for path in progress_dir.glob("*.json"):
-                try:
-                    record = json.loads(path.read_text("utf-8"))
+        for path in (self.run_dir / "checkpoints").glob("*.pkl"):
+            try:
+                with open(path, "rb") as handle:
+                    header = _checkpoint_header(handle.readline())
+                if header is not None:
                     inflight.append(
-                        (int(record.get("examples", 0)), int(record.get("target", 0)))
+                        (int(header.get("examples", 0)), int(header.get("target", 0)))
                     )
-                except (OSError, ValueError):
-                    continue
+            except (OSError, ValueError, TypeError):
+                continue
         # ETA from whole-unit completion rate plus fractional credit for
-        # in-flight learner units (their progress files report examples).
+        # in-flight learner units (their checkpoint headers report examples).
         fractional = sum(
             examples / target for examples, target in inflight if target > 0
         )

@@ -71,6 +71,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from itertools import chain
 from time import perf_counter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -283,45 +284,72 @@ class _Node:
         assert self.left is not None and self.right is not None
         return self.left.leaves() + self.right.leaves()
 
-    def __reduce__(self):
-        # Positional state, no per-node slot names.  Pickle memoizes the
-        # rebuilt node, so a subtree several particles share copy-on-write
-        # is written once and stays one object after load.
-        return (
-            _restore_node,
-            (
-                self.depth,
-                self.split_dim,
-                self.split_value,
-                self.left,
-                self.right,
-                self.leaf,
-                self.indices,
-                self.shared,
-            ),
-        )
+
+def _snapshot_particles(forest: ParticleForest) -> dict:
+    """The particles' posterior as a ragged pre-order array snapshot.
+
+    Read straight from the forest: ``n_nodes`` per particle, ``split_dim``
+    of every live node (``-1`` marks a leaf, so the pre-order sequence
+    alone fixes the tree shape), ``split_value`` of the internal nodes,
+    ``(count, sum, sum_sq)`` of the leaves in leaf-id order, and each
+    leaf's observation indices (per-leaf counts plus one flat array).
+    Index lists keep their order: the grow partition sums accumulate in
+    it, so a reordered list would change the sums' rounding.
+    """
+    n_nodes = forest.n_nodes
+    live = np.arange(forest.capacity) < n_nodes[:, None]
+    split_dim = forest.split_dim[live]
+    n_leaves = (n_nodes + 1) // 2
+    leaf_live = np.arange(forest.leaf_capacity) < n_leaves[:, None]
+    stats = forest.data[leaf_live][
+        :, [LeafCacheArrays.COUNT, LeafCacheArrays.SUM, LeafCacheArrays.SUM_SQ]
+    ]
+    lists = [node.indices for nodes in forest.leaf_nodes for node in nodes]
+    index_counts = np.fromiter(map(len, lists), dtype=np.int32, count=len(lists))
+    indices = np.fromiter(
+        chain.from_iterable(lists), dtype=np.int32, count=int(index_counts.sum())
+    )
+    return {
+        "n_nodes": n_nodes.astype(np.int32),
+        "split_dim": split_dim.astype(np.int32),
+        "split_value": forest.split_value[live][split_dim >= 0],
+        "leaf_stats": stats,
+        "index_counts": index_counts,
+        "indices": indices,
+    }
 
 
-def _restore_node(
-    depth: int,
-    split_dim: Optional[int],
-    split_value: float,
-    left: Optional[_Node],
-    right: Optional[_Node],
-    leaf: Optional[GaussianLeafModel],
-    indices: List[int],
-    shared: bool,
-) -> _Node:
-    """Unpickle a :class:`_Node` from its :meth:`_Node.__reduce__` state."""
-    node = _Node(depth)
-    node.split_dim = split_dim
-    node.split_value = split_value
-    node.left = left
-    node.right = right
-    node.leaf = leaf
-    node.indices = indices
-    node.shared = shared
-    return node
+def _rebuild_particles(snapshot: dict, prior: NIGPrior) -> List[_Node]:
+    """Private ``_Node`` trees from :func:`_snapshot_particles`' arrays.
+
+    Nodes are rebuilt in pre-order, each node's depth given by its
+    position; no node is shared between particles.
+    """
+    dims = iter(snapshot["split_dim"].tolist())
+    values = iter(snapshot["split_value"].tolist())
+    stats = iter(snapshot["leaf_stats"].tolist())
+    flat = snapshot["indices"].tolist()
+    ends = np.cumsum(snapshot["index_counts"]).tolist()
+    bounds = iter(zip([0] + ends, ends))
+
+    def build(depth: int) -> _Node:
+        node = _Node(depth)
+        dim = next(dims)
+        if dim < 0:
+            count, total, total_sq = next(stats)
+            node.leaf = GaussianLeafModel.from_sufficient_stats(
+                prior, int(count), total, total_sq
+            )
+            begin, end = next(bounds)
+            node.indices = flat[begin:end]
+        else:
+            node.split_dim = dim
+            node.split_value = next(values)
+            node.left = build(depth + 1)
+            node.right = build(depth + 1)
+        return node
+
+    return [build(0) for _ in range(len(snapshot["n_nodes"]))]
 
 
 class _GrowProposal(NamedTuple):
@@ -399,32 +427,63 @@ class DynamicTreeRegressor(SurrogateModel):
         # from; built on first use (and again after unpickling).
         self._term_tables: Optional[LeafTermTables] = None
         self._depth_arrays: Optional[np.ndarray] = None
-        # Scalar-draw frontend for the batched update: a bulk RNG replay
-        # when the bit generator supports it, plain Generator calls
-        # otherwise.  Either way the stream is bit-identical to the
-        # reference path's per-call draws.
-        self._replay = ReplayDraws(self._rng)
-        self._generator_draws = GeneratorDraws(self._rng)
-        self._draws = self._generator_draws
+        self._attach_draws()
         # Wall-clock accumulated per batched-update phase (see
         # ``phase_timings``); plain floats, negligible next to the work
         # they measure.
         self._phase_timings = dict.fromkeys(self._PHASES, 0.0)
 
+    def _attach_draws(self) -> None:
+        """Scalar-draw frontend for the batched update: a bulk RNG replay
+        when the bit generator supports it, plain Generator calls
+        otherwise.  Either way the stream is bit-identical to the
+        reference path's per-call draws."""
+        self._replay = ReplayDraws(self._rng)
+        self._generator_draws = GeneratorDraws(self._rng)
+        self._draws = self._generator_draws
+
     def __getstate__(self) -> dict:
         """Pickle the posterior's source of truth, not what derives from it.
 
-        The particles, training buffers, RNG, prior and config are kept.
-        The particle forest and the count/depth term tables are dropped:
-        after load the next predict, ALC score or update recompiles them
-        from the particles, with bit-identical values.  Dropping them is
-        most of a checkpoint's size and pickle time.
+        The training buffers, RNG, prior and config are kept; the
+        particles travel as an array snapshot of the particle forest (see
+        :func:`_snapshot_particles`), one pickle of a few arrays instead
+        of one object per node and leaf.  A model without a forest
+        compiles one for the snapshot.  The forest itself, the count and
+        depth term tables and the RNG draw frontends are dropped: after
+        load the next predict, ALC score or update recompiles them, with
+        bit-identical values.
         """
         state = self.__dict__.copy()
-        state["_particle_forest"] = None
-        state["_term_tables"] = None
-        state["_depth_arrays"] = None
+        for derived in (
+            "_particles",
+            "_particle_forest",
+            "_term_tables",
+            "_depth_arrays",
+            "_replay",
+            "_generator_draws",
+            "_draws",
+        ):
+            del state[derived]
+        snapshot = None
+        if self._particles:
+            forest = self._particle_forest
+            if forest is None:
+                forest = ParticleForest.compile(self._particles)
+            snapshot = _snapshot_particles(forest)
+        state["_snapshot"] = snapshot
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        snapshot = state.pop("_snapshot")
+        self.__dict__.update(state)
+        self._particles = (
+            [] if snapshot is None else _rebuild_particles(snapshot, self._prior)
+        )
+        self._particle_forest = None
+        self._term_tables = None
+        self._depth_arrays = None
+        self._attach_draws()
 
     def __deepcopy__(self, memo: dict) -> "DynamicTreeRegressor":
         # An in-memory copy keeps the compiled state: rebuilding it would
@@ -511,9 +570,7 @@ class DynamicTreeRegressor(SurrogateModel):
         clone._depth_cache = self._depth_cache
         clone._term_tables = self._term_tables
         clone._depth_arrays = self._depth_arrays
-        clone._replay = ReplayDraws(clone._rng)
-        clone._generator_draws = GeneratorDraws(clone._rng)
-        clone._draws = clone._generator_draws
+        clone._attach_draws()
         clone._phase_timings = dict.fromkeys(self._PHASES, 0.0)
         return clone
 

@@ -1,18 +1,22 @@
 """What a pickled :class:`TuningSession` carries, and that it is enough.
 
-A checkpoint holds only the posterior's source of truth — particles,
-training buffers, RNG, prior and config — plus the session's format
-stamp.  Everything the model derives from that state (per-particle flat
-compilations, the incremental forest, leaf and prior memo caches, term
-tables) is rebuilt lazily after load.  The pins:
+A checkpoint holds only the posterior's source of truth — training
+buffers, RNG, prior, config and the particles as an array snapshot of
+the particle forest — plus the session's format stamp.  Everything the
+model derives from that state (the particle forest, leaf and prior memo
+caches, term tables, RNG draw frontends) is rebuilt lazily after load.
+The pins:
 
 * **resume** — unpickling at several points, including right after a
   resample left particles sharing subtrees copy-on-write, and finishing
   the run reproduces the uninterrupted curve, ledger and RNG state bit
   for bit, on a quiet and on a frequency-drift benchmark;
-* **no derived state** — the blob names no compiled-forest class;
-* **sharing survives** — a subtree two particles share before the
-  pickle is one object after load;
+* **no derived state** — the blob names no compiled-forest class and no
+  per-node class: the trees travel as arrays;
+* **rebuilt trees** — at the shared-subtree checkpoint and at the end of
+  the run, the loaded trees equal the live ones node for node (shape,
+  depths, splits, leaf statistics bitwise, index lists in order), and
+  they are private: no node is reachable from two particles;
 * **size** — a deterministic byte-count pin on a mid-run blob.
 
 The format stamp's effect on the runner's checkpoint loader is pinned
@@ -41,8 +45,9 @@ CONFIG = dataclasses.replace(
     ExperimentScale.laptop().learner, max_training_examples=30, tree_particles=200
 )
 
-#: Mid-run blobs measured about 72 KB; before checkpoints dropped the
-#: compiled state they were about 650 KB.
+#: Mid-run blobs measured about 56 KB (72 KB while the trees were pickled
+#: as node objects); before checkpoints dropped the compiled state they
+#: were about 650 KB.
 MAX_MID_RUN_BYTES = 150_000
 
 #: Classes of state the model rebuilds after load; none may be pickled.
@@ -52,6 +57,8 @@ DERIVED_CLASSES = {
     "ParticleForest",
     "LeafCacheArrays",
     "LeafTermTables",
+    "_Node",
+    "GaussianLeafModel",
 }
 
 
@@ -110,10 +117,28 @@ def _shared_subtree(model):
     return None
 
 
-def _resolve(root, path):
-    for step in path:
-        root = root.left if step == "L" else root.right
-    return root
+def _describe(model):
+    """Every particle's tree in pre-order, floats as bit patterns."""
+    trees = []
+    for root in model._particles:
+        nodes = []
+        for path, node in _walk(root):
+            assert node.depth == len(path)
+            if node.leaf is not None:
+                leaf = node.leaf
+                nodes.append(
+                    (
+                        node.depth,
+                        leaf._count,
+                        float(leaf._sum).hex(),
+                        float(leaf._sum_sq).hex(),
+                        tuple(node.indices),
+                    )
+                )
+            else:
+                nodes.append((node.depth, node.split_dim, float(node.split_value).hex()))
+        trees.append(nodes)
+    return trees
 
 
 class _NoDerivedState(pickle.Unpickler):
@@ -127,31 +152,38 @@ class _NoDerivedState(pickle.Unpickler):
 def recorded(request):
     """One uninterrupted run with a blob after every tell.
 
-    Returns ``(name, fingerprint, blobs, shared)``: ``shared`` is the
-    index of the first blob taken while two particles of the live model
-    shared a subtree, with that subtree's location (see
-    :func:`_shared_subtree`).
+    Returns ``(name, fingerprint, blobs, shared, trees)``: ``shared`` is
+    the index of the first blob taken while two particles of the live
+    model shared a subtree, with that subtree's location (see
+    :func:`_shared_subtree`); ``trees`` maps that index and the last
+    blob's to the live model's :func:`_describe` when they were taken.
     """
     name = request.param
     session, benchmark = _new_session(name)
     blobs = []
     shared = []
+    trees = {}
 
     def record(live):
         blobs.append(_dumps(live))
-        if not shared and live.model is not None:
+        if live.model is None:
+            return
+        if not shared:
             located = _shared_subtree(live.model)
             if located is not None:
                 shared.append((len(blobs) - 1, located))
+                trees[len(blobs) - 1] = _describe(live.model)
+        trees["last"] = _describe(live.model)
 
     fingerprint = _finish(session, benchmark, after_tell=record)
     assert shared, "no resample left particles sharing a subtree"
-    return name, fingerprint, blobs, shared[0]
+    trees[len(blobs) - 1] = trees.pop("last")
+    return name, fingerprint, blobs, shared[0], trees
 
 
 class TestLeanCheckpoint:
     def test_resume_is_bit_identical(self, recorded):
-        name, fingerprint, blobs, (shared_index, _) = recorded
+        name, fingerprint, blobs, (shared_index, _), _ = recorded
         points = sorted({0, shared_index, len(blobs) // 2, len(blobs) - 2})
         for index in points:
             session = pickle.loads(blobs[index])
@@ -162,20 +194,28 @@ class TestLeanCheckpoint:
             )
 
     def test_blob_holds_no_derived_state(self, recorded):
-        _, _, blobs, (shared_index, _) = recorded
+        _, _, blobs, (shared_index, _), _ = recorded
         for index in (shared_index, len(blobs) - 1):
             session = _NoDerivedState(io.BytesIO(blobs[index])).load()
             model = session.model
             assert model._particle_forest is None
 
-    def test_shared_subtree_stays_one_object(self, recorded):
-        _, _, blobs, (shared_index, located) = recorded
-        first, first_path, second, second_path = located
-        after = pickle.loads(blobs[shared_index]).model
-        node = _resolve(after._particles[first], first_path)
-        assert node is _resolve(after._particles[second], second_path)
+    def test_rebuilt_trees_equal_originals(self, recorded):
+        _, _, blobs, _, trees = recorded
+        assert len(trees) == 2
+        for index, live in trees.items():
+            model = pickle.loads(blobs[index]).model
+            assert _describe(model) == live, f"checkpoint {index} rebuilt other trees"
+            # Sharing is a memory property of the live model, not part of
+            # the posterior: loaded trees are private.
+            nodes = [node for root in model._particles for _, node in _walk(root)]
+            assert len({id(node) for node in nodes}) == len(nodes)
+            assert not any(node.shared for node in nodes)
+            # A loaded model has no forest yet; pickling it compiles one.
+            assert model._particle_forest is None
+            assert _describe(pickle.loads(pickle.dumps(model))) == live
 
     def test_mid_run_blob_size(self, recorded):
-        _, _, blobs, _ = recorded
+        _, _, blobs, _, _ = recorded
         size = len(blobs[len(blobs) // 2])
         assert size < MAX_MID_RUN_BYTES, f"mid-run checkpoint is {size} bytes"

@@ -13,6 +13,7 @@ serial driver, multi-host claim contention) live in ``test_registry.py``.
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import pathlib
 import pickle
@@ -336,79 +337,121 @@ class TestKillAndResume:
 
 
 class TestCheckpointIntegrity:
-    """The sha256 sidecar: corrupted/truncated checkpoints are detected
-    and the unit restarts cleanly instead of resuming from garbage."""
+    """One file per checkpoint: a JSON header line (the payload's sha256
+    and the unit's example progress) followed by the pickle, committed by
+    one atomic write.  Corrupted, truncated and header-less checkpoints
+    are detected and the unit restarts cleanly instead of resuming from
+    garbage."""
+
+    UNIT_ID = "table1--mm--p--r000"
 
     def _context(self, tmp_path):
         from repro.experiments.runner import _FileUnitContext
 
         run_dir = tmp_path / "run"
-        for sub in ("checkpoints", "progress", "claims", "log"):
+        for sub in ("checkpoints", "claims", "log"):
             (run_dir / sub).mkdir(parents=True)
         unit = WorkUnit(artifact="table1", key=("mm", "p", "r000"), params={})
-        context = _FileUnitContext(
-            run_dir, unit, checkpoint_interval=5, lease_seconds=900.0
-        )
+        context = _FileUnitContext(run_dir, unit, checkpoint_interval=5)
         return run_dir, context
+
+    def _checkpoint(self, run_dir):
+        return run_dir / "checkpoints" / f"{self.UNIT_ID}.pkl"
 
     def _journal(self, run_dir):
         path = run_dir / "log" / "events.jsonl"
         return path.read_text("utf-8") if path.exists() else ""
 
+    def _assert_restarts(self, run_dir, context):
+        assert context.load_checkpoint() is None
+        assert "checkpoint-corrupt" in self._journal(run_dir)
+        # The corrupt file is discarded so the unit restarts from scratch.
+        assert not self._checkpoint(run_dir).exists()
+
     def test_round_trip_and_corruption_detection(self, tmp_path):
         run_dir, context = self._context(tmp_path)
-        context.save_checkpoint({"examples": 7})
+        context.save_checkpoint({"examples": 7}, 7, 30)
         assert context.load_checkpoint() == {"examples": 7}
+        checkpoint = self._checkpoint(run_dir)
+        assert [path.name for path in checkpoint.parent.iterdir()] == [checkpoint.name]
+        blob = checkpoint.read_bytes()
+        header = json.loads(blob.split(b"\n", 1)[0])
+        assert (header["examples"], header["target"]) == (7, 30)
+        assert "checkpoint-corrupt" not in self._journal(run_dir)
 
-        checkpoint = run_dir / "checkpoints" / "table1--mm--p--r000.pkl"
-        payload = checkpoint.read_bytes()
-        checkpoint.write_bytes(payload[: len(payload) // 2])  # truncated
-        assert context.load_checkpoint() is None
-        assert "checkpoint-corrupt" in self._journal(run_dir)
-        # The corrupt pair is discarded so the unit restarts from scratch.
-        assert not checkpoint.exists()
-        assert not checkpoint.with_suffix(".pkl.sha256").exists()
+        checkpoint.write_bytes(blob[: len(blob) // 2])  # truncated
+        self._assert_restarts(run_dir, context)
 
-    def test_kill_between_renames_is_detected(self, tmp_path):
-        """A kill after the checkpoint rename but before the sidecar
-        rename leaves a new checkpoint under the old digest — detected."""
-        import pickle
-
-        from repro.experiments.runner import _atomic_write_bytes
-
+    def test_flipped_payload_byte_is_detected(self, tmp_path):
         run_dir, context = self._context(tmp_path)
-        context.save_checkpoint({"examples": 7})
-        checkpoint = run_dir / "checkpoints" / "table1--mm--p--r000.pkl"
-        _atomic_write_bytes(checkpoint, pickle.dumps({"examples": 14}))
-        assert context.load_checkpoint() is None
-        assert "checkpoint-corrupt" in self._journal(run_dir)
+        context.save_checkpoint({"examples": 7}, 7, 30)
+        checkpoint = self._checkpoint(run_dir)
+        blob = bytearray(checkpoint.read_bytes())
+        blob[-2] ^= 0x01
+        checkpoint.write_bytes(bytes(blob))
+        self._assert_restarts(run_dir, context)
+
+    def test_headerless_checkpoint_restarts_unit(self, tmp_path):
+        """A bare pickle, as checkpoints were written before they carried
+        a header, is not resumed."""
+        run_dir, context = self._context(tmp_path)
+        self._checkpoint(run_dir).write_bytes(
+            pickle.dumps({"examples": 7}, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        self._assert_restarts(run_dir, context)
 
     def test_kill_before_rename_keeps_previous_checkpoint(self, tmp_path):
         """A kill inside the tmp-write window leaves the previous good
-        pair intact (plus a stray tmp) and the unit resumes from it."""
+        checkpoint intact (plus a stray tmp) and the unit resumes from it."""
         run_dir, context = self._context(tmp_path)
-        context.save_checkpoint({"examples": 7})
-        checkpoint = run_dir / "checkpoints" / "table1--mm--p--r000.pkl"
+        context.save_checkpoint({"examples": 7}, 7, 30)
+        checkpoint = self._checkpoint(run_dir)
         torn = checkpoint.with_name(f"{checkpoint.name}.12345.tmp")
         torn.write_bytes(b"torn half-written checkpoint")
         assert context.load_checkpoint() == {"examples": 7}
         assert "checkpoint-corrupt" not in self._journal(run_dir)
 
-    def test_sidecarless_checkpoint_loads_unverified(self, tmp_path):
-        run_dir, context = self._context(tmp_path)
-        context.save_checkpoint({"examples": 7})
-        (run_dir / "checkpoints" / "table1--mm--p--r000.pkl.sha256").unlink()
-        assert context.load_checkpoint() == {"examples": 7}
+    def test_one_atomic_write_per_checkpoint(self, tmp_path, monkeypatch):
+        """Each checkpoint is one durable write; claims are renewed by the
+        heartbeat alone and no progress or digest file exists."""
+        import repro.experiments.runner as runner
+
+        writes = []
+        saves = []
+        real_write = runner._atomic_write_bytes
+        real_save = runner._FileUnitContext.save_checkpoint
+
+        def write(path, payload):
+            writes.append(path.relative_to(run_dir).parts[0])
+            real_write(path, payload)
+
+        def save(context, state, done, target):
+            saves.append(done)
+            real_save(context, state, done, target)
+
+        monkeypatch.setattr(runner, "_atomic_write_bytes", write)
+        monkeypatch.setattr(runner._FileUnitContext, "save_checkpoint", save)
+        run_dir = tmp_path / "run"
+        ExperimentRunner(
+            run_dir,
+            _small_scale(repetitions=1),
+            artifacts=["table1"],
+            checkpoint_interval=1,
+        ).run()
+        assert saves and writes.count("checkpoints") == len(saves)
+        assert "claims" not in writes and "progress" not in writes
+        assert not (run_dir / "progress").exists()
+        assert not list(run_dir.rglob("*.sha256"))
 
     @pytest.mark.parametrize("stamp", ["current", "previous", "foreign", "missing"])
     def test_format_stamp_decides_resume(self, tmp_path, monkeypatch, stamp):
         """Only a session stamped with the current checkpoint format
-        resumes; any other stamp, or none, restarts the unit.  Format 1
-        blobs (per-particle compilations, before the particle forest) are
-        the ``previous`` case."""
+        resumes; any other stamp, or none, restarts the unit.  Older
+        layouts (format 2 pickled the trees as node objects) are the
+        ``previous`` case."""
         from repro.core.session import TuningSession
 
-        assert TuningSession._CHECKPOINT_FORMAT == 2
+        assert TuningSession._CHECKPOINT_FORMAT == 3
 
         _, context = self._context(tmp_path)
         mm = get_benchmark("mm")
@@ -431,13 +474,40 @@ class TestCheckpointIntegrity:
                     if key != "_checkpoint_format"
                 },
             )
-        context.save_checkpoint(session)
+        context.save_checkpoint(session, 0, 1)
         monkeypatch.undo()
         loaded = context.load_checkpoint()
         if stamp == "current":
             assert isinstance(loaded, TuningSession)
         else:
             assert loaded is None
+
+
+class TestStatusLine:
+    def test_in_flight_examples_and_eta_come_from_checkpoint_headers(self, tmp_path):
+        from repro.experiments.runner import _FileUnitContext
+
+        runner = ExperimentRunner(tmp_path / "run", _small_scale(), artifacts=["table1"])
+        runner.prepare()
+        for name, done in (("a", 10), ("b", 5)):
+            unit = WorkUnit(artifact="table1", key=(name,), params={})
+            _FileUnitContext(runner.run_dir, unit, checkpoint_interval=1).save_checkpoint(
+                {"examples": done}, done, 20
+            )
+        # A header-less file (older layout) adds no in-flight examples.
+        (runner.run_dir / "checkpoints" / "c.pkl").write_bytes(pickle.dumps({}))
+        (runner.run_dir / "results" / "d.pkl").write_bytes(b"")
+        line = runner._status_line({"total": 4, "started": time.monotonic() - 60.0})
+        # One unit done plus 10/20 and 5/20 in flight: 1.75 units in 60 s,
+        # so the remaining 2.25 take about 77 s.
+        assert line.startswith("  units 1/4, in flight 15 examples, elapsed 1.0 min")
+        assert line.endswith(", ETA 1.3 min")
+
+    def test_no_eta_before_any_progress(self, tmp_path):
+        runner = ExperimentRunner(tmp_path / "run", _small_scale(), artifacts=["table1"])
+        runner.prepare()
+        line = runner._status_line({"total": 4, "started": time.monotonic() - 60.0})
+        assert line == "  units 0/4, elapsed 1.0 min"
 
 
 class TestJournalRecovery:
@@ -482,27 +552,26 @@ import repro.experiments.runner as runner
 
 MODE = sys.argv[1]
 real = runner._atomic_write_bytes
-counts = {"pkl": 0, "sha": 0}
+counts = {"pkl": 0}
 
 
 def patched(path, payload):
-    if path.parent.name == "checkpoints":
-        if path.name.endswith(".pkl.sha256"):
-            counts["sha"] += 1
-            if MODE == "between" and counts["sha"] == 2:
-                # The second checkpoint's .pkl rename just committed; die
-                # before its sidecar rename.
-                os.kill(os.getpid(), signal.SIGKILL)
-        elif path.name.endswith(".pkl"):
-            counts["pkl"] += 1
-            if MODE == "tmp" and counts["pkl"] == 2:
-                # Die inside the tmp-write window of the second
-                # checkpoint: leave a torn tmp, never rename.
-                torn = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-                with open(torn, "wb") as handle:
-                    handle.write(payload[: max(1, len(payload) // 2)])
-                os.kill(os.getpid(), signal.SIGKILL)
+    if path.parent.name != "checkpoints":
+        real(path, payload)
+        return
+    counts["pkl"] += 1
+    if MODE == "tmp" and counts["pkl"] == 2:
+        # Die inside the tmp-write window of the second checkpoint:
+        # leave a torn tmp, never rename.
+        torn = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        with open(torn, "wb") as handle:
+            handle.write(payload[: max(1, len(payload) // 2)])
+        os.kill(os.getpid(), signal.SIGKILL)
     real(path, payload)
+    if MODE == "after-rename" and counts["pkl"] == 2:
+        # The second checkpoint's rename just committed; die before the
+        # unit takes another step.
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
 runner._atomic_write_bytes = patched
@@ -514,12 +583,12 @@ sys.exit(main(sys.argv[2:]))
 
 
 class TestKillInCheckpointWindow:
-    """SIGKILL inside the checkpoint tmp+rename window: --resume restarts
-    from the previous good checkpoint (or cleanly from scratch when the
-    kill landed between the checkpoint and sidecar renames) and the final
-    report is identical to an uninterrupted run."""
+    """SIGKILL inside the checkpoint tmp+rename window, or right after the
+    rename committed: --resume restarts from the last good checkpoint —
+    the previous one or the one just written — and the final report is
+    identical to an uninterrupted run."""
 
-    @pytest.mark.parametrize("mode", ["tmp", "between"])
+    @pytest.mark.parametrize("mode", ["tmp", "after-rename"])
     def test_resume_after_kill_in_window_is_identical(self, tmp_path, mode):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
@@ -570,7 +639,7 @@ class TestKillInCheckpointWindow:
             timeout=600,
         )
         assert process.returncode == -signal.SIGKILL, process.stderr.decode()
-        # The kill landed after the first good checkpoint pair.
+        # The kill landed after the first good checkpoint.
         assert list((killed_dir / "checkpoints").glob("*.pkl"))
 
         subprocess.run(
@@ -587,13 +656,9 @@ class TestKillInCheckpointWindow:
             return path.read_text("utf-8").split("\n\n", 1)[1]
 
         assert body(killed_report) == body(clean_report)
+        # Either way a good checkpoint verified and the unit resumed from it.
         journal = (killed_dir / "log" / "events.jsonl").read_text("utf-8")
-        if mode == "between":
-            # The mismatched pair was detected and the unit restarted.
-            assert "checkpoint-corrupt" in journal
-        else:
-            # The previous good pair verified and the unit resumed from it.
-            assert "checkpoint-corrupt" not in journal
+        assert "checkpoint-corrupt" not in journal
 
 
 class TestClaimOrder:
