@@ -1,12 +1,14 @@
 """Shared configuration for the benchmark harness.
 
-Every benchmark runs a scaled-down version of one of the paper's
-tables/figures (or an ablation of a design choice) and prints the same
-rows/series the paper reports.  The scale is deliberately small so the whole
-harness finishes in a few minutes; pass ``--bench-scale=laptop`` for the
-larger laptop-scale configuration, or use ``python -m
-repro.experiments.run_all`` (see ``docs/reproduction.md``) for full
-reports at any :class:`repro.experiments.ExperimentScale`.
+Every artifact benchmark computes one of the paper's tables/figures
+through the experiment registry (``run_artifacts(scale, [name])[name]``,
+the path ``run_all`` reports from) on a scaled-down
+:class:`repro.experiments.ExperimentScale`, and prints the same rows/series
+the paper reports; the ablation and kernel benchmarks drive the learner and
+the models directly.  The scale is deliberately small so the whole harness
+finishes in a few minutes; pass ``--bench-scale=laptop`` for the larger
+laptop-scale configuration, or use ``python -m repro.experiments.run_all``
+(see ``docs/reproduction.md``) for full reports at any scale.
 """
 
 from __future__ import annotations

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.figure1 import run_figure1
+from repro.experiments.registry import run_artifacts
 
 
 @pytest.mark.benchmark(group="figure1")
 def test_bench_figure1(benchmark, scale_factory):
     scale = scale_factory(("mm",))
     result = benchmark.pedantic(
-        run_figure1, args=(scale,), rounds=1, iterations=1, warmup_rounds=0
-    )
+        run_artifacts, args=(scale, ["figure1"]), rounds=1, iterations=1,
+        warmup_rounds=0,
+    )["figure1"]
     print()
     print(result.render())
     assert result.total_optimal_runs < result.total_fixed_plan_runs

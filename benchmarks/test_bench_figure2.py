@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.figure2 import run_figure2
+from repro.experiments.registry import run_artifacts
 
 
 @pytest.mark.benchmark(group="figure2")
 def test_bench_figure2(benchmark, scale_factory):
     scale = scale_factory(("adi",))
     result = benchmark.pedantic(
-        run_figure2, args=(scale,), rounds=1, iterations=1, warmup_rounds=0
-    )
+        run_artifacts, args=(scale, ["figure2"]), rounds=1, iterations=1,
+        warmup_rounds=0,
+    )["figure2"]
     print()
     print(result.render())
     assert result.high_plateau > result.low_plateau

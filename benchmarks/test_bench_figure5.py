@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.figure5 import run_figure5
+from repro.experiments.registry import run_artifacts
 
 BENCHMARKS = ("mm", "atax", "gemver")
 
@@ -18,8 +18,9 @@ BENCHMARKS = ("mm", "atax", "gemver")
 def test_bench_figure5(benchmark, scale_factory):
     scale = scale_factory(BENCHMARKS)
     result = benchmark.pedantic(
-        run_figure5, args=(scale,), rounds=1, iterations=1, warmup_rounds=0
-    )
+        run_artifacts, args=(scale, ["figure5"]), rounds=1, iterations=1,
+        warmup_rounds=0,
+    )["figure5"]
     print()
     print(result.render())
     assert len(result.bars) == len(BENCHMARKS)

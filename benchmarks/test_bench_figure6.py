@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.figure6 import run_figure6
+from repro.experiments.registry import run_artifacts
 
 PANELS = ("adi", "atax")
 
@@ -19,14 +19,12 @@ PANELS = ("adi", "atax")
 def test_bench_figure6(benchmark, scale_factory):
     scale = scale_factory(PANELS)
     result = benchmark.pedantic(
-        run_figure6,
-        kwargs={"scale": scale, "benchmarks": list(PANELS)},
-        rounds=1,
-        iterations=1,
+        run_artifacts, args=(scale, ["figure6"]), rounds=1, iterations=1,
         warmup_rounds=0,
-    )
+    )["figure6"]
     print()
     print(result.render())
+    assert set(result.panels) == set(PANELS)
     for panel in result.panels.values():
         for plan in ("all observations", "one observation", "variable observations"):
             assert len(panel.series(plan)) >= 2

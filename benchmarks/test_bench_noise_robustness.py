@@ -9,23 +9,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.noise_robustness import run_noise_robustness
+from repro.experiments.noise_robustness import DEFAULT_NOISE_MULTIPLIERS
+from repro.experiments.registry import run_artifacts
 
 
 @pytest.mark.benchmark(group="noise-robustness")
 def test_bench_noise_robustness(benchmark, scale_factory):
     scale = scale_factory(("mm",))
     result = benchmark.pedantic(
-        run_noise_robustness,
-        kwargs={
-            "scale": scale,
-            "benchmark_name": "mm",
-            "noise_multipliers": (0.5, 1.0, 4.0),
-        },
-        rounds=1,
-        iterations=1,
+        run_artifacts, args=(scale, ["noise_robustness"]), rounds=1, iterations=1,
         warmup_rounds=0,
-    )
+    )["noise_robustness"]
     print()
     print(result.render())
-    assert len(result.levels) == 3
+    assert result.benchmark == "mm"
+    assert len(result.levels) == len(DEFAULT_NOISE_MULTIPLIERS)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.table1 import run_table1
+from repro.experiments.registry import run_artifacts
 
 #: Representative subset: one quiet benchmark, one noisy one, the motivation
 #: kernel.  ``python -m repro.experiments.run_all --only table1`` renders the
@@ -23,8 +23,9 @@ BENCHMARKS = ("mm", "lu", "gemver")
 def test_bench_table1(benchmark, scale_factory):
     scale = scale_factory(BENCHMARKS)
     result = benchmark.pedantic(
-        run_table1, args=(scale,), rounds=1, iterations=1, warmup_rounds=0
-    )
+        run_artifacts, args=(scale, ["table1"]), rounds=1, iterations=1,
+        warmup_rounds=0,
+    )["table1"]
     print()
     print(result.render())
     assert len(result.rows) == len(BENCHMARKS)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.table2 import run_table2
+from repro.experiments.registry import run_artifacts
 
 BENCHMARKS = ("mvt", "lu", "mm", "adi", "correlation")
 
@@ -19,8 +19,9 @@ BENCHMARKS = ("mvt", "lu", "mm", "adi", "correlation")
 def test_bench_table2(benchmark, scale_factory):
     scale = scale_factory(BENCHMARKS)
     result = benchmark.pedantic(
-        run_table2, args=(scale,), rounds=1, iterations=1, warmup_rounds=0
-    )
+        run_artifacts, args=(scale, ["table2"]), rounds=1, iterations=1,
+        warmup_rounds=0,
+    )["table2"]
     print()
     print(result.render())
     by_name = {row.benchmark: row for row in result.rows}

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments import ExperimentScale, run_figure1, run_figure2
+from repro.experiments import ExperimentScale, run_artifacts
 from repro.measurement import Profiler, summarize
 from repro.spapt import get_benchmark
 
@@ -53,14 +53,13 @@ def main() -> None:
     ci_validation_study()
 
     scale = ExperimentScale.laptop(benchmarks=("mm", "adi"))
+    results = run_artifacts(scale, ["figure1", "figure2"])
     print("=== Figure 1: error and optimal sample size over the mm unroll plane ===")
-    figure1 = run_figure1(scale)
-    print(figure1.render())
+    print(results["figure1"].render())
     print()
 
     print("=== Figure 2: adi runtime vs unroll factor, one observation per point ===")
-    figure2 = run_figure2(scale)
-    print(figure2.render())
+    print(results["figure2"].render())
 
 
 if __name__ == "__main__":

@@ -7,21 +7,20 @@ curves across repetitions, and computes the Table 1 metrics — the lowest
 error level every plan reaches, the cost each plan needs to first reach it,
 and the resulting speed-up of the paper's variable plan over the baseline.
 
-Every (benchmark × plan × repetition) run is seeded independently of
-execution order, so the runs can be fanned out over a process pool
-(``workers > 1``, used by ``run_all --workers N``) with results identical to
-the serial schedule.
+Every (benchmark × plan × repetition) run is seeded by :func:`run_seeds`,
+independently of execution order, so the experiment registry
+(:mod:`repro.experiments.registry`) can shard the runs over processes and
+hosts.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..spapt.suite import BENCHMARK_SPECS, SpaptBenchmark, get_benchmark
+from ..spapt.suite import SpaptBenchmark
 from .acquisition import AcquisitionFunction, ALCAcquisition, make_acquisition
 from .curves import LearningCurve, average_curves, lowest_common_error, time_to_reach
 from .evaluation import build_test_set
@@ -33,9 +32,9 @@ __all__ = [
     "PlanComparison",
     "assemble_comparison",
     "compare_sampling_plans",
-    "compare_sampling_plans_suite",
     "resolve_acquisition",
     "resolve_plans",
+    "run_seeds",
     "speedup_between",
 ]
 
@@ -123,52 +122,21 @@ class PlanComparison:
         return self.cost_to_reach[baseline] / contender_cost
 
 
-def _run_one(
-    benchmark: SpaptBenchmark,
-    plan: SamplingPlan,
-    plan_index: int,
-    repetition: int,
-    config: ComparisonConfig,
-    acquisition: AcquisitionFunction,
-    test_set,
-) -> LearningResult:
-    """One (plan × repetition) learner run, seeded independently of order."""
-    run_rng = np.random.default_rng(
-        config.seed + 104729 * repetition + 1299709 * plan_index + 1
-    )
-    learner = ActiveLearner(
-        benchmark,
-        plan=plan,
-        acquisition=acquisition,
-        config=config.learner,
-        rng=run_rng,
-    )
-    return learner.run(test_set)
+def run_seeds(
+    config: ComparisonConfig, repetition: int, plan_index: int = 0
+) -> Tuple[int, int]:
+    """The ``(test_seed, run_seed)`` pair of one (repetition × plan) run.
 
-
-def _pool_job(
-    args: Tuple[str, SamplingPlan, int, int, ComparisonConfig, AcquisitionFunction],
-) -> Tuple[str, str, int, LearningResult]:
-    """Worker-process entry point: rebuild the benchmark and run one learner.
-
-    Benchmarks hold unpicklable ``lru_cache`` wrappers, so workers receive
-    the benchmark *name* and reconstruct it; the held-out test set is
-    rebuilt from the repetition's deterministic seed, so it is identical to
-    the one the serial schedule would share across plans.
+    The held-out test set's seed depends only on the repetition, so every
+    plan of a repetition is scored on the same configurations; the
+    learner's seed also depends on ``plan_index``, the run's position on
+    its comparison axis (the sampling plan for Table 1, the variant for
+    the ablations).  Neither depends on execution order.
     """
-    benchmark_name, plan, plan_index, repetition, config, acquisition = args
-    benchmark = get_benchmark(benchmark_name)
-    test_rng = np.random.default_rng(config.seed + 7919 * repetition)
-    test_set = build_test_set(
-        benchmark,
-        size=config.test_size,
-        observations=config.test_observations,
-        rng=test_rng,
+    return (
+        config.seed + 7919 * repetition,
+        config.seed + 104729 * repetition + 1299709 * plan_index + 1,
     )
-    result = _run_one(
-        benchmark, plan, plan_index, repetition, config, acquisition, test_set
-    )
-    return benchmark_name, plan.name, repetition, result
 
 
 def assemble_comparison(
@@ -207,15 +175,13 @@ def compare_sampling_plans(
     plans: Optional[Sequence[SamplingPlan]] = None,
     config: Optional[ComparisonConfig] = None,
     acquisition: Optional[AcquisitionFunction] = None,
-    workers: int = 1,
 ) -> PlanComparison:
     """Run every sampling plan on ``benchmark`` and summarise the comparison.
 
-    With ``workers > 1`` the (plan × repetition) runs are distributed over a
-    process pool.  Pool workers rebuild the benchmark by name, so the pool
-    is used only when ``benchmark`` is a stock instance of a registered
-    SPAPT spec; customised instances (e.g. a scaled noise profile sharing a
-    registered name) always run serially, never silently substituted.
+    The runs execute in-process, repetition by repetition, on the given
+    instance: stateful noise components (frequency drift) carry over from
+    run to run.  This is the path for customised instances the registry
+    cannot rebuild by name, such as a scaled noise profile.
 
     ``plans`` entries and ``acquisition`` may be given as registered names
     (strings) instead of instances.
@@ -224,100 +190,28 @@ def compare_sampling_plans(
     config = config if config is not None else ComparisonConfig()
     acquisition = resolve_acquisition(acquisition)
 
-    if workers > 1 and BENCHMARK_SPECS.get(benchmark.name) is benchmark.spec:
-        suite = compare_sampling_plans_suite(
-            [benchmark.name],
-            plans=plans,
-            config=config,
-            acquisition=acquisition,
-            workers=workers,
-        )
-        return suite[benchmark.name]
-
     per_plan_results: Dict[str, List[LearningResult]] = {plan.name: [] for plan in plans}
     for repetition in range(config.repetitions):
-        test_rng = np.random.default_rng(config.seed + 7919 * repetition)
+        test_seed, _ = run_seeds(config, repetition)
         test_set = build_test_set(
             benchmark,
             size=config.test_size,
             observations=config.test_observations,
-            rng=test_rng,
+            rng=np.random.default_rng(test_seed),
         )
         for plan_index, plan in enumerate(plans):
-            result = _run_one(
-                benchmark, plan, plan_index, repetition, config, acquisition, test_set
+            _, run_seed = run_seeds(config, repetition, plan_index)
+            learner = ActiveLearner(
+                benchmark,
+                plan=plan,
+                acquisition=acquisition,
+                config=config.learner,
+                rng=np.random.default_rng(run_seed),
             )
-            per_plan_results[plan.name].append(result)
+            per_plan_results[plan.name].append(learner.run(test_set))
     return assemble_comparison(
         benchmark.name, [plan.name for plan in plans], per_plan_results
     )
-
-
-def compare_sampling_plans_suite(
-    benchmark_names: Sequence[str],
-    plans: Optional[Sequence[SamplingPlan]] = None,
-    config: Optional[ComparisonConfig] = None,
-    acquisition: Optional[AcquisitionFunction] = None,
-    workers: int = 1,
-) -> Dict[str, PlanComparison]:
-    """Compare plans on several benchmarks, fanning runs out over processes.
-
-    Every (benchmark × plan × repetition) triple becomes one process-pool
-    job, so a multi-benchmark driver (Table 1, Figure 6) saturates all
-    cores instead of parallelising only within one benchmark.
-
-    ``workers == 1`` reproduces the historical serial schedule exactly (one
-    shared benchmark instance per name).  With ``workers > 1`` every job
-    rebuilds its benchmark, so stateful noise components start fresh per
-    run; the outcome is deterministic and independent of the worker count,
-    but benchmarks with frequency drift are not bit-identical to the serial
-    schedule.
-    """
-    names = list(benchmark_names)
-    plans = resolve_plans(plans)
-    config = config if config is not None else ComparisonConfig()
-    acquisition = resolve_acquisition(acquisition)
-
-    unknown = [name for name in names if name not in BENCHMARK_SPECS]
-    if unknown:
-        raise KeyError(f"unknown benchmarks: {', '.join(unknown)}")
-
-    if workers <= 1:
-        # The serial schedule shares one benchmark instance per name across
-        # all (plan × repetition) runs, exactly like running the drivers by
-        # hand: stateful noise components (frequency drift) carry over
-        # between runs in iteration order, preserving historical outputs.
-        return {
-            name: compare_sampling_plans(
-                get_benchmark(name), plans=plans, config=config, acquisition=acquisition
-            )
-            for name in names
-        }
-
-    jobs = [
-        (name, plan, plan_index, repetition, config, acquisition)
-        for name in names
-        for repetition in range(config.repetitions)
-        for plan_index, plan in enumerate(plans)
-    ]
-    results: Dict[str, Dict[str, List[Tuple[int, LearningResult]]]] = {
-        name: {plan.name: [] for plan in plans} for name in names
-    }
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        outcomes = list(pool.map(_pool_job, jobs))
-    for benchmark_name, plan_name, repetition, result in outcomes:
-        results[benchmark_name][plan_name].append((repetition, result))
-
-    comparisons: Dict[str, PlanComparison] = {}
-    for name in names:
-        per_plan_results = {
-            plan_name: [result for _, result in sorted(runs, key=lambda item: item[0])]
-            for plan_name, runs in results[name].items()
-        }
-        comparisons[name] = assemble_comparison(
-            name, [plan.name for plan in plans], per_plan_results
-        )
-    return comparisons
 
 
 def speedup_between(

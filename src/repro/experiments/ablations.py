@@ -36,7 +36,7 @@ the paper's choice (the first variant), plus the multi-level
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from ..core.comparison import PlanComparison, assemble_comparison
 from ..core.curves import speedup_factor
@@ -51,7 +51,6 @@ from .registry import (
     execute_learner_run,
     group_learner_results,
     register,
-    run_artifacts,
     slugify,
 )
 from .reporting import format_table
@@ -62,9 +61,6 @@ __all__ = [
     "AcquisitionAblationSpec",
     "ModelAblationSpec",
     "BatchAcquisitionSpec",
-    "run_acquisition_ablation",
-    "run_model_ablation",
-    "run_batch_acquisition_ablation",
 ]
 
 
@@ -290,25 +286,3 @@ class BatchAcquisitionSpec(_LearnerAblationSpec):
 register(AcquisitionAblationSpec())
 register(ModelAblationSpec())
 register(BatchAcquisitionSpec())
-
-
-def run_acquisition_ablation(
-    scale: Optional[ExperimentScale] = None,
-) -> AblationResult:
-    """Run the acquisition ablation serially, in memory."""
-    scale = scale if scale is not None else ExperimentScale.laptop()
-    return run_artifacts(scale, ["acquisition-ablation"])["acquisition-ablation"]
-
-
-def run_model_ablation(scale: Optional[ExperimentScale] = None) -> AblationResult:
-    """Run the surrogate-model ablation serially, in memory."""
-    scale = scale if scale is not None else ExperimentScale.laptop()
-    return run_artifacts(scale, ["model-ablation"])["model-ablation"]
-
-
-def run_batch_acquisition_ablation(
-    scale: Optional[ExperimentScale] = None,
-) -> AblationResult:
-    """Run the batch-acquisition ablation serially, in memory."""
-    scale = scale if scale is not None else ExperimentScale.laptop()
-    return run_artifacts(scale, ["batch-acquisition"])["batch-acquisition"]

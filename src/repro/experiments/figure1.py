@@ -21,17 +21,25 @@ simulated runtimes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from ..measurement.profiler import Profiler
-from ..spapt.suite import SpaptBenchmark, get_benchmark
+from ..spapt.suite import get_benchmark
 from .config import ExperimentScale
 from .registry import ExperimentSpec, UnitContext, WorkUnit, register
 from .reporting import format_table
 
-__all__ = ["Figure1Cell", "Figure1Result", "Figure1Spec", "run_figure1"]
+__all__ = ["Figure1Cell", "Figure1Result", "Figure1Spec"]
+
+#: The benchmark whose unroll plane the figure sweeps (its two outer loops
+#: are unrolled by the ``U_i`` and ``U_j`` parameters).
+BENCHMARK = "mm"
+
+#: The optimal plan's MAE threshold as a fraction of the first point's
+#: mean runtime.
+MAE_THRESHOLD_FRACTION = 0.002
 
 
 @dataclass(frozen=True)
@@ -118,68 +126,6 @@ def _optimal_sample_count(
     return kept, abs(float(shuffled[:kept].mean()) - full_mean)
 
 
-def run_figure1(
-    scale: Optional[ExperimentScale] = None,
-    benchmark: Optional[SpaptBenchmark] = None,
-    mae_threshold_fraction: float = 0.002,
-) -> Figure1Result:
-    """Regenerate the Figure 1 data (mm unroll plane) at the requested scale."""
-    scale = scale if scale is not None else ExperimentScale.laptop()
-    benchmark = benchmark if benchmark is not None else get_benchmark("mm")
-    rng = np.random.default_rng(scale.seed + 101)
-    profiler = Profiler(benchmark, rng=rng)
-    space = benchmark.search_space
-
-    parameter_names = [p.name for p in space.parameters]
-    if "U_i" not in parameter_names or "U_j" not in parameter_names:
-        raise ValueError(
-            f"benchmark {benchmark.name!r} does not expose U_i/U_j unroll parameters"
-        )
-    index_i = parameter_names.index("U_i")
-    index_j = parameter_names.index("U_j")
-    baseline = list(space.default_configuration())
-
-    grid = scale.figure1_grid
-    unroll_values = np.unique(
-        np.linspace(1, 30, num=min(grid, 30), dtype=int)
-    )
-    observations_per_point = scale.dataset_observations
-
-    cells: List[Figure1Cell] = []
-    threshold = None
-    for unroll_i in unroll_values:
-        for unroll_j in unroll_values:
-            configuration = list(baseline)
-            configuration[index_i] = int(unroll_i)
-            configuration[index_j] = int(unroll_j)
-            observations = profiler.measure(
-                tuple(configuration), repetitions=observations_per_point
-            )
-            mean = float(observations.mean())
-            if threshold is None:
-                threshold = mae_threshold_fraction * mean
-            single_mae = float(np.mean(np.abs(observations - mean)))
-            optimal_samples, optimal_mae = _optimal_sample_count(
-                observations, threshold, rng
-            )
-            cells.append(
-                Figure1Cell(
-                    unroll_i=int(unroll_i),
-                    unroll_j=int(unroll_j),
-                    mean_runtime=mean,
-                    single_sample_mae=single_mae,
-                    optimal_samples=optimal_samples,
-                    optimal_mae=optimal_mae,
-                )
-            )
-    return Figure1Result(
-        benchmark=benchmark.name,
-        cells=cells,
-        observations_per_point=observations_per_point,
-        mae_threshold=float(threshold if threshold is not None else 0.0),
-    )
-
-
 class Figure1Spec(ExperimentSpec):
     """Figure 1 as a registry artifact.
 
@@ -199,7 +145,54 @@ class Figure1Spec(ExperimentSpec):
     def execute_unit(
         self, unit: WorkUnit, scale: ExperimentScale, context: UnitContext
     ) -> Figure1Result:
-        return run_figure1(scale)
+        benchmark = get_benchmark(BENCHMARK)
+        rng = np.random.default_rng(scale.seed + 101)
+        profiler = Profiler(benchmark, rng=rng)
+        space = benchmark.search_space
+        parameter_names = [p.name for p in space.parameters]
+        index_i = parameter_names.index("U_i")
+        index_j = parameter_names.index("U_j")
+        baseline = list(space.default_configuration())
+
+        grid = scale.figure1_grid
+        unroll_values = np.unique(
+            np.linspace(1, 30, num=min(grid, 30), dtype=int)
+        )
+        observations_per_point = scale.dataset_observations
+
+        cells: List[Figure1Cell] = []
+        threshold = None
+        for unroll_i in unroll_values:
+            for unroll_j in unroll_values:
+                configuration = list(baseline)
+                configuration[index_i] = int(unroll_i)
+                configuration[index_j] = int(unroll_j)
+                observations = profiler.measure(
+                    tuple(configuration), repetitions=observations_per_point
+                )
+                mean = float(observations.mean())
+                if threshold is None:
+                    threshold = MAE_THRESHOLD_FRACTION * mean
+                single_mae = float(np.mean(np.abs(observations - mean)))
+                optimal_samples, optimal_mae = _optimal_sample_count(
+                    observations, threshold, rng
+                )
+                cells.append(
+                    Figure1Cell(
+                        unroll_i=int(unroll_i),
+                        unroll_j=int(unroll_j),
+                        mean_runtime=mean,
+                        single_sample_mae=single_mae,
+                        optimal_samples=optimal_samples,
+                        optimal_mae=optimal_mae,
+                    )
+                )
+        return Figure1Result(
+            benchmark=benchmark.name,
+            cells=cells,
+            observations_per_point=observations_per_point,
+            mae_threshold=float(threshold if threshold is not None else 0.0),
+        )
 
     def fold(
         self,
@@ -212,11 +205,3 @@ class Figure1Spec(ExperimentSpec):
 
 
 register(Figure1Spec())
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_figure1().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -11,17 +11,23 @@ probably fine with one sample; points that stick out deserve more.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from ..measurement.profiler import Profiler
-from ..spapt.suite import SpaptBenchmark, get_benchmark
+from ..spapt.suite import get_benchmark
 from .config import ExperimentScale
 from .registry import ExperimentSpec, UnitContext, WorkUnit, register
 from .reporting import format_table
 
-__all__ = ["Figure2Point", "Figure2Result", "Figure2Spec", "run_figure2"]
+__all__ = ["Figure2Point", "Figure2Result", "Figure2Spec"]
+
+#: The swept benchmark, its swept unroll parameter and the largest unroll
+#: factor shown.
+BENCHMARK = "adi"
+LOOP_PARAMETER = "U_i1"
+MAX_UNROLL = 30
 
 
 @dataclass(frozen=True)
@@ -69,45 +75,6 @@ class Figure2Result:
         return table + summary
 
 
-def run_figure2(
-    scale: Optional[ExperimentScale] = None,
-    benchmark: Optional[SpaptBenchmark] = None,
-    loop_parameter: str = "U_i1",
-    max_unroll: int = 30,
-) -> Figure2Result:
-    """Sweep one unroll factor of adi, taking a single observation per point."""
-    scale = scale if scale is not None else ExperimentScale.laptop()
-    benchmark = benchmark if benchmark is not None else get_benchmark("adi")
-    rng = np.random.default_rng(scale.seed + 202)
-    profiler = Profiler(benchmark, rng=rng)
-    space = benchmark.search_space
-    parameter_names = [p.name for p in space.parameters]
-    if loop_parameter not in parameter_names:
-        raise ValueError(
-            f"benchmark {benchmark.name!r} has no parameter {loop_parameter!r}"
-        )
-    index = parameter_names.index(loop_parameter)
-    parameter = space.parameters[index]
-    baseline = list(space.default_configuration())
-    points: List[Figure2Point] = []
-    for value in parameter.values:
-        if value > max_unroll:
-            break
-        configuration = list(baseline)
-        configuration[index] = int(value)
-        observed = float(profiler.measure(tuple(configuration), repetitions=1)[0])
-        points.append(
-            Figure2Point(
-                unroll_factor=int(value),
-                observed_runtime=observed,
-                true_runtime=benchmark.true_runtime(tuple(configuration)),
-            )
-        )
-    return Figure2Result(
-        benchmark=benchmark.name, loop_parameter=loop_parameter, points=points
-    )
-
-
 class Figure2Spec(ExperimentSpec):
     """Figure 2 as a registry artifact: a single unit, because the sweep
     takes one observation per point from one sequential RNG stream."""
@@ -121,7 +88,28 @@ class Figure2Spec(ExperimentSpec):
     def execute_unit(
         self, unit: WorkUnit, scale: ExperimentScale, context: UnitContext
     ) -> Figure2Result:
-        return run_figure2(scale)
+        benchmark = get_benchmark(BENCHMARK)
+        profiler = Profiler(benchmark, rng=np.random.default_rng(scale.seed + 202))
+        space = benchmark.search_space
+        index = [p.name for p in space.parameters].index(LOOP_PARAMETER)
+        baseline = list(space.default_configuration())
+        points: List[Figure2Point] = []
+        for value in space.parameters[index].values:
+            if value > MAX_UNROLL:
+                break
+            configuration = list(baseline)
+            configuration[index] = int(value)
+            observed = float(profiler.measure(tuple(configuration), repetitions=1)[0])
+            points.append(
+                Figure2Point(
+                    unroll_factor=int(value),
+                    observed_runtime=observed,
+                    true_runtime=benchmark.true_runtime(tuple(configuration)),
+                )
+            )
+        return Figure2Result(
+            benchmark=benchmark.name, loop_parameter=LOOP_PARAMETER, points=points
+        )
 
     def fold(
         self,
@@ -134,11 +122,3 @@ class Figure2Spec(ExperimentSpec):
 
 
 register(Figure2Spec())
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_figure2().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

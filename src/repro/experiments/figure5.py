@@ -3,26 +3,25 @@
 Figure 5 is a bar chart of the Table 1 speed-ups — how much less profiling
 time the variable-observation approach needs than the 35-observation
 baseline to reach the same error level — ordered per benchmark, with the
-geometric mean as the summary bar.  The driver reuses the Table 1
-computation and renders the bars as text.
+geometric mean as the summary bar.  The spec folds the bars from Table 1's
+result and renders them as text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, List, Mapping, Sequence, Tuple
 
 from ..measurement.stats import geometric_mean
 from .config import ExperimentScale
 from .registry import ExperimentSpec, UnitContext, WorkUnit, register
 from .reporting import format_table
-from .table1 import PAPER_TABLE1_SPEEDUPS, Table1Result, run_table1
+from .table1 import Table1Result
 
 __all__ = [
     "Figure5Bar",
     "Figure5Result",
     "Figure5Spec",
-    "run_figure5",
     "figure5_from_table1",
 ]
 
@@ -79,14 +78,6 @@ def figure5_from_table1(table1: Table1Result) -> Figure5Result:
     return Figure5Result(bars=bars)
 
 
-def run_figure5(
-    scale: Optional[ExperimentScale] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-) -> Figure5Result:
-    """Regenerate the Figure 5 bars (runs the Table 1 experiment)."""
-    return figure5_from_table1(run_table1(scale=scale, benchmarks=benchmarks))
-
-
 class Figure5Spec(ExperimentSpec):
     """Figure 5 as a registry artifact: purely derived — it contributes no
     work units and folds its bars straight from Table 1's result (the
@@ -115,11 +106,3 @@ class Figure5Spec(ExperimentSpec):
 
 
 register(Figure5Spec())
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_figure5().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

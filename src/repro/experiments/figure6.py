@@ -13,18 +13,17 @@ patterns it documents are:
 * **gemver / dgemv3 / hessian** — large wins for the variable plan;
 * **jacobi / lu / mm / mvt** — modest but consistent wins.
 
-The driver returns the averaged curves (cost, RMSE series) for each plan so
+The result holds the averaged curves (cost, RMSE series) for each plan so
 the benchmark harness can print them and tests can assert on their shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-from ..core.comparison import PlanComparison, compare_sampling_plans_suite
+from ..core.comparison import PlanComparison
 from ..core.curves import LearningCurve
-from ..core.plans import standard_plans
 from .config import ExperimentScale
 from .registry import ExperimentSpec, UnitContext, WorkUnit, register
 from .reporting import format_table
@@ -33,7 +32,6 @@ __all__ = [
     "Figure6Panel",
     "Figure6Result",
     "Figure6Spec",
-    "run_figure6",
     "PAPER_FIGURE6_BENCHMARKS",
 ]
 
@@ -77,32 +75,6 @@ class Figure6Result:
         return "\n\n".join(panel.render() for panel in self.panels.values())
 
 
-def run_figure6(
-    scale: Optional[ExperimentScale] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-    workers: int = 1,
-) -> Figure6Result:
-    """Regenerate the Figure 6 learning curves at the requested scale."""
-    scale = scale if scale is not None else ExperimentScale.laptop()
-    if benchmarks is None:
-        benchmarks = [b for b in PAPER_FIGURE6_BENCHMARKS if b in scale.benchmarks]
-        if not benchmarks:
-            benchmarks = list(scale.benchmarks)
-    comparisons = compare_sampling_plans_suite(
-        list(benchmarks),
-        plans=standard_plans(),
-        config=scale.comparison_config(),
-        workers=workers,
-    )
-    panels: Dict[str, Figure6Panel] = {}
-    for name in benchmarks:
-        comparison = comparisons[name]
-        panels[name] = Figure6Panel(
-            benchmark=name, curves=comparison.curves, comparison=comparison
-        )
-    return Figure6Result(panels=panels)
-
-
 class Figure6Spec(ExperimentSpec):
     """Figure 6 as a registry artifact: derived from Table 1's per-unit
     learner runs.  The fold restricts Table 1's comparisons to the paper's
@@ -144,11 +116,3 @@ class Figure6Spec(ExperimentSpec):
 
 
 register(Figure6Spec())
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_figure6().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

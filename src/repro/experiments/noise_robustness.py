@@ -5,9 +5,9 @@ by artificially introducing noise into the system to see how robustly it
 performs in extreme cases.  Success would allow our strategies to be used in
 heavily loaded multi-user environments."*
 
-The simulated substrate makes that study straightforward: this driver scales
+The simulated substrate makes that study straightforward: this module scales
 a benchmark's calibrated noise profile by a sequence of multipliers (0.5x …
-8x, where 1x is the calibration of Table 2) and, at every noise level, runs
+4x, where 1x is the calibration of Table 2) and, at every noise level, runs
 the Table 1 comparison between the 35-observation baseline and the variable
 plan.  The questions it answers:
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from ..core.comparison import PlanComparison, compare_sampling_plans
 from ..core.plans import standard_plans
@@ -36,7 +36,6 @@ __all__ = [
     "NoiseRobustnessResult",
     "NoiseRobustnessSpec",
     "scaled_benchmark",
-    "run_noise_robustness",
     "DEFAULT_NOISE_MULTIPLIERS",
 ]
 
@@ -126,9 +125,9 @@ def _level_comparison(
     """The plan comparison at one noise level — the robustness work unit.
 
     Each level builds its own scaled benchmark and runs the comparison
-    serially inside the unit (the historical schedule: stateful noise
-    carries across the level's repetitions), so the levels themselves are
-    order-independent and shard freely.
+    serially inside the unit (stateful noise carries across the level's
+    runs), so the levels themselves are order-independent and shard
+    freely.
     """
     benchmark = scaled_benchmark(benchmark_name, multiplier)
     comparison = compare_sampling_plans(
@@ -151,24 +150,6 @@ def _level_result(multiplier: float, comparison: PlanComparison) -> NoiseLevelRe
         speedup=comparison.speedup(BASELINE_PLAN, VARIABLE_PLAN),
         baseline_best_rmse=comparison.curves[BASELINE_PLAN].best_error,
         variable_best_rmse=comparison.curves[VARIABLE_PLAN].best_error,
-    )
-
-
-def run_noise_robustness(
-    scale: Optional[ExperimentScale] = None,
-    benchmark_name: str = "mm",
-    noise_multipliers: Sequence[float] = DEFAULT_NOISE_MULTIPLIERS,
-) -> NoiseRobustnessResult:
-    """Run the future-work noise-injection study for one benchmark."""
-    scale = scale if scale is not None else ExperimentScale.laptop()
-    levels: List[NoiseLevelResult] = []
-    comparisons: Dict[float, PlanComparison] = {}
-    for multiplier in noise_multipliers:
-        comparison = _level_comparison(benchmark_name, multiplier, scale)
-        comparisons[multiplier] = comparison
-        levels.append(_level_result(multiplier, comparison))
-    return NoiseRobustnessResult(
-        benchmark=benchmark_name, levels=levels, comparisons=comparisons
     )
 
 
@@ -231,11 +212,3 @@ class NoiseRobustnessSpec(ExperimentSpec):
 
 
 register(NoiseRobustnessSpec())
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_noise_robustness().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -1,6 +1,7 @@
 """Paper-scale smoke run: Algorithm 1 at the paper's particle count.
 
-``python -m repro.experiments.paper_scale [--benchmark mm] [--examples 40]``
+``python -m repro.experiments.run_all --paper-scale-smoke
+[--smoke-benchmark mm] [--smoke-examples 40]``
 
 The paper's experiments use 5 000 dynamic-tree particles, 500 candidates
 per iteration and 2 500 training examples (Section 4.4) — previously out of
@@ -13,17 +14,15 @@ examples) on one benchmark and reports the resulting timings: it is the
 timing summary it prints is what CHANGES.md records.
 
 A full 2 500-example paper run is the same command with
-``--examples 2500`` — the smoke default keeps the example budget small so
-the check finishes in minutes.
+``--smoke-examples 2500`` — the smoke default keeps the example budget
+small so the check finishes in minutes.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import sys
 import time
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from ..core.evaluation import build_test_set
 from ..core.learner import ActiveLearner, LearnerConfig
 from ..spapt.suite import get_benchmark
 
-__all__ = ["PaperScaleSmokeResult", "run_paper_scale_smoke", "main"]
+__all__ = ["PaperScaleSmokeResult", "run_paper_scale_smoke"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,34 +106,3 @@ def run_paper_scale_smoke(
         best_rmse=result.curve.best_error,
         simulated_cost_seconds=result.total_cost_seconds,
     )
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--benchmark", default="mm")
-    parser.add_argument(
-        "--examples",
-        type=int,
-        default=40,
-        help="training examples to absorb (the paper uses 2500; the smoke default is 40)",
-    )
-    parser.add_argument(
-        "--particles",
-        type=int,
-        default=None,
-        help="override the particle count (default: the paper's 5000)",
-    )
-    args = parser.parse_args(argv)
-    if args.examples < 6:
-        parser.error("--examples must leave room for the 5 seed configurations")
-    result = run_paper_scale_smoke(
-        benchmark=args.benchmark,
-        training_examples=args.examples,
-        particles=args.particles,
-    )
-    print(result.render())
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -1,9 +1,8 @@
 """Declarative experiment registry: every paper artifact as work units.
 
-Before this module existed only the Table 1 family ran on the sharded,
-resumable backend; the other drivers were bespoke, serial and in-process.
-The registry turns *every* artifact — tables, figures, the
-noise-robustness study, the ablations — into the same shape:
+The registry is the only way an artifact is computed.  It gives *every*
+artifact — tables, figures, the noise-robustness study, the ablations —
+the same shape:
 
 * an :class:`ExperimentSpec` declares how the artifact **decomposes** into
   seeded, order-independent, checkpointable :class:`WorkUnit`\\ s for a
@@ -11,13 +10,15 @@ noise-robustness study, the ablations — into the same shape:
   **executes** (a picklable payload per unit), and how completed payloads
   **fold** back into the artifact's report object;
 * the registry maps artifact names (``table1`` … ``figure6``,
-  ``noise_robustness``, ``acquisition-ablation``, ``model-ablation``) to
-  their specs and resolves dependency closures (Figures 5 and 6 fold from
-  Table 1's comparisons instead of recomputing them);
+  ``noise_robustness``, ``acquisition-ablation``, ``model-ablation``,
+  ``batch-acquisition``) to their specs and resolves dependency closures
+  (Figures 5 and 6 fold from Table 1's comparisons instead of recomputing
+  them);
 * :func:`run_artifacts` is the in-memory executor — the degenerate
   one-worker path of the sharded backend
   (:mod:`repro.experiments.runner`), which executes the *same* units from
-  an on-disk queue across processes and hosts.
+  an on-disk queue across processes and hosts.  In-process callers take
+  one artifact as ``run_artifacts(scale, [name])[name]``.
 
 Unit payloads must be picklable and model-free (surrogate models are
 stripped before publication); unit parameters must be JSON-serialisable so
@@ -25,9 +26,9 @@ the manifest can round-trip them.
 
 :func:`execute_learner_run` is the shared work-unit body for every
 artifact whose unit is "one active-learner run" (Table 1, the ablations):
-it reproduces the pool-schedule seeding of
-:func:`repro.core.comparison.compare_sampling_plans_suite` exactly and
-supports mid-unit checkpoint/resume through a :class:`UnitContext`.
+it seeds each run with :func:`repro.core.comparison.run_seeds` on a fresh
+benchmark instance and supports mid-unit checkpoint/resume through a
+:class:`UnitContext`.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from typing import (
 
 import numpy as np
 
-from ..core.comparison import ComparisonConfig, resolve_acquisition
+from ..core.comparison import ComparisonConfig, resolve_acquisition, run_seeds
 from ..core.evaluation import build_test_set
 from ..core.learner import ActiveLearner, LearningResult
 from ..core.plans import SamplingPlan
@@ -506,10 +507,10 @@ def execute_learner_run(
     """One seeded active-learner run — the shared learner-unit body.
 
     Rebuilds the benchmark and the repetition's held-out test set from
-    their deterministic seeds (matching the pool schedule of
-    ``compare_sampling_plans_suite`` exactly: the test seed depends only
-    on the repetition, the run seed on repetition × ``plan_index``),
-    resumes from the context's checkpoint when one exists — a pickled
+    their deterministic seeds (:func:`~repro.core.comparison.run_seeds`:
+    the test seed depends only on the repetition, the run seed on
+    repetition × ``plan_index``), resumes from the context's checkpoint
+    when one exists — a pickled
     :class:`~repro.core.session.TuningSession`, whose
     ``attach_benchmark`` restores the benchmark's stateful noise
     components only *after* the test set is rebuilt here, since building
@@ -527,24 +528,21 @@ def execute_learner_run(
     """
     context = context if context is not None else UnitContext()
     benchmark = get_benchmark(benchmark_name)
-    test_rng = np.random.default_rng(config.seed + 7919 * repetition)
+    test_seed, run_seed = run_seeds(config, repetition, plan_index)
     test_set = build_test_set(
         benchmark,
         size=config.test_size,
         observations=config.test_observations,
-        rng=test_rng,
+        rng=np.random.default_rng(test_seed),
     )
     resume: Optional[TuningSession] = context.load_checkpoint()
-    run_rng = np.random.default_rng(
-        config.seed + 104729 * repetition + 1299709 * plan_index + 1
-    )
     learner = ActiveLearner(
         benchmark,
         plan=plan,
         acquisition=resolve_acquisition(acquisition),
         config=config.learner,
         model_factory=model_factory,
-        rng=run_rng,
+        rng=np.random.default_rng(run_seed),
     )
 
     def sink(session: TuningSession) -> None:

@@ -430,6 +430,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--replay-trace does not apply to --paper-scale-smoke")
     if args.paper_scale_smoke and args.profile is not None:
         parser.error("--profile does not apply to --paper-scale-smoke")
+    if args.paper_scale_smoke and args.smoke_examples < 6:
+        parser.error("--smoke-examples must leave room for the 5 seed configurations")
     if args.paper_run and args.profile not in (None, "profile"):
         # The sharded backend keeps profiles inside the run directory so a
         # multi-host run merges every host's dumps; a custom location would

@@ -12,13 +12,9 @@ regression, adi at 0.29x).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-from ..core.comparison import (
-    PlanComparison,
-    assemble_comparison,
-    compare_sampling_plans_suite,
-)
+from ..core.comparison import PlanComparison, assemble_comparison
 from ..core.curves import speedup_factor
 from ..core.learner import LearningResult
 from ..core.plans import standard_plans
@@ -40,7 +36,6 @@ __all__ = [
     "Table1Row",
     "Table1Result",
     "Table1Spec",
-    "run_table1",
     "table1_from_comparisons",
     "PAPER_TABLE1_SPEEDUPS",
 ]
@@ -149,40 +144,11 @@ class Table1Result:
         )
 
 
-def run_table1(
-    scale: Optional[ExperimentScale] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-    workers: int = 1,
-) -> Table1Result:
-    """Regenerate Table 1 at the requested scale.
-
-    ``workers > 1`` fans the (benchmark × plan × repetition) learner runs
-    out over a process pool.  The rows are deterministic and independent of
-    the worker count; benchmarks whose noise model carries state across
-    runs (frequency drift, e.g. adi/correlation) get a fresh noise state
-    per run in pool mode, so their rows can differ slightly from the
-    serial schedule (see :func:`repro.core.comparison.compare_sampling_plans_suite`).
-    """
-    scale = scale if scale is not None else ExperimentScale.laptop()
-    names = list(benchmarks) if benchmarks is not None else list(scale.benchmarks)
-    comparisons: Dict[str, PlanComparison] = compare_sampling_plans_suite(
-        names,
-        plans=standard_plans(),
-        config=scale.comparison_config(),
-        workers=workers,
-    )
-    return table1_from_comparisons(names, comparisons)
-
-
 def table1_from_comparisons(
     names: Sequence[str], comparisons: Dict[str, PlanComparison]
 ) -> Table1Result:
-    """Fold finished plan comparisons into Table 1 rows.
-
-    Shared by :func:`run_table1` and the sharded paper-run backend
-    (:mod:`repro.experiments.runner`), whose merge step produces the same
-    per-benchmark :class:`~repro.core.comparison.PlanComparison` mapping.
-    """
+    """Fold finished per-benchmark plan comparisons
+    (:class:`~repro.core.comparison.PlanComparison`) into Table 1 rows."""
     rows: List[Table1Row] = []
     for name in names:
         benchmark = get_benchmark(name)
@@ -208,10 +174,11 @@ def table1_from_comparisons(
 
 class Table1Spec(ExperimentSpec):
     """Table 1 as registry work units: one learner run per
-    (benchmark × sampling plan × repetition) cell, seeded exactly like the
-    pool schedule of ``compare_sampling_plans_suite`` (so the sharded fold
-    equals the pool backend bit-for-bit; benchmarks with stateful drift
-    noise start each unit with a fresh noise state, like the pool)."""
+    (benchmark × sampling plan × repetition) cell, seeded by
+    :func:`~repro.core.comparison.run_seeds`.  Every unit rebuilds its
+    benchmark, so benchmarks with stateful drift noise start each unit
+    with a fresh noise state and the table is the same at any worker
+    count, in memory or sharded."""
 
     name = "table1"
     title = "Table 1"
@@ -266,12 +233,3 @@ class Table1Spec(ExperimentSpec):
 
 
 register(Table1Spec())
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    result = run_table1()
-    print(result.render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

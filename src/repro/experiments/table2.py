@@ -17,7 +17,7 @@ situation an adaptive sampling plan exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .config import ExperimentScale
 from .registry import ExperimentSpec, UnitContext, WorkUnit, register
 from .reporting import format_scientific, format_table
 
-__all__ = ["Table2Row", "Table2Result", "Table2Spec", "run_table2"]
+__all__ = ["Table2Row", "Table2Result", "Table2Spec"]
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,7 @@ def benchmark_noise_row(
 
     This is the Table 2 work-unit body: the RNG is seeded from the
     benchmark's *position* in the suite (``scale.seed + 31 * index``), so
-    the rows are independent of execution order and a sharded run matches
-    the serial sweep bit-for-bit.
+    the rows are independent of execution order.
     """
     benchmark = get_benchmark(name)
     rng = np.random.default_rng(scale.seed + 31 * index)
@@ -140,23 +139,6 @@ def benchmark_noise_row(
         ci5_max=float(np.max(ci_small)),
     )
     return row, dataset
-
-
-def run_table2(
-    scale: Optional[ExperimentScale] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-    small_sample: int = 5,
-) -> Table2Result:
-    """Regenerate Table 2 at the requested scale."""
-    scale = scale if scale is not None else ExperimentScale.laptop()
-    names = list(benchmarks) if benchmarks is not None else list(scale.benchmarks)
-    rows: List[Table2Row] = []
-    datasets: Dict[str, Dataset] = {}
-    for index, name in enumerate(names):
-        row, dataset = benchmark_noise_row(name, index, scale, small_sample)
-        rows.append(row)
-        datasets[name] = dataset
-    return Table2Result(rows=rows, datasets=datasets)
 
 
 class Table2Spec(ExperimentSpec):
@@ -204,11 +186,3 @@ class Table2Spec(ExperimentSpec):
 
 
 register(Table2Spec())
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_table2().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

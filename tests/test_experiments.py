@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from repro.experiments.config import ExperimentScale
-from repro.experiments.figure1 import run_figure1
-from repro.experiments.figure2 import run_figure2
-from repro.experiments.figure5 import figure5_from_table1, run_figure5
-from repro.experiments.figure6 import PAPER_FIGURE6_BENCHMARKS, run_figure6
+from repro.experiments.figure5 import figure5_from_table1
+from repro.experiments.figure6 import PAPER_FIGURE6_BENCHMARKS
+from repro.experiments.registry import run_artifacts
 from repro.experiments.reporting import format_scientific, format_table, to_csv
-from repro.experiments.table1 import PAPER_TABLE1_SPEEDUPS, run_table1
-from repro.experiments.table2 import run_table2
+from repro.experiments.table1 import PAPER_TABLE1_SPEEDUPS
 
 
 SCALE = ExperimentScale.smoke(benchmarks=("mm",))
@@ -61,7 +59,7 @@ class TestExperimentScale:
 class TestTable1:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_table1(SCALE)
+        return run_artifacts(SCALE, ["table1"])["table1"]
 
     def test_rows_per_benchmark(self, result):
         assert [row.benchmark for row in result.rows] == ["mm"]
@@ -101,7 +99,7 @@ class TestTable1:
 class TestTable2:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_table2(SCALE)
+        return run_artifacts(SCALE, ["table2"])["table2"]
 
     def test_row_fields_ordered(self, result):
         row = result.rows[0]
@@ -117,7 +115,8 @@ class TestTable2:
         assert "Table 2" in result.render()
 
     def test_noisy_benchmark_has_larger_variance(self):
-        result = run_table2(ExperimentScale.smoke(benchmarks=("mvt", "correlation")))
+        scale = ExperimentScale.smoke(benchmarks=("mvt", "correlation"))
+        result = run_artifacts(scale, ["table2"])["table2"]
         by_name = {row.benchmark: row for row in result.rows}
         assert (
             by_name["correlation"].variance_mean > by_name["mvt"].variance_mean * 10
@@ -127,7 +126,8 @@ class TestTable2:
 class TestFigure1:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_figure1(ExperimentScale.smoke(benchmarks=("mm",)))
+        scale = ExperimentScale.smoke(benchmarks=("mm",))
+        return run_artifacts(scale, ["figure1"])["figure1"]
 
     def test_grid_is_square(self, result):
         grid = result.grid("single_sample_mae")
@@ -146,17 +146,12 @@ class TestFigure1:
     def test_render(self, result):
         assert "Figure 1 summary" in result.render()
 
-    def test_requires_mm_like_parameters(self):
-        from repro.spapt.suite import get_benchmark
-
-        with pytest.raises(ValueError):
-            run_figure1(SCALE, benchmark=get_benchmark("adi"))
-
 
 class TestFigure2:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_figure2(ExperimentScale.smoke(benchmarks=("adi",)))
+        scale = ExperimentScale.smoke(benchmarks=("adi",))
+        return run_artifacts(scale, ["figure2"])["figure2"]
 
     def test_sweep_covers_unroll_factors(self, result):
         factors = [p.unroll_factor for p in result.points]
@@ -170,14 +165,10 @@ class TestFigure2:
     def test_render(self, result):
         assert "Figure 2" in result.render()
 
-    def test_unknown_parameter_raises(self):
-        with pytest.raises(ValueError):
-            run_figure2(SCALE, loop_parameter="U_missing")
-
 
 class TestFigure5And6:
     def test_figure5_from_table1(self):
-        table1 = run_table1(SCALE)
+        table1 = run_artifacts(SCALE, ["table1"])["table1"]
         figure5 = figure5_from_table1(table1)
         assert len(figure5.bars) == len(table1.rows)
         assert figure5.geometric_mean_speedup == pytest.approx(
@@ -186,7 +177,7 @@ class TestFigure5And6:
         assert "Figure 5" in figure5.render()
 
     def test_figure6_panels(self):
-        result = run_figure6(SCALE, benchmarks=["mm"])
+        result = run_artifacts(SCALE, ["figure6"])["figure6"]
         assert set(result.panels) == {"mm"}
         panel = result.panels["mm"]
         series = panel.series("variable observations")
@@ -211,7 +202,7 @@ class TestPaperScaleSmoke:
 
         Scaled down (50 particles, 12 examples) so the test is fast; the
         real 5000-particle configuration is exercised by
-        ``run_all --paper-scale-smoke`` / ``repro.experiments.paper_scale``.
+        ``run_all --paper-scale-smoke``.
         """
         from repro.experiments.paper_scale import run_paper_scale_smoke
 
@@ -273,6 +264,13 @@ class TestPaperScaleSmoke:
         )
         assert calls == {"benchmark": "adi", "examples": 17}
         assert "Paper-scale smoke run" in capsys.readouterr().out
+
+    def test_run_all_rejects_too_few_smoke_examples(self, capsys):
+        from repro.experiments.run_all import main
+
+        with pytest.raises(SystemExit):
+            main(["--paper-scale-smoke", "--smoke-examples", "5"])
+        assert "--smoke-examples must leave room" in capsys.readouterr().err
 
 
 class TestCheckRegressionGate:

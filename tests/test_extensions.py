@@ -15,9 +15,10 @@ from repro.core.learner import ActiveLearner, LearnerConfig
 from repro.core.plans import SamplingPlan, adaptive_ci_plan
 from repro.experiments.config import ExperimentScale
 from repro.experiments.noise_robustness import (
-    run_noise_robustness,
+    DEFAULT_NOISE_MULTIPLIERS,
     scaled_benchmark,
 )
+from repro.experiments.registry import run_artifacts
 from repro.spapt.suite import get_benchmark
 
 SMALL = LearnerConfig(
@@ -114,10 +115,11 @@ class TestNoiseRobustness:
 
     def test_run_noise_robustness_smoke(self):
         scale = ExperimentScale.smoke(benchmarks=("mm",))
-        result = run_noise_robustness(
-            scale, benchmark_name="mm", noise_multipliers=(1.0, 3.0)
+        result = run_artifacts(scale, ["noise_robustness"])["noise_robustness"]
+        assert result.benchmark == "mm"
+        assert [level.noise_multiplier for level in result.levels] == list(
+            DEFAULT_NOISE_MULTIPLIERS
         )
-        assert [level.noise_multiplier for level in result.levels] == [1.0, 3.0]
         for level in result.levels:
             assert level.speedup > 0
             assert level.baseline_cost_seconds > 0

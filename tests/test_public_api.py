@@ -155,7 +155,7 @@ class TestRunAll:
         assert "checkpoint" in out
         assert "worker processes" in out
 
-    @pytest.mark.parametrize("module", ["run_all", "paper_scale"])
+    @pytest.mark.parametrize("module", ["run_all"])
     def test_module_entry_point_does_not_warn(self, module):
         """`python -m repro.experiments.<module>` runs clean under -W error:
         the package must not import the entry point's module eagerly."""
@@ -169,15 +169,16 @@ class TestRunAll:
         assert completed.returncode == 0, completed.stderr
 
     def test_package_import_leaves_entry_points_unimported(self):
-        """`import repro.experiments` imports no module with a ``__main__``
-        block, so none of them can warn under ``python -m``."""
+        """`import repro.experiments` does not import ``run_all``, the one
+        module with a ``__main__`` block, so it cannot warn under
+        ``python -m``."""
         package = pathlib.Path(repro.__file__).parent / "experiments"
         entry_points = {
             f"repro.experiments.{path.stem}"
             for path in package.glob("*.py")
             if 'if __name__ == "__main__"' in path.read_text()
         }
-        assert {"repro.experiments.run_all", "repro.experiments.table1"} <= entry_points
+        assert entry_points == {"repro.experiments.run_all"}
         completed = subprocess.run(
             [
                 sys.executable,

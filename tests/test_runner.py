@@ -2,12 +2,11 @@
 
 Covers the on-disk task queue (manifest round-trips, resume guards), the
 learner checkpoint/resume path (bit-identical continuation, including
-benchmarks with stateful drift noise), equivalence of the sharded backend
-with the established process-pool schedule, and — the headline guarantee —
+benchmarks with stateful drift noise), and — the headline guarantee —
 that a ``run_all --paper-run`` invocation killed mid-flight resumes from
 its checkpoints and produces results identical to an uninterrupted run.
-The registry-level guarantees (every artifact's sharded fold equals its
-serial driver, multi-host claim contention) live in ``test_registry.py``.
+The registry-level guarantees (every artifact's sharded fold equals the
+in-memory path, multi-host claim contention) live in ``test_registry.py``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.comparison import compare_sampling_plans_suite
 from repro.core.evaluation import build_test_set
 from repro.core.learner import ActiveLearner, LearnerConfig
 from repro.core.plans import sequential_plan
@@ -208,24 +206,6 @@ class TestCheckpointResume:
 
 
 class TestRunnerEquivalence:
-    def test_sharded_run_matches_pool_schedule(self, tmp_path):
-        """The merged comparisons equal ``compare_sampling_plans_suite``'s
-        pool-mode output bit-for-bit (same per-unit seeding)."""
-        scale = _small_scale()
-        runner = ExperimentRunner(
-            tmp_path / "run", scale, artifacts=["table1"], checkpoint_interval=5
-        )
-        merged = runner.run(workers=2)["table1"].comparisons
-        suite = compare_sampling_plans_suite(
-            ["mm"], config=scale.comparison_config(), workers=2
-        )
-        for plan_name, curve in merged["mm"].curves.items():
-            expected = suite["mm"].curves[plan_name]
-            assert np.array_equal(curve.costs(), expected.costs())
-            assert np.array_equal(curve.errors(), expected.errors())
-        assert merged["mm"].lowest_common_rmse == suite["mm"].lowest_common_rmse
-        assert merged["mm"].cost_to_reach == suite["mm"].cost_to_reach
-
     def test_completed_run_resumes_to_identical_merge(self, tmp_path):
         scale = _small_scale(repetitions=1)
         runner = ExperimentRunner(tmp_path / "run", scale, artifacts=["table1"])
