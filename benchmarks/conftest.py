@@ -41,8 +41,8 @@ def pytest_addoption(parser):
 
 def pytest_configure(config):
     # Warm up before every timed measurement with exactly ONE throwaway run
-    # of the benchmarked callable: JIT compilation on the numba backend and
-    # NumPy's allocator warm-up must never pollute recorded means.  The
+    # of the benchmarked callable: NumPy's allocator warm-up must never
+    # pollute recorded means.  The
     # warmup-iterations pin matters: pytest-benchmark's default of 100 000
     # would replay *every calibrated round* as warm-up, which grows the
     # stateful update benchmarks' models before timing starts and inflates

@@ -28,6 +28,7 @@ from repro.measurement.profiler import Profiler
 from repro.models.dynamic_tree import DynamicTreeConfig, DynamicTreeRegressor
 from repro.models.gp import GaussianProcessRegressor
 from repro.spapt.suite import get_benchmark
+from tests.oracles.dynamic_tree import ReferenceDynamicTree, copy_tree
 
 
 def _training_data(size, dims=6, seed=0):
@@ -37,23 +38,20 @@ def _training_data(size, dims=6, seed=0):
     return X, y
 
 
-def _as_reference(model: DynamicTreeRegressor) -> DynamicTreeRegressor:
-    """A vectorized=False twin with the same (deep-copied) particle state.
+def _as_reference(model: DynamicTreeRegressor) -> ReferenceDynamicTree:
+    """A reference-oracle twin with the same (deep-copied) particle state.
 
     Fitting at paper-scale particle counts through the reference path takes
     minutes; transplanting the state of a batched fit measures exactly the
     same update workload on identical trees without paying that setup.
     """
-    clone = DynamicTreeRegressor(
-        dataclasses.replace(model.config, vectorized=False),
-        rng=copy.deepcopy(model._rng),
-    )
+    clone = ReferenceDynamicTree(model.config, rng=copy.deepcopy(model._rng))
     clone._X = None if model._X is None else model._X.copy()
     clone._y = None if model._y is None else model._y.copy()
     clone._n = model._n
     clone._prior = model._prior
     clone._lml = model._lml
-    clone._particles = [root.copy() for root in model._particles]
+    clone._particles = [copy_tree(root) for root in model._particles]
     return clone
 
 
@@ -103,7 +101,7 @@ def paper_scale_model():
 
 
 @pytest.mark.benchmark(group="model-update")
-@pytest.mark.parametrize("kernel", ["batched", "fast", "compiled", "reference"])
+@pytest.mark.parametrize("kernel", ["batched", "fast", "reference"])
 def test_bench_particle_update_1000(benchmark, paper_scale_model, kernel):
     """Algorithm 1's per-observation model update at 1 000 particles.
 
@@ -111,13 +109,11 @@ def test_bench_particle_update_1000(benchmark, paper_scale_model, kernel):
     (batched reweight, copy-on-write resample, three-phase propagate);
     ``fast`` is the same kernel with ``DynamicTreeConfig(float_mode="fast")``
     (fused reductions and SIMD transcendentals, tolerance-tested instead of
-    bit-exact); ``compiled`` dispatches through
-    ``DynamicTreeConfig(backend="numba")`` — the njit kernels when numba is
-    installed, the automatic NumPy fallback otherwise; ``reference`` is the
-    pre-batching per-particle Python loop kept as the equivalence oracle.
+    bit-exact); ``reference`` is the pre-batching per-particle Python loop,
+    the ``ReferenceDynamicTree`` equivalence oracle of ``tests/oracles``.
     All absorb the same held-out observations from identical tree state, so
-    the quartet measures the update-kernel speedup directly.  One untimed
-    warm-up round absorbs JIT compilation and allocator warm-up.
+    the trio measures the update-kernel speedup directly.  One untimed
+    warm-up round absorbs allocator warm-up.
 
     The last timed round's per-phase wall-clock split
     (``DynamicTreeRegressor.phase_timings``) lands in the JSON record's
@@ -138,9 +134,7 @@ def test_bench_particle_update_1000(benchmark, paper_scale_model, kernel):
             model = _as_reference(fitted)
         else:
             model = copy.deepcopy(fitted)
-            if kernel == "compiled":
-                model._config = dataclasses.replace(model.config, backend="numba")
-            elif kernel == "fast":
+            if kernel == "fast":
                 model._config = dataclasses.replace(
                     model.config, float_mode="fast"
                 )

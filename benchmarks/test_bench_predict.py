@@ -5,9 +5,9 @@ a reference batch across every dynamic-tree particle — this *is* the cost
 of reproduction, which is why the tree inference was lowered onto the
 flat-array kernel (:mod:`repro.models.flat_tree`).  The benchmarks here pit
 that kernel against the per-node reference implementation (the seed's
-pure-Python descent loops, kept as ``predict_reference`` /
-``expected_average_variance_reference``) at "bench scale": 60 candidates ×
-40 reference points × 40 particles.
+pure-Python descent loops, kept as the ``ReferenceDynamicTree`` oracle in
+``tests/oracles``) at "bench scale": 60 candidates × 40 reference points ×
+40 particles.
 
 Results are exported to ``BENCH_model.json`` (see ``conftest.py``), so the
 vectorized-vs-reference ratio — the before/after speedup — is recorded
@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.models.dynamic_tree import DynamicTreeConfig, DynamicTreeRegressor
+from tests.oracles.dynamic_tree import ReferenceDynamicTree
 
 N_CANDIDATES = 60
 N_REFERENCE = 40
@@ -37,9 +38,9 @@ def _make_model(vectorized: bool):
         + np.where(X[:, 1] > 0, 0.5, 0.0)
         + rng.normal(0, 0.02, N_TRAIN)
     )
-    model = DynamicTreeRegressor(
-        DynamicTreeConfig(n_particles=N_PARTICLES, vectorized=vectorized),
-        rng=np.random.default_rng(1),
+    model_class = DynamicTreeRegressor if vectorized else ReferenceDynamicTree
+    model = model_class(
+        DynamicTreeConfig(n_particles=N_PARTICLES), rng=np.random.default_rng(1)
     )
     model.fit(X, y)
     candidates = rng.uniform(-1.5, 1.5, size=(N_CANDIDATES, DIMS))
@@ -57,17 +58,10 @@ def test_bench_predict_alc(benchmark, kernel):
     ``BENCH_model.json`` is the tracked before/after speedup.
     """
     model, candidates, reference = _make_model(vectorized=(kernel == "vectorized"))
-    if kernel == "vectorized":
 
-        def score_once():
-            model.predict(candidates)
-            return model.expected_average_variance(candidates, reference)
-
-    else:
-
-        def score_once():
-            model.predict_reference(candidates)
-            return model.expected_average_variance_reference(candidates, reference)
+    def score_once():
+        model.predict(candidates)
+        return model.expected_average_variance(candidates, reference)
 
     scores = benchmark(score_once)
     assert scores.shape == (N_CANDIDATES,)

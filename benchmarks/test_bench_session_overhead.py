@@ -76,7 +76,7 @@ def _inline_run(mm, test_set):
         revisit=plan.revisit,
     )
     model = DynamicTreeRegressor(
-        DynamicTreeConfig(n_particles=config.tree_particles, backend=config.tree_backend),
+        DynamicTreeConfig(n_particles=config.tree_particles),
         rng=np.random.default_rng(rng.integers(2 ** 63)),
     )
     curve = LearningCurve(plan.name)

@@ -18,11 +18,4 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.9",
     install_requires=["numpy", "scipy"],
-    extras_require={
-        # Optional JIT backend for the SMC update kernels
-        # (DynamicTreeConfig(backend="numba"); see docs/architecture.md).
-        # Everything falls back to the bit-identical NumPy kernels when
-        # numba is not installed.
-        "jit": ["numba"],
-    },
 )

@@ -56,7 +56,6 @@ import numpy as np
 from ..measurement.broker import MeasurementBroker, ProfilerBroker, measure_batch
 from ..measurement.profiler import CostLedger, Profiler
 from ..models.base import SurrogateModel
-from ..models.compiled_kernels import BACKENDS
 from ..models.dynamic_tree import DynamicTreeConfig, DynamicTreeRegressor
 from ..spapt.suite import SpaptBenchmark
 from .acquisition import AcquisitionFunction, ALCAcquisition
@@ -86,6 +85,9 @@ class LearnerConfig:
     tree particles; the defaults here are scaled down so a full comparison
     runs in minutes on a laptop, and :meth:`paper_scale` restores the paper's
     values.
+
+    ``tree_backend`` has one accepted value, ``"numpy"``; it is kept only so
+    callers that still pass it keep working.
     """
 
     n_initial: int = 5
@@ -116,8 +118,8 @@ class LearnerConfig:
             raise ValueError("max_cost_seconds must be positive when given")
         if self.tree_particles < 1:
             raise ValueError("tree_particles must be at least 1")
-        if self.tree_backend not in BACKENDS:
-            raise ValueError(f"tree_backend must be one of {BACKENDS}")
+        if self.tree_backend != "numpy":
+            raise ValueError('tree_backend must be "numpy"')
         if self.tree_float_mode not in ("exact", "fast"):
             raise ValueError('tree_float_mode must be "exact" or "fast"')
 
@@ -127,9 +129,9 @@ class LearnerConfig:
 
         Keyword overrides are forwarded to the constructor, so callers can
         keep the paper's loop parameters while adjusting orthogonal knobs
-        (``tree_backend``, ``max_cost_seconds``, ...)::
+        (``max_cost_seconds``, ``tree_float_mode``, ...)::
 
-            LearnerConfig.paper_scale(tree_backend="numba")
+            LearnerConfig.paper_scale(max_cost_seconds=3600.0)
         """
         params = dict(
             n_initial=5,
@@ -199,7 +201,6 @@ class ActiveLearner:
         return DynamicTreeRegressor(
             DynamicTreeConfig(
                 n_particles=self._config.tree_particles,
-                backend=self._config.tree_backend,
                 float_mode=self._config.tree_float_mode,
             ),
             rng=rng,

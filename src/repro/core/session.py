@@ -236,11 +236,12 @@ class TuningSession:
     #: Layout version of a pickled session, stamped into every checkpoint.
     #: Bump it whenever a change to the session or to anything it pickles
     #: (model, pool, ledger, curve) means an older checkpoint would not
-    #: resume bit-identically.  Format 3: the model's particles travel as
-    #: an array snapshot of its particle forest (format 2 pickled them as
-    #: ``_Node`` objects; format 1 also carried per-particle compilations
-    #: and an incremental forest).
-    _CHECKPOINT_FORMAT = 3
+    #: resume bit-identically.  Format 4: the model's config no longer
+    #: carries a ``vectorized`` field.  Format 3 first sent the particles
+    #: as an array snapshot of the particle forest (format 2 pickled them
+    #: as ``_Node`` objects; format 1 also carried per-particle
+    #: compilations and an incremental forest).
+    _CHECKPOINT_FORMAT = 4
 
     def __getstate__(self) -> dict:
         """Drop the benchmark (unpicklable memoisation caches) and the model
@@ -619,7 +620,6 @@ class TuningSession:
         return DynamicTreeRegressor(
             DynamicTreeConfig(
                 n_particles=self._config.tree_particles,
-                backend=self._config.tree_backend,
                 float_mode=self._config.tree_float_mode,
             ),
             rng=rng,

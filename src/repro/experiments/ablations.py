@@ -241,9 +241,7 @@ class ModelAblationSpec(_LearnerAblationSpec):
     def learner_kwargs(self, variant: str, scale: ExperimentScale) -> dict:
         return {
             "model_factory": model_factory(
-                variant,
-                tree_particles=scale.learner.tree_particles,
-                tree_backend=scale.learner.tree_backend,
+                variant, tree_particles=scale.learner.tree_particles
             )
         }
 

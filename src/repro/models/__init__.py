@@ -36,25 +36,25 @@ __all__ = [
 
 
 def _make_dynamic_tree(
-    rng: Optional[np.random.Generator], tree_particles: int, tree_backend: str
+    rng: Optional[np.random.Generator], tree_particles: int
 ) -> SurrogateModel:
     return DynamicTreeRegressor(
-        DynamicTreeConfig(n_particles=tree_particles, backend=tree_backend),
+        DynamicTreeConfig(n_particles=tree_particles),
         rng=rng if rng is not None else np.random.default_rng(),
     )
 
 
 _MODEL_REGISTRY: dict = {
     "dynamic-tree": _make_dynamic_tree,
-    "gp": lambda rng, tree_particles, tree_backend: GaussianProcessRegressor(),
+    "gp": lambda rng, tree_particles: GaussianProcessRegressor(),
     # Sliding-window GP: forgets the oldest observation past 100 training
     # examples through the rank-1 Cholesky downdate — the drift-tracking
     # surrogate with bounded per-update cost.
-    "gp-window": lambda rng, tree_particles, tree_backend: GaussianProcessRegressor(
+    "gp-window": lambda rng, tree_particles: GaussianProcessRegressor(
         window_size=100
     ),
-    "knn": lambda rng, tree_particles, tree_backend: KNNRegressor(k=5),
-    "constant-mean": lambda rng, tree_particles, tree_backend: ConstantMeanModel(),
+    "knn": lambda rng, tree_particles: KNNRegressor(k=5),
+    "constant-mean": lambda rng, tree_particles: ConstantMeanModel(),
 }
 
 
@@ -74,21 +74,20 @@ def make_model(
     name: str,
     rng: Optional[np.random.Generator] = None,
     tree_particles: int = 30,
-    tree_backend: str = "numpy",
 ) -> SurrogateModel:
     """Construct a surrogate model by name.
 
-    ``rng``, ``tree_particles`` and ``tree_backend`` only affect the dynamic
-    tree (the other models are deterministic given their training data and
-    have no compiled kernels); they are accepted for every name so callers
-    can treat the model choice as a pure string axis.
+    ``rng`` and ``tree_particles`` only affect the dynamic tree (the other
+    models are deterministic given their training data); they are
+    accepted for every name so callers can treat the model choice as a
+    pure string axis.
     """
-    return _MODEL_REGISTRY[_resolve_model_name(name)](rng, tree_particles, tree_backend)
+    return _MODEL_REGISTRY[_resolve_model_name(name)](rng, tree_particles)
 
 
 def model_factory(
-    name: str, tree_particles: int = 30, tree_backend: str = "numpy"
+    name: str, tree_particles: int = 30
 ) -> Callable[[np.random.Generator], SurrogateModel]:
     """An :class:`~repro.core.learner.ActiveLearner`-compatible factory for ``name``."""
     key = _resolve_model_name(name)
-    return lambda rng: _MODEL_REGISTRY[key](rng, tree_particles, tree_backend)
+    return lambda rng: _MODEL_REGISTRY[key](rng, tree_particles)

@@ -40,7 +40,7 @@ particle counts (5 000) tractable:
 * **reweight** — one ``route_update`` descent routes the incoming ``x``
   through every particle's forest row together, and the predictive
   log-pdfs come from the cached per-leaf log-pdf terms of the leaves it
-  lands on (one fused gather plus the backend's ``log1p`` map) instead of
+  lands on (one fused gather plus the float mode's ``log1p`` map) instead of
   ``n_particles`` per-node Python descents;
 * **resample** — the systematic resampler duplicates particles
   *copy-on-write*: duplicates share the original tree, and nodes are
@@ -57,13 +57,11 @@ particle counts (5 000) tractable:
   prune.  Only the ``_Node`` mutation itself stays per particle.
 
 Every floating-point operation and every RNG draw in the batched path
-replays the per-particle reference implementation exactly (sequential
+replays a per-particle reference implementation exactly (sequential
 ``cumsum`` sums, scalar ``math`` transcendentals, identical draw order), so
-seeded learning curves are bit-identical between the two.  The reference
-implementations are kept (``predict_reference``,
-``expected_average_variance_reference`` and the per-particle update path,
-all selected by ``DynamicTreeConfig(vectorized=False)``) both as executable
-documentation and as the oracle for the equivalence tests.
+seeded learning curves are bit-identical between the two.  That reference
+(``ReferenceDynamicTree`` in ``tests/oracles/dynamic_tree.py``, one Python
+descent per particle and row) is the oracle of the equivalence tests.
 """
 
 from __future__ import annotations
@@ -78,7 +76,8 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .base import Prediction, SurrogateModel
-from .compiled_kernels import BACKENDS, get_kernels, nig_beta_n
+from . import compiled_kernels as kernels
+from .compiled_kernels import nig_beta_n
 from .flat_tree import FlatForest, ParticleForest
 from .leaf import (
     GaussianLeafModel,
@@ -86,26 +85,10 @@ from .leaf import (
     LeafTermTables,
     LMLCache,
     NIGPrior,
-    log_marginal_likelihood_from_stats,
 )
 from .rng_replay import GeneratorDraws, ReplayDraws
 
 __all__ = ["DynamicTreeConfig", "DynamicTreeRegressor"]
-
-
-def _sequential_sum(values: np.ndarray) -> float:
-    """Left-to-right float sum, bit-identical to a Python accumulation loop.
-
-    ``np.sum`` uses pairwise summation, which rounds differently from the
-    sequential ``+=`` loops this module's scalar reference paths (and the
-    original implementation) use.  ``np.cumsum`` *is* sequential, so its last
-    element reproduces the scalar accumulation exactly — keeping vectorized
-    and reference trajectories bitwise identical, which matters because the
-    particle moves are sampled from scores built on these sums.
-    """
-    if values.size == 0:
-        return 0.0
-    return float(np.cumsum(values)[-1])
 
 
 @dataclass(frozen=True)
@@ -118,27 +101,17 @@ class DynamicTreeConfig:
     identically (this is exercised by an ablation benchmark), but with the
     batched update kernel the paper's particle count is affordable too.
 
-    ``vectorized`` selects the flat-array kernels for ``predict``,
-    ``expected_average_variance`` *and* the sequential ``update`` path;
-    disabling it falls back to the per-node, per-particle reference
-    implementations (slow — only useful for equivalence testing).  The two
-    modes produce bit-identical seeded trajectories.
-
-    ``backend`` selects the kernel set the batched update dispatches to
-    (see :mod:`repro.models.compiled_kernels`): ``"numpy"`` (the default,
-    bit-exact), ``"numba"`` (jitted when numba is installed, silently
-    falling back to the exact NumPy kernels otherwise) or ``"numba-fast"``
-    (tolerance-tested: may differ from the reference in the last ulp of
-    the transcendentals, which can fork sampled trajectories).
-
     ``float_mode`` selects between the bit-exact float contract
     (``"exact"``, the default: sequential-cumsum reductions and scalar
-    ``math`` transcendental maps, bit-identical to the reference path)
-    and ``"fast"`` (``np.sum``/matmul reductions and numpy SIMD
+    ``math`` transcendental maps, bit-identical to the per-particle
+    reference) and ``"fast"`` (``np.sum``/matmul reductions and numpy SIMD
     transcendentals where bit-identity is what blocks fusion).  Fast-mode
     scores can differ from the reference in the last ulp, which may fork
     sampled trajectories at knife-edge draws; the tolerance suite pins
     the agreement (see ``docs/architecture.md``).
+
+    ``backend`` has one accepted value, ``"numpy"``; it is kept only so
+    callers that still pass it keep working.
     """
 
     n_particles: int = 40
@@ -149,7 +122,6 @@ class DynamicTreeConfig:
     resample_threshold: float = 0.5
     prior_kappa: float = 0.1
     prior_alpha: float = 3.0
-    vectorized: bool = True
     backend: str = "numpy"
     float_mode: str = "exact"
 
@@ -166,8 +138,8 @@ class DynamicTreeConfig:
             raise ValueError("n_split_candidates must be at least 1")
         if not 0.0 < self.resample_threshold <= 1.0:
             raise ValueError("resample_threshold must be in (0, 1]")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}")
+        if self.backend != "numpy":
+            raise ValueError('backend must be "numpy"')
         if self.float_mode not in ("exact", "fast"):
             raise ValueError('float_mode must be "exact" or "fast"')
 
@@ -217,19 +189,6 @@ class _Node:
     def is_leaf(self) -> bool:
         return self.leaf is not None
 
-    def copy(self) -> "_Node":
-        clone = _Node(self.depth)
-        clone.split_dim = self.split_dim
-        clone.split_value = self.split_value
-        if self.leaf is not None:
-            clone.leaf = self.leaf.copy()
-            clone.indices = list(self.indices)
-        if self.left is not None:
-            clone.left = self.left.copy()
-        if self.right is not None:
-            clone.right = self.right.copy()
-        return clone
-
     def clone_shallow(self) -> "_Node":
         """A private one-node clone for copy-on-write path copying.
 
@@ -251,32 +210,6 @@ class _Node:
         if clone.right is not None:
             clone.right.shared = True
         return clone
-
-    def descend(self, x: np.ndarray) -> "_Node":
-        """The leaf whose region contains ``x``."""
-        node = self
-        while not node.is_leaf:
-            assert node.left is not None and node.right is not None
-            if x[node.split_dim] <= node.split_value:
-                node = node.left
-            else:
-                node = node.right
-        return node
-
-    def descend_with_parent(
-        self, x: np.ndarray
-    ) -> Tuple["_Node", Optional["_Node"]]:
-        """The leaf containing ``x`` together with its parent (``None`` at the root)."""
-        parent: Optional[_Node] = None
-        node = self
-        while not node.is_leaf:
-            parent = node
-            assert node.left is not None and node.right is not None
-            if x[node.split_dim] <= node.split_value:
-                node = node.left
-            else:
-                node = node.right
-        return node, parent
 
     def leaves(self) -> List["_Node"]:
         if self.is_leaf:
@@ -417,7 +350,7 @@ class DynamicTreeRegressor(SurrogateModel):
         self._particles: List[_Node] = []
         # Every particle compiled into one padded array set, built on the
         # first predict/ALC/update after ``fit`` or a load and then kept in
-        # step by each batched update.  The reference path drops it.
+        # step by each update.
         self._particle_forest: Optional[ParticleForest] = None
         # Per-depth tree-prior log terms (split probabilities only depend on
         # the frozen config, and every particle's scores reuse them).
@@ -619,30 +552,27 @@ class DynamicTreeRegressor(SurrogateModel):
         for index in order:
             self.update(X[index], float(y[index]))
 
-    def update(self, features: np.ndarray, target: float) -> None:
-        """Absorb one observation: reweight, resample, propagate every particle."""
+    def _observation(
+        self, features: np.ndarray, target: float
+    ) -> Tuple[np.ndarray, float]:
+        """``(x, y)`` of one observation, checked against the seeded model."""
         if self._prior is None or not self._particles:
             raise RuntimeError("the model must be seeded with fit() before update()")
         x = np.asarray(features, dtype=float).ravel()
-        y = float(target)
         if self._n and self._X is not None:
             expected_dim = self._X.shape[1]
             if x.shape[0] != expected_dim:
                 raise ValueError(
                     f"feature dimension mismatch: got {x.shape[0]}, expected {expected_dim}"
                 )
-        if self._config.vectorized:
-            self._update_batched(x, y)
-        else:
-            self._update_reference(x, y)
+        return x, float(target)
 
-    # ------------------------------------------------- batched update kernel
+    def update(self, features: np.ndarray, target: float) -> None:
+        """Absorb one observation: reweight, resample, propagate every particle.
 
-    def _update_batched(self, x: np.ndarray, y: float) -> None:
-        """One SMC update with all cross-particle work batched.
-
-        The reweight routes the incoming point through every particle's
-        forest row and the propagate step runs as a three-phase pipeline
+        All cross-particle work is batched.  The reweight routes the
+        incoming point through every particle's forest row and the
+        propagate step runs as a three-phase pipeline
         (see :meth:`_propagate_all`) whose cross-particle work — candidate
         partition sums, split thresholds, move probabilities, the move draw
         inversion and the stay-move leaf patch — runs as a handful of array
@@ -653,6 +583,7 @@ class DynamicTreeRegressor(SurrogateModel):
         batched scoring that interprets them, while consuming the stream in
         exactly the reference order.
         """
+        x, y = self._observation(features, target)
         expected_raws = (
             len(self._particles) * (2 * self._config.n_split_candidates + 1) + 8
         )
@@ -668,20 +599,6 @@ class DynamicTreeRegressor(SurrogateModel):
             if replaying:
                 self._replay.end()
             self._draws = self._generator_draws
-
-    def _update_reference(self, x: np.ndarray, y: float) -> None:
-        """Per-particle reference implementation of one SMC update.
-
-        Python descents and eager tree copies throughout; kept as the
-        oracle the batched kernel's trajectories are tested against.  It
-        keeps no compiled state: the particle forest is dropped.
-        """
-        if self._n >= 1:
-            self._resample_reference(x, y)
-        index = self._append_observation(x, y)
-        self._particle_forest = None
-        for particle_index, root in enumerate(self._particles):
-            self._particles[particle_index] = self._propagate(root, x, y, index)
 
     # ----------------------------------------------------------- prediction
 
@@ -700,8 +617,6 @@ class DynamicTreeRegressor(SurrogateModel):
     def predict(self, features: np.ndarray) -> Prediction:
         if not self._particles or not self._n:
             raise RuntimeError("the model has no training data yet")
-        if not self._config.vectorized:
-            return self.predict_reference(features)
         X = np.atleast_2d(np.asarray(features, dtype=float))
         count = float(len(self._particles))
         mean, variance = self._ensure_forest().predict_components(X)
@@ -716,31 +631,6 @@ class DynamicTreeRegressor(SurrogateModel):
             # bit-identical.
             means = np.cumsum(mean, axis=0)[-1] / count
             second_moments = np.cumsum(variance + mean * mean, axis=0)[-1]
-        variances = np.maximum(second_moments / count - means ** 2, 1e-18)
-        return Prediction(mean=means, variance=variances)
-
-    def predict_reference(self, features: np.ndarray) -> Prediction:
-        """Per-node reference implementation of :meth:`predict`.
-
-        Descends every row through every particle with Python loops; kept as
-        the oracle the vectorized kernel is tested against.
-        """
-        if not self._particles or not self._n:
-            raise RuntimeError("the model has no training data yet")
-        X = np.atleast_2d(np.asarray(features, dtype=float))
-        n = X.shape[0]
-        means = np.zeros(n)
-        second_moments = np.zeros(n)
-        count = float(len(self._particles))
-        for root in self._particles:
-            for i in range(n):
-                leaf = root.descend(X[i])
-                assert leaf.leaf is not None
-                mean = leaf.leaf.predictive_mean()
-                var = leaf.leaf.predictive_variance()
-                means[i] += mean
-                second_moments[i] += var + mean * mean
-        means /= count
         variances = np.maximum(second_moments / count - means ** 2, 1e-18)
         return Prediction(mean=means, variance=variances)
 
@@ -765,12 +655,10 @@ class DynamicTreeRegressor(SurrogateModel):
         """
         if not self._particles or not self._n:
             raise RuntimeError("the model has no training data yet")
-        if not self._config.vectorized:
-            return self.expected_average_variance_reference(candidates, reference)
         C = np.atleast_2d(np.asarray(candidates, dtype=float))
         R = np.atleast_2d(np.asarray(reference, dtype=float))
         n_reference = R.shape[0]
-        kappa = self._prior.kappa if self._prior is not None else 0.1
+        kappa = self._prior.kappa
         forest = self._ensure_forest()
         # (n_particles, n_reference) global leaf ids; leaf ids never collide
         # across particles, so one bincount aggregates the per-leaf
@@ -800,47 +688,7 @@ class DynamicTreeRegressor(SurrogateModel):
             scores = np.cumsum(spread, axis=0)[-1]
         return scores / len(self._particles)
 
-    def expected_average_variance_reference(
-        self, candidates: np.ndarray, reference: np.ndarray
-    ) -> np.ndarray:
-        """Per-node reference implementation of :meth:`expected_average_variance`."""
-        if not self._particles or not self._n:
-            raise RuntimeError("the model has no training data yet")
-        C = np.atleast_2d(np.asarray(candidates, dtype=float))
-        R = np.atleast_2d(np.asarray(reference, dtype=float))
-        n_candidates = C.shape[0]
-        n_reference = R.shape[0]
-        scores = np.zeros(n_candidates)
-        kappa = self._prior.kappa if self._prior is not None else 0.1
-        for root in self._particles:
-            # Group the reference points by the leaf that contains them so
-            # the per-candidate reduction is an array lookup rather than a
-            # scan over the whole reference set.  Leaves are identified by
-            # their position in the particle's leaf list.
-            leaves = root.leaves()
-            variance_by_leaf = np.zeros(len(leaves))
-            base_total = 0.0
-            for j in range(n_reference):
-                leaf = root.descend(R[j])
-                assert leaf.leaf is not None
-                variance = leaf.leaf.predictive_variance()
-                base_total += variance
-                variance_by_leaf[leaves.index(leaf)] += variance
-            for i in range(n_candidates):
-                candidate_leaf = root.descend(C[i])
-                assert candidate_leaf.leaf is not None
-                n_leaf = candidate_leaf.leaf.count
-                shrink = 1.0 / (n_leaf + kappa + 1.0)
-                reduction = variance_by_leaf[leaves.index(candidate_leaf)] * shrink
-                scores[i] += (base_total - reduction) / n_reference
-        return scores / len(self._particles)
-
     # --------------------------------------------------- reweight + resample
-
-    def _predictive_logpdf(self, root: _Node, x: np.ndarray, y: float) -> float:
-        leaf = root.descend(x)
-        assert leaf.leaf is not None
-        return leaf.leaf.predictive_logpdf(y)
 
     def _systematic_indices(self, weights: np.ndarray, uniform: float) -> List[int]:
         """Systematic (stratified) resampling indices for normalized weights.
@@ -883,8 +731,8 @@ class DynamicTreeRegressor(SurrogateModel):
         instead of re-walking ``_Node`` objects — one fused
         gather-and-log-pdf pass over the leaf cache rows, and the offset
         subtraction that localises the global ids.  The arithmetic is the
-        cached-log-pdf-terms evaluation with the backend's ``log1p``
-        flavour (scalar-rounded in exact mode — numpy's rounds differently
+        cached-log-pdf-terms evaluation with the float mode's ``log1p``
+        map (scalar-rounded in exact mode — numpy's rounds differently
         and the resample decision is sampled from these weights).  When
         the effective sample size calls for a resample, duplicated
         particles *share* the original tree copy-on-write instead of
@@ -897,9 +745,9 @@ class DynamicTreeRegressor(SurrogateModel):
         particles = self._particles
         count = len(particles)
         config = self._config
-        kernels = get_kernels(config.backend, config.float_mode == "fast")
+        _, log1p_array = kernels.log_maps(config.float_mode == "fast")
         forest = self._ensure_forest()
-        gids, nodes, parents, depths = kernels.route_update(
+        gids, nodes, parents, depths = kernels.route_update_numpy(
             forest.split_dim,
             forest.split_value,
             forest.left,
@@ -908,7 +756,9 @@ class DynamicTreeRegressor(SurrogateModel):
             forest.roots,
             x,
         )
-        log_weights = kernels.reweight_log_weights(forest.caches.data, gids, y)
+        log_weights = kernels.reweight_log_weights(
+            forest.caches.data, gids, y, log1p_array
+        )
         local_ids = gids - forest.leaf_offsets
         routing = _UpdateRouting(forest, local_ids, gids, nodes, parents, depths)
         toc = perf_counter()
@@ -957,33 +807,6 @@ class DynamicTreeRegressor(SurrogateModel):
         )
         timings["resample"] += perf_counter() - tic
         return routing
-
-    def _resample_reference(self, x: np.ndarray, y: float) -> None:
-        """Per-particle reference reweight/resample (eager tree copies)."""
-        log_weights = np.array(
-            [self._predictive_logpdf(root, x, y) for root in self._particles]
-        )
-        log_weights -= log_weights.max()
-        weights = np.exp(log_weights)
-        total = weights.sum()
-        if total <= 0 or not np.isfinite(total):
-            return
-        weights /= total
-        effective = 1.0 / float(np.sum(weights ** 2))
-        if effective >= self._config.resample_threshold * len(self._particles):
-            return
-        chosen_indices = self._systematic_indices(weights, self._rng.random())
-        # Deduplicate by particle *index*: the first occurrence keeps the
-        # original tree, later occurrences get independent copies.
-        new_particles: List[_Node] = []
-        used_original: set[int] = set()
-        for j in chosen_indices:
-            if j not in used_original:
-                new_particles.append(self._particles[j])
-                used_original.add(j)
-            else:
-                new_particles.append(self._particles[j].copy())
-        self._particles = new_particles
 
     # ----------------------------------------------------- batched propagate
 
@@ -1075,8 +898,8 @@ class DynamicTreeRegressor(SurrogateModel):
     ) -> None:
         """Propagate every particle through one stay/grow/prune move.
 
-        Three phases, all bit-identical to running :meth:`_propagate` per
-        particle:
+        Three phases, all bit-identical to the per-particle reference
+        propagate (one stay/grow/prune move per particle in turn):
 
         1. **score** — the leaf, sibling and depth context comes from the
            reweight's ``route_update`` descent (see :class:`_UpdateRouting`):
@@ -1089,10 +912,9 @@ class DynamicTreeRegressor(SurrogateModel):
            exactly the reference order (the replayed stream makes the draw
            *values* independent of when they are interpreted); the
            stay/prune scores are then one vectorized pass over
-           :class:`~repro.models.leaf.LeafTermTables` gathers, dispatched
-           through the configured :mod:`~repro.models.compiled_kernels`
-           backend.  Scoring reads only pre-update state, so particles
-           sharing copy-on-write subtrees see identical values to the
+           :class:`~repro.models.leaf.LeafTermTables` gathers with the
+           float mode's ``log`` map.  Scoring reads only pre-update state,
+           so particles sharing copy-on-write subtrees see identical values to the
            reference's private copies.
         2. **batch** — every particle's candidate splits are scored
            together: padded ``(n_particles, max_leaf_size, …)`` arrays
@@ -1305,7 +1127,7 @@ class DynamicTreeRegressor(SurrogateModel):
         # arithmetic elementwise — the expression grouping and the scalar-
         # rounded log map keep every score bit-identical to the LMLCache
         # evaluation the reference path performs.
-        kernels = get_kernels(config.backend, fast)
+        log_array, _ = kernels.log_maps(fast)
         tables = self._leaf_term_tables()
         prior = self._prior
         prior_beta = prior.beta
@@ -1331,7 +1153,7 @@ class DynamicTreeRegressor(SurrogateModel):
             prior_beta, prior_kappa, prior_mean,
         )
         stay_lml = (
-            (tables.head[counts_stay] - alpha_stay * kernels.log_array(beta_stay))
+            (tables.head[counts_stay] - alpha_stay * log_array(beta_stay))
             + tables.mid[counts_stay]
         ) - tables.tail[counts_stay]
         stay_scores = log1m_here + stay_lml
@@ -1357,7 +1179,7 @@ class DynamicTreeRegressor(SurrogateModel):
                 prior_mean,
             )
             prune_lml = (
-                (tables.head[counts_prune] - alpha_prune * kernels.log_array(beta_prune))
+                (tables.head[counts_prune] - alpha_prune * log_array(beta_prune))
                 + tables.mid[counts_prune]
             ) - tables.tail[counts_prune]
             prune_scores[pr] = log1m_parent + prune_lml
@@ -1461,10 +1283,10 @@ class DynamicTreeRegressor(SurrogateModel):
         # One fused pass over the padded candidate grid: the kernel
         # evaluates the left/right marginal likelihoods from the same
         # count-term tables (one log pass over the concatenated beta_n
-        # values on the NumPy backend) and returns each particle's argmax
-        # candidate.  Padded slots carry ``-inf`` thresholds, so their
-        # left counts are 0 and min_leaf filtering rejects them exactly
-        # like the reference's per-candidate guard.
+        # values) and returns each particle's argmax candidate.  Padded
+        # slots carry ``-inf`` thresholds, so their left counts are 0 and
+        # min_leaf filtering rejects them exactly like the reference's
+        # per-candidate guard.
         best_slot, best_left, best_right = kernels.grow_scores(
             n_left_matrix,
             n_points_arr,
@@ -1479,6 +1301,7 @@ class DynamicTreeRegressor(SurrogateModel):
             prior_beta,
             prior_kappa,
             prior_mean,
+            log_array,
         )
         grow_scores = np.full(count, neg_inf)
         has_best = best_slot >= 0
@@ -1631,7 +1454,7 @@ class DynamicTreeRegressor(SurrogateModel):
                     grow_sums[:, 1, 1],
                     (leaf_sqs[prunes] + sib_sqs_pr[sib]) + y * y,
                 ]),
-                kernels,
+                log_array,
             )
             n_stay = stays.size
             n_grow = grows.size
@@ -1661,12 +1484,12 @@ class DynamicTreeRegressor(SurrogateModel):
         counts: np.ndarray,
         totals: np.ndarray,
         total_sqs: np.ndarray,
-        kernels,
+        log_array: kernels.ArrayMap,
     ) -> np.ndarray:
         """Leaf-cache rows of leaves holding ``(count, sum, sum_sq)`` statistics.
 
         The same count-table gathers and elementwise arithmetic (same
-        grouping, the backend's ``log`` map) as
+        grouping, the float mode's ``log`` map) as
         :meth:`~repro.models.leaf.LeafCacheArrays.patch` evaluates per leaf
         through :class:`~repro.models.leaf.GaussianLeafModel`, so in exact
         mode every row is bit-identical to compiling the leaf.  Every count
@@ -1689,11 +1512,11 @@ class DynamicTreeRegressor(SurrogateModel):
         rows[:, LeafCacheArrays.LOGPDF_COEF] = tables.coef[counts]
         rows[:, LeafCacheArrays.LOGPDF_CONST] = tables.lgamma_part[
             counts
-        ] - 0.5 * kernels.log_array(tables.dof_pi[counts] * scale)
+        ] - 0.5 * log_array(tables.dof_pi[counts] * scale)
         rows[:, LeafCacheArrays.SUM] = totals
         rows[:, LeafCacheArrays.SUM_SQ] = total_sqs
         rows[:, LeafCacheArrays.LML] = (
-            (tables.head[counts] - alpha_n * kernels.log_array(beta_n))
+            (tables.head[counts] - alpha_n * log_array(beta_n))
             + tables.mid[counts]
         ) - tables.tail[counts]
         return rows
@@ -1734,187 +1557,6 @@ class DynamicTreeRegressor(SurrogateModel):
         leaf.indices = []
         leaf.split_dim = proposal.dim
         leaf.split_value = proposal.threshold
-        leaf.left = left_child
-        leaf.right = right_child
-
-    # --------------------------------------------------- reference propagate
-
-    def _propagate(self, root: _Node, x: np.ndarray, y: float, index: int) -> _Node:
-        """Apply one stochastic stay/grow/prune move at the leaf containing ``x``.
-
-        Returns the particle's (possibly new) root.
-        """
-        leaf, parent = root.descend_with_parent(x)
-        assert leaf.leaf is not None and self._prior is not None
-        config = self._config
-
-        # All scores are computed over the subtree rooted at the leaf's
-        # parent (or at the leaf itself when it is the root), so the three
-        # alternatives are directly comparable posteriors of that subtree.
-        sibling: Optional[_Node] = None
-        if parent is not None:
-            sibling = parent.right if parent.left is leaf else parent.left
-
-        leaf_with_new = leaf.leaf.copy()
-        leaf_with_new.add(y)
-        p_split_here = config.split_probability(leaf.depth)
-        stay_score = math.log1p(-p_split_here) + leaf_with_new.log_marginal_likelihood()
-
-        grow_proposal = self._propose_grow(leaf, x, y)
-        grow_score = -math.inf
-        if grow_proposal is not None:
-            _, _, left_model, right_model, _, _ = grow_proposal
-            p_split_child = config.split_probability(leaf.depth + 1)
-            grow_score = (
-                math.log(p_split_here)
-                + 2.0 * math.log1p(-p_split_child)
-                + left_model.log_marginal_likelihood()
-                + right_model.log_marginal_likelihood()
-            )
-
-        prune_score = -math.inf
-        prune_possible = (
-            parent is not None and sibling is not None and sibling.is_leaf
-        )
-        common = 0.0
-        if prune_possible:
-            assert parent is not None and sibling is not None and sibling.leaf is not None
-            p_split_parent = config.split_probability(parent.depth)
-            p_split_sibling = config.split_probability(sibling.depth)
-            # Common factor shared by the stay and grow alternatives when the
-            # comparison is lifted to the parent subtree.
-            common = (
-                math.log(p_split_parent)
-                + math.log1p(-p_split_sibling)
-                + sibling.leaf.log_marginal_likelihood()
-            )
-            merged = leaf_with_new.merge(sibling.leaf)
-            prune_score = math.log1p(-p_split_parent) + merged.log_marginal_likelihood()
-            stay_score += common
-            grow_score = grow_score + common if math.isfinite(grow_score) else grow_score
-
-        scores = np.array([stay_score, grow_score, prune_score])
-        finite = np.isfinite(scores)
-        probabilities = np.zeros(3)
-        shifted = scores[finite] - scores[finite].max()
-        probabilities[finite] = np.exp(shifted)
-        probabilities /= probabilities.sum()
-        move = int(self._rng.choice(3, p=probabilities))
-
-        if move == 1 and grow_proposal is not None:
-            self._apply_grow(leaf, grow_proposal, index)
-            return root
-        if move == 2 and prune_possible:
-            assert parent is not None and sibling is not None
-            return self._apply_prune(root, parent, leaf, sibling, x, y, index)
-        leaf.leaf.add(y)
-        leaf.indices.append(index)
-        return root
-
-    def _propose_grow(
-        self, leaf: _Node, x: np.ndarray, y: float
-    ) -> Optional[Tuple[int, float, GaussianLeafModel, GaussianLeafModel, List[int], List[int]]]:
-        """Propose the best of a few random splits of ``leaf`` (plus the new point).
-
-        Returns ``(dim, threshold, left_model, right_model, left_indices,
-        right_indices)`` where the new point is *not* included in the index
-        lists (it is added by :meth:`_apply_grow`), or ``None`` when no valid
-        split exists (too few points, or no variation in any dimension).
-
-        The partition scans are vectorized: the leaf's observations are
-        sliced out of the training buffers once, and each candidate split is
-        scored from mask reductions over that slice instead of per-point
-        Python loops.
-        """
-        assert self._prior is not None and self._X is not None and self._y is not None
-        config = self._config
-        n_points = len(leaf.indices) + 1
-        if n_points < 2 * config.min_leaf:
-            return None
-        indices = np.asarray(leaf.indices, dtype=np.intp)
-        features = np.concatenate([self._X[indices], x[None, :]], axis=0)
-        targets = np.concatenate([self._y[indices], [y]])
-        targets_sq = targets * targets
-        dims = x.shape[0]
-        min_leaf = config.min_leaf
-        prior = self._prior
-        best: Optional[Tuple[float, int, float]] = None
-        for _ in range(config.n_split_candidates):
-            dim = int(self._rng.integers(dims))
-            column = features[:, dim]
-            values = np.unique(column)
-            if values.size < 2:
-                continue
-            cut_index = int(self._rng.integers(values.size - 1))
-            threshold = 0.5 * (float(values[cut_index]) + float(values[cut_index + 1]))
-            left_mask = column <= threshold
-            n_left = int(left_mask.sum())
-            n_right = n_points - n_left
-            if n_left < min_leaf or n_right < min_leaf:
-                continue
-            right_mask = ~left_mask
-            score = log_marginal_likelihood_from_stats(
-                prior,
-                n_left,
-                _sequential_sum(targets[left_mask]),
-                _sequential_sum(targets_sq[left_mask]),
-            ) + log_marginal_likelihood_from_stats(
-                prior,
-                n_right,
-                _sequential_sum(targets[right_mask]),
-                _sequential_sum(targets_sq[right_mask]),
-            )
-            if best is None or score > best[0]:
-                best = (score, dim, threshold)
-        if best is None:
-            return None
-        _, dim, threshold = best
-        old_left_mask = self._X[indices, dim] <= threshold
-        left_indices = [int(i) for i in indices[old_left_mask]]
-        right_indices = [int(i) for i in indices[~old_left_mask]]
-        left_targets = self._y[indices[old_left_mask]]
-        right_targets = self._y[indices[~old_left_mask]]
-        if x[dim] <= threshold:
-            left_targets = np.append(left_targets, y)
-        else:
-            right_targets = np.append(right_targets, y)
-        left_model = GaussianLeafModel.from_sufficient_stats(
-            self._prior,
-            left_targets.size,
-            _sequential_sum(left_targets),
-            _sequential_sum(left_targets * left_targets),
-        )
-        right_model = GaussianLeafModel.from_sufficient_stats(
-            self._prior,
-            right_targets.size,
-            _sequential_sum(right_targets),
-            _sequential_sum(right_targets * right_targets),
-        )
-        return dim, threshold, left_model, right_model, left_indices, right_indices
-
-    def _apply_grow(
-        self,
-        leaf: _Node,
-        proposal: Tuple[int, float, GaussianLeafModel, GaussianLeafModel, List[int], List[int]],
-        index: int,
-    ) -> None:
-        dim, threshold, left_model, right_model, left_indices, right_indices = proposal
-        assert self._X is not None
-        x = self._X[index]
-        if x[dim] <= threshold:
-            left_indices = left_indices + [index]
-        else:
-            right_indices = right_indices + [index]
-        left_child = _Node(leaf.depth + 1)
-        left_child.leaf = left_model
-        left_child.indices = left_indices
-        right_child = _Node(leaf.depth + 1)
-        right_child.leaf = right_model
-        right_child.indices = right_indices
-        leaf.leaf = None
-        leaf.indices = []
-        leaf.split_dim = dim
-        leaf.split_value = threshold
         leaf.left = left_child
         leaf.right = right_child
 

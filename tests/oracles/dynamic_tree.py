@@ -1,0 +1,359 @@
+"""Per-particle reference implementation of the dynamic tree.
+
+:class:`ReferenceDynamicTree` runs the SMC update, prediction and the ALC
+score of :class:`~repro.models.dynamic_tree.DynamicTreeRegressor` one
+particle at a time: Python descents through the ``_Node`` trees, eager
+tree copies on resample and per-candidate ``np.unique`` partition scans.
+The batched production path replays it bit for bit — same float
+arithmetic, same RNG draws in the same order — so the equivalence tests
+drive both with one seed and compare every prediction.  The reference
+keeps no compiled state: every update drops the particle forest.
+
+:func:`predict_reference` and :func:`expected_average_variance_reference`
+also work on any fitted ``DynamicTreeRegressor``, so a test can score one
+model's particles through both the flat-array kernels and the per-node
+loops.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import List, Optional, Tuple
+
+import numpy as np
+
+from repro.models.base import Prediction
+from repro.models.dynamic_tree import DynamicTreeRegressor, _Node
+from repro.models.leaf import GaussianLeafModel, log_marginal_likelihood_from_stats
+
+__all__ = [
+    "ReferenceDynamicTree",
+    "copy_tree",
+    "descend",
+    "expected_average_variance_reference",
+    "predict_reference",
+]
+
+_Proposal = Tuple[int, float, GaussianLeafModel, GaussianLeafModel, List[int], List[int]]
+
+
+def _sequential_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum, bit-identical to a Python accumulation loop.
+
+    ``np.sum`` uses pairwise summation, which rounds differently; the
+    last element of ``np.cumsum`` reproduces the scalar accumulation.
+    """
+    if values.size == 0:
+        return 0.0
+    return float(np.cumsum(values)[-1])
+
+
+def copy_tree(node: _Node) -> _Node:
+    """A private deep copy of the subtree rooted at ``node``."""
+    clone = _Node(node.depth)
+    clone.split_dim = node.split_dim
+    clone.split_value = node.split_value
+    if node.leaf is not None:
+        clone.leaf = node.leaf.copy()
+        clone.indices = list(node.indices)
+    if node.left is not None:
+        clone.left = copy_tree(node.left)
+    if node.right is not None:
+        clone.right = copy_tree(node.right)
+    return clone
+
+
+def descend_with_parent(root: _Node, x: np.ndarray) -> Tuple[_Node, Optional[_Node]]:
+    """The leaf containing ``x`` together with its parent (``None`` at the root)."""
+    parent: Optional[_Node] = None
+    node = root
+    while not node.is_leaf:
+        parent = node
+        assert node.left is not None and node.right is not None
+        if x[node.split_dim] <= node.split_value:
+            node = node.left
+        else:
+            node = node.right
+    return node, parent
+
+
+def descend(root: _Node, x: np.ndarray) -> _Node:
+    """The leaf whose region contains ``x``."""
+    return descend_with_parent(root, x)[0]
+
+
+def predict_reference(model: DynamicTreeRegressor, features: np.ndarray) -> Prediction:
+    """Per-node reference implementation of ``predict``."""
+    if not model._particles or not model._n:
+        raise RuntimeError("the model has no training data yet")
+    X = np.atleast_2d(np.asarray(features, dtype=float))
+    n = X.shape[0]
+    means = np.zeros(n)
+    second_moments = np.zeros(n)
+    count = float(len(model._particles))
+    for root in model._particles:
+        for i in range(n):
+            leaf = descend(root, X[i])
+            assert leaf.leaf is not None
+            mean = leaf.leaf.predictive_mean()
+            var = leaf.leaf.predictive_variance()
+            means[i] += mean
+            second_moments[i] += var + mean * mean
+    means /= count
+    variances = np.maximum(second_moments / count - means ** 2, 1e-18)
+    return Prediction(mean=means, variance=variances)
+
+
+def expected_average_variance_reference(
+    model: DynamicTreeRegressor, candidates: np.ndarray, reference: np.ndarray
+) -> np.ndarray:
+    """Per-node reference implementation of ``expected_average_variance``."""
+    if not model._particles or not model._n:
+        raise RuntimeError("the model has no training data yet")
+    C = np.atleast_2d(np.asarray(candidates, dtype=float))
+    R = np.atleast_2d(np.asarray(reference, dtype=float))
+    n_candidates = C.shape[0]
+    n_reference = R.shape[0]
+    scores = np.zeros(n_candidates)
+    kappa = model._prior.kappa
+    for root in model._particles:
+        # Group the reference points by the leaf that contains them so
+        # the per-candidate reduction is an array lookup rather than a
+        # scan over the whole reference set.  Leaves are identified by
+        # their position in the particle's leaf list.
+        leaves = root.leaves()
+        variance_by_leaf = np.zeros(len(leaves))
+        base_total = 0.0
+        for j in range(n_reference):
+            leaf = descend(root, R[j])
+            assert leaf.leaf is not None
+            variance = leaf.leaf.predictive_variance()
+            base_total += variance
+            variance_by_leaf[leaves.index(leaf)] += variance
+        for i in range(n_candidates):
+            candidate_leaf = descend(root, C[i])
+            assert candidate_leaf.leaf is not None
+            n_leaf = candidate_leaf.leaf.count
+            shrink = 1.0 / (n_leaf + kappa + 1.0)
+            reduction = variance_by_leaf[leaves.index(candidate_leaf)] * shrink
+            scores[i] += (base_total - reduction) / n_reference
+    return scores / len(model._particles)
+
+
+class ReferenceDynamicTree(DynamicTreeRegressor):
+    """The dynamic tree with every update and query run per particle."""
+
+    def update(self, features: np.ndarray, target: float) -> None:
+        x, y = self._observation(features, target)
+        if self._n >= 1:
+            self._resample_reference(x, y)
+        index = self._append_observation(x, y)
+        self._particle_forest = None
+        for particle_index, root in enumerate(self._particles):
+            self._particles[particle_index] = self._propagate(root, x, y, index)
+
+    def predict(self, features: np.ndarray) -> Prediction:
+        return predict_reference(self, features)
+
+    def expected_average_variance(
+        self, candidates: np.ndarray, reference: np.ndarray
+    ) -> np.ndarray:
+        return expected_average_variance_reference(self, candidates, reference)
+
+    # --------------------------------------------------- reweight + resample
+
+    def _resample_reference(self, x: np.ndarray, y: float) -> None:
+        """Reweight by predictive log-pdf, resample with eager tree copies."""
+        log_weights = np.array(
+            [descend(root, x).leaf.predictive_logpdf(y) for root in self._particles]
+        )
+        log_weights -= log_weights.max()
+        weights = np.exp(log_weights)
+        total = weights.sum()
+        if total <= 0 or not np.isfinite(total):
+            return
+        weights /= total
+        effective = 1.0 / float(np.sum(weights ** 2))
+        if effective >= self._config.resample_threshold * len(self._particles):
+            return
+        chosen_indices = self._systematic_indices(weights, self._rng.random())
+        # Deduplicate by particle *index*: the first occurrence keeps the
+        # original tree, later occurrences get independent copies.
+        new_particles: List[_Node] = []
+        used_original: set[int] = set()
+        for j in chosen_indices:
+            if j not in used_original:
+                new_particles.append(self._particles[j])
+                used_original.add(j)
+            else:
+                new_particles.append(copy_tree(self._particles[j]))
+        self._particles = new_particles
+
+    # ------------------------------------------------------------- propagate
+
+    def _propagate(self, root: _Node, x: np.ndarray, y: float, index: int) -> _Node:
+        """Apply one stochastic stay/grow/prune move at the leaf containing ``x``.
+
+        Returns the particle's (possibly new) root.
+        """
+        leaf, parent = descend_with_parent(root, x)
+        assert leaf.leaf is not None and self._prior is not None
+        config = self._config
+
+        # All scores are computed over the subtree rooted at the leaf's
+        # parent (or at the leaf itself when it is the root), so the three
+        # alternatives are directly comparable posteriors of that subtree.
+        sibling: Optional[_Node] = None
+        if parent is not None:
+            sibling = parent.right if parent.left is leaf else parent.left
+
+        leaf_with_new = leaf.leaf.copy()
+        leaf_with_new.add(y)
+        p_split_here = config.split_probability(leaf.depth)
+        stay_score = math.log1p(-p_split_here) + leaf_with_new.log_marginal_likelihood()
+
+        grow_proposal = self._propose_grow(leaf, x, y)
+        grow_score = -math.inf
+        if grow_proposal is not None:
+            _, _, left_model, right_model, _, _ = grow_proposal
+            p_split_child = config.split_probability(leaf.depth + 1)
+            grow_score = (
+                math.log(p_split_here)
+                + 2.0 * math.log1p(-p_split_child)
+                + left_model.log_marginal_likelihood()
+                + right_model.log_marginal_likelihood()
+            )
+
+        prune_score = -math.inf
+        prune_possible = (
+            parent is not None and sibling is not None and sibling.is_leaf
+        )
+        common = 0.0
+        if prune_possible:
+            assert parent is not None and sibling is not None and sibling.leaf is not None
+            p_split_parent = config.split_probability(parent.depth)
+            p_split_sibling = config.split_probability(sibling.depth)
+            # Common factor shared by the stay and grow alternatives when the
+            # comparison is lifted to the parent subtree.
+            common = (
+                math.log(p_split_parent)
+                + math.log1p(-p_split_sibling)
+                + sibling.leaf.log_marginal_likelihood()
+            )
+            merged = leaf_with_new.merge(sibling.leaf)
+            prune_score = math.log1p(-p_split_parent) + merged.log_marginal_likelihood()
+            stay_score += common
+            grow_score = grow_score + common if math.isfinite(grow_score) else grow_score
+
+        scores = np.array([stay_score, grow_score, prune_score])
+        finite = np.isfinite(scores)
+        probabilities = np.zeros(3)
+        shifted = scores[finite] - scores[finite].max()
+        probabilities[finite] = np.exp(shifted)
+        probabilities /= probabilities.sum()
+        move = int(self._rng.choice(3, p=probabilities))
+
+        if move == 1 and grow_proposal is not None:
+            self._apply_grow(leaf, grow_proposal, index)
+            return root
+        if move == 2 and prune_possible:
+            assert parent is not None and sibling is not None
+            return self._apply_prune(root, parent, leaf, sibling, x, y, index)
+        leaf.leaf.add(y)
+        leaf.indices.append(index)
+        return root
+
+    def _propose_grow(self, leaf: _Node, x: np.ndarray, y: float) -> Optional[_Proposal]:
+        """Propose the best of a few random splits of ``leaf`` (plus the new point).
+
+        Returns ``(dim, threshold, left_model, right_model, left_indices,
+        right_indices)`` where the new point is *not* included in the index
+        lists (it is added by :meth:`_apply_grow`), or ``None`` when no valid
+        split exists (too few points, or no variation in any dimension).
+        """
+        assert self._prior is not None and self._X is not None and self._y is not None
+        config = self._config
+        n_points = len(leaf.indices) + 1
+        if n_points < 2 * config.min_leaf:
+            return None
+        indices = np.asarray(leaf.indices, dtype=np.intp)
+        features = np.concatenate([self._X[indices], x[None, :]], axis=0)
+        targets = np.concatenate([self._y[indices], [y]])
+        targets_sq = targets * targets
+        dims = x.shape[0]
+        min_leaf = config.min_leaf
+        prior = self._prior
+        best: Optional[Tuple[float, int, float]] = None
+        for _ in range(config.n_split_candidates):
+            dim = int(self._rng.integers(dims))
+            column = features[:, dim]
+            values = np.unique(column)
+            if values.size < 2:
+                continue
+            cut_index = int(self._rng.integers(values.size - 1))
+            threshold = 0.5 * (float(values[cut_index]) + float(values[cut_index + 1]))
+            left_mask = column <= threshold
+            n_left = int(left_mask.sum())
+            n_right = n_points - n_left
+            if n_left < min_leaf or n_right < min_leaf:
+                continue
+            right_mask = ~left_mask
+            score = log_marginal_likelihood_from_stats(
+                prior,
+                n_left,
+                _sequential_sum(targets[left_mask]),
+                _sequential_sum(targets_sq[left_mask]),
+            ) + log_marginal_likelihood_from_stats(
+                prior,
+                n_right,
+                _sequential_sum(targets[right_mask]),
+                _sequential_sum(targets_sq[right_mask]),
+            )
+            if best is None or score > best[0]:
+                best = (score, dim, threshold)
+        if best is None:
+            return None
+        _, dim, threshold = best
+        old_left_mask = self._X[indices, dim] <= threshold
+        left_indices = [int(i) for i in indices[old_left_mask]]
+        right_indices = [int(i) for i in indices[~old_left_mask]]
+        left_targets = self._y[indices[old_left_mask]]
+        right_targets = self._y[indices[~old_left_mask]]
+        if x[dim] <= threshold:
+            left_targets = np.append(left_targets, y)
+        else:
+            right_targets = np.append(right_targets, y)
+        left_model = GaussianLeafModel.from_sufficient_stats(
+            self._prior,
+            left_targets.size,
+            _sequential_sum(left_targets),
+            _sequential_sum(left_targets * left_targets),
+        )
+        right_model = GaussianLeafModel.from_sufficient_stats(
+            self._prior,
+            right_targets.size,
+            _sequential_sum(right_targets),
+            _sequential_sum(right_targets * right_targets),
+        )
+        return dim, threshold, left_model, right_model, left_indices, right_indices
+
+    def _apply_grow(self, leaf: _Node, proposal: _Proposal, index: int) -> None:
+        dim, threshold, left_model, right_model, left_indices, right_indices = proposal
+        assert self._X is not None
+        x = self._X[index]
+        if x[dim] <= threshold:
+            left_indices = left_indices + [index]
+        else:
+            right_indices = right_indices + [index]
+        left_child = _Node(leaf.depth + 1)
+        left_child.leaf = left_model
+        left_child.indices = left_indices
+        right_child = _Node(leaf.depth + 1)
+        right_child.leaf = right_model
+        right_child.indices = right_indices
+        leaf.leaf = None
+        leaf.indices = []
+        leaf.split_dim = dim
+        leaf.split_value = threshold
+        leaf.left = left_child
+        leaf.right = right_child

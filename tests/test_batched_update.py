@@ -27,6 +27,7 @@ from repro.models.leaf import (
     log_marginal_likelihood_from_stats,
 )
 from repro.models.rng_replay import GeneratorDraws, ReplayDraws
+from tests.oracles.dynamic_tree import ReferenceDynamicTree, descend
 
 
 def _piecewise_data(n, dims, seed, noise=0.3):
@@ -42,44 +43,28 @@ def _piecewise_data(n, dims, seed, noise=0.3):
     return X, y
 
 
-def _paired_models(seed, particles=20, resample_threshold=0.9, backend="numpy"):
-    """The same seeded model in batched and reference configuration."""
-    batched = DynamicTreeRegressor(
-        DynamicTreeConfig(
-            n_particles=particles,
-            resample_threshold=resample_threshold,
-            vectorized=True,
-            backend=backend,
-        ),
-        rng=np.random.default_rng(seed),
+def _paired_models(seed, particles=20, resample_threshold=0.9):
+    """The same seeded model as the batched tree and the reference oracle."""
+    config = DynamicTreeConfig(
+        n_particles=particles, resample_threshold=resample_threshold
     )
-    reference = DynamicTreeRegressor(
-        DynamicTreeConfig(
-            n_particles=particles,
-            resample_threshold=resample_threshold,
-            vectorized=False,
-        ),
-        rng=np.random.default_rng(seed),
-    )
+    batched = DynamicTreeRegressor(config, rng=np.random.default_rng(seed))
+    reference = ReferenceDynamicTree(config, rng=np.random.default_rng(seed))
     return batched, reference
 
 
 class TestTrajectoryBitIdentity:
-    @pytest.mark.parametrize("backend", ["numpy", "numba"])
     @pytest.mark.parametrize("seed", [0, 7, 42])
-    def test_update_trajectory_matches_reference_bitwise(self, seed, backend):
+    def test_update_trajectory_matches_reference_bitwise(self, seed):
         """Seeded fit + update trajectories agree to the last bit.
 
         Predictions, ALC scores and tree shapes are compared after every
         observation; the workload is chosen so that stay, grow, prune and
         resample events all occur (asserted below — a trajectory that never
-        prunes or resamples would not prove much).  ``backend="numba"`` runs
-        the compiled dispatch path — the njit kernels where numba is
-        installed, the NumPy fallback otherwise; both are contractually
-        bit-identical to the ``vectorized=False`` reference.
+        prunes or resamples would not prove much).
         """
         X, y = _piecewise_data(130, 4, seed)
-        batched, reference = _paired_models(seed + 1, backend=backend)
+        batched, reference = _paired_models(seed + 1)
 
         prunes = 0
         original_prune = DynamicTreeRegressor._apply_prune
@@ -112,9 +97,7 @@ class TestTrajectoryBitIdentity:
                 assert fast.variance.tolist() == slow.variance.tolist(), f"step {i}"
             assert batched.leaf_counts() == reference.leaf_counts()
             alc_fast = batched.expected_average_variance(probes[:4], probes[4:])
-            alc_slow = reference.expected_average_variance_reference(
-                probes[:4], probes[4:]
-            )
+            alc_slow = reference.expected_average_variance(probes[:4], probes[4:])
             np.testing.assert_allclose(alc_fast, alc_slow, rtol=1e-12)
         finally:
             DynamicTreeRegressor._apply_prune = original_prune
@@ -134,10 +117,8 @@ class TestTrajectoryBitIdentity:
             DynamicTreeConfig(n_particles=10, resample_threshold=0.9),
             rng=np.random.Generator(np.random.MT19937(5)),
         )
-        reference = DynamicTreeRegressor(
-            DynamicTreeConfig(
-                n_particles=10, resample_threshold=0.9, vectorized=False
-            ),
+        reference = ReferenceDynamicTree(
+            DynamicTreeConfig(n_particles=10, resample_threshold=0.9),
             rng=np.random.Generator(np.random.MT19937(5)),
         )
         batched.fit(X[:30], y[:30])
@@ -224,8 +205,8 @@ class TestCopyOnWriteResample:
             fast_root = batched._particles[k]
             slow_root = reference._particles[k]
             for row in probes:
-                fast_leaf = fast_root.descend(row)
-                slow_leaf = slow_root.descend(row)
+                fast_leaf = descend(fast_root, row)
+                slow_leaf = descend(slow_root, row)
                 assert fast_leaf.leaf.predictive_mean() == slow_leaf.leaf.predictive_mean()
                 assert fast_leaf.leaf.count == slow_leaf.leaf.count
 

@@ -17,7 +17,9 @@ The pins:
   the run, the loaded trees equal the live ones node for node (shape,
   depths, splits, leaf statistics bitwise, index lists in order), and
   they are private: no node is reachable from two particles;
-* **size** — a deterministic byte-count pin on a mid-run blob.
+* **size** — a deterministic byte-count pin on a mid-run blob;
+* **learner resume** — a checkpoint taken through ``ActiveLearner.run``
+  resumes on the configured model, not a default rebuild.
 
 The format stamp's effect on the runner's checkpoint loader is pinned
 with the other checkpoint-integrity tests in ``tests/test_runner.py``.
@@ -33,11 +35,12 @@ import numpy as np
 import pytest
 
 from repro.core.evaluation import build_test_set
-from repro.core.learner import ActiveLearner
+from repro.core.learner import ActiveLearner, LearnerConfig
 from repro.core.plans import sequential_plan
 from repro.experiments.config import ExperimentScale
 from repro.measurement.broker import ProfilerBroker
 from repro.measurement.profiler import Profiler
+from repro.models.dynamic_tree import DynamicTreeConfig
 from repro.spapt.suite import get_benchmark
 
 #: The sharded benchmark's learner: 200 particles, 30 training examples.
@@ -219,3 +222,52 @@ class TestLeanCheckpoint:
         _, _, blobs, _, _ = recorded
         size = len(blobs[len(blobs) // 2])
         assert size < MAX_MID_RUN_BYTES, f"mid-run checkpoint is {size} bytes"
+
+
+class TestLearnerResume:
+    def test_model_config_survives_pickle_and_resume(self):
+        """Kill → resume keeps the model's configuration.
+
+        The checkpoint pickles the whole model, so its ``DynamicTreeConfig``
+        rides along; this pins that no resume path swaps the model for a
+        default rebuild.
+        """
+        benchmark = get_benchmark("mm")
+        config = LearnerConfig(
+            n_initial=4,
+            seed_observations=4,
+            n_candidates=12,
+            max_training_examples=16,
+            reference_size=8,
+            evaluation_interval=5,
+            tree_particles=5,
+            tree_float_mode="fast",
+        )
+        expected = DynamicTreeConfig(n_particles=5, float_mode="fast")
+        test_set = build_test_set(
+            benchmark, size=20, observations=2, rng=np.random.default_rng(8)
+        )
+        learner = ActiveLearner(
+            benchmark,
+            plan=sequential_plan(),
+            config=config,
+            rng=np.random.default_rng(9),
+        )
+        blobs = []
+        learner.run(
+            test_set,
+            checkpoint_interval=4,
+            checkpoint_sink=lambda ckpt: blobs.append(_dumps(ckpt)),
+        )
+        assert blobs
+        checkpoint = pickle.loads(blobs[0])
+        assert checkpoint.model.config == expected
+
+        resumed_learner = ActiveLearner(
+            benchmark,
+            plan=sequential_plan(),
+            config=config,
+            rng=np.random.default_rng(999),
+        )
+        result = resumed_learner.run(test_set, resume=checkpoint)
+        assert result.model.config == expected

@@ -12,10 +12,9 @@ generic data — a fork requires a draw landing within ~1 ulp of a score
 boundary, which the property test would surface as a macroscopic
 prediction divergence.
 
-Both kernel backends run: ``"numpy"`` and ``"numba"`` (the latter
-exercises the dispatch path — njit kernels where numba is installed, the
-NumPy fallback otherwise).  ``float_mode`` must also survive session
-pickling, since checkpointed paper runs resume from pickles.
+The fast ``log``/``log1p`` maps are also pinned against the exact ones
+element by element, and ``float_mode`` must survive session pickling,
+since checkpointed paper runs resume from pickles.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from repro.core.learner import ActiveLearner, LearnerConfig
 from repro.core.plans import sequential_plan
 from repro.measurement.broker import ProfilerBroker
 from repro.measurement.profiler import Profiler
-from repro.models.compiled_kernels import get_kernels
+from repro.models import compiled_kernels as kernels
 from repro.models.dynamic_tree import DynamicTreeConfig, DynamicTreeRegressor
 from repro.spapt.suite import get_benchmark
 
@@ -44,16 +43,10 @@ from repro.spapt.suite import get_benchmark
 #: trajectory while still catching any real algorithmic divergence.
 FAST_MODE_RTOL = 1e-9
 
-BACKENDS = ["numpy", "numba"]
 
-
-def _paired_models(seed, backend, particles=12, dims=3):
+def _paired_models(seed, particles=12, dims=3):
     """The same seeded model in exact and fast float mode."""
-    shared = dict(
-        n_particles=particles,
-        resample_threshold=0.9,
-        backend=backend,
-    )
+    shared = dict(n_particles=particles, resample_threshold=0.9)
     exact = DynamicTreeRegressor(
         DynamicTreeConfig(float_mode="exact", **shared),
         rng=np.random.default_rng(seed),
@@ -76,10 +69,9 @@ def _paired_models(seed, backend, particles=12, dims=3):
 
 def _reweight_log_weights(model, x, y):
     """The per-particle reweight log-weights the next update would use."""
-    config = model._config
-    kernels = get_kernels(config.backend, config.float_mode == "fast")
+    _, log1p_array = kernels.log_maps(model._config.float_mode == "fast")
     forest = model._ensure_forest()
-    gids, _, _, _ = kernels.route_update(
+    gids, _, _, _ = kernels.route_update_numpy(
         forest.split_dim,
         forest.split_value,
         forest.left,
@@ -88,20 +80,33 @@ def _reweight_log_weights(model, x, y):
         forest.roots,
         x,
     )
-    return kernels.reweight_log_weights(forest.caches.data, gids, y)
+    return kernels.reweight_log_weights(forest.caches.data, gids, y, log1p_array)
 
 
 class TestFastModeTolerance:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_fast_log_maps_within_tolerance(self):
+        rng = np.random.default_rng(11)
+        values = np.concatenate(
+            [rng.uniform(1e-12, 1e3, 500), rng.uniform(1.0 - 1e-9, 1.0 + 1e-9, 100)]
+        )
+        log_array, log1p_array = kernels.log_maps(fast=True)
+        np.testing.assert_allclose(
+            log_array(values), kernels.log_map_exact(values), rtol=1e-14, atol=0.0
+        )
+        np.testing.assert_allclose(
+            log1p_array(values),
+            kernels.log1p_map_exact(values),
+            rtol=1e-14,
+            atol=0.0,
+        )
+
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         dims=st.integers(min_value=2, max_value=4),
         n_updates=st.integers(min_value=4, max_value=10),
     )
-    def test_fast_trajectory_within_rtol_of_exact(
-        self, backend, seed, dims, n_updates
-    ):
+    def test_fast_trajectory_within_rtol_of_exact(self, seed, dims, n_updates):
         """Random update sequences: decisions identical, floats within budget.
 
         After every update the two models must have made the same
@@ -109,7 +114,7 @@ class TestFastModeTolerance:
         agree on reweight log-weights, predictions and ALC scores within
         :data:`FAST_MODE_RTOL`.
         """
-        exact, fast, rng = _paired_models(seed, backend, dims=dims)
+        exact, fast, rng = _paired_models(seed, dims=dims)
         probes = rng.uniform(-2, 2, size=(8, dims))
         for step in range(n_updates):
             x = rng.uniform(-2, 2, size=dims)
@@ -146,13 +151,12 @@ class TestFastModeTolerance:
             alc_fast, alc_exact, rtol=FAST_MODE_RTOL, atol=FAST_MODE_RTOL
         )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_exact_mode_stays_bit_identical(self, backend):
+    def test_exact_mode_stays_bit_identical(self):
         """The default mode is untouched by the fast-mode plumbing: two
         exact-mode models with the same seed are bit-equal (the full
         bit-identity contract lives in tests/test_batched_update.py)."""
-        a, _, rng = _paired_models(101, backend)
-        b, _, _ = _paired_models(101, backend)
+        a, _, rng = _paired_models(101)
+        b, _, _ = _paired_models(101)
         probes = rng.uniform(-2, 2, size=(6, 3))
         pa, pb = a.predict(probes), b.predict(probes)
         assert pa.mean.tolist() == pb.mean.tolist()

@@ -5,9 +5,10 @@ safe if it is numerically indistinguishable from the per-node reference
 implementation it replaced — the particle moves are *sampled* from scores,
 so even tiny drift changes trajectories.  These tests grow real particle
 trees on random data and assert (a) routing identity, (b) prediction/ALC
-agreement to 1e-10, (c) that the particle forest's in-place updates keep
-its caches honest, and (d) that a seeded ``ActiveLearner`` run produces the same
-learning curve in vectorized and reference modes.
+agreement to 1e-10 with the per-node loops of ``tests/oracles``, (c) that
+the particle forest's in-place updates keep its caches honest, and (d)
+that a seeded ``ActiveLearner`` run produces the same learning curve on the
+batched model and on the ``ReferenceDynamicTree`` oracle.
 """
 
 from __future__ import annotations
@@ -18,9 +19,15 @@ import pytest
 from repro.core.evaluation import build_test_set
 from repro.core.learner import ActiveLearner, LearnerConfig
 from repro.models.dynamic_tree import DynamicTreeConfig, DynamicTreeRegressor
-from repro.models.compiled_kernels import route_all_numpy
+from repro.models.compiled_kernels import route_update_numpy
 from repro.models.flat_tree import FlatTree
 from repro.spapt.suite import get_benchmark
+from tests.oracles.dynamic_tree import (
+    ReferenceDynamicTree,
+    descend,
+    expected_average_variance_reference,
+    predict_reference,
+)
 
 
 def _grown_model(seed: int, n: int = 150, dims: int = 4, particles: int = 25):
@@ -51,7 +58,7 @@ class TestFlatTreeRouting:
             leaf_ids = flat.route(X)
             assert leaf_ids.shape == (80,)
             for i in range(X.shape[0]):
-                expected = leaves.index(root.descend(X[i]))
+                expected = leaves.index(descend(root, X[i]))
                 assert leaf_ids[i] == expected
 
     def test_leaf_ids_are_preorder_stable(self):
@@ -83,7 +90,7 @@ class TestFlatTreeRouting:
         forest = model._ensure_forest()
         for _ in range(10):
             x = rng.uniform(-2.5, 2.5, size=4)
-            global_ids = route_all_numpy(
+            global_ids = route_update_numpy(
                 forest.split_dim,
                 forest.split_value,
                 forest.left,
@@ -91,7 +98,7 @@ class TestFlatTreeRouting:
                 forest.leaf_slot,
                 forest.roots,
                 x,
-            )
+            )[0]
             assert global_ids.shape == (len(trees),)
             for p, tree in enumerate(trees):
                 assert global_ids[p] - forest.leaf_offsets[p] == tree.route(x[None, :])[0]
@@ -113,7 +120,7 @@ class TestVectorizedEquivalence:
         model, rng = _grown_model(seed)
         X = rng.uniform(-2.5, 2.5, size=(60, 4))
         fast = model.predict(X)
-        slow = model.predict_reference(X)
+        slow = predict_reference(model, X)
         np.testing.assert_allclose(fast.mean, slow.mean, rtol=0, atol=1e-10)
         np.testing.assert_allclose(fast.variance, slow.variance, rtol=0, atol=1e-10)
 
@@ -123,7 +130,7 @@ class TestVectorizedEquivalence:
         candidates = rng.uniform(-2, 2, size=(40, 4))
         reference = rng.uniform(-2, 2, size=(25, 4))
         fast = model.expected_average_variance(candidates, reference)
-        slow = model.expected_average_variance_reference(candidates, reference)
+        slow = expected_average_variance_reference(model, candidates, reference)
         np.testing.assert_allclose(fast, slow, rtol=1e-10)
 
     def test_caches_survive_updates(self):
@@ -137,21 +144,9 @@ class TestVectorizedEquivalence:
             if step % 5 == 0:
                 probe = rng.uniform(-2, 2, size=(12, 4))
                 fast = model.predict(probe)
-                slow = model.predict_reference(probe)
+                slow = predict_reference(model, probe)
                 np.testing.assert_allclose(fast.mean, slow.mean, atol=1e-10)
                 np.testing.assert_allclose(fast.variance, slow.variance, atol=1e-10)
-
-    def test_vectorized_flag_selects_reference_path(self):
-        rng = np.random.default_rng(4)
-        X = rng.uniform(-1, 1, size=(40, 3))
-        y = X[:, 0] + rng.normal(0, 0.1, 40)
-        reference_model = DynamicTreeRegressor(
-            DynamicTreeConfig(n_particles=10, vectorized=False),
-            rng=np.random.default_rng(8),
-        )
-        reference_model.fit(X, y)
-        prediction = reference_model.predict(X[:5])
-        assert prediction.mean.shape == (5,)
 
 
 class TestLearnerDeterminism:
@@ -172,10 +167,9 @@ class TestLearnerDeterminism:
         )
 
         def factory(rng):
-            return DynamicTreeRegressor(
-                DynamicTreeConfig(
-                    n_particles=self.CONFIG.tree_particles, vectorized=vectorized
-                ),
+            model_class = DynamicTreeRegressor if vectorized else ReferenceDynamicTree
+            return model_class(
+                DynamicTreeConfig(n_particles=self.CONFIG.tree_particles),
                 rng=rng,
             )
 

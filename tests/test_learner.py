@@ -55,11 +55,10 @@ class TestLearnerConfig:
 
     def test_paper_scale_forwards_overrides(self):
         config = LearnerConfig.paper_scale(
-            tree_backend="numba", max_cost_seconds=3600.0, tree_particles=100
+            max_cost_seconds=3600.0, tree_particles=100
         )
         # Overrides land on the constructor; the untouched fields keep
         # the paper's Section 4.4 values.
-        assert config.tree_backend == "numba"
         assert config.max_cost_seconds == 3600.0
         assert config.tree_particles == 100
         assert config.n_initial == 5

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.learner import LearnerConfig
 from repro.models.base import Prediction
 from repro.models.baselines import ConstantMeanModel, KNNRegressor
 from repro.models.dynamic_tree import DynamicTreeConfig, DynamicTreeRegressor
@@ -39,6 +40,13 @@ class TestDynamicTreeConfig:
             DynamicTreeConfig(min_leaf=0)
         with pytest.raises(ValueError):
             DynamicTreeConfig(resample_threshold=0.0)
+
+    def test_backend_accepts_only_numpy(self):
+        for backend in ("numba", "numba-fast", "cuda"):
+            with pytest.raises(ValueError, match="backend"):
+                DynamicTreeConfig(backend=backend)
+            with pytest.raises(ValueError, match="tree_backend"):
+                LearnerConfig(tree_backend=backend)
 
     def test_split_probability_decreases_with_depth(self):
         config = DynamicTreeConfig()

@@ -11,7 +11,9 @@ that the result is indistinguishable from compiling the particles afresh:
   under resample-every-update (duplicates spliced), and across a capacity
   doubling;
 * predictions and ALC scores are bitwise those of a forest recompiled
-  before every query and of the ``vectorized=False`` reference path;
+  before every query and of the per-particle ``ReferenceDynamicTree``;
+* ``FlatTree.compile`` runs exactly once per particle for the lifetime
+  of a model (the zero-compile invariant);
 * ``copy.deepcopy`` and ``fantasy_copy`` clones evolve independently of
   their original in both directions.
 """
@@ -25,6 +27,7 @@ import pytest
 
 from repro.models.dynamic_tree import DynamicTreeConfig, DynamicTreeRegressor
 from repro.models.flat_tree import FlatTree, ParticleForest
+from tests.oracles.dynamic_tree import ReferenceDynamicTree
 
 
 def _training_data(size, dims=5, seed=0, discrete=False):
@@ -131,8 +134,8 @@ class TestBitIdentity:
         X, y = _training_data(90, seed=7)
         config = DynamicTreeConfig(n_particles=12)
         vectorized = DynamicTreeRegressor(config, rng=np.random.default_rng(2))
-        reference = DynamicTreeRegressor(
-            DynamicTreeConfig(n_particles=12, vectorized=False),
+        reference = ReferenceDynamicTree(
+            DynamicTreeConfig(n_particles=12),
             rng=np.random.default_rng(2),
         )
         vectorized.fit(X[:15], y[:15])
@@ -157,10 +160,8 @@ class TestCompileOracle:
         X, y = _training_data(160, seed=21, discrete=discrete)
         config = DynamicTreeConfig(n_particles=n_particles, resample_threshold=1.0)
         model = DynamicTreeRegressor(config, rng=np.random.default_rng(4))
-        reference = DynamicTreeRegressor(
-            DynamicTreeConfig(
-                n_particles=n_particles, resample_threshold=1.0, vectorized=False
-            ),
+        reference = ReferenceDynamicTree(
+            DynamicTreeConfig(n_particles=n_particles, resample_threshold=1.0),
             rng=np.random.default_rng(4),
         )
         model.fit(X[:12], y[:12])
@@ -193,6 +194,40 @@ class TestCompileOracle:
             capacities.add(model._particle_forest.capacity)
             _assert_matches_compile(model)
         assert len(capacities) >= 3, f"capacity never doubled twice: {capacities}"
+
+    def test_flat_tree_compiled_exactly_once_per_particle(self, monkeypatch):
+        """Updates never recompile the flat forest.
+
+        :meth:`FlatTree.compile` runs exactly ``n_particles`` times for the
+        lifetime of a model: once per particle when the forest is first
+        built.  Every later move is spliced into the forest in place and a
+        resample gathers its rows, so a long update/predict interleaving
+        adds zero compile calls.
+        """
+        calls = {"count": 0}
+        original = FlatTree.compile.__func__
+
+        def counting(cls, root):
+            calls["count"] += 1
+            return original(cls, root)
+
+        monkeypatch.setattr(FlatTree, "compile", classmethod(counting))
+
+        n_particles = 11
+        X, y = _training_data(120, dims=4, seed=13)
+        model = DynamicTreeRegressor(
+            DynamicTreeConfig(n_particles=n_particles),
+            rng=np.random.default_rng(6),
+        )
+        model.fit(X[:60], y[:60])
+        model.predict(X[:3])
+        assert calls["count"] == n_particles
+        for i in range(60, 110):
+            model.update(X[i], float(y[i]))
+            if i % 5 == 0:
+                model.predict(X[:3])
+                model.expected_average_variance(X[:4], X[4:8])
+        assert calls["count"] == n_particles
 
 
 class TestCopies:
