@@ -63,8 +63,8 @@ bench-gate:
 ## commits by running this in each checkout with alternating seeds.
 SEED ?= 1
 bench-e2e:
-	python3 e2ebench/run.py --workload laptop-suite --seed $(SEED) --seconds 30
-	python3 e2ebench/run.py --workload sharded-table1 --seed $(SEED) --seconds 30
+	$(PYTHON) e2ebench/run.py --workload laptop-suite --seed $(SEED) --seconds 30
+	$(PYTHON) e2ebench/run.py --workload sharded-table1 --seed $(SEED) --seconds 30
 
 ## cProfile a smoke-scale table1 run: per-unit .prof dumps plus a merged
 ## top-25 cumulative summary in $(PROFILE_DIR)/profile.txt.  Override the

@@ -56,12 +56,16 @@ particle counts (5 000) tractable:
   row write for every stay, one splice for every grow and one for every
   prune.  Only the ``_Node`` mutation itself stays per particle.
 
-Every floating-point operation and every RNG draw in the batched path
-replays a per-particle reference implementation exactly (sequential
-``cumsum`` sums, scalar ``math`` transcendentals, identical draw order), so
-seeded learning curves are bit-identical between the two.  That reference
-(``ReferenceDynamicTree`` in ``tests/oracles/dynamic_tree.py``, one Python
-descent per particle and row) is the oracle of the equivalence tests.
+Each update draws its randomness up front in one fixed, data-independent
+layout (see :meth:`DynamicTreeRegressor.update`), so stream consumption
+depends only on the particle and candidate counts.  Every floating-point
+operation in the batched path replays a per-particle reference
+implementation exactly (sequential ``cumsum`` sums, scalar ``math``
+transcendentals), and the reference decodes the same draw block row by
+row, so seeded learning curves are bit-identical between the two.  That
+reference (``ReferenceDynamicTree`` in ``tests/oracles/dynamic_tree.py``,
+one Python descent per particle and row) is the oracle of the equivalence
+tests.
 """
 
 from __future__ import annotations
@@ -86,7 +90,6 @@ from .leaf import (
     LMLCache,
     NIGPrior,
 )
-from .rng_replay import GeneratorDraws, ReplayDraws
 
 __all__ = ["DynamicTreeConfig", "DynamicTreeRegressor"]
 
@@ -360,20 +363,10 @@ class DynamicTreeRegressor(SurrogateModel):
         # from; built on first use (and again after unpickling).
         self._term_tables: Optional[LeafTermTables] = None
         self._depth_arrays: Optional[np.ndarray] = None
-        self._attach_draws()
         # Wall-clock accumulated per batched-update phase (see
         # ``phase_timings``); plain floats, negligible next to the work
         # they measure.
         self._phase_timings = dict.fromkeys(self._PHASES, 0.0)
-
-    def _attach_draws(self) -> None:
-        """Scalar-draw frontend for the batched update: a bulk RNG replay
-        when the bit generator supports it, plain Generator calls
-        otherwise.  Either way the stream is bit-identical to the
-        reference path's per-call draws."""
-        self._replay = ReplayDraws(self._rng)
-        self._generator_draws = GeneratorDraws(self._rng)
-        self._draws = self._generator_draws
 
     def __getstate__(self) -> dict:
         """Pickle the posterior's source of truth, not what derives from it.
@@ -382,21 +375,12 @@ class DynamicTreeRegressor(SurrogateModel):
         particles travel as an array snapshot of the particle forest (see
         :func:`_snapshot_particles`), one pickle of a few arrays instead
         of one object per node and leaf.  A model without a forest
-        compiles one for the snapshot.  The forest itself, the count and
-        depth term tables and the RNG draw frontends are dropped: after
-        load the next predict, ALC score or update recompiles them, with
-        bit-identical values.
+        compiles one for the snapshot.  The forest itself and the count and
+        depth term tables are dropped: after load the next predict, ALC
+        score or update recompiles them, with bit-identical values.
         """
         state = self.__dict__.copy()
-        for derived in (
-            "_particles",
-            "_particle_forest",
-            "_term_tables",
-            "_depth_arrays",
-            "_replay",
-            "_generator_draws",
-            "_draws",
-        ):
+        for derived in ("_particles", "_particle_forest", "_term_tables", "_depth_arrays"):
             del state[derived]
         snapshot = None
         if self._particles:
@@ -416,7 +400,6 @@ class DynamicTreeRegressor(SurrogateModel):
         self._particle_forest = None
         self._term_tables = None
         self._depth_arrays = None
-        self._attach_draws()
 
     def __deepcopy__(self, memo: dict) -> "DynamicTreeRegressor":
         # An in-memory copy keeps the compiled state: rebuilding it would
@@ -503,7 +486,6 @@ class DynamicTreeRegressor(SurrogateModel):
         clone._depth_cache = self._depth_cache
         clone._term_tables = self._term_tables
         clone._depth_arrays = self._depth_arrays
-        clone._attach_draws()
         clone._phase_timings = dict.fromkeys(self._PHASES, 0.0)
         return clone
 
@@ -577,28 +559,28 @@ class DynamicTreeRegressor(SurrogateModel):
         partition sums, split thresholds, move probabilities, the move draw
         inversion and the stay-move leaf patch — runs as a handful of array
         operations over all particles instead of per-particle numpy calls.
-        The RNG replay (see :mod:`repro.models.rng_replay`) is what makes
-        the phase split possible: draw *values* are determined by stream
-        position alone, so the sequential draw loop can run before the
-        batched scoring that interprets them, while consuming the stream in
-        exactly the reference order.
+
+        The update's randomness is drawn first, in one fixed layout that
+        does not depend on the data: one ``random()`` for the systematic
+        resample (drawn whether or not the effective sample size calls for
+        a resample, and on the first update, which has nothing to
+        resample), then one ``random((n_particles, 2K + 1))`` block with
+        ``K = n_split_candidates`` whose row ``i`` is post-resample particle
+        ``i``'s grow candidates and move uniform (column layout in
+        :meth:`_propagate_all`).  Any bit generator works, and the stream
+        position after an update depends only on ``(n_particles, K)``.
         """
         x, y = self._observation(features, target)
-        expected_raws = (
-            len(self._particles) * (2 * self._config.n_split_candidates + 1) + 8
+        rng = self._rng
+        resample_uniform = rng.random()
+        draws = rng.random(
+            (len(self._particles), 2 * self._config.n_split_candidates + 1)
         )
-        replaying = self._replay.begin(expected_raws)
-        self._draws = self._replay if replaying else self._generator_draws
-        try:
-            routing: Optional[_UpdateRouting] = None
-            if self._n >= 1:
-                routing = self._resample(x, y)
-            index = self._append_observation(x, y)
-            self._propagate_all(x, y, index, routing)
-        finally:
-            if replaying:
-                self._replay.end()
-            self._draws = self._generator_draws
+        routing: Optional[_UpdateRouting] = None
+        if self._n >= 1:
+            routing = self._resample(x, y, resample_uniform)
+        index = self._append_observation(x, y)
+        self._propagate_all(x, y, index, routing, draws)
 
     # ----------------------------------------------------------- prediction
 
@@ -721,7 +703,7 @@ class DynamicTreeRegressor(SurrogateModel):
         cumulative[-1] = 1.0
         return np.searchsorted(cumulative, positions, side="left").tolist()
 
-    def _resample(self, x: np.ndarray, y: float) -> _UpdateRouting:
+    def _resample(self, x: np.ndarray, y: float, uniform: float) -> _UpdateRouting:
         """Batched reweight-and-resample; returns the update's routing context.
 
         The reweight is three kernel calls over the particle forest's flat
@@ -738,7 +720,8 @@ class DynamicTreeRegressor(SurrogateModel):
         particles *share* the original tree copy-on-write instead of
         deep-copying it, the forest gathers its rows into the new particle
         order, and the routing arrays are permuted to match (the routing's
-        view keeps reading the pre-resample rows).
+        view keeps reading the pre-resample rows).  ``uniform`` places the
+        systematic resampler's positions.
         """
         timings = self._phase_timings
         tic = perf_counter()
@@ -775,7 +758,7 @@ class DynamicTreeRegressor(SurrogateModel):
         if effective >= config.resample_threshold * count:
             timings["resample"] += perf_counter() - tic
             return routing
-        chosen_indices = self._systematic_indices(weights, self._draws.random())
+        chosen_indices = self._systematic_indices(weights, uniform)
         chosen = np.asarray(chosen_indices, dtype=np.intp)
         occurrences = np.bincount(chosen, minlength=count)
         duplicated = occurrences > 1
@@ -895,6 +878,7 @@ class DynamicTreeRegressor(SurrogateModel):
         y: float,
         index: int,
         routing: Optional[_UpdateRouting],
+        draws: np.ndarray,
     ) -> None:
         """Propagate every particle through one stay/grow/prune move.
 
@@ -908,10 +892,14 @@ class DynamicTreeRegressor(SurrogateModel):
            siblings and tree-prior depth terms follow from the recorded
            parent nodes, and the only remaining per-particle loop collects
            each leaf's training-row indices through the forest's
-           ``leaf_nodes`` maps.  The grow proposals' RNG draws run in
-           exactly the reference order (the replayed stream makes the draw
-           *values* independent of when they are interpreted); the
-           stay/prune scores are then one vectorized pass over
+           ``leaf_nodes`` maps.  The grow candidates are decoded from the
+           update's ``draws`` block in one array pass (row ``i`` belongs
+           to particle ``i``; columns ``[0, K)`` pick the dimension as
+           ``min(floor(u * d), d - 1)``, columns ``[K, 2K)`` the cut as
+           ``min(floor(u * (n_unique - 1)), n_unique - 2)`` and column
+           ``2K`` is the move uniform; entries of non-growers and of
+           dimensions with fewer than two distinct values are ignored);
+           the stay/prune scores are then one vectorized pass over
            :class:`~repro.models.leaf.LeafTermTables` gathers with the
            float mode's ``log`` map.  Scoring reads only pre-update state,
            so particles sharing copy-on-write subtrees see identical values to the
@@ -1001,7 +989,6 @@ class DynamicTreeRegressor(SurrogateModel):
             leaf_nodes = particle_forest.leaf_nodes
             for i in range(count):
                 extend_rows(leaf_nodes[i][ids_list[i]].indices)
-        sizes_list = leaf_ns.tolist()
 
         # ------------------------- phase 1b: batched grow-proposal tables
         # Pad every leaf's observations (plus the incoming point in the
@@ -1082,43 +1069,22 @@ class DynamicTreeRegressor(SurrogateModel):
             buckets.append((bidx, padded_features, padded_targets, n_max_b, compacted))
             del sorted_columns, keep, rank
 
-        # ---------------------- phase 1c: sequential candidate draws
-        # The RNG stream must be consumed in exactly the reference
-        # per-particle order (candidate draws, then the move uniform).
-        # The draw *values* depend only on stream position, so this can
-        # run before the batched scoring that interprets them.  The
-        # replay layer's batched decoder handles the common fixed-layout
-        # case in one vectorized pass (falling back to the scalar loop
-        # from the first particle whose draws violate its layout
-        # assumptions); the loop below covers plain-``Generator`` draw
-        # sources and degenerate shapes.
-        grow_floor = 2 * min_leaf
-        batch_draws = getattr(self._draws, "draw_candidates_batch", None)
-        if batch_draws is not None and dims >= 2:
-            grow_flags = n_points_arr >= grow_floor
-            cand_particle, cand_slot, cand_dim, cand_cut, uniforms = batch_draws(
-                dims, n_unique_arr, grow_flags, n_candidates
-            )
-        else:
-            n_unique_list = n_unique_arr.tolist()
-            draw_candidates = self._draws.draw_candidates
-            draw_uniform = self._draws.random
-            uniforms = np.empty(count)
-            cand_particle: List[int] = []
-            cand_slot: List[int] = []
-            cand_dim: List[int] = []
-            cand_cut: List[int] = []
-            for i in range(count):
-                if sizes_list[i] + 1 >= grow_floor:
-                    drawn_dims, drawn_cuts = draw_candidates(
-                        dims, n_unique_list[i], n_candidates
-                    )
-                    slot = len(drawn_dims)
-                    cand_particle.extend([i] * slot)
-                    cand_slot.extend(range(slot))
-                    cand_dim.extend(drawn_dims)
-                    cand_cut.extend(drawn_cuts)
-                uniforms[i] = draw_uniform()
+        # ------------------------- phase 1c: candidate decode
+        # Every particle's K candidates at once from its row of the draw
+        # block; slot ``k`` keeps its column, and a slot whose dimension
+        # has fewer than two distinct values (or whose particle has too few
+        # points to grow) is left empty.
+        dim_draws = np.minimum((draws[:, :n_candidates] * dims).astype(np.intp), dims - 1)
+        unique_drawn = np.take_along_axis(n_unique_arr, dim_draws, axis=1)
+        growers = n_points_arr >= 2 * min_leaf
+        cand_particle, cand_slot = np.nonzero((unique_drawn >= 2) & growers[:, None])
+        cand_dim = dim_draws[cand_particle, cand_slot]
+        cut_span = unique_drawn[cand_particle, cand_slot] - 1
+        cand_cut = np.minimum(
+            (draws[cand_particle, n_candidates + cand_slot] * cut_span).astype(np.intp),
+            cut_span - 1,
+        )
+        uniforms = draws[:, 2 * n_candidates]
 
         # ------------------- phase 1d: vectorized stay/prune scoring
         # The hypothetical leaves (stay absorbs the new point, prune also
@@ -1140,7 +1106,7 @@ class DynamicTreeRegressor(SurrogateModel):
         max_count = int(counts_stay.max())
         if pr.size:
             max_count = max(max_count, int(counts_prune.max()))
-        if len(cand_particle):
+        if cand_particle.size:
             max_count = max(max_count, n_max)
         tables.ensure(max_count)
         depth_table = self._depth_table(int(depths_arr.max()))
@@ -1188,29 +1154,25 @@ class DynamicTreeRegressor(SurrogateModel):
         # ------------------------ phase 2a: batched candidate partitions
         thresholds = np.full((count, n_candidates), neg_inf)
         dim_matrix = np.zeros((count, n_candidates), dtype=np.intp)
-        if len(cand_particle):
-            cp = np.asarray(cand_particle, dtype=np.intp)
-            cs = np.asarray(cand_slot, dtype=np.intp)
-            cd = np.asarray(cand_dim, dtype=np.intp)
-            cc = np.asarray(cand_cut, dtype=np.intp)
+        if cand_particle.size:
             # The drawn cut values live in the per-bucket compacted unique
             # tables; one masked gather per bucket reads the ~K entries
             # each particle needs without materialising (and scattering
             # into) a global ``(count, n_max, dims)`` table.
-            low = np.empty(cp.shape[0])
-            high = np.empty(cp.shape[0])
-            cand_bucket = bucket_of[cp]
-            cand_pos = bucket_pos[cp]
+            low = np.empty(cand_particle.shape[0])
+            high = np.empty(cand_particle.shape[0])
+            cand_bucket = bucket_of[cand_particle]
+            cand_pos = bucket_pos[cand_particle]
             for b, (_, _, _, _, compacted) in enumerate(buckets):
                 sel = np.flatnonzero(cand_bucket == b)
                 if sel.size:
                     pos_s = cand_pos[sel]
-                    cd_s = cd[sel]
-                    cc_s = cc[sel]
+                    cd_s = cand_dim[sel]
+                    cc_s = cand_cut[sel]
                     low[sel] = compacted[pos_s, cc_s, cd_s]
                     high[sel] = compacted[pos_s, cc_s + 1, cd_s]
-            thresholds[cp, cs] = 0.5 * (low + high)
-            dim_matrix[cp, cs] = cd
+            thresholds[cand_particle, cand_slot] = 0.5 * (low + high)
+            dim_matrix[cand_particle, cand_slot] = cand_dim
         two_k = 2 * n_candidates
         masks = np.empty((count, n_max, n_candidates), dtype=bool)
         sums = np.empty((count, 2, two_k))

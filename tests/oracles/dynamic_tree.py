@@ -4,10 +4,14 @@
 score of :class:`~repro.models.dynamic_tree.DynamicTreeRegressor` one
 particle at a time: Python descents through the ``_Node`` trees, eager
 tree copies on resample and per-candidate ``np.unique`` partition scans.
-The batched production path replays it bit for bit — same float
-arithmetic, same RNG draws in the same order — so the equivalence tests
-drive both with one seed and compare every prediction.  The reference
-keeps no compiled state: every update drops the particle forest.
+Each update draws the same two arrays as the production path — one
+``random()`` for the resample, then one ``random((n_particles, 2K + 1))``
+block — and particle ``i`` decodes its own row of the block with scalar
+Python arithmetic (never the production decode), so the oracle stays
+independent while the batched path replays it bit for bit: same float
+arithmetic, same draws.  The equivalence tests drive both with one seed
+and compare every prediction.  The reference keeps no compiled state:
+every update drops the particle forest.
 
 :func:`predict_reference` and :func:`expected_average_variance_reference`
 also work on any fitted ``DynamicTreeRegressor``, so a test can score one
@@ -145,12 +149,18 @@ class ReferenceDynamicTree(DynamicTreeRegressor):
 
     def update(self, features: np.ndarray, target: float) -> None:
         x, y = self._observation(features, target)
+        uniform = self._rng.random()
+        draws = self._rng.random(
+            (len(self._particles), 2 * self._config.n_split_candidates + 1)
+        )
         if self._n >= 1:
-            self._resample_reference(x, y)
+            self._resample_reference(x, y, uniform)
         index = self._append_observation(x, y)
         self._particle_forest = None
         for particle_index, root in enumerate(self._particles):
-            self._particles[particle_index] = self._propagate(root, x, y, index)
+            self._particles[particle_index] = self._propagate(
+                root, x, y, index, draws[particle_index].tolist()
+            )
 
     def predict(self, features: np.ndarray) -> Prediction:
         return predict_reference(self, features)
@@ -162,7 +172,7 @@ class ReferenceDynamicTree(DynamicTreeRegressor):
 
     # --------------------------------------------------- reweight + resample
 
-    def _resample_reference(self, x: np.ndarray, y: float) -> None:
+    def _resample_reference(self, x: np.ndarray, y: float, uniform: float) -> None:
         """Reweight by predictive log-pdf, resample with eager tree copies."""
         log_weights = np.array(
             [descend(root, x).leaf.predictive_logpdf(y) for root in self._particles]
@@ -176,7 +186,7 @@ class ReferenceDynamicTree(DynamicTreeRegressor):
         effective = 1.0 / float(np.sum(weights ** 2))
         if effective >= self._config.resample_threshold * len(self._particles):
             return
-        chosen_indices = self._systematic_indices(weights, self._rng.random())
+        chosen_indices = self._systematic_indices(weights, uniform)
         # Deduplicate by particle *index*: the first occurrence keeps the
         # original tree, later occurrences get independent copies.
         new_particles: List[_Node] = []
@@ -191,9 +201,13 @@ class ReferenceDynamicTree(DynamicTreeRegressor):
 
     # ------------------------------------------------------------- propagate
 
-    def _propagate(self, root: _Node, x: np.ndarray, y: float, index: int) -> _Node:
+    def _propagate(
+        self, root: _Node, x: np.ndarray, y: float, index: int, row: List[float]
+    ) -> _Node:
         """Apply one stochastic stay/grow/prune move at the leaf containing ``x``.
 
+        ``row`` is this particle's row of the update's draw block: ``K``
+        dimension uniforms, ``K`` cut uniforms and the move uniform.
         Returns the particle's (possibly new) root.
         """
         leaf, parent = descend_with_parent(root, x)
@@ -212,7 +226,7 @@ class ReferenceDynamicTree(DynamicTreeRegressor):
         p_split_here = config.split_probability(leaf.depth)
         stay_score = math.log1p(-p_split_here) + leaf_with_new.log_marginal_likelihood()
 
-        grow_proposal = self._propose_grow(leaf, x, y)
+        grow_proposal = self._propose_grow(leaf, x, y, row)
         grow_score = -math.inf
         if grow_proposal is not None:
             _, _, left_model, right_model, _, _ = grow_proposal
@@ -251,7 +265,12 @@ class ReferenceDynamicTree(DynamicTreeRegressor):
         shifted = scores[finite] - scores[finite].max()
         probabilities[finite] = np.exp(shifted)
         probabilities /= probabilities.sum()
-        move = int(self._rng.choice(3, p=probabilities))
+        # ``Generator.choice``'s inversion: the number of cdf entries at or
+        # below the move uniform.
+        cdf = np.cumsum(probabilities)
+        cdf /= cdf[-1]
+        u = row[-1]
+        move = sum(c <= u for c in cdf.tolist())
 
         if move == 1 and grow_proposal is not None:
             self._apply_grow(leaf, grow_proposal, index)
@@ -263,8 +282,14 @@ class ReferenceDynamicTree(DynamicTreeRegressor):
         leaf.indices.append(index)
         return root
 
-    def _propose_grow(self, leaf: _Node, x: np.ndarray, y: float) -> Optional[_Proposal]:
+    def _propose_grow(
+        self, leaf: _Node, x: np.ndarray, y: float, row: List[float]
+    ) -> Optional[_Proposal]:
         """Propose the best of a few random splits of ``leaf`` (plus the new point).
+
+        Candidate ``k`` takes its dimension from ``row[k]`` and its cut
+        from ``row[K + k]``; a dimension without two distinct values skips
+        the candidate, leaving its cut uniform unread.
 
         Returns ``(dim, threshold, left_model, right_model, left_indices,
         right_indices)`` where the new point is *not* included in the index
@@ -283,14 +308,17 @@ class ReferenceDynamicTree(DynamicTreeRegressor):
         dims = x.shape[0]
         min_leaf = config.min_leaf
         prior = self._prior
+        n_candidates = config.n_split_candidates
         best: Optional[Tuple[float, int, float]] = None
-        for _ in range(config.n_split_candidates):
-            dim = int(self._rng.integers(dims))
+        for k in range(n_candidates):
+            dim = min(int(row[k] * dims), dims - 1)
             column = features[:, dim]
             values = np.unique(column)
             if values.size < 2:
                 continue
-            cut_index = int(self._rng.integers(values.size - 1))
+            cut_index = min(
+                int(row[n_candidates + k] * (values.size - 1)), values.size - 2
+            )
             threshold = 0.5 * (float(values[cut_index]) + float(values[cut_index + 1]))
             left_mask = column <= threshold
             n_left = int(left_mask.sum())

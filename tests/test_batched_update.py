@@ -3,16 +3,17 @@
 The batched update path (reweight via cached log-pdf terms, copy-on-write
 systematic resample, three-phase propagate) must replay the per-particle
 reference implementation *bit for bit*: particle moves are sampled from
-scores and the resample decision from weights, so a single differing bit —
-or a single extra RNG draw — forks every seeded trajectory that follows.
-These tests drive long seeded trajectories through both paths (exercising
-stay, grow, prune and resample events), check the copy-on-write sharing
-invariants directly, replay the RNG frontend against ``Generator``, and pin
-the fixed systematic resampler's behaviour on adversarial weight vectors.
+scores and the resample decision from weights, so a single differing bit
+forks every seeded trajectory that follows.  These tests drive long seeded
+trajectories through both paths (exercising stay, grow, prune and resample
+events) on more than one bit generator, pin the update's fixed draw
+layout, check the copy-on-write sharing invariants directly, and pin the
+fixed systematic resampler's behaviour on adversarial weight vectors.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -26,7 +27,6 @@ from repro.models.leaf import (
     NIGPrior,
     log_marginal_likelihood_from_stats,
 )
-from repro.models.rng_replay import GeneratorDraws, ReplayDraws
 from tests.oracles.dynamic_tree import ReferenceDynamicTree, descend
 
 
@@ -109,17 +109,19 @@ class TestTrajectoryBitIdentity:
         assert resamples > 0, "trajectory never resampled"
         assert max(batched.leaf_counts()) > 1, "trajectory never grew"
 
-    def test_fallback_generator_draws_trajectory(self):
-        """A non-PCG64 bit generator falls back to plain Generator draws
-        and still matches the reference path bit for bit."""
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64]
+    )
+    def test_any_bit_generator_matches_reference(self, bit_generator):
+        """A non-PCG64 bit generator takes the same draw path and still
+        matches the reference path bit for bit."""
         X, y = _piecewise_data(70, 3, 11)
+        config = DynamicTreeConfig(n_particles=10, resample_threshold=0.9)
         batched = DynamicTreeRegressor(
-            DynamicTreeConfig(n_particles=10, resample_threshold=0.9),
-            rng=np.random.Generator(np.random.MT19937(5)),
+            config, rng=np.random.Generator(bit_generator(5))
         )
         reference = ReferenceDynamicTree(
-            DynamicTreeConfig(n_particles=10, resample_threshold=0.9),
-            rng=np.random.Generator(np.random.MT19937(5)),
+            config, rng=np.random.Generator(bit_generator(5))
         )
         batched.fit(X[:30], y[:30])
         reference.fit(X[:30], y[:30])
@@ -127,10 +129,28 @@ class TestTrajectoryBitIdentity:
         for i in range(30, 70):
             batched.update(X[i], float(y[i]))
             reference.update(X[i], float(y[i]))
-        fast = batched.predict(probes)
-        slow = reference.predict(probes)
-        assert fast.mean.tolist() == slow.mean.tolist()
+            fast = batched.predict(probes)
+            slow = reference.predict(probes)
+            assert fast.mean.tolist() == slow.mean.tolist(), f"step {i}"
         assert batched.leaf_counts() == reference.leaf_counts()
+        assert max(batched.leaf_counts()) > 1, "trajectory never grew"
+
+
+class TestDrawLayout:
+    @pytest.mark.parametrize("dims, seed", [(3, 1), (5, 2)])
+    def test_update_consumes_documented_layout(self, dims, seed):
+        """One update draws exactly ``random()`` then
+        ``random((n_particles, 2K + 1))``, whatever the data: a twin
+        generator making those two calls lands on the same state."""
+        X, y = _piecewise_data(40, dims, seed)
+        config = DynamicTreeConfig(n_particles=12, n_split_candidates=5)
+        model = DynamicTreeRegressor(config, rng=np.random.default_rng(0))
+        model.fit(X[:39], y[:39])
+        twin = copy.deepcopy(model._rng)
+        model.update(X[39], float(y[39]))
+        twin.random()
+        twin.random((12, 2 * 5 + 1))
+        assert model._rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestCopyOnWriteResample:
@@ -304,121 +324,6 @@ class TestSystematicResampler:
             chosen = self._indices(weights, rng.random())
             assert chosen == sorted(chosen)
             assert 0 <= min(chosen) and max(chosen) < n
-
-
-class TestReplayDraws:
-    """The bulk RNG replay must be indistinguishable from Generator calls."""
-
-    @pytest.mark.parametrize("seed", [0, 3, 17, 99])
-    def test_mixed_draw_stream_matches_generator(self, seed):
-        reference = np.random.default_rng(seed)
-        replayed = np.random.default_rng(seed)
-        # Warm up through the Generator so a spare 32-bit half may be pending.
-        script = np.random.default_rng(seed + 1000)
-        for _ in range(int(script.integers(4))):
-            reference.integers(7)
-            replayed.integers(7)
-        replay = ReplayDraws(replayed)
-        assert replay.begin(32)
-        for step in range(300):
-            kind = int(script.integers(3))
-            if kind == 0:
-                bound = int(script.integers(1, 50))
-                assert replay.integers(bound) == int(reference.integers(bound)), step
-            elif kind == 1:
-                assert replay.random() == reference.random(), step
-            else:
-                dims = int(script.integers(1, 8))
-                n_unique = [int(v) for v in script.integers(1, 30, size=dims)]
-                count = int(script.integers(1, 6))
-                got = replay.draw_candidates(dims, n_unique, count)
-                want_dims, want_cuts = [], []
-                for _ in range(count):
-                    dim = int(reference.integers(dims))
-                    if n_unique[dim] < 2:
-                        continue
-                    want_dims.append(dim)
-                    want_cuts.append(int(reference.integers(n_unique[dim] - 1)))
-                assert got == (want_dims, want_cuts), step
-        replay.end()
-        # The stream position (and any spare half) carried over exactly.
-        for _ in range(50):
-            assert int(reference.integers(1000)) == int(replayed.integers(1000))
-            assert reference.random() == replayed.random()
-
-    def test_generator_draws_consume_identically(self):
-        a = np.random.default_rng(5)
-        b = np.random.default_rng(5)
-        draws = GeneratorDraws(a)
-        assert draws.integers(12) == int(b.integers(12))
-        assert draws.draw_candidates(3, [5, 1, 9], 4) is not None
-        for _ in range(4):
-            dim = int(b.integers(3))
-            if [5, 1, 9][dim] >= 2:
-                b.integers([5, 1, 9][dim] - 1)
-        assert draws.random() == b.random()
-
-    def test_unsupported_bit_generator_declines(self):
-        rng = np.random.Generator(np.random.MT19937(0))
-        replay = ReplayDraws(rng)
-        assert not replay.begin(16)
-
-    @pytest.mark.parametrize("seed_base", [0, 1])
-    def test_batched_candidate_stream_matches_generator(self, seed_base):
-        """``draw_candidates_batch`` equals per-particle Generator draws.
-
-        The trials are randomised over dims / particle counts / candidate
-        counts, include ``n_unique`` values of 1 and 2 (forcing the skip and
-        ``bound == 1`` shortcut paths that bail the vectorized layout into
-        the scalar tail), and vary the spare-half parity through warm-up
-        draws.  The post-call stream position must also match exactly.
-        """
-        for trial in range(60):
-            script = np.random.default_rng(1000 * seed_base + trial)
-            dims = int(script.integers(2, 8))
-            n_particles = int(script.integers(1, 50))
-            count = int(script.integers(1, 14))
-            n_unique = script.integers(1, 12, size=(n_particles, dims)).astype(
-                np.int32
-            )
-            grow = script.random(n_particles) < 0.7
-            seed = int(script.integers(0, 2**31))
-            burn = int(script.integers(0, 3))
-
-            reference = np.random.default_rng(seed)
-            for _ in range(burn):
-                reference.integers(1000)
-            ref = GeneratorDraws(reference)
-            want = ([], [], [], [], [])
-            for i in range(n_particles):
-                if grow[i]:
-                    drawn_dims, drawn_cuts = ref.draw_candidates(
-                        dims, n_unique[i].tolist(), count
-                    )
-                    want[0].extend([i] * len(drawn_dims))
-                    want[1].extend(range(len(drawn_dims)))
-                    want[2].extend(drawn_dims)
-                    want[3].extend(drawn_cuts)
-                want[4].append(ref.random())
-
-            replayed = np.random.default_rng(seed)
-            for _ in range(burn):
-                replayed.integers(1000)
-            replay = ReplayDraws(replayed)
-            assert replay.begin(16)
-            cp, cs, cd, cc, uniforms = replay.draw_candidates_batch(
-                dims, n_unique, grow, count
-            )
-            replay.end()
-            assert cp.tolist() == want[0], trial
-            assert cs.tolist() == want[1], trial
-            assert cd.tolist() == want[2], trial
-            assert cc.tolist() == want[3], trial
-            assert uniforms.tolist() == want[4], trial
-            assert int(reference.integers(2**32)) == int(
-                replayed.integers(2**32)
-            ), trial
-            assert reference.random() == replayed.random(), trial
 
 
 class TestLeafCacheEquivalence:

@@ -4,7 +4,7 @@ A checkpoint holds only the posterior's source of truth — training
 buffers, RNG, prior, config and the particles as an array snapshot of
 the particle forest — plus the session's format stamp.  Everything the
 model derives from that state (the particle forest, leaf and prior memo
-caches, term tables, RNG draw frontends) is rebuilt lazily after load.
+caches, term tables) is rebuilt lazily after load.
 The pins:
 
 * **resume** — unpickling at several points, including right after a
@@ -40,13 +40,17 @@ from repro.core.plans import sequential_plan
 from repro.experiments.config import ExperimentScale
 from repro.measurement.broker import ProfilerBroker
 from repro.measurement.profiler import Profiler
-from repro.models.dynamic_tree import DynamicTreeConfig
+from repro.models.dynamic_tree import DynamicTreeConfig, DynamicTreeRegressor
 from repro.spapt.suite import get_benchmark
 
 #: The sharded benchmark's learner: 200 particles, 30 training examples.
 CONFIG = dataclasses.replace(
     ExperimentScale.laptop().learner, max_training_examples=30, tree_particles=200
 )
+
+#: Its model, resampling on every update (``resample_threshold=1.0``), so
+#: every seed and draw stream leaves particles sharing subtrees.
+MODEL_CONFIG = DynamicTreeConfig(n_particles=200, resample_threshold=1.0)
 
 #: Mid-run blobs measured about 56 KB (72 KB while the trees were pickled
 #: as node objects); before checkpoints dropped the compiled state they
@@ -76,6 +80,7 @@ def _new_session(name):
     )
     learner = ActiveLearner(
         benchmark, plan=sequential_plan(), config=CONFIG,
+        model_factory=lambda rng: DynamicTreeRegressor(MODEL_CONFIG, rng=rng),
         rng=np.random.default_rng(11),
     )
     return learner.start_session(test_set), benchmark

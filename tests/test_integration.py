@@ -30,6 +30,11 @@ CONFIG = LearnerConfig(
     tree_particles=12,
 )
 
+#: Seeds of the statistical learning-quality claims, fixed before looking
+#: at any result: each claim is asserted on its aggregate over all of
+#: them, so no single draw of the model's randomness decides it.
+QUALITY_SEEDS = (0, 1, 2, 3, 4)
+
 
 class TestTransformToCostPipeline:
     def test_transformed_ir_and_cost_model_agree_on_structure(self, mm_benchmark):
@@ -74,17 +79,21 @@ class TestTransformToCostPipeline:
 
 class TestLearningQuality:
     def test_active_learner_produces_useful_model(self, mm_benchmark):
-        """After a short run the model must predict clearly better than a
-        global-mean predictor on held-out configurations."""
-        rng = np.random.default_rng(21)
-        test_set = build_test_set(mm_benchmark, size=60, observations=4, rng=rng)
-        learner = ActiveLearner(
-            mm_benchmark, plan=sequential_plan(8), config=CONFIG, rng=rng
-        )
-        result = learner.run(test_set)
-        final_rmse = result.curve.points[-1].rmse
-        baseline_rmse = float(np.std(test_set.mean_runtimes))
-        assert final_rmse < baseline_rmse
+        """After a short run the model must predict better than a
+        global-mean predictor on held-out configurations: over
+        :data:`QUALITY_SEEDS`, the mean of final RMSE / σ(test runtimes)
+        (σ is the global mean's RMSE) stays below 1."""
+        ratios = []
+        for seed in QUALITY_SEEDS:
+            rng = np.random.default_rng(seed)
+            test_set = build_test_set(mm_benchmark, size=60, observations=4, rng=rng)
+            learner = ActiveLearner(
+                mm_benchmark, plan=sequential_plan(8), config=CONFIG, rng=rng
+            )
+            result = learner.run(test_set)
+            baseline_rmse = float(np.std(test_set.mean_runtimes))
+            ratios.append(result.curve.points[-1].rmse / baseline_rmse)
+        assert np.mean(ratios) < 1.0, ratios
 
     def test_variable_plan_costs_less_than_fixed_35(self, mm_benchmark):
         """For the same number of training examples the variable plan must
@@ -101,14 +110,20 @@ class TestLearningQuality:
         assert variable_result.total_observations < fixed_result.total_observations
 
     def test_comparison_speedup_positive_on_quiet_benchmark(self):
-        lu = get_benchmark("lu")
-        config = ComparisonConfig(
-            learner=CONFIG, repetitions=1, test_size=40, test_observations=3, seed=3
-        )
-        comparison = compare_sampling_plans(lu, config=config)
-        # On a near-noise-free benchmark the variable plan must reach the
-        # common error level at least as cheaply as the 35-sample baseline.
-        assert comparison.speedup("all observations", "variable observations") >= 1.0
+        """On a near-noise-free benchmark the variable plan must reach the
+        common error level at least as cheaply as the 35-sample baseline:
+        the geometric-mean speed-up over :data:`QUALITY_SEEDS` is >= 1."""
+        speedups = []
+        for seed in QUALITY_SEEDS:
+            config = ComparisonConfig(
+                learner=CONFIG, repetitions=1, test_size=40, test_observations=3,
+                seed=seed,
+            )
+            comparison = compare_sampling_plans(get_benchmark("lu"), config=config)
+            speedups.append(
+                comparison.speedup("all observations", "variable observations")
+            )
+        assert float(np.exp(np.mean(np.log(speedups)))) >= 1.0, speedups
 
     def test_noisy_benchmark_single_observation_struggles(self):
         """On the noisiest benchmark (correlation), the final error of the

@@ -427,11 +427,11 @@ class TestCheckpointIntegrity:
     def test_format_stamp_decides_resume(self, tmp_path, monkeypatch, stamp):
         """Only a session stamped with the current checkpoint format
         resumes; any other stamp, or none, restarts the unit.  Older
-        layouts (format 3 pickled a model config with a ``vectorized``
-        field) are the ``previous`` case."""
+        layouts (format 4 resumed models under the replayed per-particle
+        draw order) are the ``previous`` case."""
         from repro.core.session import TuningSession
 
-        assert TuningSession._CHECKPOINT_FORMAT == 4
+        assert TuningSession._CHECKPOINT_FORMAT == 5
 
         _, context = self._context(tmp_path)
         mm = get_benchmark("mm")
