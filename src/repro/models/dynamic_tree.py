@@ -1535,7 +1535,9 @@ class DynamicTreeRegressor(SurrogateModel):
         assert leaf.leaf is not None and sibling.leaf is not None
         merged_model = leaf.leaf.merge(sibling.leaf)
         merged_model.add(y)
-        merged_indices = leaf.indices + sibling.indices + [index]
+        # Ascending training order, the order every other move keeps: the
+        # grow tables sum a leaf's targets in index-list order.
+        merged_indices = sorted(leaf.indices + sibling.indices) + [index]
         parent.split_dim = None
         parent.split_value = 0.0
         parent.left = None

@@ -277,7 +277,8 @@ class ReferenceDynamicTree(DynamicTreeRegressor):
             return root
         if move == 2 and prune_possible:
             assert parent is not None and sibling is not None
-            return self._apply_prune(root, parent, leaf, sibling, x, y, index)
+            self._apply_prune(parent, leaf, sibling, y, index)
+            return root
         leaf.leaf.add(y)
         leaf.indices.append(index)
         return root
@@ -385,3 +386,21 @@ class ReferenceDynamicTree(DynamicTreeRegressor):
         leaf.split_value = threshold
         leaf.left = left_child
         leaf.right = right_child
+
+    def _apply_prune(
+        self, parent: _Node, leaf: _Node, sibling: _Node, y: float, index: int
+    ) -> None:
+        """Collapse ``parent`` into one leaf holding both children and ``y``.
+
+        The merged index list is in ascending training order, like every
+        list a stay or grow produces.
+        """
+        assert leaf.leaf is not None and sibling.leaf is not None
+        merged_model = leaf.leaf.merge(sibling.leaf)
+        merged_model.add(y)
+        parent.split_dim = None
+        parent.split_value = 0.0
+        parent.left = None
+        parent.right = None
+        parent.leaf = merged_model
+        parent.indices = sorted(leaf.indices + sibling.indices) + [index]
