@@ -28,7 +28,7 @@ from repro.measurement.profiler import Profiler
 from repro.models.dynamic_tree import DynamicTreeConfig, DynamicTreeRegressor
 from repro.models.gp import GaussianProcessRegressor
 from repro.spapt.suite import get_benchmark
-from tests.oracles.dynamic_tree import ReferenceDynamicTree, copy_tree
+from tests.oracles.dynamic_tree import ReferenceDynamicTree
 
 
 def _training_data(size, dims=6, seed=0):
@@ -39,20 +39,14 @@ def _training_data(size, dims=6, seed=0):
 
 
 def _as_reference(model: DynamicTreeRegressor) -> ReferenceDynamicTree:
-    """A reference-oracle twin with the same (deep-copied) particle state.
+    """A reference-oracle twin built from the batched model's forest.
 
     Fitting at paper-scale particle counts through the reference path takes
-    minutes; transplanting the state of a batched fit measures exactly the
-    same update workload on identical trees without paying that setup.
+    minutes; rebuilding the state of a batched fit as node trees measures
+    exactly the same update workload on identical trees without paying
+    that setup.
     """
-    clone = ReferenceDynamicTree(model.config, rng=copy.deepcopy(model._rng))
-    clone._X = None if model._X is None else model._X.copy()
-    clone._y = None if model._y is None else model._y.copy()
-    clone._n = model._n
-    clone._prior = model._prior
-    clone._lml = model._lml
-    clone._particles = [copy_tree(root) for root in model._particles]
-    return clone
+    return ReferenceDynamicTree.from_model(model)
 
 
 @pytest.mark.benchmark(group="model-update")
@@ -106,7 +100,7 @@ def test_bench_particle_update_1000(benchmark, paper_scale_model, kernel):
     """Algorithm 1's per-observation model update at 1 000 particles.
 
     ``batched`` is the production kernel on the default NumPy backend
-    (batched reweight, copy-on-write resample, three-phase propagate);
+    (batched reweight, row-gather resample, phased array propagate);
     ``fast`` is the same kernel with ``DynamicTreeConfig(float_mode="fast")``
     (fused reductions and SIMD transcendentals, tolerance-tested instead of
     bit-exact); ``reference`` is the pre-batching per-particle Python loop,
@@ -162,11 +156,11 @@ def test_bench_forest_maintenance_1000(benchmark, paper_scale_model, forest):
     This is the per-iteration cost the in-place particle forest amortises:
     the untimed setup absorbs one observation, the timed body scores a
     candidate batch — reading the forest the update kept in step
-    (``incremental``) or recompiling it from every particle (``rebuild``:
-    the setup drops the compiled forest) plus the routing itself.  Their
-    ratio in ``BENCH_model.json`` is the tracked win of the in-place
-    maintenance; equivalence is pinned separately by
-    ``tests/test_particle_forest.py``.
+    (``incremental``) or rebuilding it from its checkpoint snapshot
+    (``rebuild``: the setup swaps the forest for its snapshot, as a load
+    does) plus the routing itself.  Their ratio in ``BENCH_model.json`` is
+    the tracked win of the in-place maintenance; equivalence is pinned
+    separately by ``tests/test_particle_forest.py``.
     """
     fitted, X, y = paper_scale_model
     model = copy.deepcopy(fitted)
@@ -181,6 +175,7 @@ def test_bench_forest_maintenance_1000(benchmark, paper_scale_model, forest):
         state["i"] += 1
         model.update(X[i], float(y[i]))
         if forest == "rebuild":
+            model._snapshot = model._particle_forest.preorder()
             model._particle_forest = None
         return (), {}
 

@@ -236,14 +236,16 @@ class TuningSession:
     #: Layout version of a pickled session, stamped into every checkpoint.
     #: Bump it whenever a change to the session or to anything it pickles
     #: (model, pool, ledger, curve) means an older checkpoint would not
-    #: resume bit-identically.  Format 5: each model update draws its
+    #: resume bit-identically.  Format 6: the particle snapshot no longer
+    #: carries per-leaf index lists (loading re-derives leaf membership by
+    #: routing the training rows).  Format 5: each model update draws its
     #: randomness as one fixed-layout block, so a format-4 generator state
     #: would continue under another draw order.  Format 4: the model's
     #: config no longer carries a ``vectorized`` field.  Format 3 first
     #: sent the particles as an array snapshot of the particle forest
     #: (format 2 pickled them as ``_Node`` objects; format 1 also carried
     #: per-particle compilations and an incremental forest).
-    _CHECKPOINT_FORMAT = 5
+    _CHECKPOINT_FORMAT = 6
 
     def __getstate__(self) -> dict:
         """Drop the benchmark (unpicklable memoisation caches) and the model

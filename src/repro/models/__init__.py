@@ -14,9 +14,8 @@ import numpy as np
 from .base import Prediction, SurrogateModel
 from .baselines import ConstantMeanModel, KNNRegressor
 from .dynamic_tree import DynamicTreeConfig, DynamicTreeRegressor
-from .flat_tree import FlatTree
 from .gp import GaussianProcessRegressor
-from .leaf import GaussianLeafModel, NIGPrior
+from .leaf import NIGPrior
 
 __all__ = [
     "Prediction",
@@ -25,9 +24,7 @@ __all__ = [
     "KNNRegressor",
     "DynamicTreeConfig",
     "DynamicTreeRegressor",
-    "FlatTree",
     "GaussianProcessRegressor",
-    "GaussianLeafModel",
     "NIGPrior",
     "make_model",
     "model_factory",

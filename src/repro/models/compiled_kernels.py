@@ -97,8 +97,8 @@ def route_update_numpy(
     Returns ``(leaf_ids, leaf_nodes, parent_nodes, depths)``: the global
     leaf id and *node* index each particle lands on, the node index of
     that leaf's parent (``-1`` for root-leaves) and the descent depth.
-    The propagate phase derives the prune sibling and the tree-prior
-    depth terms from these instead of re-walking ``_Node`` objects.
+    The propagate phases derive the prune sibling and the tree-prior
+    depth terms from these.
     """
     nodes = roots.copy()
     parents = np.full(roots.shape[0], -1, dtype=np.intp)
@@ -126,7 +126,7 @@ def reweight_log_weights(
 
     ``cache_data`` rows follow the :class:`~repro.models.leaf.LeafCacheArrays`
     layout; the arithmetic mirrors
-    ``GaussianLeafModel.predictive_logpdf`` exactly (basic ops are
+    the reference leaf's ``predictive_logpdf`` exactly (basic ops are
     correctly rounded, the ``log1p`` map is the float mode's).
     """
     rows = cache_data[leaf_ids]
@@ -148,8 +148,7 @@ def nig_beta_n(
 ) -> np.ndarray:
     """Vectorized posterior ``beta_n``, grouped exactly like the scalar path.
 
-    Mirrors ``LMLCache.log_marginal_likelihood`` /
-    ``GaussianLeafModel.posterior``::
+    Mirrors ``LMLCache.log_marginal_likelihood``::
 
         mean = total / n
         sum_sq_dev = max(total_sq - n * mean * mean, 0.0)

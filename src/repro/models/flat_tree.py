@@ -1,24 +1,15 @@
-"""Flattened-array representations of the particle trees.
+"""Flattened-array representation of the particle posterior.
 
-The dynamic tree spends essentially all of its prediction/acquisition time
-descending trees: every ``predict()`` and every ALC score routes hundreds of
-rows through every particle.  Doing that with per-row Python ``descend()``
-loops costs a Python-level branch per (row, level, particle); lowering the
-particles' ``_Node`` trees into flat NumPy arrays turns the same work into a
-handful of vectorized gathers per tree *level*.
+The dynamic tree spends most of its prediction/acquisition time descending
+trees: every ``predict()`` and every ALC score routes hundreds of rows
+through every particle.  Holding the particles as flat NumPy arrays turns
+that work into a handful of vectorized gathers per tree *level* instead of
+a Python-level branch per (row, level, particle).
 
-* :class:`FlatTree` compiles one ``_Node`` tree: per node ``split_dim``
-  (``-1`` for leaves), ``split_value``, ``left``/``right`` child indices
-  and a pre-order leaf id, and per *leaf* a row of cached posterior
-  statistics in a :class:`~repro.models.leaf.LeafCacheArrays` (the
-  posterior-predictive mean, variance and observation count, the
-  value-independent terms of the predictive log-pdf, the sufficient
-  statistics and the log marginal likelihood).  It seeds the particle
-  forest and is the oracle the forest's in-place updates are tested
-  against.
-* :class:`ParticleForest` holds every particle's compilation as one padded
-  ``(n_particles, capacity)`` array set and is the only compiled state the
-  batched model keeps: each SMC update splices its stay/grow/prune moves
+* :class:`ParticleForest` is the model's whole posterior: every particle's
+  tree as one padded ``(n_particles, capacity)`` array set, the leaves'
+  cached statistics, and ``leaf_of``, the leaf each training row sits in
+  for every particle.  Each SMC update splices its stay/grow/prune moves
   and its resample into the arrays with a constant number of array
   operations, whatever the number of particles moving.
 * :class:`FlatForest` is the flattened view the routing, reweight and ALC
@@ -28,140 +19,13 @@ handful of vectorized gathers per tree *level*.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .leaf import GaussianLeafModel, LeafCacheArrays
+from .leaf import LeafCacheArrays
 
-__all__ = ["FlatTree", "FlatForest", "ParticleForest"]
-
-
-class FlatTree:
-    """Array-of-structs compilation of one particle tree.
-
-    Attributes
-    ----------
-    split_dim:
-        ``(n_nodes,)`` int array; the splitting feature of internal nodes,
-        ``-1`` for leaves.
-    split_value:
-        ``(n_nodes,)`` float array; the threshold of internal nodes.
-    left, right:
-        ``(n_nodes,)`` int arrays; child node indices (``-1`` for leaves).
-    leaf_slot:
-        ``(n_nodes,)`` int array mapping a node index to its leaf id
-        (``-1`` for internal nodes).  Leaf ids number the leaves in
-        pre-order, so they are stable for a given structure.
-    caches:
-        :class:`~repro.models.leaf.LeafCacheArrays` with one row per leaf
-        id.
-    leaf_nodes:
-        Leaf id -> the particle's ``_Node`` leaf, in pre-order.
-    """
-
-    __slots__ = (
-        "split_dim",
-        "split_value",
-        "left",
-        "right",
-        "leaf_slot",
-        "caches",
-        "leaf_nodes",
-        "n_nodes",
-        "n_leaves",
-    )
-
-    def __init__(
-        self,
-        split_dim: np.ndarray,
-        split_value: np.ndarray,
-        left: np.ndarray,
-        right: np.ndarray,
-        leaf_slot: np.ndarray,
-        caches: LeafCacheArrays,
-        leaf_nodes: list,
-    ) -> None:
-        self.split_dim = split_dim
-        self.split_value = split_value
-        self.left = left
-        self.right = right
-        self.leaf_slot = leaf_slot
-        self.caches = caches
-        self.leaf_nodes = leaf_nodes
-        self.n_nodes = int(split_dim.shape[0])
-        self.n_leaves = len(caches)
-
-    @property
-    def leaf_mean(self) -> np.ndarray:
-        return self.caches.mean
-
-    @property
-    def leaf_count(self) -> np.ndarray:
-        return self.caches.count
-
-    @classmethod
-    def compile(cls, root) -> "FlatTree":
-        """Lower a ``_Node`` tree into flat arrays (pre-order numbering)."""
-        split_dim: List[int] = []
-        split_value: List[float] = []
-        left: List[int] = []
-        right: List[int] = []
-        leaf_slot: List[int] = []
-        leaves: List[GaussianLeafModel] = []
-        leaf_nodes: List = []
-
-        def visit(node) -> int:
-            index = len(split_dim)
-            if node.leaf is not None:
-                split_dim.append(-1)
-                split_value.append(0.0)
-                left.append(-1)
-                right.append(-1)
-                leaf_slot.append(len(leaves))
-                leaves.append(node.leaf)
-                leaf_nodes.append(node)
-            else:
-                split_dim.append(int(node.split_dim))
-                split_value.append(float(node.split_value))
-                left.append(-1)
-                right.append(-1)
-                leaf_slot.append(-1)
-                left[index] = visit(node.left)
-                right[index] = visit(node.right)
-            return index
-
-        visit(root)
-        return cls(
-            split_dim=np.asarray(split_dim, dtype=np.intp),
-            split_value=np.asarray(split_value, dtype=float),
-            left=np.asarray(left, dtype=np.intp),
-            right=np.asarray(right, dtype=np.intp),
-            leaf_slot=np.asarray(leaf_slot, dtype=np.intp),
-            caches=LeafCacheArrays.from_leaves(leaves),
-            leaf_nodes=leaf_nodes,
-        )
-
-    def route(self, X: np.ndarray) -> np.ndarray:
-        """Leaf ids of every row of ``X``, descending level-by-level.
-
-        All rows start at the root; at each iteration the rows still sitting
-        on an internal node are compared against that node's threshold in
-        one vectorized gather, and rows that reach a leaf drop out.  The
-        loop count is the tree depth, not the number of rows.
-        """
-        X = np.atleast_2d(X)
-        n = X.shape[0]
-        nodes = np.zeros(n, dtype=np.intp)
-        active = np.flatnonzero(self.split_dim[nodes] >= 0)
-        while active.size:
-            current = nodes[active]
-            dims = self.split_dim[current]
-            go_left = X[active, dims] <= self.split_value[current]
-            nodes[active] = np.where(go_left, self.left[current], self.right[current])
-            still_internal = self.split_dim[nodes[active]] >= 0
-            active = active[still_internal]
-        return self.leaf_slot[nodes]
+__all__ = ["FlatForest", "ParticleForest"]
 
 
 class FlatForest:
@@ -247,30 +111,31 @@ class FlatForest:
 
 
 class ParticleForest:
-    """Every particle's compiled tree, one padded row per particle.
+    """Every particle's tree, one padded row per particle.
 
     ``split_dim``, ``split_value``, ``left``, ``right`` and ``leaf_slot``
     are ``(n_particles, capacity)`` arrays and ``data`` is the
     ``(n_particles, leaf_capacity, 9)`` leaf-cache block.  Row ``p`` holds
-    particle ``p`` in pre-order, exactly as :meth:`FlatTree.compile` lays
-    it out, except that child pointers are global node ids
-    (``p * capacity + local``) and leaf slots global leaf ids
-    (``p * leaf_capacity + local``); ``-1`` sentinels stay ``-1``.  The
-    flattened arrays are therefore a valid :class:`FlatForest`
-    (:meth:`view`), and local indices are ``global % capacity``.  Entries
-    past a row's ``n_nodes`` live nodes are padding no root reaches.
+    particle ``p``'s nodes in pre-order (leaves numbered left to right);
+    child pointers are global node ids (``p * capacity + local``) and leaf
+    slots global leaf ids (``p * leaf_capacity + local``); ``-1``
+    sentinels stay ``-1``.  The flattened arrays are therefore a valid
+    :class:`FlatForest` (:meth:`view`), and local indices are
+    ``global % capacity``.  Entries past a row's ``n_nodes`` live nodes
+    are padding no root reaches.
 
-    ``leaf_nodes[p]`` maps particle ``p``'s local leaf ids to its ``_Node``
-    leaves.  The lists are never mutated in place — a change installs a
-    new list — so resample duplicates and fantasy copies share them
-    freely.
+    ``leaf_of[p, i]`` is the local leaf id of training row ``i`` in
+    particle ``p`` (int32; columns past the model's training size are
+    unused), so a leaf's members are one ``nonzero`` in ascending
+    training order.  It always equals routing the training rows through
+    the trees: a grow moves the split leaf's rows whose feature exceeds
+    the threshold to the new right leaf, and a prune merges two ids.
 
     Every update is a constant number of array operations, however many
-    particles move: stays are one write into ``data``, all
-    grows one splice (:meth:`grow`), all prunes one splice (:meth:`prune`)
-    and a resample one row gather (:meth:`gather`).  The capacity doubles
-    when a grow would overflow it, so the rows are compiled from the
-    ``_Node`` trees only when the forest is first built.
+    particles move: stays are one write into ``data``, all grows one
+    splice (:meth:`grow`), all prunes one splice (:meth:`prune`), the new
+    point one column write (:meth:`assign`) and a resample one row gather
+    (:meth:`gather`).  The capacity doubles when a grow would overflow it.
     """
 
     __slots__ = (
@@ -281,14 +146,12 @@ class ParticleForest:
         "leaf_slot",
         "data",
         "n_nodes",
-        "leaf_nodes",
+        "leaf_of",
     )
 
     #: Smallest row capacity (nodes); the initial capacity is the smallest
     #: power of two at least this large and twice the biggest tree.
     MIN_CAPACITY = 32
-
-    _ARRAYS = ("split_dim", "split_value", "left", "right", "leaf_slot", "data", "n_nodes")
 
     def __init__(self, n_particles: int, capacity: int) -> None:
         leaf_capacity = (capacity + 1) // 2
@@ -300,7 +163,7 @@ class ParticleForest:
         self.leaf_slot = np.full(shape, -1, dtype=np.intp)
         self.data = np.zeros((n_particles, leaf_capacity, LeafCacheArrays.N_COLUMNS))
         self.n_nodes = np.zeros(n_particles, dtype=np.intp)
-        self.leaf_nodes: List[list] = [[] for _ in range(n_particles)]
+        self.leaf_of = np.zeros((n_particles, 0), dtype=np.int32)
 
     @property
     def capacity(self) -> int:
@@ -311,41 +174,82 @@ class ParticleForest:
         return int(self.data.shape[1])
 
     @classmethod
-    def compile(cls, roots: Sequence) -> "ParticleForest":
-        """Compile every particle's ``_Node`` tree into a fresh forest."""
-        trees = [FlatTree.compile(root) for root in roots]
-        node_counts = np.asarray([tree.n_nodes for tree in trees], dtype=np.intp)
-        leaf_counts = (node_counts + 1) // 2
-        capacity = cls.MIN_CAPACITY
-        while capacity < 2 * int(node_counts.max()):
-            capacity *= 2
-        forest = cls(len(trees), capacity)
-        leaf_capacity = forest.leaf_capacity
-        particles = np.arange(len(trees), dtype=np.intp)
-        rows = np.repeat(particles, node_counts)
-        cols = np.arange(rows.shape[0], dtype=np.intp) - np.repeat(
-            np.cumsum(node_counts) - node_counts, node_counts
-        )
-        forest.split_dim[rows, cols] = np.concatenate([t.split_dim for t in trees])
-        forest.split_value[rows, cols] = np.concatenate([t.split_value for t in trees])
-        for name, stride in (
-            ("left", capacity),
-            ("right", capacity),
-            ("leaf_slot", leaf_capacity),
-        ):
-            local = np.concatenate([getattr(t, name) for t in trees])
-            np.add(local, rows * stride, out=local, where=local >= 0)
-            getattr(forest, name)[rows, cols] = local
-        leaf_rows = np.repeat(particles, leaf_counts)
-        leaf_cols = np.arange(leaf_rows.shape[0], dtype=np.intp) - np.repeat(
-            np.cumsum(leaf_counts) - leaf_counts, leaf_counts
-        )
-        forest.data[leaf_rows, leaf_cols] = np.concatenate(
-            [t.caches.data for t in trees], axis=0
-        )
-        forest.n_nodes = node_counts
-        forest.leaf_nodes = [tree.leaf_nodes for tree in trees]
+    def root_only(cls, n_particles: int) -> "ParticleForest":
+        """Every particle a single empty root leaf (zero statistics)."""
+        forest = cls(n_particles, cls.MIN_CAPACITY)
+        forest.leaf_slot[:, 0] = np.arange(n_particles, dtype=np.intp) * forest.leaf_capacity
+        forest.n_nodes[:] = 1
         return forest
+
+    @classmethod
+    def from_preorder(
+        cls,
+        n_nodes: np.ndarray,
+        split_dim: np.ndarray,
+        split_value: np.ndarray,
+        leaf_data: np.ndarray,
+    ) -> "ParticleForest":
+        """A forest from ragged pre-order arrays (see :meth:`preorder`).
+
+        ``split_dim`` concatenates every particle's ``n_nodes[p]`` nodes in
+        pre-order (``-1`` for a leaf), ``split_value`` holds the internal
+        nodes' thresholds and ``leaf_data`` the leaves' cache rows, both in
+        the same order.  ``leaf_of`` is left empty.
+        """
+        n_nodes = np.asarray(n_nodes, dtype=np.intp)
+        count = n_nodes.shape[0]
+        capacity = cls.MIN_CAPACITY
+        while capacity < 2 * int(n_nodes.max()):
+            capacity *= 2
+        forest = cls(count, capacity)
+        rows = np.repeat(np.arange(count, dtype=np.intp), n_nodes)
+        cols = np.arange(rows.shape[0], dtype=np.intp) - np.repeat(
+            np.cumsum(n_nodes) - n_nodes, n_nodes
+        )
+        dims = np.asarray(split_dim, dtype=np.intp)
+        # Subtree sizes in one reverse pass: an internal node's left child
+        # follows it, and its right child follows the left subtree.
+        size = [1] * dims.shape[0]
+        for i in np.flatnonzero(dims >= 0)[::-1].tolist():
+            size[i] = 1 + size[i + 1] + size[i + 1 + size[i + 1]]
+        internal = np.flatnonzero(dims >= 0)
+        leaves = np.flatnonzero(dims < 0)
+        left_size = np.asarray(size, dtype=np.intp)[internal + 1]
+        gid = rows * capacity + cols
+        forest.split_dim[rows, cols] = dims
+        forest.split_value[rows[internal], cols[internal]] = split_value
+        forest.left[rows[internal], cols[internal]] = gid[internal] + 1
+        forest.right[rows[internal], cols[internal]] = gid[internal] + 1 + left_size
+        n_leaves = (n_nodes + 1) // 2
+        leaf_rows = rows[leaves]
+        leaf_ids = np.arange(leaves.shape[0], dtype=np.intp) - np.repeat(
+            np.cumsum(n_leaves) - n_leaves, n_leaves
+        )
+        forest.leaf_slot[leaf_rows, cols[leaves]] = leaf_rows * forest.leaf_capacity + leaf_ids
+        forest.data[leaf_rows, leaf_ids] = leaf_data
+        forest.n_nodes = n_nodes.copy()
+        return forest
+
+    def preorder(self) -> dict:
+        """The forest as ragged pre-order arrays (the checkpoint snapshot).
+
+        ``n_nodes`` per particle, ``split_dim`` of every live node (``-1``
+        marks a leaf, so the pre-order sequence alone fixes the tree
+        shape), ``split_value`` of the internal nodes and ``(count, sum,
+        sum_sq)`` of the leaves in leaf-id order.  ``leaf_of`` is left
+        out: routing the training rows through the trees re-derives it.
+        """
+        n_nodes = self.n_nodes
+        live = np.arange(self.capacity) < n_nodes[:, None]
+        split_dim = self.split_dim[live]
+        leaf_live = np.arange(self.leaf_capacity) < ((n_nodes + 1) // 2)[:, None]
+        columns = [LeafCacheArrays.COUNT, LeafCacheArrays.SUM, LeafCacheArrays.SUM_SQ]
+        return {
+            "n_nodes": n_nodes.astype(np.int32),
+            "split_dim": split_dim.astype(np.int32),
+            "split_value": self.split_value[live][split_dim >= 0],
+            "leaf_stats": self.data[leaf_live][:, columns],
+        }
 
     def view(self) -> FlatForest:
         """The flattened arrays as a :class:`FlatForest` (views, not copies).
@@ -366,11 +270,10 @@ class ParticleForest:
         )
 
     def copy(self) -> "ParticleForest":
-        """An independent forest; the (never mutated) leaf-node lists are shared."""
+        """An independent forest (every array copied)."""
         clone = ParticleForest.__new__(ParticleForest)
-        for name in self._ARRAYS:
+        for name in self.__slots__:
             setattr(clone, name, getattr(self, name).copy())
-        clone.leaf_nodes = list(self.leaf_nodes)
         return clone
 
     # ---------------------------------------------------------------- updates
@@ -395,8 +298,7 @@ class ParticleForest:
         self.split_value = self.split_value[chosen]
         self.data = self.data[chosen]
         self.n_nodes = self.n_nodes[chosen]
-        nodes = self.leaf_nodes
-        self.leaf_nodes = [nodes[j] for j in chosen.tolist()]
+        self.leaf_of = self.leaf_of[chosen]
 
     def grow(
         self,
@@ -406,6 +308,7 @@ class ParticleForest:
         split_dims: np.ndarray,
         split_values: np.ndarray,
         child_rows: np.ndarray,
+        train: np.ndarray,
     ) -> None:
         """Split leaf node ``nodes[k]`` (leaf id ``leaf_ids[k]``) of row ``rows[k]``.
 
@@ -413,7 +316,10 @@ class ParticleForest:
         its children land at ``nodes[k] + 1``/``+ 2`` with leaf ids
         ``leaf_ids[k]``/``+ 1`` and cache rows ``child_rows[k, 0]``/``[k, 1]``
         (``child_rows`` is ``(len(rows), 2, 9)``).  Later nodes shift by
-        +2 and later leaves by +1 — one splice for all rows.
+        +2 and later leaves by +1 — one splice for all rows.  ``train``
+        holds the training rows ``leaf_of`` covers; the split leaf's rows
+        that do not go left (``x[dim] <= value``, as routing decides) move
+        to the right child.
         """
         needed = int(self.n_nodes[rows].max()) + 2
         if needed > self.capacity:
@@ -437,6 +343,11 @@ class ParticleForest:
         pair = np.array([0, 1])
         self.leaf_slot[children] = (rows * self.leaf_capacity + leaf_ids)[:, None] + pair
         self.data[rows[:, None], leaf_ids[:, None] + pair] = child_rows
+        block = self.leaf_of[rows, : train.shape[0]]
+        ids = leaf_ids[:, None]
+        right = (block == ids) & ~(train[:, split_dims].T <= split_values[:, None])
+        block += (block > ids) | right
+        self.leaf_of[rows, : train.shape[0]] = block
 
     def prune(
         self,
@@ -444,13 +355,15 @@ class ParticleForest:
         parents: np.ndarray,
         leaf_ids: np.ndarray,
         merged_rows: np.ndarray,
+        n_train: int,
     ) -> None:
         """Collapse internal node ``parents[k]`` of row ``rows[k]`` into a leaf.
 
         Both children of each parent are leaves; ``leaf_ids[k]`` is the
         *left* child's id, which the merged leaf takes over with cache row
-        ``merged_rows[k]``.  Later nodes shift by -2 and later leaves by
-        -1 — one splice for all rows.
+        ``merged_rows[k]``.  Later nodes shift by -2 and later leaves (the
+        right child's rows of ``leaf_of``'s first ``n_train`` columns
+        included) by -1 — one splice for all rows.
         """
         self._shift(rows, parents, -2, leaf_ids, -1)
         self.split_dim[rows, parents] = -1
@@ -459,6 +372,21 @@ class ParticleForest:
         self.right[rows, parents] = -1
         self.leaf_slot[rows, parents] = rows * self.leaf_capacity + leaf_ids
         self.data[rows, leaf_ids] = merged_rows
+        block = self.leaf_of[rows, :n_train]
+        block -= block > leaf_ids[:, None]
+        self.leaf_of[rows, :n_train] = block
+
+    def assign(self, index: int, leaf_ids: np.ndarray) -> None:
+        """Record training row ``index`` in leaf ``leaf_ids[p]`` of each row ``p``.
+
+        ``leaf_of`` widens geometrically when ``index`` is past its columns.
+        """
+        width = self.leaf_of.shape[1]
+        if index >= width:
+            grown = np.zeros((self.leaf_of.shape[0], max(64, 2 * index)), dtype=np.int32)
+            grown[:, :width] = self.leaf_of
+            self.leaf_of = grown
+        self.leaf_of[:, index] = leaf_ids
 
     def _shift(
         self,

@@ -1,4 +1,4 @@
-"""Conjugate Gaussian leaf model for the dynamic tree.
+"""Conjugate Gaussian leaves of the dynamic tree, as arrays.
 
 Each leaf of a (dynamic) regression tree summarises the responses that fall
 into its region with a Normal-Inverse-Gamma (NIG) posterior over the leaf
@@ -15,25 +15,21 @@ which the dynamic tree needs at every sequential update:
 
 The maths follows Murphy's "Conjugate Bayesian analysis of the Gaussian
 distribution" notes and matches what the ``dynaTree`` R package's constant
-leaves compute.
+leaves compute.  The model keeps no per-leaf objects: a leaf is one row of
+:class:`LeafCacheArrays`, computed from count-indexed term tables
+(:class:`LeafTermTables`, filled from the scalar :class:`LMLCache`).  The
+per-leaf object form lives with the test oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
-__all__ = [
-    "NIGPrior",
-    "GaussianLeafModel",
-    "LeafCacheArrays",
-    "LeafTermTables",
-    "LMLCache",
-    "log_marginal_likelihood_from_stats",
-]
+__all__ = ["NIGPrior", "LeafCacheArrays", "LeafTermTables", "LMLCache"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -97,242 +93,14 @@ class NIGPrior:
         return cls(mean=mean, kappa=kappa, alpha=alpha, beta=beta)
 
 
-class GaussianLeafModel:
-    """Sufficient statistics and posterior quantities of one leaf.
-
-    The posterior parameters and the log marginal likelihood are memoized:
-    the dynamic tree asks for them many times between updates (every
-    prediction, every ALC score, every stay/grow/prune proposal touching the
-    leaf), while the sufficient statistics only change on ``add``/``remove``.
-    """
-
-    __slots__ = (
-        "prior",
-        "_count",
-        "_sum",
-        "_sum_sq",
-        "_posterior_cache",
-        "_lml_cache",
-        "_logpdf_terms_cache",
-    )
-
-    def __init__(self, prior: NIGPrior) -> None:
-        self.prior = prior
-        self._count = 0
-        self._sum = 0.0
-        self._sum_sq = 0.0
-        self._posterior_cache: Optional[Tuple[float, float, float, float]] = None
-        self._lml_cache: Optional[float] = None
-        self._logpdf_terms_cache: Optional[Tuple[float, float, float, float]] = None
-
-    # ------------------------------------------------------------- updates
-
-    def _invalidate(self) -> None:
-        self._posterior_cache = None
-        self._lml_cache = None
-        self._logpdf_terms_cache = None
-
-    def copy(self) -> "GaussianLeafModel":
-        clone = GaussianLeafModel(self.prior)
-        clone._count = self._count
-        clone._sum = self._sum
-        clone._sum_sq = self._sum_sq
-        clone._posterior_cache = self._posterior_cache
-        clone._lml_cache = self._lml_cache
-        clone._logpdf_terms_cache = self._logpdf_terms_cache
-        return clone
-
-    def __reduce__(self):
-        # The memo caches are pure functions of the prior and the
-        # statistics, so a checkpoint carries only those and the caches
-        # are recomputed (bit-identically) on demand after load.
-        return (_restore_leaf, (self.prior, self._count, self._sum, self._sum_sq))
-
-    def add(self, value: float) -> None:
-        """Absorb one observation."""
-        value = float(value)
-        self._count += 1
-        self._sum += value
-        self._sum_sq += value * value
-        self._invalidate()
-
-    def remove(self, value: float) -> None:
-        """Remove one previously absorbed observation (used by prune proposals)."""
-        if self._count <= 0:
-            raise ValueError("cannot remove from an empty leaf")
-        value = float(value)
-        self._count -= 1
-        self._sum -= value
-        self._sum_sq -= value * value
-        self._invalidate()
-
-    def merge(self, other: "GaussianLeafModel") -> "GaussianLeafModel":
-        """A new leaf model containing this leaf's and ``other``'s observations."""
-        merged = self.copy()
-        merged._count += other._count
-        merged._sum += other._sum
-        merged._sum_sq += other._sum_sq
-        merged._invalidate()
-        return merged
-
-    @classmethod
-    def from_values(cls, prior: NIGPrior, values: Iterable[float]) -> "GaussianLeafModel":
-        leaf = cls(prior)
-        for value in values:
-            leaf.add(value)
-        return leaf
-
-    @classmethod
-    def from_sufficient_stats(
-        cls, prior: NIGPrior, count: int, total: float, total_sq: float
-    ) -> "GaussianLeafModel":
-        """Build a leaf directly from ``(count, sum, sum of squares)``.
-
-        Used by the vectorized grow-proposal scan, which computes partition
-        sufficient statistics with array reductions rather than feeding
-        values through :meth:`add` one at a time.
-        """
-        if count < 0:
-            raise ValueError("count cannot be negative")
-        leaf = cls(prior)
-        leaf._count = int(count)
-        leaf._sum = float(total)
-        leaf._sum_sq = float(total_sq)
-        return leaf
-
-    # ---------------------------------------------------------- posteriors
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def sample_mean(self) -> float:
-        if self._count == 0:
-            return self.prior.mean
-        return self._sum / self._count
-
-    def sufficient_stats(self) -> Tuple[int, float, float]:
-        """``(count, sum, sum of squares)`` — the leaf's full mutable state.
-
-        The batched update path scores hypothetical leaves (stay adds the
-        new observation, prune merges the sibling) by arithmetic on these
-        statistics instead of mutating throwaway leaf copies.
-        """
-        return self._count, self._sum, self._sum_sq
-
-    def posterior(self) -> Tuple[float, float, float, float]:
-        """Posterior NIG parameters ``(mean, kappa, alpha, beta)`` (memoized)."""
-        if self._posterior_cache is not None:
-            return self._posterior_cache
-        prior = self.prior
-        n = self._count
-        if n == 0:
-            result = (prior.mean, prior.kappa, prior.alpha, prior.beta)
-        else:
-            mean = self._sum / n
-            kappa_n = prior.kappa + n
-            mean_n = (prior.kappa * prior.mean + self._sum) / kappa_n
-            alpha_n = prior.alpha + n / 2.0
-            sum_sq_dev = max(self._sum_sq - n * mean * mean, 0.0)
-            beta_n = (
-                prior.beta
-                + 0.5 * sum_sq_dev
-                + 0.5 * (prior.kappa * n * (mean - prior.mean) ** 2) / kappa_n
-            )
-            result = (mean_n, kappa_n, alpha_n, beta_n)
-        self._posterior_cache = result
-        return result
-
-    def predictive_mean(self) -> float:
-        """Mean of the posterior predictive distribution."""
-        mean_n, _, _, _ = self.posterior()
-        return mean_n
-
-    def predictive_variance(self) -> float:
-        """Variance of the posterior predictive Student-t distribution."""
-        _, kappa_n, alpha_n, beta_n = self.posterior()
-        scale_sq = beta_n * (kappa_n + 1.0) / (alpha_n * kappa_n)
-        dof = 2.0 * alpha_n
-        if dof <= 2.0:
-            # Infinite-variance regime; report the scale as a conservative proxy.
-            return scale_sq * 10.0
-        return scale_sq * dof / (dof - 2.0)
-
-    def predictive_logpdf_terms(self) -> Tuple[float, float, float, float]:
-        """``(mean, dof * scale_sq, coefficient, constant)`` of the predictive log-pdf.
-
-        The Student-t log density at ``v`` decomposes into a value-independent
-        part and a single ``log1p`` term::
-
-            logpdf(v) = const - coef * log1p((v - mean)**2 / dof_scale)
-
-        The four terms only change when the sufficient statistics do, so the
-        batched reweight step caches them in flat arrays (one entry per leaf)
-        and evaluates the whole particle set with one gather plus a scalar
-        ``math.log1p`` per particle.  The grouping of every operation here
-        mirrors the original single-expression implementation exactly, so the
-        decomposed evaluation is bit-identical to it.
-        """
-        if self._logpdf_terms_cache is not None:
-            return self._logpdf_terms_cache
-        mean_n, kappa_n, alpha_n, beta_n = self.posterior()
-        dof, coef, lgamma_part = _predictive_count_terms(self.prior, self._count)
-        scale_sq = beta_n * (kappa_n + 1.0) / (alpha_n * kappa_n)
-        const = lgamma_part - 0.5 * math.log(dof * math.pi * scale_sq)
-        result = (mean_n, dof * scale_sq, coef, const)
-        self._logpdf_terms_cache = result
-        return result
-
-    def predictive_logpdf(self, value: float) -> float:
-        """Log density of ``value`` under the posterior predictive Student-t."""
-        mean_n, dof_scale, coef, const = self.predictive_logpdf_terms()
-        z_sq = (float(value) - mean_n) ** 2 / dof_scale
-        return const - coef * math.log1p(z_sq)
-
-    def log_marginal_likelihood(self) -> float:
-        """Log marginal likelihood of all observations currently in the leaf.
-
-        This is the quantity the stay/grow/prune scores compare: it rewards
-        partitions whose leaves are internally consistent and penalises
-        fragmentation through the prior terms.
-        """
-        if self._lml_cache is not None:
-            return self._lml_cache
-        n = self._count
-        if n == 0:
-            result = 0.0
-        else:
-            prior = self.prior
-            _, kappa_n, alpha_n, beta_n = self.posterior()
-            result = (
-                math.lgamma(alpha_n)
-                - math.lgamma(prior.alpha)
-                + prior.alpha * math.log(prior.beta)
-                - alpha_n * math.log(beta_n)
-                + 0.5 * (math.log(prior.kappa) - math.log(kappa_n))
-                - (n / 2.0) * _LOG_2PI
-            )
-        self._lml_cache = result
-        return result
-
-
-def _restore_leaf(
-    prior: NIGPrior, count: int, total: float, total_sq: float
-) -> GaussianLeafModel:
-    """Unpickle a :class:`GaussianLeafModel` from its sufficient statistics."""
-    return GaussianLeafModel.from_sufficient_stats(prior, count, total, total_sq)
-
-
 def _predictive_count_terms(prior: NIGPrior, count: int) -> Tuple[float, float, float]:
     """``(dof, coef, lgamma(coef) - lgamma(dof / 2))`` of the predictive log-pdf.
 
     These depend only on the prior's ``alpha`` and the observation count, so
     they are memoized on the prior (see ``NIGPrior._logpdf_count_terms``) and
-    shared by every leaf and by the vectorized term tables
-    (:class:`LeafTermTables`).  ``alpha_n`` is recomputed here exactly as
-    :meth:`GaussianLeafModel.posterior` groups it, keeping the cached values
-    bit-identical to the inline computation they replaced.
+    shared by the vectorized term tables (:class:`LeafTermTables`).
+    ``alpha_n`` is grouped as the scalar posterior groups it, so the cached
+    values are bit-identical to the inline computation.
     """
     count_terms = prior._logpdf_count_terms.get(count)
     if count_terms is None:
@@ -348,43 +116,10 @@ def _predictive_count_terms(prior: NIGPrior, count: int) -> Tuple[float, float, 
     return count_terms
 
 
-def log_marginal_likelihood_from_stats(
-    prior: NIGPrior, count: float, total: float, total_sq: float
-) -> float:
-    """Log marginal likelihood of a leaf summarised by ``(count, sum, sum_sq)``.
-
-    Scalar twin of :meth:`GaussianLeafModel.log_marginal_likelihood` used by
-    the vectorized grow-proposal scan: the partition scan reduces each side
-    of a candidate split to sufficient statistics with array ops and scores
-    it here without materialising leaf objects.
-    """
-    n = count
-    if n == 0:
-        return 0.0
-    mean = total / n
-    kappa_n = prior.kappa + n
-    mean_n = (prior.kappa * prior.mean + total) / kappa_n
-    alpha_n = prior.alpha + n / 2.0
-    sum_sq_dev = max(total_sq - n * mean * mean, 0.0)
-    beta_n = (
-        prior.beta
-        + 0.5 * sum_sq_dev
-        + 0.5 * (prior.kappa * n * (mean - prior.mean) ** 2) / kappa_n
-    )
-    return (
-        math.lgamma(alpha_n)
-        - math.lgamma(prior.alpha)
-        + prior.alpha * math.log(prior.beta)
-        - alpha_n * math.log(beta_n)
-        + 0.5 * (math.log(prior.kappa) - math.log(kappa_n))
-        - (n / 2.0) * _LOG_2PI
-    )
-
-
 class LMLCache:
     """Memoized log-marginal-likelihood evaluation for one prior.
 
-    Of the terms in :func:`log_marginal_likelihood_from_stats`, everything
+    Of the terms of a leaf's NIG log marginal likelihood, everything
     except ``alpha_n * log(beta_n)`` depends only on the observation *count*
     — and the dynamic tree evaluates the marginal likelihood thousands of
     times per update (two per candidate split, one per stay score) at a
@@ -396,9 +131,9 @@ class LMLCache:
     Bit-compatibility: the cached terms are contiguous left-associated
     prefixes of the original expression, computed with the same scalar
     ``math`` calls, so :meth:`log_marginal_likelihood` returns bit-identical
-    values to :func:`log_marginal_likelihood_from_stats` (and to
-    :meth:`GaussianLeafModel.log_marginal_likelihood` on equal statistics).
-    This matters because the particle moves are *sampled* from these scores.
+    values to the one-expression evaluation (pinned against the oracle's
+    ``log_marginal_likelihood_from_stats``).  This matters because the
+    particle moves are *sampled* from these scores.
     """
 
     __slots__ = ("prior", "_terms_by_count")
@@ -429,7 +164,7 @@ class LMLCache:
         return terms
 
     def log_marginal_likelihood(self, count: int, total: float, total_sq: float) -> float:
-        """Bit-identical twin of :func:`log_marginal_likelihood_from_stats`."""
+        """Log marginal likelihood of a leaf holding ``(count, sum, sum_sq)``."""
         n = int(count)
         if n == 0:
             return 0.0
@@ -531,11 +266,10 @@ class LeafCacheArrays:
 
     One row per leaf id, packed into a single ``(n_leaves, 9)`` matrix —
     the posterior-predictive mean and variance, the observation count, the
-    three value-independent terms of the predictive log-pdf (see
-    :meth:`GaussianLeafModel.predictive_logpdf_terms`), the raw sufficient
-    statistics (sum and sum of squares) and the memoized log marginal
-    likelihood.  This is the leaf store behind
-    :class:`~repro.models.flat_tree.FlatTree` /
+    three value-independent terms of the predictive Student-t log-pdf
+    ``const - coef * log1p((v - mean)**2 / scale)``, the raw sufficient
+    statistics (sum and sum of squares) and the log marginal likelihood.
+    This is the leaf store behind
     :class:`~repro.models.flat_tree.FlatForest`: prediction and the ALC
     score gather ``mean``/``variance`` (column views), the batched reweight
     step reads whole rows, and the batched propagate step gathers the
@@ -545,11 +279,10 @@ class LeafCacheArrays:
     instead of nine, which is what keeps those paths off the per-particle
     numpy-dispatch floor at paper-scale particle counts.
 
-    :meth:`patch` fills a row from a leaf model's memoized scalar methods
-    (``math`` transcendentals, as :meth:`FlatTree.compile` needs); the
-    batched update computes its rows with the same grouping from count
-    tables and the backend's ``log`` map, which is bit-identical in exact
-    mode.  ``np.log``/``np.log1p`` are *not* bit-identical to their
+    The model computes rows from count tables with the float mode's
+    ``log`` map; in exact mode that is bit-identical to the per-leaf scalar
+    evaluation of the test oracle.  ``np.log``/``np.log1p`` are *not*
+    bit-identical to their
     ``math`` counterparts (SIMD implementations round differently on ~1e-4
     of inputs), and the particle moves are sampled from scores built on
     these values, so a single mismatched bit would silently fork seeded
@@ -591,63 +324,3 @@ class LeafCacheArrays:
     @property
     def count(self) -> np.ndarray:
         return self.data[:, LeafCacheArrays.COUNT]
-
-    @property
-    def logpdf_scale(self) -> np.ndarray:
-        return self.data[:, LeafCacheArrays.LOGPDF_SCALE]
-
-    @property
-    def logpdf_coef(self) -> np.ndarray:
-        return self.data[:, LeafCacheArrays.LOGPDF_COEF]
-
-    @property
-    def logpdf_const(self) -> np.ndarray:
-        return self.data[:, LeafCacheArrays.LOGPDF_CONST]
-
-    @property
-    def leaf_sum(self) -> np.ndarray:
-        return self.data[:, LeafCacheArrays.SUM]
-
-    @property
-    def leaf_sum_sq(self) -> np.ndarray:
-        return self.data[:, LeafCacheArrays.SUM_SQ]
-
-    @property
-    def leaf_lml(self) -> np.ndarray:
-        return self.data[:, LeafCacheArrays.LML]
-
-    @classmethod
-    def from_leaves(cls, leaves: Sequence[GaussianLeafModel]) -> "LeafCacheArrays":
-        arrays = cls(np.empty((len(leaves), cls.N_COLUMNS)))
-        for slot, leaf in enumerate(leaves):
-            arrays.patch(slot, leaf)
-        return arrays
-
-    def copy(self) -> "LeafCacheArrays":
-        return LeafCacheArrays(self.data.copy())
-
-    def logpdf_row(self, slot: int) -> Tuple[float, float, float, float]:
-        """``(mean, dof_scale, coef, const)`` of one leaf, as Python floats."""
-        row = self.data[slot].tolist()
-        return row[0], row[3], row[4], row[5]
-
-    def patch(self, slot: int, leaf: GaussianLeafModel) -> Tuple[float, ...]:
-        """Refresh one row from a leaf model's (memoized) posterior.
-
-        Returns the written row as a tuple.
-        """
-        mean, dof_scale, coef, const = leaf.predictive_logpdf_terms()
-        count, total, total_sq = leaf.sufficient_stats()
-        row = (
-            mean,
-            leaf.predictive_variance(),
-            float(count),
-            dof_scale,
-            coef,
-            const,
-            total,
-            total_sq,
-            leaf.log_marginal_likelihood(),
-        )
-        self.data[slot] = row
-        return row

@@ -2,35 +2,44 @@
 
 :class:`ReferenceDynamicTree` runs the SMC update, prediction and the ALC
 score of :class:`~repro.models.dynamic_tree.DynamicTreeRegressor` one
-particle at a time: Python descents through the ``_Node`` trees, eager
-tree copies on resample and per-candidate ``np.unique`` partition scans.
-Each update draws the same two arrays as the production path — one
-``random()`` for the resample, then one ``random((n_particles, 2K + 1))``
-block — and particle ``i`` decodes its own row of the block with scalar
-Python arithmetic (never the production decode), so the oracle stays
-independent while the batched path replays it bit for bit: same float
-arithmetic, same draws.  The equivalence tests drive both with one seed
-and compare every prediction.  The reference keeps no compiled state:
-every update drops the particle forest.
+particle at a time on node trees (:class:`_Node`, one
+:class:`~tests.oracles.leaf.GaussianLeafModel` and one training-row index
+list per leaf): Python descents, eager tree copies on resample and
+per-candidate ``np.unique`` partition scans.  Each update draws the same
+two arrays as the production path — one ``random()`` for the resample,
+then one ``random((n_particles, 2K + 1))`` block — and particle ``i``
+decodes its own row of the block with scalar Python arithmetic (never the
+production decode), so the oracle stays independent while the batched
+path replays it bit for bit: same float arithmetic, same draws.  The
+equivalence tests drive both with one seed and compare every prediction,
+and :class:`FlatTree` compiles one node tree the way the production forest
+lays out a row, so a forest row can be compared with its oracle twin.
 
-:func:`predict_reference` and :func:`expected_average_variance_reference`
-also work on any fitted ``DynamicTreeRegressor``, so a test can score one
-model's particles through both the flat-array kernels and the per-node
-loops.
+:meth:`ReferenceDynamicTree.from_model` rebuilds a fitted production
+model's particles as node trees (from its checkpoint snapshot and
+``leaf_of``), so :func:`predict_reference` and
+:func:`expected_average_variance_reference` also score any fitted model
+through the per-node loops.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.models.base import Prediction
-from repro.models.dynamic_tree import DynamicTreeRegressor, _Node
-from repro.models.leaf import GaussianLeafModel, log_marginal_likelihood_from_stats
+from repro.models.dynamic_tree import DynamicTreeRegressor
+from tests.oracles.leaf import (
+    GaussianLeafModel,
+    cache_arrays,
+    log_marginal_likelihood_from_stats,
+)
 
 __all__ = [
+    "FlatTree",
     "ReferenceDynamicTree",
     "copy_tree",
     "descend",
@@ -39,6 +48,108 @@ __all__ = [
 ]
 
 _Proposal = Tuple[int, float, GaussianLeafModel, GaussianLeafModel, List[int], List[int]]
+
+
+class _Node:
+    """One node of a particle's tree.
+
+    A node is either internal (``split_dim``/``split_value`` set, ``left``
+    and ``right`` children) or a leaf (``leaf`` model plus the indices of
+    the observations it contains, in ascending training order).
+    """
+
+    __slots__ = ("depth", "split_dim", "split_value", "left", "right", "leaf", "indices")
+
+    def __init__(self, depth: int) -> None:
+        self.depth = depth
+        self.split_dim: Optional[int] = None
+        self.split_value: float = 0.0
+        self.left: Optional["_Node"] = None
+        self.right: Optional["_Node"] = None
+        self.leaf: Optional[GaussianLeafModel] = None
+        self.indices: List[int] = []
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.leaf is not None
+
+    def leaves(self) -> List["_Node"]:
+        if self.is_leaf:
+            return [self]
+        assert self.left is not None and self.right is not None
+        return self.left.leaves() + self.right.leaves()
+
+
+class FlatTree:
+    """One node tree compiled to flat pre-order arrays, like a forest row.
+
+    Per node ``split_dim`` (``-1`` for leaves), ``split_value``,
+    ``left``/``right`` child indices (``-1`` for leaves) and ``leaf_slot``
+    (the pre-order leaf id, ``-1`` for internal nodes); per leaf id one
+    row of ``caches`` filled from the leaf model's scalar methods.
+    """
+
+    __slots__ = ("split_dim", "split_value", "left", "right", "leaf_slot", "caches",
+                 "n_nodes", "n_leaves")
+
+    @property
+    def leaf_mean(self) -> np.ndarray:
+        return self.caches.mean
+
+    @property
+    def leaf_count(self) -> np.ndarray:
+        return self.caches.count
+
+    @classmethod
+    def compile(cls, root: _Node) -> "FlatTree":
+        """Lower a node tree into flat arrays (pre-order numbering)."""
+        split_dim: List[int] = []
+        split_value: List[float] = []
+        left: List[int] = []
+        right: List[int] = []
+        leaf_slot: List[int] = []
+        leaves: List[GaussianLeafModel] = []
+
+        def visit(node: _Node) -> int:
+            index = len(split_dim)
+            left.append(-1)
+            right.append(-1)
+            if node.leaf is not None:
+                split_dim.append(-1)
+                split_value.append(0.0)
+                leaf_slot.append(len(leaves))
+                leaves.append(node.leaf)
+            else:
+                split_dim.append(int(node.split_dim))
+                split_value.append(float(node.split_value))
+                leaf_slot.append(-1)
+                left[index] = visit(node.left)
+                right[index] = visit(node.right)
+            return index
+
+        visit(root)
+        flat = cls()
+        flat.split_dim = np.asarray(split_dim, dtype=np.intp)
+        flat.split_value = np.asarray(split_value, dtype=float)
+        flat.left = np.asarray(left, dtype=np.intp)
+        flat.right = np.asarray(right, dtype=np.intp)
+        flat.leaf_slot = np.asarray(leaf_slot, dtype=np.intp)
+        flat.caches = cache_arrays(leaves)
+        flat.n_nodes = len(split_dim)
+        flat.n_leaves = len(leaves)
+        return flat
+
+    def route(self, X: np.ndarray) -> np.ndarray:
+        """Leaf ids of every row of ``X``, descending level by level."""
+        X = np.atleast_2d(X)
+        nodes = np.zeros(X.shape[0], dtype=np.intp)
+        active = np.flatnonzero(self.split_dim[nodes] >= 0)
+        while active.size:
+            current = nodes[active]
+            go_left = X[active, self.split_dim[current]] <= self.split_value[current]
+            nodes[active] = np.where(go_left, self.left[current], self.right[current])
+            active = active[self.split_dim[nodes[active]] >= 0]
+        return self.leaf_slot[nodes]
 
 
 def _sequential_sum(values: np.ndarray) -> float:
@@ -86,16 +197,24 @@ def descend(root: _Node, x: np.ndarray) -> _Node:
     return descend_with_parent(root, x)[0]
 
 
+def _particles_of(model: DynamicTreeRegressor) -> List[_Node]:
+    """``model``'s particles as node trees (rebuilt unless it is an oracle)."""
+    if isinstance(model, ReferenceDynamicTree):
+        return model._particles
+    return ReferenceDynamicTree.from_model(model)._particles
+
+
 def predict_reference(model: DynamicTreeRegressor, features: np.ndarray) -> Prediction:
     """Per-node reference implementation of ``predict``."""
-    if not model._particles or not model._n:
+    if not model._n:
         raise RuntimeError("the model has no training data yet")
+    particles = _particles_of(model)
     X = np.atleast_2d(np.asarray(features, dtype=float))
     n = X.shape[0]
     means = np.zeros(n)
     second_moments = np.zeros(n)
-    count = float(len(model._particles))
-    for root in model._particles:
+    count = float(len(particles))
+    for root in particles:
         for i in range(n):
             leaf = descend(root, X[i])
             assert leaf.leaf is not None
@@ -112,15 +231,16 @@ def expected_average_variance_reference(
     model: DynamicTreeRegressor, candidates: np.ndarray, reference: np.ndarray
 ) -> np.ndarray:
     """Per-node reference implementation of ``expected_average_variance``."""
-    if not model._particles or not model._n:
+    if not model._n:
         raise RuntimeError("the model has no training data yet")
+    particles = _particles_of(model)
     C = np.atleast_2d(np.asarray(candidates, dtype=float))
     R = np.atleast_2d(np.asarray(reference, dtype=float))
     n_candidates = C.shape[0]
     n_reference = R.shape[0]
     scores = np.zeros(n_candidates)
     kappa = model._prior.kappa
-    for root in model._particles:
+    for root in particles:
         # Group the reference points by the leaf that contains them so
         # the per-candidate reduction is an array lookup rather than a
         # scan over the whole reference set.  Leaves are identified by
@@ -141,11 +261,75 @@ def expected_average_variance_reference(
             shrink = 1.0 / (n_leaf + kappa + 1.0)
             reduction = variance_by_leaf[leaves.index(candidate_leaf)] * shrink
             scores[i] += (base_total - reduction) / n_reference
-    return scores / len(model._particles)
+    return scores / len(particles)
 
 
 class ReferenceDynamicTree(DynamicTreeRegressor):
     """The dynamic tree with every update and query run per particle."""
+
+    def __init__(self, config=None, rng=None) -> None:
+        super().__init__(config, rng)
+        self._particles: List[_Node] = []
+
+    @classmethod
+    def from_model(cls, model: DynamicTreeRegressor) -> "ReferenceDynamicTree":
+        """A twin of a fitted model: same data, prior, RNG state and particles.
+
+        The particles are rebuilt as private node trees from the model's
+        checkpoint snapshot — nodes in pre-order, each node's depth given
+        by its position — and each leaf's index list is read from the
+        forest's ``leaf_of`` (ascending training order).
+        """
+        twin = cls(model.config, rng=copy.deepcopy(model._rng))
+        twin._X = None if model._X is None else model._X.copy()
+        twin._y = None if model._y is None else model._y.copy()
+        twin._n = model._n
+        twin._prior = model._prior
+        twin._lml = model._lml
+        if model._prior is None:
+            return twin
+        forest = model._forest()
+        snapshot = forest.preorder()
+        dims = iter(snapshot["split_dim"].tolist())
+        values = iter(snapshot["split_value"].tolist())
+        stats = iter(snapshot["leaf_stats"].tolist())
+
+        def build(depth: int, members) -> _Node:
+            node = _Node(depth)
+            dim = next(dims)
+            if dim < 0:
+                count, total, total_sq = next(stats)
+                node.leaf = GaussianLeafModel.from_sufficient_stats(
+                    model._prior, int(count), total, total_sq
+                )
+                node.indices = next(members).tolist()
+            else:
+                node.split_dim = dim
+                node.split_value = next(values)
+                node.left = build(depth + 1, members)
+                node.right = build(depth + 1, members)
+            return node
+
+        for p, n_nodes in enumerate(snapshot["n_nodes"].tolist()):
+            row = forest.leaf_of[p, : model._n]
+            order = np.argsort(row, kind="stable")
+            ends = np.cumsum(np.bincount(row, minlength=(n_nodes + 1) // 2))
+            twin._particles.append(build(0, iter(np.split(order, ends[:-1]))))
+        return twin
+
+    @property
+    def n_particles(self) -> int:
+        return len(self._particles)
+
+    def leaf_counts(self) -> List[int]:
+        return [len(root.leaves()) for root in self._particles]
+
+    def _seed_posterior(self) -> None:
+        self._particles = []
+        for _ in range(self._config.n_particles):
+            root = _Node(depth=0)
+            root.leaf = GaussianLeafModel(self._prior)
+            self._particles.append(root)
 
     def update(self, features: np.ndarray, target: float) -> None:
         x, y = self._observation(features, target)
@@ -156,7 +340,6 @@ class ReferenceDynamicTree(DynamicTreeRegressor):
         if self._n >= 1:
             self._resample_reference(x, y, uniform)
         index = self._append_observation(x, y)
-        self._particle_forest = None
         for particle_index, root in enumerate(self._particles):
             self._particles[particle_index] = self._propagate(
                 root, x, y, index, draws[particle_index].tolist()

@@ -1,14 +1,14 @@
 """Equivalence tests for the batched SMC update kernel.
 
-The batched update path (reweight via cached log-pdf terms, copy-on-write
-systematic resample, three-phase propagate) must replay the per-particle
+The batched update path (reweight via cached log-pdf terms, row-gather
+systematic resample, phased propagate) must replay the per-particle
 reference implementation *bit for bit*: particle moves are sampled from
 scores and the resample decision from weights, so a single differing bit
 forks every seeded trajectory that follows.  These tests drive long seeded
 trajectories through both paths (exercising stay, grow, prune and resample
 events) on more than one bit generator, pin the update's fixed draw
-layout, check the copy-on-write sharing invariants directly, and pin the
-fixed systematic resampler's behaviour on adversarial weight vectors.
+layout, check per particle that resample duplicates stay private, and pin
+the fixed systematic resampler's behaviour on adversarial weight vectors.
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ import numpy as np
 import pytest
 
 from repro.models.dynamic_tree import DynamicTreeConfig, DynamicTreeRegressor
-from repro.models.leaf import (
-    GaussianLeafModel,
-    LeafCacheArrays,
-    LMLCache,
-    NIGPrior,
-    log_marginal_likelihood_from_stats,
-)
+from repro.models.leaf import LeafCacheArrays, LMLCache, NIGPrior
 from tests.oracles.dynamic_tree import ReferenceDynamicTree, descend
+from tests.oracles.leaf import (
+    GaussianLeafModel,
+    cache_arrays,
+    log_marginal_likelihood_from_stats,
+    patch_row,
+)
 
 
 def _piecewise_data(n, dims, seed, noise=0.3):
@@ -67,7 +67,7 @@ class TestTrajectoryBitIdentity:
         batched, reference = _paired_models(seed + 1)
 
         prunes = 0
-        original_prune = DynamicTreeRegressor._apply_prune
+        original_prune = ReferenceDynamicTree._apply_prune
 
         def counting_prune(self, *args, **kwargs):
             nonlocal prunes
@@ -82,7 +82,7 @@ class TestTrajectoryBitIdentity:
             resamples += 1
             return original_systematic(self, *args, **kwargs)
 
-        DynamicTreeRegressor._apply_prune = counting_prune
+        ReferenceDynamicTree._apply_prune = counting_prune
         DynamicTreeRegressor._systematic_indices = counting_systematic
         try:
             batched.fit(X[:50], y[:50])
@@ -100,11 +100,11 @@ class TestTrajectoryBitIdentity:
             alc_slow = reference.expected_average_variance(probes[:4], probes[4:])
             np.testing.assert_allclose(alc_fast, alc_slow, rtol=1e-12)
         finally:
-            DynamicTreeRegressor._apply_prune = original_prune
+            ReferenceDynamicTree._apply_prune = original_prune
             DynamicTreeRegressor._systematic_indices = original_systematic
 
-        # Move-type coverage: both paths pruned and resampled along the way
-        # (counts include both models, and grows are implied by leaf counts).
+        # Move-type coverage: the reference pruned and both paths resampled
+        # along the way (grows are implied by leaf counts).
         assert prunes > 0, "trajectory never pruned; weaken the noise seed"
         assert resamples > 0, "trajectory never resampled"
         assert max(batched.leaf_counts()) > 1, "trajectory never grew"
@@ -154,59 +154,17 @@ class TestDrawLayout:
 
 
 class TestCopyOnWriteResample:
-    def _shared_node_map(self, model):
-        """node id -> set of particle indices referencing it."""
-        owners = {}
+    """Resample duplicates are private: each particle's leaves stay its own.
 
-        def visit(node, particle):
-            owners.setdefault(id(node), (node, set()))[1].add(particle)
-            if node.left is not None:
-                visit(node.left, particle)
-                visit(node.right, particle)
-
-        for index, root in enumerate(model._particles):
-            visit(root, index)
-        return owners
-
-    def test_shared_nodes_are_always_protected_by_a_flag(self):
-        """Every multiply-referenced node sits under a ``shared`` flag.
-
-        The copy-on-write flags propagate lazily: duplicating a particle
-        flags only the root, and cloning a flagged node flags its children.
-        The soundness invariant is therefore not "every shared node is
-        flagged" but "on every path from a root to a shared node, some
-        node at-or-above it is flagged" — mutation walks from the root and
-        clones at the first flag, so a protected node can never be reached
-        for in-place mutation.
-        """
-        X, y = _piecewise_data(110, 4, 3)
-        model = DynamicTreeRegressor(
-            DynamicTreeConfig(n_particles=24, resample_threshold=1.0),
-            rng=np.random.default_rng(9),
-        )
-        model.fit(X[:60], y[:60])
-        for i in range(60, 110):
-            model.update(X[i], float(y[i]))
-            owners = self._shared_node_map(model)
-
-            def check(node, protected, particle):
-                protected = protected or node.shared
-                if len(owners[id(node)][1]) > 1:
-                    assert protected, (
-                        f"unprotected node shared by "
-                        f"{sorted(owners[id(node)][1])} (seen from {particle})"
-                    )
-                if node.left is not None:
-                    check(node.left, protected, particle)
-                    check(node.right, protected, particle)
-
-            for index, root in enumerate(model._particles):
-                check(root, False, index)
+    (Duplicates used to share node trees copy-on-write; now a resample
+    gathers forest rows, and these pins compare every particle with the
+    reference's eagerly copied trees.)
+    """
 
     def test_no_aliased_mutable_leaf_state_after_updates(self):
         """Mutating one particle never changes another's prediction.
 
-        After a resample duplicates particles, each one's leaf models must
+        After a resample duplicates particles, each one's leaves must
         behave as private state: absorbing further observations through the
         normal update path must keep every particle's per-node predictions
         identical to an eagerly-deep-copied reference twin.
@@ -220,9 +178,10 @@ class TestCopyOnWriteResample:
             batched.update(X[i], float(y[i]))
             reference.update(X[i], float(y[i]))
         # Per-particle comparison (not just the mixture): particle k of the
-        # copy-on-write model must equal particle k of the eager-copy model.
+        # batched model must equal particle k of the eager-copy model.
+        rebuilt = ReferenceDynamicTree.from_model(batched)
         for k in range(batched.n_particles):
-            fast_root = batched._particles[k]
+            fast_root = rebuilt._particles[k]
             slow_root = reference._particles[k]
             for row in probes:
                 fast_leaf = descend(fast_root, row)
@@ -232,28 +191,28 @@ class TestCopyOnWriteResample:
 
     def test_shared_flat_compilations_are_copied_before_patch(self):
         """A move on one resample duplicate never leaks into another's
-        compiled row: after every update each particle's forest row holds
-        its own leaves' statistics and its leaf-node map names its own
-        leaves, even though duplicates share trees and maps."""
+        row: after every update each particle's forest row holds the
+        statistics of the reference twin's leaves and ``leaf_of`` lists
+        exactly their training rows."""
         X, y = _piecewise_data(100, 3, 8)
-        model = DynamicTreeRegressor(
-            DynamicTreeConfig(n_particles=16, resample_threshold=1.0),
-            rng=np.random.default_rng(2),
-        )
+        model, reference = _paired_models(2, particles=16, resample_threshold=1.0)
         model.fit(X[:60], y[:60])
+        reference.fit(X[:60], y[:60])
         for i in range(60, 100):
             model.update(X[i], float(y[i]))
+            reference.update(X[i], float(y[i]))
             forest = model._particle_forest
-            for index, root in enumerate(model._particles):
+            for index, root in enumerate(reference._particles):
                 leaves = root.leaves()
-                fresh = LeafCacheArrays.from_leaves([leaf.leaf for leaf in leaves])
+                fresh = cache_arrays([leaf.leaf for leaf in leaves])
                 assert np.array_equal(
                     forest.data[index, : len(leaves)], fresh.data
                 ), f"particle {index}: forest row differs from its leaves"
-                nodes = forest.leaf_nodes[index]
-                assert len(nodes) == len(leaves) and all(
-                    a is b for a, b in zip(nodes, leaves)
-                ), f"particle {index}: leaf-node map names foreign leaves"
+                members = forest.leaf_of[index, : model.training_size]
+                assert np.bincount(members).size == len(leaves) and all(
+                    np.flatnonzero(members == leaf_id).tolist() == leaf.indices
+                    for leaf_id, leaf in enumerate(leaves)
+                ), f"particle {index}: leaf_of names foreign leaves"
 
 
 class TestSystematicResampler:
@@ -382,17 +341,23 @@ class TestLeafCacheEquivalence:
             )
             for _ in range(7)
         ]
-        arrays = LeafCacheArrays.from_leaves(leaves)
+        arrays = cache_arrays(leaves)
+        columns = [
+            LeafCacheArrays.MEAN,
+            LeafCacheArrays.LOGPDF_SCALE,
+            LeafCacheArrays.LOGPDF_COEF,
+            LeafCacheArrays.LOGPDF_CONST,
+        ]
         for slot, leaf in enumerate(leaves):
             assert arrays.mean[slot] == leaf.predictive_mean()
             assert arrays.variance[slot] == leaf.predictive_variance()
             assert arrays.count[slot] == leaf.count
-            mean, scale, coef, const = arrays.logpdf_row(slot)
+            mean, scale, coef, const = arrays.data[slot, columns].tolist()
             want = leaf.predictive_logpdf_terms()
             assert (mean, scale, coef, const) == want
         # Copies are independent: patching one never leaks into the other.
-        clone = arrays.copy()
+        clone = LeafCacheArrays(arrays.data.copy())
         leaves[0].add(10.0)
-        clone.patch(0, leaves[0])
+        patch_row(clone, 0, leaves[0])
         assert clone.mean[0] != arrays.mean[0]
         assert arrays.mean[1] == clone.mean[1]

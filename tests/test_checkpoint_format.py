@@ -8,15 +8,15 @@ caches, term tables) is rebuilt lazily after load.
 The pins:
 
 * **resume** — unpickling at several points, including right after a
-  resample left particles sharing subtrees copy-on-write, and finishing
-  the run reproduces the uninterrupted curve, ledger and RNG state bit
-  for bit, on a quiet and on a frequency-drift benchmark;
-* **no derived state** — the blob names no compiled-forest class and no
-  per-node class: the trees travel as arrays;
-* **rebuilt trees** — at the shared-subtree checkpoint and at the end of
-  the run, the loaded trees equal the live ones node for node (shape,
-  depths, splits, leaf statistics bitwise, index lists in order), and
-  they are private: no node is reachable from two particles;
+  resample left duplicated particles, and finishing the run reproduces
+  the uninterrupted curve, ledger and RNG state bit for bit, on a quiet
+  and on a frequency-drift benchmark;
+* **no derived state** — the blob names no forest class and no per-node
+  class: the trees travel as arrays, without leaf membership;
+* **rebuilt trees** — at the duplicate checkpoint and at the end of the
+  run, the loaded trees equal the live ones node for node (shape, depths,
+  splits, leaf statistics bitwise, index lists in order — the loaded
+  model re-derives them by routing its training rows);
 * **size** — a deterministic byte-count pin on a mid-run blob;
 * **learner resume** — a checkpoint taken through ``ActiveLearner.run``
   resumes on the configured model, not a default rebuild.
@@ -42,6 +42,7 @@ from repro.measurement.broker import ProfilerBroker
 from repro.measurement.profiler import Profiler
 from repro.models.dynamic_tree import DynamicTreeConfig, DynamicTreeRegressor
 from repro.spapt.suite import get_benchmark
+from tests.oracles.dynamic_tree import ReferenceDynamicTree
 
 #: The sharded benchmark's learner: 200 particles, 30 training examples.
 CONFIG = dataclasses.replace(
@@ -49,7 +50,7 @@ CONFIG = dataclasses.replace(
 )
 
 #: Its model, resampling on every update (``resample_threshold=1.0``), so
-#: every seed and draw stream leaves particles sharing subtrees.
+#: every seed and draw stream leaves duplicated particles.
 MODEL_CONFIG = DynamicTreeConfig(n_particles=200, resample_threshold=1.0)
 
 #: Mid-run blobs measured about 56 KB (72 KB while the trees were pickled
@@ -114,21 +115,24 @@ def _walk(root, path=()):
         yield from _walk(root.right, path + ("R",))
 
 
-def _shared_subtree(model):
-    """``(particle, path, particle, path)`` of a node two particles share."""
+def _duplicate_particles(model):
+    """``(particle, particle)`` holding the same tree, or ``None``.
+
+    A resample copies rows; two copies stay equal until a move tells them
+    apart.
+    """
     seen = {}
-    for index, root in enumerate(model._particles):
-        for path, node in _walk(root):
-            first = seen.setdefault(id(node), (index, path))
-            if first[0] != index:
-                return first + (index, path)
+    for index, tree in enumerate(_describe(model)):
+        first = seen.setdefault(repr(tree), index)
+        if first != index:
+            return first, index
     return None
 
 
 def _describe(model):
     """Every particle's tree in pre-order, floats as bit patterns."""
     trees = []
-    for root in model._particles:
+    for root in ReferenceDynamicTree.from_model(model)._particles:
         nodes = []
         for path, node in _walk(root):
             assert node.depth == len(path)
@@ -162,8 +166,8 @@ def recorded(request):
 
     Returns ``(name, fingerprint, blobs, shared, trees)``: ``shared`` is
     the index of the first blob taken while two particles of the live
-    model shared a subtree, with that subtree's location (see
-    :func:`_shared_subtree`); ``trees`` maps that index and the last
+    model were resample duplicates, with the pair (see
+    :func:`_duplicate_particles`); ``trees`` maps that index and the last
     blob's to the live model's :func:`_describe` when they were taken.
     """
     name = request.param
@@ -177,14 +181,14 @@ def recorded(request):
         if live.model is None:
             return
         if not shared:
-            located = _shared_subtree(live.model)
+            located = _duplicate_particles(live.model)
             if located is not None:
                 shared.append((len(blobs) - 1, located))
                 trees[len(blobs) - 1] = _describe(live.model)
         trees["last"] = _describe(live.model)
 
     fingerprint = _finish(session, benchmark, after_tell=record)
-    assert shared, "no resample left particles sharing a subtree"
+    assert shared, "no resample left duplicated particles"
     trees[len(blobs) - 1] = trees.pop("last")
     return name, fingerprint, blobs, shared[0], trees
 
@@ -213,15 +217,10 @@ class TestLeanCheckpoint:
         assert len(trees) == 2
         for index, live in trees.items():
             model = pickle.loads(blobs[index]).model
-            assert _describe(model) == live, f"checkpoint {index} rebuilt other trees"
-            # Sharing is a memory property of the live model, not part of
-            # the posterior: loaded trees are private.
-            nodes = [node for root in model._particles for _, node in _walk(root)]
-            assert len({id(node) for node in nodes}) == len(nodes)
-            assert not any(node.shared for node in nodes)
-            # A loaded model has no forest yet; pickling it compiles one.
+            # A loaded model has no forest yet; the first use rebuilds it.
             assert model._particle_forest is None
             assert _describe(pickle.loads(pickle.dumps(model))) == live
+            assert _describe(model) == live, f"checkpoint {index} rebuilt other trees"
 
     def test_mid_run_blob_size(self, recorded):
         _, _, blobs, _, _ = recorded

@@ -20,9 +20,9 @@ from repro.core.evaluation import build_test_set
 from repro.core.learner import ActiveLearner, LearnerConfig
 from repro.models.dynamic_tree import DynamicTreeConfig, DynamicTreeRegressor
 from repro.models.compiled_kernels import route_update_numpy
-from repro.models.flat_tree import FlatTree
 from repro.spapt.suite import get_benchmark
 from tests.oracles.dynamic_tree import (
+    FlatTree,
     ReferenceDynamicTree,
     descend,
     expected_average_variance_reference,
@@ -52,7 +52,7 @@ class TestFlatTreeRouting:
     def test_route_matches_descend(self, seed):
         model, rng = _grown_model(seed)
         X = rng.uniform(-2.5, 2.5, size=(80, 4))
-        for root in model._particles:
+        for root in ReferenceDynamicTree.from_model(model)._particles:
             flat = FlatTree.compile(root)
             leaves = root.leaves()
             leaf_ids = flat.route(X)
@@ -63,7 +63,7 @@ class TestFlatTreeRouting:
 
     def test_leaf_ids_are_preorder_stable(self):
         model, _ = _grown_model(5)
-        root = model._particles[0]
+        root = ReferenceDynamicTree.from_model(model)._particles[0]
         flat = FlatTree.compile(root)
         # Leaf ids enumerate root.leaves() (left-to-right pre-order) exactly.
         for leaf_id, leaf in enumerate(root.leaves()):
@@ -73,7 +73,8 @@ class TestFlatTreeRouting:
     def test_forest_route_matches_per_tree_route(self):
         model, rng = _grown_model(9)
         X = rng.uniform(-2, 2, size=(30, 4))
-        trees = [FlatTree.compile(root) for root in model._particles]
+        particles = ReferenceDynamicTree.from_model(model)._particles
+        trees = [FlatTree.compile(root) for root in particles]
         forest = model._ensure_forest()
         forest_ids = forest.route(X)
         assert forest_ids.shape == (len(trees), 30)
@@ -86,7 +87,8 @@ class TestFlatTreeRouting:
     def test_forest_route_one_matches_per_tree_route_one(self):
         """The one-row-many-trees kernel agrees with per-tree descents."""
         model, rng = _grown_model(13)
-        trees = [FlatTree.compile(root) for root in model._particles]
+        particles = ReferenceDynamicTree.from_model(model)._particles
+        trees = [FlatTree.compile(root) for root in particles]
         forest = model._ensure_forest()
         for _ in range(10):
             x = rng.uniform(-2.5, 2.5, size=4)
@@ -108,7 +110,7 @@ class TestFlatTreeRouting:
             DynamicTreeConfig(n_particles=3), rng=np.random.default_rng(0)
         )
         model.fit(np.zeros((1, 2)), np.ones(1))
-        root = model._particles[0]
+        root = ReferenceDynamicTree.from_model(model)._particles[0]
         flat = FlatTree.compile(root)
         assert flat.n_leaves == 1
         assert np.all(flat.route(np.random.default_rng(1).normal(size=(10, 2))) == 0)

@@ -1,4 +1,9 @@
-"""Tests for the conjugate Gaussian leaf model of the dynamic tree."""
+"""Tests for the conjugate Gaussian leaf model of the dynamic tree.
+
+The prior is production code; the per-leaf object is the scalar reference
+(``tests/oracles/leaf.py``) the model's leaf-cache rows are checked
+against.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.models.leaf import GaussianLeafModel, NIGPrior
+from repro.models.leaf import NIGPrior
+from tests.oracles.leaf import GaussianLeafModel
 
 
 class TestNIGPrior:
