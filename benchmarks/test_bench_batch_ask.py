@@ -16,11 +16,9 @@ getting slower:
 Both sides start every round from a deepcopy of the same primed session
 (seeding finished, model fitted), so the numbers compare like with like.
 
-The fantasy copy is the cheap copy-on-write
-``DynamicTreeRegressor.fantasy_copy`` (shared particles and
-compilations, trees flagged shared on both sides), not a
-``copy.deepcopy`` of the model — profiling shows the copy itself no
-longer registers.  The residual ~1.4× gap of ``ask(5)`` over five
+The fantasy copy is the cheap ``DynamicTreeRegressor.fantasy_copy``
+(one copy of each forest array, pure caches shared), not a
+``copy.deepcopy`` of the model.  The residual ~1.4× gap of ``ask(5)`` over five
 ``ask(1)`` is inherent to the kriging-believer recipe at this scale:
 the batch cycle performs nine model updates (five real tells plus four
 fantasized believes) against the sequential cycle's five, and the

@@ -243,9 +243,9 @@ class GreedyALCFantasyAcquisition(ALCAcquisition):
                 if current is model:
                     # First fantasy of the batch: all believed observations
                     # go into a throwaway copy; the session's model sees
-                    # only real measurements through tell().  Models with
-                    # copy-on-write state return a cheap shared-state copy
-                    # here instead of a deep clone.
+                    # only real measurements through tell().  A model may
+                    # return a cheaper copy than a deep clone here (the
+                    # dynamic tree copies only its arrays).
                     current = model.fantasy_copy()
                 believed = float(current.predict(C[pick : pick + 1]).mean[0])
                 current.update(C[pick], believed)

@@ -31,6 +31,7 @@ Backends:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -266,6 +267,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ),
     )
     parser.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        metavar="N",
+        help=(
+            "base seed of the scale (default: the scale's own, 2017); one "
+            "seed's speed-ups are a single draw, so compare several seeds"
+        ),
+    )
+    parser.add_argument(
         "--only",
         default=None,
         metavar="ARTIFACTS",
@@ -428,6 +439,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--only does not apply to --paper-scale-smoke")
     if args.paper_scale_smoke and args.replay_trace is not None:
         parser.error("--replay-trace does not apply to --paper-scale-smoke")
+    if args.paper_scale_smoke and args.seed is not None:
+        parser.error("--seed does not apply to --paper-scale-smoke")
     if args.paper_scale_smoke and args.profile is not None:
         parser.error("--profile does not apply to --paper-scale-smoke")
     if args.paper_scale_smoke and args.smoke_examples < 6:
@@ -499,8 +512,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             inject_faults=args.inject_faults,
         )
 
+    def chosen_scale(default: str) -> ExperimentScale:
+        scale = _scale_from_name(args.scale if args.scale is not None else default)
+        return scale if args.seed is None else dataclasses.replace(scale, seed=args.seed)
+
     if args.paper_run:
-        scale = _scale_from_name(args.scale if args.scale is not None else "paper")
+        scale = chosen_scale("paper")
         run_paper_run(
             scale,
             run_dir=args.run_dir if args.run_dir is not None else "paper_run",
@@ -527,7 +544,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             print(report)
     else:
-        scale = _scale_from_name(args.scale if args.scale is not None else "laptop")
+        scale = chosen_scale("laptop")
         run_all(
             scale,
             workers=args.workers,

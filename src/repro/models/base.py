@@ -98,8 +98,8 @@ class SurrogateModel(ABC):
 
         Batch acquisition strategies (kriging believer) update a copy of
         the model with fantasized measurements and must not leak those
-        into the real model.  The default is a full deep copy; models with
-        cheap copy-on-write state (the dynamic tree) override this to
-        avoid cloning their entire training state per batch.
+        into the real model.  The default is a full deep copy; a model
+        that can copy less (the dynamic tree copies only its arrays and
+        shares its pure caches) overrides it.
         """
         return copy.deepcopy(self)

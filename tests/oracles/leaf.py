@@ -32,7 +32,7 @@ class GaussianLeafModel:
     """Sufficient statistics and posterior quantities of one leaf.
 
     The posterior parameters and the log marginal likelihood are memoized:
-    the dynamic tree asks for them many times between updates (every
+    the reference tree asks for them many times between updates (every
     prediction, every ALC score, every stay/grow/prune proposal touching the
     leaf), while the sufficient statistics only change on ``add``/``remove``.
     """
@@ -119,9 +119,9 @@ class GaussianLeafModel:
     ) -> "GaussianLeafModel":
         """Build a leaf directly from ``(count, sum, sum of squares)``.
 
-        Used by the vectorized grow-proposal scan, which computes partition
-        sufficient statistics with array reductions rather than feeding
-        values through :meth:`add` one at a time.
+        Used by the reference grow proposal, which sums each side of a
+        split with array reductions, and by the rebuild of a model's
+        particles from its snapshot statistics.
         """
         if count < 0:
             raise ValueError("count cannot be negative")
@@ -144,11 +144,8 @@ class GaussianLeafModel:
         return self._sum / self._count
 
     def sufficient_stats(self) -> Tuple[int, float, float]:
-        """``(count, sum, sum of squares)`` — the leaf's full mutable state.
-
-        The batched update path scores hypothetical leaves (stay adds the
-        new observation, prune merges the sibling) by arithmetic on these
-        statistics instead of mutating throwaway leaf copies.
+        """``(count, sum, sum of squares)`` — the leaf's full mutable state,
+        and all the model's cache row keeps of a leaf besides derived terms.
         """
         return self._count, self._sum, self._sum_sq
 
@@ -263,9 +260,9 @@ def log_marginal_likelihood_from_stats(
     """Log marginal likelihood of a leaf summarised by ``(count, sum, sum_sq)``.
 
     Scalar twin of :meth:`GaussianLeafModel.log_marginal_likelihood` used by
-    the vectorized grow-proposal scan: the partition scan reduces each side
-    of a candidate split to sufficient statistics with array ops and scores
-    it here without materialising leaf objects.
+    the reference grow proposal: it reduces each side of a candidate split
+    to sufficient statistics with array ops and scores it here without
+    materialising leaf objects.
     """
     n = count
     if n == 0:

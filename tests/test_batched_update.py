@@ -156,9 +156,8 @@ class TestDrawLayout:
 class TestCopyOnWriteResample:
     """Resample duplicates are private: each particle's leaves stay its own.
 
-    (Duplicates used to share node trees copy-on-write; now a resample
-    gathers forest rows, and these pins compare every particle with the
-    reference's eagerly copied trees.)
+    Every particle is compared with the same particle of the reference,
+    which copies trees eagerly on resample.
     """
 
     def test_no_aliased_mutable_leaf_state_after_updates(self):

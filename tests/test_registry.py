@@ -365,6 +365,29 @@ class TestStreamingReport:
         assert main(["--scale", "smoke", "--only", "figure2", "--output", str(out)]) == 0
         assert sections(out.read_text("utf-8")) == sections(first)
 
+    def test_cli_seed_overrides_the_scale_seed(self, tmp_path):
+        """``--seed`` reseeds the whole run: two seeds give two Table 1
+        reports, and the scale's own seed reproduces the default run."""
+        from repro.experiments.run_all import main
+
+        def table1(*extra):
+            out = tmp_path / "report.txt"
+            argv = ["--scale", "smoke", "--only", "table1", "--output", str(out)]
+            assert main(argv + list(extra)) == 0
+            return out.read_text("utf-8").split("wall time")[0]
+
+        default = table1()
+        assert "Table 1" in default
+        assert table1("--seed", "2017") == default
+        assert table1("--seed", "1") != table1("--seed", "2")
+
+    def test_cli_rejects_seed_with_paper_scale_smoke(self, capsys):
+        from repro.experiments.run_all import main
+
+        with pytest.raises(SystemExit):
+            main(["--paper-scale-smoke", "--seed", "3"])
+        assert "--seed does not apply" in capsys.readouterr().err
+
     def test_cli_rejects_unknown_artifact(self, capsys):
         from repro.experiments.run_all import main
 
