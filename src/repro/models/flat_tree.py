@@ -207,13 +207,13 @@ class ParticleForest:
             np.cumsum(n_nodes) - n_nodes, n_nodes
         )
         dims = np.asarray(split_dim, dtype=np.intp)
+        internal = np.flatnonzero(dims >= 0)
+        leaves = np.flatnonzero(dims < 0)
         # Subtree sizes in one reverse pass: an internal node's left child
         # follows it, and its right child follows the left subtree.
         size = [1] * dims.shape[0]
-        for i in np.flatnonzero(dims >= 0)[::-1].tolist():
+        for i in internal[::-1].tolist():
             size[i] = 1 + size[i + 1] + size[i + 1 + size[i + 1]]
-        internal = np.flatnonzero(dims >= 0)
-        leaves = np.flatnonzero(dims < 0)
         left_size = np.asarray(size, dtype=np.intp)[internal + 1]
         gid = rows * capacity + cols
         forest.split_dim[rows, cols] = dims
