@@ -36,7 +36,7 @@ from repro.core.acquisition import GreedyALCFantasyAcquisition
 from repro.core.evaluation import build_test_set
 from repro.core.learner import ActiveLearner, LearnerConfig
 from repro.core.plans import sequential_plan
-from repro.measurement.broker import ProfilerBroker, measure_batch
+from repro.measurement.broker import ProfilerBroker
 from repro.measurement.profiler import Profiler
 from repro.spapt.suite import get_benchmark
 
@@ -87,8 +87,8 @@ def _clone(mm, primed):
 
 def _batch_cycle(session, broker):
     requests = session.ask(BATCH)
-    for result in measure_batch(broker, requests):
-        session.tell(result)
+    for request in requests:
+        session.tell(broker.measure(request))
     return len(requests)
 
 

@@ -21,7 +21,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.acquisition import ALCAcquisition
 from repro.core.candidates import CandidatePool
 from repro.core.curves import CurvePoint, LearningCurve
 from repro.core.evaluation import build_test_set, evaluate_rmse
@@ -80,7 +79,6 @@ def _inline_run(mm, test_set):
         rng=np.random.default_rng(rng.integers(2 ** 63)),
     )
     curve = LearningCurve(plan.name)
-    acquisition = ALCAcquisition()
 
     def record_point(training_examples):
         curve.add(
@@ -113,10 +111,15 @@ def _inline_run(mm, test_set):
         candidate_features = mm.features_many(candidates)
         size = min(config.reference_size, candidate_features.shape[0])
         indices = rng.choice(candidate_features.shape[0], size=size, replace=False)
-        index = acquisition.select(
-            model, candidate_features, candidate_features[indices], rng
+        # ALC with a 1e-12 relative tie band, ties drawn uniformly.
+        scores = -np.asarray(
+            model.expected_average_variance(
+                candidate_features, candidate_features[indices]
+            )
         )
-        chosen = candidates[index]
+        best = float(scores.max())
+        ties = np.flatnonzero(scores >= best - 1e-12 * abs(best))
+        chosen = candidates[int(rng.choice(ties))]
         observations = np.asarray(
             profiler.measure(chosen, repetitions=plan.observations_per_selection)
         )

@@ -9,7 +9,7 @@ it copes better with heteroskedastic noise; Algorithm 1 expresses it as
 the generic :class:`~repro.models.base.SurrogateModel` interface, together
 with a random-selection control.
 
-Batch selection (``TuningSession.ask(k)`` with ``k > 1``) goes through
+Selection (``TuningSession.ask(k)``; ``ask()`` is ``k = 1``) goes through
 :meth:`AcquisitionFunction.select_batch`.  The base implementation takes
 the top ``k`` of one scoring pass; two interaction-aware strategies refine
 it: :class:`GreedyALCFantasyAcquisition` (``"greedy-alc-fantasy"``) picks
@@ -18,14 +18,14 @@ on a copy, and re-scores — the kriging-believer construction — while
 :class:`DiversityPenaltyAcquisition` (``"diversity-penalty"``) approximates
 the same spreading effect with a single scoring pass and an RBF similarity
 penalty against already-picked batch members.  Every strategy's ``k=1``
-batch consumes the generator exactly like :meth:`AcquisitionFunction.select`,
-preserving the sequential path's bit-identity contract.
+batch is one scoring pass and one tie-break draw — Algorithm 1's
+sequential pick.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -62,14 +62,14 @@ class AcquisitionFunction(ABC):
     #: score's magnitude are considered tied and drawn from uniformly.
     TIE_RTOL = 1e-12
 
-    def select(
+    def _pick_best(
         self,
-        model: SurrogateModel,
-        candidates: np.ndarray,
-        reference: np.ndarray,
+        scores: np.ndarray,
+        available: np.ndarray,
         rng: np.random.Generator,
     ) -> int:
-        """Index of the best candidate (ties broken at random).
+        """The best of the ``available`` indices, ties broken at random —
+        one generator draw per pick.
 
         The tie band is *relative* to the best score's magnitude.  An
         absolute band (the previous ``best - 1e-15``) mis-scales in both
@@ -84,24 +84,6 @@ class AcquisitionFunction(ABC):
         differences are not.  (``best == 0`` degrades to exact ties only,
         which is the correct limit.)
         """
-        scores = np.asarray(
-            self.score(model, candidates, reference, rng), dtype=float
-        )
-        if scores.shape[0] != np.atleast_2d(candidates).shape[0]:
-            raise ValueError("score() must return one value per candidate")
-        best = float(scores.max())
-        ties = np.flatnonzero(scores >= best - self.TIE_RTOL * abs(best))
-        return int(rng.choice(ties))
-
-    def _pick_best(
-        self,
-        scores: np.ndarray,
-        available: np.ndarray,
-        rng: np.random.Generator,
-    ) -> int:
-        """The tie-banded argmax of :meth:`select`, restricted to
-        ``available`` indices — one generator draw per pick, exactly like
-        the single-selection path."""
         subset = scores[available]
         best = float(subset.max())
         ties = available[np.flatnonzero(subset >= best - self.TIE_RTOL * abs(best))]
@@ -119,10 +101,9 @@ class AcquisitionFunction(ABC):
 
         The default strategy scores once and takes the top ``k`` greedily,
         re-applying the relative tie band (and a generator draw) at every
-        pick so ``select_batch(..., k=1)`` consumes the generator exactly
-        like :meth:`select` — the bit-identity anchor for ``ask(1)``.
-        Subclasses with an interaction-aware batch rule (fantasized
-        updates, diversity penalties) override this.
+        pick, so ``k=1`` is the plain tie-broken argmax.  Subclasses with
+        an interaction-aware batch rule (fantasized updates, diversity
+        penalties) override this.
         """
         n = np.atleast_2d(candidates).shape[0]
         if not 1 <= k <= n:
@@ -209,8 +190,7 @@ class GreedyALCFantasyAcquisition(ALCAcquisition):
     and ``k - 1`` fantasy updates per batch.
 
     ``select_batch(..., k=1)`` never copies or fantasizes — it scores the
-    real model once and tie-breaks once, so a ``k=1`` batch session stays
-    bit-identical to the sequential ALC path.
+    real model once and tie-breaks once, exactly like plain ALC.
     """
 
     name = "greedy-alc-fantasy"
@@ -264,8 +244,7 @@ class DiversityPenaltyAcquisition(ALCAcquisition):
     behaviour is invariant to affine rescaling of scores and features.
 
     ``select_batch(..., k=1)`` reduces to plain ALC selection (one scoring
-    pass, one tie-break draw) and stays bit-identical to the sequential
-    path.
+    pass, one tie-break draw).
     """
 
     name = "diversity-penalty"

@@ -53,10 +53,9 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..measurement.broker import MeasurementBroker, ProfilerBroker, measure_batch
+from ..measurement.broker import MeasurementBroker, ProfilerBroker
 from ..measurement.profiler import CostLedger, Profiler
 from ..models.base import SurrogateModel
-from ..models.dynamic_tree import DynamicTreeConfig, DynamicTreeRegressor
 from ..spapt.suite import SpaptBenchmark
 from .acquisition import AcquisitionFunction, ALCAcquisition
 from .curves import LearningCurve
@@ -197,15 +196,6 @@ class ActiveLearner:
     def config(self) -> LearnerConfig:
         return self._config
 
-    def _default_model_factory(self, rng: np.random.Generator) -> SurrogateModel:
-        return DynamicTreeRegressor(
-            DynamicTreeConfig(
-                n_particles=self._config.tree_particles,
-                float_mode=self._config.tree_float_mode,
-            ),
-            rng=rng,
-        )
-
     # ------------------------------------------------------------------ run
 
     def start_session(self, test_set: TestSet) -> TuningSession:
@@ -249,14 +239,13 @@ class ActiveLearner:
         state, RNG stream) is bit-identical to the uninterrupted run; the
         session carries its own plan, configuration and test set, and the
         benchmark (rebuilt by the caller) is reattached with its noise
-        state restored.  A session pickled mid-batch resumes by measuring
+        state restored.  A session pickled mid-round resumes by measuring
         its still-pending requests before asking again.
 
-        ``batch_size > 1`` drives batch acquisition: every round asks the
-        session for up to ``batch_size`` requests at once, measures them
-        through :func:`~repro.measurement.broker.measure_batch`, and tells
-        the results back.  ``batch_size=1`` is the sequential path,
-        bit-identical to the pre-batch loop.
+        Every round asks the session for up to ``batch_size`` requests
+        (``batch_size > 1`` is batch acquisition; the default is Algorithm
+        1's one pick per round), measures them in ask order and tells the
+        results back.
         """
         if checkpoint_interval is not None and checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be positive when given")
@@ -277,24 +266,16 @@ class ActiveLearner:
         )
         if broker_factory is not None:
             broker = broker_factory(broker, session.rng)
-        # A session checkpointed mid-batch still owes measurements for the
-        # requests it had already handed out; serve those before asking.
-        pending = list(session.pending_requests)
         while True:
-            if pending:
-                requests = pending
-                pending = []
-            elif batch_size == 1:
-                request = session.ask()
-                if request is None:
-                    break
-                requests = [request]
-            else:
-                requests = session.ask(batch_size)
-                if not requests:
-                    break
-            for result in measure_batch(broker, requests):
-                session.tell(result)
+            # A session checkpointed mid-round still owes measurements for
+            # the requests it had already handed out; serve those first.
+            if not session.pending_requests:
+                session.ask(batch_size)
+            requests = session.pending_requests
+            if not requests:
+                break
+            for request in requests:
+                session.tell(broker.measure(request))
             if (
                 checkpoint_sink is not None
                 and checkpoint_interval is not None

@@ -18,7 +18,7 @@ fixed a priori.  Three plans are compared in the evaluation (Section 4.3):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..measurement.broker import MeasurementRequest
 from ..measurement.stats import RunningStats
@@ -109,30 +109,6 @@ class SamplingPlan:
             max_observations=self.max_observations_per_example,
             prior_stats=prior_stats.copy() if prior_stats is not None else None,
         )
-
-    def measurement_requests(
-        self,
-        benchmark: str,
-        configurations: Sequence[Sequence[int]],
-        prior_stats: Optional[Mapping[tuple, RunningStats]] = None,
-    ) -> list:
-        """The measurement orders one *batch* selection places, in batch order.
-
-        Every request carries the plan's per-selection rule exactly as
-        :meth:`measurement_request` would, with each configuration's prior
-        statistics snapshot looked up in ``prior_stats``.  Batch members
-        are distinct configurations (the session selects distinct candidate
-        indices and the candidate pool never yields duplicates within a
-        draw), so the snapshots taken here stay valid for the whole batch —
-        no member's measurement changes another member's prior count.
-        """
-        stats = prior_stats if prior_stats is not None else {}
-        return [
-            self.measurement_request(
-                benchmark, configuration, prior_stats=stats.get(tuple(configuration))
-            )
-            for configuration in configurations
-        ]
 
 
 def fixed_plan(observations: int, name: str | None = None) -> SamplingPlan:

@@ -34,17 +34,16 @@ noise stream, same float accumulation in the ledger, same curve.  The
 tests in ``tests/test_session.py`` pin this against a frozen copy of the
 inline loop.
 
-``ask(k)`` with ``k > 1`` returns a *batch* of up to ``k`` requests for N
-parallel workers: the acquisition function's ``select_batch`` picks ``k``
-distinct candidates in one round (greedy-ALC with fantasized updates,
-a diversity penalty, or plain top-``k``), and the resulting ``tell()``\\ s
-may arrive in any order — the session stores them and folds the whole
-batch in *ask order* once the last one lands, so the trajectory is a
-deterministic function of the requests alone, not of measurement-arrival
-races.  A session pickled mid-batch checkpoints its outstanding requests;
-:attr:`TuningSession.pending_requests` lists what is still owed after a
-resume.  ``ask(1)`` is bit-identical to the pre-batch sequential path
-(same candidate draws, tie-breaks, ledger accumulation and curve).
+``ask(k)`` returns a *batch* of up to ``k`` requests for N parallel
+workers, and ``ask()`` is simply a batch of one: the acquisition
+function's ``select_batch`` picks ``k`` distinct candidates in one round
+(greedy-ALC with fantasized updates, a diversity penalty, or plain
+top-``k``), and the resulting ``tell()``\\ s may arrive in any order — the
+session stores them and folds the whole batch in *ask order* once the last
+one lands, so the trajectory is a deterministic function of the requests
+alone, not of measurement-arrival races.  A pickled session checkpoints
+its outstanding requests; :attr:`TuningSession.pending_requests` lists
+what is still owed after a resume.
 """
 
 from __future__ import annotations
@@ -132,10 +131,9 @@ class TuningSession:
         self._seed_index = 0
         self._training_examples = 0
         self._iteration = 0
-        self._pending: Optional[MeasurementRequest] = None
-        # Batch bookkeeping (ask(k > 1)): outstanding requests in ask
-        # order, and the results that have arrived so far keyed by
-        # configuration.  The batch folds only once complete, in ask order.
+        # The outstanding round: requests in ask order, and the results
+        # that have arrived so far keyed by configuration.  The round folds
+        # only once complete, in ask order.
         self._batch_requests: List[MeasurementRequest] = []
         self._batch_results: Dict[Tuple[int, ...], MeasurementResult] = {}
         # Training-example count when the last fold began — the anchor for
@@ -211,11 +209,9 @@ class TuningSession:
         """Outstanding requests still awaiting :meth:`tell`, in ask order.
 
         Empty between rounds.  After unpickling a session that was saved
-        mid-batch, this is exactly the work still owed — a resuming driver
+        mid-round, this is exactly the work still owed — a resuming driver
         measures these before calling :meth:`ask` again.
         """
-        if self._pending is not None:
-            return [self._pending]
         return [
             request
             for request in self._batch_requests
@@ -236,7 +232,11 @@ class TuningSession:
     #: Layout version of a pickled session, stamped into every checkpoint.
     #: Bump it whenever a change to the session or to anything it pickles
     #: (model, pool, ledger, curve) means an older checkpoint would not
-    #: resume bit-identically.  Format 6: the particle snapshot no longer
+    #: resume bit-identically.  Format 7: a single ``ask()`` is a batch of
+    #: one, so its outstanding request travels in the batch bookkeeping (a
+    #: format-6 blob could hold it in a separate field this layout would
+    #: silently drop), and the model no longer pickles a scalar
+    #: marginal-likelihood cache.  Format 6: the particle snapshot no longer
     #: carries per-leaf index lists (loading re-derives leaf membership by
     #: routing the training rows).  Format 5: each model update draws its
     #: randomness as one fixed-layout block, so a format-4 generator state
@@ -245,7 +245,7 @@ class TuningSession:
     #: sent the particles as an array snapshot of the particle forest
     #: (format 2 pickled them as ``_Node`` objects; format 1 also carried
     #: per-particle compilations and an incremental forest).
-    _CHECKPOINT_FORMAT = 6
+    _CHECKPOINT_FORMAT = 7
 
     def __getstate__(self) -> dict:
         """Drop the benchmark (unpicklable memoisation caches) and the model
@@ -296,70 +296,56 @@ class TuningSession:
     def ask(self, k: int = 1):
         """The next measurement order(s), or nothing when the run is done.
 
-        ``k == 1`` (the default) returns a single
-        :class:`~repro.measurement.broker.MeasurementRequest` or ``None``
-        when the run is complete — the sequential path, bit-identical to
-        the pre-batch inline loop.  ``k > 1`` returns a *list* of up to
-        ``k`` requests (an empty list when done): one acquisition round
-        selects ``k`` distinct candidates through the acquisition
-        function's ``select_batch``, and the batch never crosses a phase
-        boundary or the ``max_training_examples`` budget, so fewer than
-        ``k`` requests come back near either edge.  The matching
-        :meth:`tell`\\ s may arrive in any order.
+        One acquisition round selects up to ``k`` distinct candidates
+        through the acquisition function's ``select_batch``; the round never
+        crosses a phase boundary or the ``max_training_examples`` budget, so
+        fewer than ``k`` requests come back near either edge.  ``k == 1``
+        (the default) returns the round's single
+        :class:`~repro.measurement.broker.MeasurementRequest`, or ``None``
+        when the run is complete; ``k > 1`` returns a *list* (empty when
+        done).  The matching :meth:`tell`\\ s may arrive in any order.
         """
         if k < 1:
             raise ValueError("batch size k must be at least 1")
-        if self._pending is not None or self._batch_requests:
+        if self._batch_requests:
             raise RuntimeError(
                 "ask() called while a request is outstanding; "
                 "tell() the previous result(s) first"
             )
-        if self._phase == DONE:
-            return None if k == 1 else []
-        self._require_benchmark()
-        if k == 1:
+        requests: List[MeasurementRequest] = []
+        if self._phase != DONE:
+            self._require_benchmark()
             if self._phase == SEEDING:
-                return self._ask_seeding()
-            return self._ask_learning()
-        return self._ask_batch(k)
+                requests = self._seeding_round(k)
+            else:
+                requests = self._learning_round(k)
+            self._batch_requests = list(requests)
+        if k == 1:
+            return requests[0] if requests else None
+        return requests
 
     def tell(self, result: MeasurementResult) -> None:
         """Feed the observations answering an outstanding request back in.
 
-        With a batch outstanding (``ask(k > 1)``), results may arrive in
-        any order: each is held until the batch is complete, then the
-        whole batch folds in *ask order* — the model updates, ledger
-        charges, statistics and curve points are a deterministic function
-        of the requests, independent of measurement-arrival interleaving.
+        Results may arrive in any order: each is held until the round is
+        complete, then the whole round folds in *ask order* — the model
+        updates, ledger charges, statistics and curve points are a
+        deterministic function of the requests, independent of
+        measurement-arrival interleaving.
         """
-        if self._batch_requests:
-            self._tell_batch(result)
-            return
-        if self._pending is None:
+        if not self._batch_requests:
             raise RuntimeError("tell() called without an outstanding ask()")
-        request = self._pending
-        if tuple(result.configuration) != request.configuration:
-            raise ValueError(
-                f"result is for configuration {tuple(result.configuration)}, "
-                f"but the outstanding request asked for {request.configuration}"
-            )
-        self._require_benchmark()
-        self._pending = None
-        self._fold_start = self._training_examples
-        self._fold_one(request, result)
-
-    def _tell_batch(self, result: MeasurementResult) -> None:
         self._require_benchmark()
         key = tuple(result.configuration)
         outstanding = {request.configuration for request in self._batch_requests}
         if key not in outstanding:
             raise ValueError(
                 f"result is for configuration {key}, which is not part of "
-                f"the outstanding batch {sorted(outstanding)}"
+                f"the outstanding requests {sorted(outstanding)}"
             )
         if key in self._batch_results:
             raise ValueError(
-                f"duplicate tell() for configuration {key} in this batch"
+                f"duplicate tell() for configuration {key} in this round"
             )
         self._batch_results[key] = result
         if len(self._batch_results) < len(self._batch_requests):
@@ -383,14 +369,13 @@ class TuningSession:
         re-askable.  Nothing was told, so the model, ledger, statistics,
         pool and curve are exactly as they were before the failed
         :meth:`ask` — no state is corrupted.  Parked results of a
-        partially measured batch are dropped rather than folded, because
-        folding a partial batch would make the trajectory depend on
+        partially measured round are dropped rather than folded, because
+        folding a partial round would make the trajectory depend on
         *which* member failed.  The generator draws the abandoned ask
         consumed (candidate sampling, acquisition) are not rewound; a
         permanently lost measurement genuinely forks the trajectory, and
         the session simply continues on a valid one.
         """
-        self._pending = None
         self._batch_requests = []
         self._batch_results = {}
 
@@ -461,50 +446,26 @@ class TuningSession:
                 "after unpickling"
             )
 
-    def _ensure_seeding_initialised(self) -> None:
-        if self._model is not None:
-            return
-        # First ask of the run: the generator draws happen in exactly
-        # the inline loop's order — model seed first, then the seed
-        # configurations.
-        space = self._benchmark.search_space
-        self._model = self._make_model(
-            np.random.default_rng(self._rng.integers(2 ** 63))
-        )
-        self._curve = LearningCurve(self._plan.name)
-        self._n_seed = min(self._config.n_initial, space.size)
-        self._seed_configurations = space.sample_distinct(
-            self._n_seed, self._rng
-        )
-
-    def _ask_seeding(self) -> MeasurementRequest:
-        self._ensure_seeding_initialised()
-        configuration = self._seed_configurations[self._seed_index]
-        self._pending = MeasurementRequest(
-            benchmark=self._benchmark_name,
-            configuration=configuration,
-            repetitions=self._config.seed_observations,
-        )
-        return self._pending
-
-    def _ask_batch(self, k: int) -> List[MeasurementRequest]:
-        if self._phase == SEEDING:
-            requests = self._ask_seeding_batch(k)
-        else:
-            requests = self._ask_learning_batch(k)
-        if requests:
-            self._batch_requests = list(requests)
-            self._batch_results = {}
-        return list(requests)
-
-    def _ask_seeding_batch(self, k: int) -> List[MeasurementRequest]:
+    def _seeding_round(self, k: int) -> List[MeasurementRequest]:
         """Up to ``k`` of the remaining seed configurations.
 
-        A batch never crosses the seeding/learning phase boundary: the
+        A round never crosses the seeding/learning phase boundary: the
         model must be fitted on the complete seed set before acquisition
-        can score anything, so the last seeding batch is simply short.
+        can score anything, so the last seeding round is simply short.
         """
-        self._ensure_seeding_initialised()
+        if self._model is None:
+            # First ask of the run: the generator draws happen in exactly
+            # the inline loop's order — model seed first, then the seed
+            # configurations.
+            space = self._benchmark.search_space
+            self._model = self._make_model(
+                np.random.default_rng(self._rng.integers(2 ** 63))
+            )
+            self._curve = LearningCurve(self._plan.name)
+            self._n_seed = min(self._config.n_initial, space.size)
+            self._seed_configurations = space.sample_distinct(
+                self._n_seed, self._rng
+            )
         remaining = self._n_seed - self._seed_index
         return [
             MeasurementRequest(
@@ -515,21 +476,18 @@ class TuningSession:
             for offset in range(min(k, remaining))
         ]
 
-    def _ask_learning_batch(self, k: int) -> List[MeasurementRequest]:
+    def _learning_round(self, k: int) -> List[MeasurementRequest]:
         """One acquisition round selecting up to ``k`` distinct candidates.
 
-        The completion checks run once per batch (not per member), and the
-        batch is truncated at the remaining example budget, so a run with
+        The completion checks run once per round (not per member), and the
+        round is truncated at the remaining example budget, so a run with
         ``max_training_examples`` examples never overshoots.  One candidate
-        draw and one reference draw serve the whole batch; the acquisition
+        draw and one reference draw serve the whole round; the acquisition
         function's ``select_batch`` owns the interaction between members
         (fantasized updates, diversity penalties, or plain top-``k``).
         """
         config = self._config
-        if self._iteration >= config.max_training_examples:
-            self._finish()
-            return []
-        if self._budget_exhausted():
+        if self._iteration >= config.max_training_examples or self._budget_exhausted():
             self._finish()
             return []
         # An exhausted pool draws nothing (and consumes no randomness), so
@@ -549,11 +507,16 @@ class TuningSession:
                 f"{type(self._acquisition).__name__}.select_batch returned "
                 "duplicate candidate indices"
             )
-        return self._plan.measurement_requests(
-            self._benchmark_name,
-            [candidates[index] for index in indices],
-            prior_stats=self._stats,
-        )
+        # Members are distinct configurations, so no member's measurement
+        # changes another's prior-statistics snapshot.
+        return [
+            self._plan.measurement_request(
+                self._benchmark_name,
+                candidates[index],
+                prior_stats=self._stats.get(tuple(candidates[index])),
+            )
+            for index in indices
+        ]
 
     def _tell_seeding(self, key: Tuple[int, ...], stats: RunningStats) -> None:
         self._seed_targets.append(stats.mean)
@@ -566,28 +529,6 @@ class TuningSession:
         self._training_examples = self._n_seed
         self._iteration = self._n_seed
         self._phase = LEARNING
-
-    def _ask_learning(self) -> Optional[MeasurementRequest]:
-        config = self._config
-        if self._iteration >= config.max_training_examples:
-            return self._finish()
-        if self._budget_exhausted():
-            return self._finish()
-        # An exhausted pool draws nothing (and consumes no randomness), so
-        # the empty draw is the exhaustion check.
-        candidates = self._pool.draw(config.n_candidates, self._rng)
-        if not candidates:
-            return self._finish()
-        candidate_features = self._benchmark.features_many(candidates)
-        reference_features = self._reference_features(candidate_features)
-        index = self._acquisition.select(
-            self._model, candidate_features, reference_features, self._rng
-        )
-        chosen = candidates[index]
-        self._pending = self._plan.measurement_request(
-            self._benchmark_name, chosen, prior_stats=self._stats.get(tuple(chosen))
-        )
-        return self._pending
 
     def _tell_learning(
         self, key: Tuple[int, ...], result: MeasurementResult
@@ -616,7 +557,6 @@ class TuningSession:
         ):
             self._record_point(self._training_examples)
         self._phase = DONE
-        return None
 
     def _make_model(self, rng: np.random.Generator) -> SurrogateModel:
         if self._model_factory is not None:

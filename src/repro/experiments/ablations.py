@@ -254,8 +254,8 @@ class BatchAcquisitionSpec(_LearnerAblationSpec):
     size becomes ``execute_learner_run(batch_size=...)``, driving the run
     through ``TuningSession.ask(k)``.  The reference variant
     (``k1-greedy-alc-fantasy``) is bit-identical to the paper's sequential
-    ALC loop — every strategy's ``k=1`` batch selection consumes the
-    generator exactly like single selection — so cost ratios and speed-up
+    ALC loop — every strategy's ``k=1`` batch selection is one scoring
+    pass and one tie-break draw — so cost ratios and speed-up
     factors against it measure the pure price of batching.
     """
 

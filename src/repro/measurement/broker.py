@@ -23,6 +23,9 @@ a :class:`MeasurementBroker`'s business:
   style but never their RNG or noise state, and only the configurations the
   recorded artifact never visited are profiled live.
 
+A broker implements one method, ``measure``; a round of several requests
+is served one ``measure`` call per request, in ask order.
+
 A request is self-contained: it carries the configuration, the initial
 repetition count, the CI stopping rule (threshold and per-example cap) and
 a snapshot of the statistics of every observation the configuration has
@@ -58,7 +61,6 @@ __all__ = [
     "ReplayBroker",
     "ReplayTrace",
     "ReplayMissError",
-    "measure_batch",
 ]
 
 logger = logging.getLogger(__name__)
@@ -184,39 +186,14 @@ class MeasurementResult:
 class MeasurementBroker(Protocol):
     """Anything that can satisfy a :class:`MeasurementRequest`.
 
-    Brokers may additionally expose ``measure_batch(requests)`` returning
-    one result per request in request order; drivers go through
-    :func:`measure_batch`, which falls back to per-request :meth:`measure`
-    calls for brokers without batch support, so implementing ``measure``
-    alone is always sufficient.
+    A round of several requests is served one :meth:`measure` call per
+    request; the session folds the round in ask order whatever order the
+    results are told in.
     """
 
     def measure(self, request: MeasurementRequest) -> MeasurementResult:
         """Satisfy ``request`` and return the observations and charges."""
         ...
-
-
-def measure_batch(
-    broker: MeasurementBroker, requests: Sequence[MeasurementRequest]
-) -> List[MeasurementResult]:
-    """Satisfy a batch of requests, one result per request in request order.
-
-    Prefers the broker's own ``measure_batch`` (a parallel measurement
-    service can overlap the work); any broker exposing only ``measure``
-    is served sequentially.  Either way the i-th result answers the i-th
-    request — callers relying on the session's ask-order fold can ``tell``
-    the results in any order they like.
-    """
-    batch = getattr(broker, "measure_batch", None)
-    if batch is not None:
-        results = list(batch(requests))
-        if len(results) != len(requests):
-            raise ValueError(
-                f"broker returned {len(results)} results for "
-                f"{len(requests)} requests"
-            )
-        return results
-    return [broker.measure(request) for request in requests]
 
 
 def _stats_after(request: MeasurementRequest) -> RunningStats:
@@ -268,17 +245,6 @@ class ProfilerBroker:
             runtimes=tuple(observations),
             compile_seconds=compile_seconds,
         )
-
-    def measure_batch(
-        self, requests: Sequence[MeasurementRequest]
-    ) -> List[MeasurementResult]:
-        """Serve a batch sequentially, in request order.
-
-        A single profiler owns one noise stream, so batch members are
-        measured one after another — the deterministic reference any
-        genuinely parallel measurement service must reproduce per request.
-        """
-        return [self.measure(request) for request in requests]
 
 
 class ReplayMissError(KeyError):
@@ -630,19 +596,6 @@ class ReplayBroker:
             noise_state=noise_state,
         )
         return result
-
-    def measure_batch(
-        self, requests: Sequence[MeasurementRequest]
-    ) -> List[MeasurementResult]:
-        """Serve a batch in request order, each member replay-or-record.
-
-        Trace keys stay per-request — ``(unit, configuration, prior
-        count)`` — so a batch records exactly the same lines a sequential
-        run over the same requests would, and a recorded batch replays
-        member by member (including mixed hit/miss batches, where the
-        misses fall through to the live broker in request order).
-        """
-        return [self.measure(request) for request in requests]
 
     def _shared_candidates(self, request: MeasurementRequest) -> List[dict]:
         if not self._rescore_from:

@@ -48,7 +48,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .broker import MeasurementBroker, MeasurementRequest, MeasurementResult
 
@@ -331,11 +331,6 @@ class FaultInjectingBroker:
                 )
         return self._inner.measure(request)
 
-    def measure_batch(
-        self, requests: Sequence[MeasurementRequest]
-    ) -> List[MeasurementResult]:
-        return [self.measure(request) for request in requests]
-
 
 class ResilientBroker:
     """Retry/deadline/sanity policy around any measurement broker.
@@ -519,13 +514,6 @@ class ResilientBroker:
             f"{len(attempts)} attempts: {attempts[-1]}",
             record,
         )
-
-    def measure_batch(
-        self, requests: Sequence[MeasurementRequest]
-    ) -> List[MeasurementResult]:
-        """Serve a batch in request order, each member independently
-        retried under the same policy."""
-        return [self.measure(request) for request in requests]
 
 
 def _stable_seed(text: str) -> int:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = [
     "SampleSummary",
@@ -113,6 +112,18 @@ def summarize(observations: Sequence[float], confidence: float = 0.95) -> Sample
     )
 
 
+def _t_critical(confidence: float, df: int) -> float:
+    """Two-sided Student-t critical value for ``confidence`` at ``df``.
+
+    ``scipy.stats`` is imported here rather than at module load: it is the
+    single largest import of the package, and only the CI computations
+    need it.
+    """
+    from scipy import stats
+
+    return float(stats.t.ppf(0.5 + confidence / 2.0, df=df))
+
+
 def confidence_interval_halfwidth(
     observations: Sequence[float], confidence: float = 0.95
 ) -> float:
@@ -129,8 +140,7 @@ def confidence_interval_halfwidth(
     sem = float(values.std(ddof=1)) / math.sqrt(n)
     if sem == 0.0:
         return 0.0
-    t_crit = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
-    return t_crit * sem
+    return _t_critical(confidence, n - 1) * sem
 
 
 def ci_to_mean_ratio(mean: float, ci_halfwidth: float) -> float:
@@ -268,10 +278,7 @@ class RunningStats:
             raise ValueError("no observations recorded")
         if self._count >= 2 and self.std > 0:
             sem = self.std / math.sqrt(self._count)
-            t_crit = float(
-                _scipy_stats.t.ppf(0.5 + confidence / 2.0, df=self._count - 1)
-            )
-            half = t_crit * sem
+            half = _t_critical(confidence, self._count - 1) * sem
         else:
             half = 0.0
         return SampleSummary(

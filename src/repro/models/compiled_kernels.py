@@ -148,7 +148,7 @@ def nig_beta_n(
 ) -> np.ndarray:
     """Vectorized posterior ``beta_n``, grouped exactly like the scalar path.
 
-    Mirrors ``LMLCache.log_marginal_likelihood``::
+    Mirrors the scalar log-marginal-likelihood evaluation::
 
         mean = total / n
         sum_sq_dev = max(total_sq - n * mean * mean, 0.0)

@@ -68,7 +68,7 @@ from .base import Prediction, SurrogateModel
 from . import compiled_kernels as kernels
 from .compiled_kernels import nig_beta_n
 from .flat_tree import FlatForest, ParticleForest
-from .leaf import LeafCacheArrays, LeafTermTables, LMLCache, NIGPrior
+from .leaf import LeafCacheArrays, LeafTermTables, NIGPrior
 
 __all__ = ["DynamicTreeConfig", "DynamicTreeRegressor"]
 
@@ -225,7 +225,6 @@ class DynamicTreeRegressor(SurrogateModel):
         self._y: Optional[np.ndarray] = None
         self._n = 0
         self._prior: Optional[NIGPrior] = None
-        self._lml: Optional[LMLCache] = None
         # The posterior: built root-only by ``fit`` and kept in step by
         # every update.  A loaded model holds the pickled snapshot instead
         # until the first query or update rebuilds the forest from it.
@@ -319,7 +318,7 @@ class DynamicTreeRegressor(SurrogateModel):
         absorb believed observations.  The particle forest's arrays and the
         training buffers are copied (one memcpy each; updates write both in
         place), and the RNG is deep-copied so fantasy draws do not consume
-        the real model's stream.  The memoized pure caches (LML, count-term
+        the real model's stream.  The memoized pure caches (count-term
         tables, depth terms) stay shared — both sides only ever add
         deterministically recomputable entries.
         """
@@ -398,7 +397,6 @@ class DynamicTreeRegressor(SurrogateModel):
         self._prior = NIGPrior.from_observations(
             y, kappa=self._config.prior_kappa, alpha=self._config.prior_alpha
         )
-        self._lml = LMLCache(self._prior)
         self._snapshot = None
         self._seed_posterior()
         order = self._rng.permutation(X.shape[0])
@@ -611,14 +609,14 @@ class DynamicTreeRegressor(SurrogateModel):
     def _leaf_term_tables(self) -> LeafTermTables:
         """The count-indexed NIG term tables for the current prior.
 
-        Rebuilt whenever :meth:`fit` installs a fresh :class:`LMLCache`
-        (identity check), and lazily created on first use and after
-        unpickling (checkpoints do not carry them).
+        Rebuilt whenever :meth:`fit` installs a fresh prior (identity
+        check), and lazily created on first use and after unpickling
+        (checkpoints do not carry them).
         """
-        assert self._lml is not None
+        assert self._prior is not None
         tables = self._term_tables
-        if tables is None or tables.lml is not self._lml:
-            tables = LeafTermTables(self._lml)
+        if tables is None or tables.prior is not self._prior:
+            tables = LeafTermTables(self._prior)
             self._term_tables = tables
         return tables
 
@@ -918,7 +916,7 @@ class DynamicTreeRegressor(SurrogateModel):
         # merges the sibling) are scored by gathering the count-dependent
         # LML terms from the term tables and evaluating the beta_n
         # arithmetic elementwise — the expression grouping and the scalar-
-        # rounded log map keep every score bit-identical to the LMLCache
+        # rounded log map keep every score bit-identical to the scalar
         # evaluation the reference path performs.
         tables = self._leaf_term_tables()
         prior = self._prior
@@ -1131,8 +1129,8 @@ class DynamicTreeRegressor(SurrogateModel):
         """``(log marginal likelihood, beta_n)`` of leaves with these statistics.
 
         The count-dependent terms are term-table gathers and the rest is
-        the :class:`~repro.models.leaf.LMLCache` expression elementwise,
-        grouped the same way, so exact mode is bit-identical to it.
+        the scalar log-marginal-likelihood expression elementwise, grouped
+        the same way, so exact mode is bit-identical to it.
         """
         tables = self._leaf_term_tables()
         prior = self._prior

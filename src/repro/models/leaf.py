@@ -17,19 +17,19 @@ The maths follows Murphy's "Conjugate Bayesian analysis of the Gaussian
 distribution" notes and matches what the ``dynaTree`` R package's constant
 leaves compute.  The model keeps no per-leaf objects: a leaf is one row of
 :class:`LeafCacheArrays`, computed from count-indexed term tables
-(:class:`LeafTermTables`, filled from the scalar :class:`LMLCache`).  The
-per-leaf object form lives with the test oracles.
+(:class:`LeafTermTables`, filled by scalar ``math`` evaluations of the
+prior).  The per-leaf object form lives with the test oracles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Tuple
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-__all__ = ["NIGPrior", "LeafCacheArrays", "LeafTermTables", "LMLCache"]
+__all__ = ["NIGPrior", "LeafCacheArrays", "LeafTermTables"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -48,12 +48,6 @@ class NIGPrior:
     kappa: float = 0.1
     alpha: float = 2.0
     beta: float = 0.5
-    #: Memoized count-only pieces of the predictive-log-pdf terms
-    #: (``dof``, ``coef``, ``lgamma(coef) - lgamma(dof/2)``) keyed by
-    #: observation count — they depend only on ``alpha`` and the count, and
-    #: every leaf sharing this prior reuses them.  Excluded from equality
-    #: and repr; mutating the dict does not violate the frozen contract.
-    _logpdf_count_terms: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kappa <= 0:
@@ -62,11 +56,6 @@ class NIGPrior:
             raise ValueError("alpha must be greater than 1 for finite predictive variance")
         if self.beta <= 0:
             raise ValueError("beta must be positive")
-
-    def __reduce__(self):
-        # The count-term memo is rebuilt on demand; it grows with the
-        # training size, so checkpoints leave it out.
-        return (NIGPrior, (self.mean, self.kappa, self.alpha, self.beta))
 
     @classmethod
     def from_observations(
@@ -93,102 +82,20 @@ class NIGPrior:
         return cls(mean=mean, kappa=kappa, alpha=alpha, beta=beta)
 
 
-def _predictive_count_terms(prior: NIGPrior, count: int) -> Tuple[float, float, float]:
-    """``(dof, coef, lgamma(coef) - lgamma(dof / 2))`` of the predictive log-pdf.
-
-    These depend only on the prior's ``alpha`` and the observation count, so
-    they are memoized on the prior (see ``NIGPrior._logpdf_count_terms``) and
-    shared by the vectorized term tables (:class:`LeafTermTables`).
-    ``alpha_n`` is grouped as the scalar posterior groups it, so the cached
-    values are bit-identical to the inline computation.
-    """
-    count_terms = prior._logpdf_count_terms.get(count)
-    if count_terms is None:
-        alpha_n = prior.alpha if count == 0 else prior.alpha + count / 2.0
-        dof = 2.0 * alpha_n
-        coef = (dof + 1.0) / 2.0
-        count_terms = (
-            dof,
-            coef,
-            math.lgamma((dof + 1.0) / 2.0) - math.lgamma(dof / 2.0),
-        )
-        prior._logpdf_count_terms[count] = count_terms
-    return count_terms
-
-
-class LMLCache:
-    """Memoized log-marginal-likelihood evaluation for one prior.
-
-    Of the terms of a leaf's NIG log marginal likelihood, everything
-    except ``alpha_n * log(beta_n)`` depends only on the observation *count*
-    — and the dynamic tree evaluates the marginal likelihood thousands of
-    times per update (two per candidate split, one per stay score) at a
-    handful of distinct counts.  This cache stores the count-only terms
-    (including both ``lgamma`` calls, the dominant cost) keyed by count, so
-    a cached evaluation reduces to the ``beta_n`` arithmetic plus one
-    ``math.log``.
-
-    Bit-compatibility: the cached terms are contiguous left-associated
-    prefixes of the original expression, computed with the same scalar
-    ``math`` calls, so :meth:`log_marginal_likelihood` returns bit-identical
-    values to the one-expression evaluation (pinned against the oracle's
-    ``log_marginal_likelihood_from_stats``).  This matters because the
-    particle moves are *sampled* from these scores.
-    """
-
-    __slots__ = ("prior", "_terms_by_count")
-
-    def __init__(self, prior: NIGPrior) -> None:
-        self.prior = prior
-        self._terms_by_count: dict = {}
-
-    def __reduce__(self):
-        # Like the prior's memo: recomputed on demand, not checkpointed.
-        return (LMLCache, (self.prior,))
-
-    def _terms(self, n: int) -> Tuple[float, float, float, float, float]:
-        terms = self._terms_by_count.get(n)
-        if terms is None:
-            prior = self.prior
-            kappa_n = prior.kappa + n
-            alpha_n = prior.alpha + n / 2.0
-            head = (
-                math.lgamma(alpha_n)
-                - math.lgamma(prior.alpha)
-                + prior.alpha * math.log(prior.beta)
-            )
-            mid = 0.5 * (math.log(prior.kappa) - math.log(kappa_n))
-            tail = (n / 2.0) * _LOG_2PI
-            terms = (kappa_n, alpha_n, head, mid, tail)
-            self._terms_by_count[n] = terms
-        return terms
-
-    def log_marginal_likelihood(self, count: int, total: float, total_sq: float) -> float:
-        """Log marginal likelihood of a leaf holding ``(count, sum, sum_sq)``."""
-        n = int(count)
-        if n == 0:
-            return 0.0
-        prior = self.prior
-        kappa_n, alpha_n, head, mid, tail = self._terms(n)
-        mean = total / n
-        sum_sq_dev = max(total_sq - n * mean * mean, 0.0)
-        beta_n = (
-            prior.beta
-            + 0.5 * sum_sq_dev
-            + 0.5 * (prior.kappa * n * (mean - prior.mean) ** 2) / kappa_n
-        )
-        return ((head - alpha_n * math.log(beta_n)) + mid) - tail
-
-
 class LeafTermTables:
     """Count-indexed arrays of the NIG terms the vectorized kernels gather.
 
-    The batched stay/prune/grow scoring replaces thousands of scalar
-    :class:`LMLCache` / :func:`_predictive_count_terms` lookups per update
-    with array gathers ``table[counts]``.  Each table entry ``n`` holds the
-    exact values the scalar caches produce for count ``n`` — the entries are
-    *filled from* those caches, so every gathered term is bit-identical to
-    the per-leaf path by construction.
+    Of the terms of a leaf's NIG log marginal likelihood and predictive
+    log-pdf, everything except the ``beta_n`` arithmetic depends only on
+    the prior and the observation *count* — and the batched stay/prune/grow
+    scoring evaluates them thousands of times per update at a handful of
+    distinct counts.  Entry ``n`` of each table holds one such term for
+    count ``n``, computed with scalar ``math`` calls and grouped as
+    contiguous left-associated prefixes of the one-expression scalar
+    evaluation, so every array gather ``table[counts]`` is bit-identical to
+    the per-leaf path (pinned against the oracle's
+    ``log_marginal_likelihood_from_stats``).  This matters because the
+    particle moves are *sampled* from these scores.
 
     ``ensure(max_count)`` grows the tables geometrically; the model calls it
     once per update with the largest count any hypothetical leaf can reach,
@@ -196,7 +103,6 @@ class LeafTermTables:
     """
 
     __slots__ = (
-        "lml",
         "prior",
         "size",
         "kappa_n",
@@ -210,9 +116,8 @@ class LeafTermTables:
         "dof_pi",
     )
 
-    def __init__(self, lml: "LMLCache") -> None:
-        self.lml = lml
-        self.prior = lml.prior
+    def __init__(self, prior: NIGPrior) -> None:
+        self.prior = prior
         self.size = 0
         self.kappa_n = np.empty(0)
         self.alpha_n = np.empty(0)
@@ -245,16 +150,23 @@ class LeafTermTables:
             grown[name][: self.size] = getattr(self, name)
         prior = self.prior
         for n in range(self.size, new_size):
-            kappa_n, alpha_n, head, mid, tail = self.lml._terms(n)
-            dof, coef, lgamma_part = _predictive_count_terms(prior, n)
+            kappa_n = prior.kappa + n
+            alpha_n = prior.alpha + n / 2.0
+            dof = 2.0 * alpha_n
             grown["kappa_n"][n] = kappa_n
             grown["alpha_n"][n] = alpha_n
-            grown["head"][n] = head
-            grown["mid"][n] = mid
-            grown["tail"][n] = tail
+            grown["head"][n] = (
+                math.lgamma(alpha_n)
+                - math.lgamma(prior.alpha)
+                + prior.alpha * math.log(prior.beta)
+            )
+            grown["mid"][n] = 0.5 * (math.log(prior.kappa) - math.log(kappa_n))
+            grown["tail"][n] = (n / 2.0) * _LOG_2PI
             grown["dof"][n] = dof
-            grown["coef"][n] = coef
-            grown["lgamma_part"][n] = lgamma_part
+            grown["coef"][n] = (dof + 1.0) / 2.0
+            grown["lgamma_part"][n] = math.lgamma((dof + 1.0) / 2.0) - math.lgamma(
+                dof / 2.0
+            )
             grown["dof_pi"][n] = dof * math.pi
         for name in names:
             setattr(self, name, grown[name])

@@ -285,7 +285,6 @@ class ReferenceDynamicTree(DynamicTreeRegressor):
         twin._y = None if model._y is None else model._y.copy()
         twin._n = model._n
         twin._prior = model._prior
-        twin._lml = model._lml
         if model._prior is None:
             return twin
         forest = model._forest()

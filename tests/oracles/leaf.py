@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.models.leaf import LeafCacheArrays, NIGPrior, _predictive_count_terms
+from repro.models.leaf import LeafCacheArrays, NIGPrior
 
 __all__ = [
     "GaussianLeafModel",
@@ -205,9 +205,12 @@ class GaussianLeafModel:
         if self._logpdf_terms_cache is not None:
             return self._logpdf_terms_cache
         mean_n, kappa_n, alpha_n, beta_n = self.posterior()
-        dof, coef, lgamma_part = _predictive_count_terms(self.prior, self._count)
+        dof = 2.0 * alpha_n
+        coef = (dof + 1.0) / 2.0
         scale_sq = beta_n * (kappa_n + 1.0) / (alpha_n * kappa_n)
-        const = lgamma_part - 0.5 * math.log(dof * math.pi * scale_sq)
+        const = (math.lgamma(coef) - math.lgamma(dof / 2.0)) - 0.5 * math.log(
+            dof * math.pi * scale_sq
+        )
         result = (mean_n, dof * scale_sq, coef, const)
         self._logpdf_terms_cache = result
         return result

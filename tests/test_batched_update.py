@@ -19,8 +19,9 @@ import math
 import numpy as np
 import pytest
 
+from repro.models import compiled_kernels as kernels
 from repro.models.dynamic_tree import DynamicTreeConfig, DynamicTreeRegressor
-from repro.models.leaf import LeafCacheArrays, LMLCache, NIGPrior
+from repro.models.leaf import LeafCacheArrays, NIGPrior
 from tests.oracles.dynamic_tree import ReferenceDynamicTree, descend
 from tests.oracles.leaf import (
     GaussianLeafModel,
@@ -284,29 +285,56 @@ class TestSystematicResampler:
             assert 0 <= min(chosen) and max(chosen) < n
 
 
+def _term_table_rows(prior, counts, totals, total_sqs):
+    """Leaf-cache rows the model's way: term-table gathers and the exact
+    ``log`` map, for leaves holding ``(count, sum, sum_sq)``."""
+    model = DynamicTreeRegressor(DynamicTreeConfig())
+    model._prior = prior
+    counts = np.asarray(counts, dtype=np.intp)
+    model._leaf_term_tables().ensure(int(counts.max()))
+    log_array, _ = kernels.log_maps(False)
+    return model._cache_rows(
+        counts, np.asarray(totals, dtype=float), np.asarray(total_sqs, dtype=float),
+        log_array,
+    )
+
+
 class TestLeafCacheEquivalence:
     def test_lml_cache_matches_from_stats_bitwise(self):
+        """The cache rows' LML column equals the oracle's one-expression
+        scalar evaluation to the last bit."""
         prior = NIGPrior(mean=0.7, kappa=0.1, alpha=3.0, beta=0.4)
-        cache = LMLCache(prior)
         rng = np.random.default_rng(0)
+        counts, totals, total_sqs = [], [], []
         for _ in range(500):
-            n = int(rng.integers(0, 60))
+            n = int(rng.integers(1, 60))
             total = float(rng.normal() * 10.0 ** rng.integers(-3, 4))
-            total_sq = abs(total) * float(rng.uniform(0.5, 4.0)) + n * 0.1
-            assert cache.log_marginal_likelihood(n, total, total_sq) == (
+            counts.append(n)
+            totals.append(total)
+            total_sqs.append(abs(total) * float(rng.uniform(0.5, 4.0)) + n * 0.1)
+        rows = _term_table_rows(prior, counts, totals, total_sqs)
+        for row, n, total, total_sq in zip(rows, counts, totals, total_sqs):
+            assert row[LeafCacheArrays.LML] == (
                 log_marginal_likelihood_from_stats(prior, n, total, total_sq)
             )
 
     def test_lml_cache_matches_leaf_objects(self):
+        """Whole term-table rows equal the oracle leaves' scalar rows, and
+        their LML the oracle's ``log_marginal_likelihood_from_stats``."""
         prior = NIGPrior(mean=-0.2, kappa=0.1, alpha=3.0, beta=0.9)
-        cache = LMLCache(prior)
         rng = np.random.default_rng(1)
-        for _ in range(100):
-            values = rng.normal(1.5, 0.8, size=int(rng.integers(1, 25)))
-            leaf = GaussianLeafModel.from_values(prior, [float(v) for v in values])
-            n, total, total_sq = leaf.sufficient_stats()
-            assert cache.log_marginal_likelihood(n, total, total_sq) == (
-                leaf.log_marginal_likelihood()
+        leaves = [
+            GaussianLeafModel.from_values(
+                prior, [float(v) for v in rng.normal(1.5, 0.8, int(rng.integers(1, 25)))]
+            )
+            for _ in range(100)
+        ]
+        stats = [leaf.sufficient_stats() for leaf in leaves]
+        rows = _term_table_rows(prior, *zip(*stats))
+        assert rows.tolist() == cache_arrays(leaves).data.tolist()
+        for row, (n, total, total_sq) in zip(rows, stats):
+            assert row[LeafCacheArrays.LML] == (
+                log_marginal_likelihood_from_stats(prior, n, total, total_sq)
             )
 
     def test_logpdf_terms_decomposition_matches_direct_formula(self):

@@ -96,9 +96,6 @@ class StubBroker:
             runtimes=(self.runtime,) * request.repetitions,
         )
 
-    def measure_batch(self, requests):
-        return [self.measure(request) for request in requests]
-
 
 class TestResultBoundary:
     """Satellite pin: MeasurementResult construction is the sanity gate."""

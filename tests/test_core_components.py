@@ -87,21 +87,43 @@ class _FakeModel:
         return 1.0 - self._variances[: np.atleast_2d(candidates).shape[0]] * 0.1
 
 
+def _tie_broken_pick(acquisition, n, seed):
+    """``select_batch(..., 1)`` with a seeded generator, checked against an
+    independent tie-banded argmax: the best score, with every score within
+    a 1e-12 relative band of it drawn from uniformly."""
+    candidates, reference = np.zeros((n, 2)), np.zeros((1, 2))
+    rng = np.random.default_rng(seed)
+    picks = acquisition.select_batch(None, candidates, reference, rng, 1)
+    oracle = np.random.default_rng(seed)
+    scores = np.asarray(acquisition.score(None, candidates, reference, oracle))
+    best = float(scores.max())
+    ties = np.flatnonzero(scores >= best - 1e-12 * abs(best))
+    assert picks == [int(oracle.choice(ties))]
+    assert rng.bit_generator.state == oracle.bit_generator.state
+    return picks[0]
+
+
 class TestAcquisition:
     def test_alm_selects_highest_variance(self, rng):
         model = _FakeModel([0.1, 0.9, 0.3])
-        index = ALMAcquisition().select(model, np.zeros((3, 2)), np.zeros((2, 2)), rng)
-        assert index == 1
+        picks = ALMAcquisition().select_batch(
+            model, np.zeros((3, 2)), np.zeros((2, 2)), rng, 1
+        )
+        assert picks == [1]
 
     def test_alc_selects_lowest_expected_average_variance(self, rng):
         model = _FakeModel([0.1, 0.9, 0.3])
-        index = ALCAcquisition().select(model, np.zeros((3, 2)), np.zeros((2, 2)), rng)
-        assert index == 1  # highest variance -> lowest remaining average variance
+        picks = ALCAcquisition().select_batch(
+            model, np.zeros((3, 2)), np.zeros((2, 2)), rng, 1
+        )
+        assert picks == [1]  # highest variance -> lowest remaining average variance
 
     def test_random_is_uniformish(self, rng):
         model = _FakeModel([0.5] * 4)
         picks = {
-            RandomAcquisition().select(model, np.zeros((4, 2)), np.zeros((1, 2)), rng)
+            RandomAcquisition().select_batch(
+                model, np.zeros((4, 2)), np.zeros((1, 2)), rng, 1
+            )[0]
             for _ in range(60)
         }
         assert len(picks) > 1
@@ -129,10 +151,7 @@ class TestAcquisition:
                     [best - 2.0, np.nextafter(best, -np.inf), best, best - 1.0]
                 )
 
-        picks = {
-            _Scored().select(None, np.zeros((4, 2)), np.zeros((1, 2)), np.random.default_rng(seed))
-            for seed in range(40)
-        }
+        picks = {_tie_broken_pick(_Scored(), 4, seed) for seed in range(40)}
         assert picks == {1, 2}
 
     def test_tie_break_small_magnitude_scores(self):
@@ -147,10 +166,7 @@ class TestAcquisition:
             def score(self, model, candidates, reference, rng):
                 return np.array([-5e-18, -1e-18, -4e-16, -2e-18])
 
-        picks = {
-            _Scored().select(None, np.zeros((4, 2)), np.zeros((1, 2)), np.random.default_rng(seed))
-            for seed in range(40)
-        }
+        picks = {_tie_broken_pick(_Scored(), 4, seed) for seed in range(40)}
         assert picks == {1}
 
     def test_tie_break_exact_ties_uniform(self):
@@ -160,10 +176,7 @@ class TestAcquisition:
             def score(self, model, candidates, reference, rng):
                 return np.array([0.5, 0.7, 0.7, 0.1])
 
-        picks = {
-            _Scored().select(None, np.zeros((4, 2)), np.zeros((1, 2)), np.random.default_rng(seed))
-            for seed in range(40)
-        }
+        picks = {_tie_broken_pick(_Scored(), 4, seed) for seed in range(40)}
         assert picks == {1, 2}
 
     def test_tie_break_zero_best_degrades_to_exact(self):
@@ -171,10 +184,7 @@ class TestAcquisition:
             def score(self, model, candidates, reference, rng):
                 return np.array([-1e-300, 0.0, -5e-301])
 
-        picks = {
-            _Scored().select(None, np.zeros((3, 2)), np.zeros((1, 2)), np.random.default_rng(seed))
-            for seed in range(20)
-        }
+        picks = {_tie_broken_pick(_Scored(), 3, seed) for seed in range(20)}
         assert picks == {1}
 
     def test_alc_with_real_dynamic_tree_prefers_sparse_noisy_region(self, rng):

@@ -431,7 +431,7 @@ class TestCheckpointIntegrity:
         draw order) are the ``previous`` case."""
         from repro.core.session import TuningSession
 
-        assert TuningSession._CHECKPOINT_FORMAT == 6
+        assert TuningSession._CHECKPOINT_FORMAT == 7
 
         _, context = self._context(tmp_path)
         mm = get_benchmark("mm")

@@ -137,9 +137,6 @@ def _reference_run(benchmark, plan, config, test_set, rng):
     record_point(n_seed)
     training_examples = n_seed
 
-    from repro.core.acquisition import ALCAcquisition
-
-    acquisition = ALCAcquisition()
     for iteration in range(n_seed, config.max_training_examples):
         if (
             config.max_cost_seconds is not None
@@ -155,10 +152,14 @@ def _reference_run(benchmark, plan, config, test_set, rng):
         size = min(config.reference_size, candidate_features.shape[0])
         indices = rng.choice(candidate_features.shape[0], size=size, replace=False)
         reference_features = candidate_features[indices]
-        index = acquisition.select(
-            model, candidate_features, reference_features, rng
+        # ALC: the lowest expected average variance wins, with candidates
+        # within a 1e-12 relative band of the best drawn from uniformly.
+        scores = -np.asarray(
+            model.expected_average_variance(candidate_features, reference_features)
         )
-        chosen = candidates[index]
+        best = float(scores.max())
+        ties = np.flatnonzero(scores >= best - 1e-12 * abs(best))
+        chosen = candidates[int(rng.choice(ties))]
 
         observations = list(
             profiler.measure(chosen, repetitions=plan.observations_per_selection)
@@ -394,6 +395,37 @@ class TestSessionPickle:
             )
             result = resumed.run(_test_set(mm), resume=session)
             assert _fingerprint(result) == baseline, f"checkpoint {index} diverged"
+
+    @pytest.mark.parametrize("phase", [SEEDING, LEARNING])
+    def test_resume_with_a_single_ask_outstanding(self, mm, phase):
+        """A session pickled between a plain ``ask()`` and its ``tell()``
+        owes exactly that request after loading, and the learner serves it
+        through ``pending_requests`` before asking again."""
+        learner = ActiveLearner(
+            mm, plan=sequential_plan(5), config=SMALL,
+            rng=np.random.default_rng(777),
+        )
+        baseline = _fingerprint(learner.run(_test_set(mm)))
+
+        session = learner.start_session(_test_set(mm))
+        broker = ProfilerBroker(Profiler(mm, rng=session.rng))
+        session.tell(broker.measure(session.ask()))  # one seed in
+        if phase == LEARNING:
+            while session.training_examples < SMALL.n_initial + 3:
+                session.tell(broker.measure(session.ask()))
+        request = session.ask()
+        assert session.phase == phase
+        clone = pickle.loads(pickle.dumps(session, protocol=pickle.HIGHEST_PROTOCOL))
+        assert [
+            (r.configuration, r.repetitions, r.prior_observations)
+            for r in clone.pending_requests
+        ] == [(request.configuration, request.repetitions, request.prior_observations)]
+
+        resumed = ActiveLearner(
+            mm, plan=sequential_plan(5), config=SMALL,
+            rng=np.random.default_rng(12345),  # decoy: must be unused
+        )
+        assert _fingerprint(resumed.run(_test_set(mm), resume=clone)) == baseline
 
     def test_resume_rejects_other_plans(self, mm):
         learner = ActiveLearner(

@@ -76,6 +76,23 @@ class TestConfidenceInterval:
         large = np.concatenate([small, rng.normal(1.0, 0.1, size=95)])
         assert confidence_interval_halfwidth(large) < confidence_interval_halfwidth(small)
 
+    def test_halfwidths_use_the_exact_student_t_quantile(self):
+        """Both half-width paths multiply the standard error by exactly
+        ``scipy.stats.t.ppf(0.5 + confidence / 2, df)``, for df 1-40."""
+        from scipy import stats as sps
+
+        rng = np.random.default_rng(4)
+        for df in range(1, 41):
+            values = rng.lognormal(0.0, 0.3, size=df + 1)
+            running = RunningStats()
+            running.extend(values)
+            for confidence in (0.9, 0.95, 0.99):
+                t_crit = float(sps.t.ppf(0.5 + confidence / 2.0, df=df))
+                sem = float(values.std(ddof=1)) / math.sqrt(df + 1)
+                assert confidence_interval_halfwidth(values, confidence) == t_crit * sem
+                running_sem = running.std / math.sqrt(df + 1)
+                assert running.summary(confidence).ci_halfwidth == t_crit * running_sem
+
     def test_zero_mean_ratio(self):
         assert ci_to_mean_ratio(0.0, 0.0) == 0.0
         assert ci_to_mean_ratio(0.0, 0.5) == math.inf
