@@ -90,6 +90,11 @@ class MeasurementFailedError(RuntimeError):
         super().__init__(message)
         self.dead_letter = dead_letter
 
+    def __reduce__(self):
+        # Rebuild with both arguments: a pool worker's error reaches the
+        # parent process pickled.
+        return type(self), (self.args[0], self.dead_letter)
+
 
 def _parse_fail_units(raw: str) -> Tuple[str, ...]:
     return tuple(part for part in raw.split("+") if part)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import pickle
 import signal
 import subprocess
 import sys
@@ -318,6 +319,16 @@ class TestResilientBroker:
         assert broker.dead_letters == [record]
         lines = dead_path.read_text("utf-8").splitlines()
         assert [json.loads(line) for line in lines] == [record]
+
+    def test_failed_error_round_trips_through_pickle(self):
+        """A pool worker's unit error reaches the parent pickled, so the
+        error must unpickle with its dead-letter record intact."""
+        record = {"unit": "table1--mm--plan--r001", "attempts": ["boom"]}
+        error = MeasurementFailedError("measurement failed", record)
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is MeasurementFailedError
+        assert str(copy) == "measurement failed"
+        assert copy.dead_letter == record
 
     def test_deadline_times_out_a_hanging_measurement(self):
         stub = StubBroker(hang=0.5)

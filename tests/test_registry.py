@@ -42,6 +42,7 @@ from repro.experiments.runner import (
     _execute_unit,
     _try_claim,
 )
+from repro.measurement.faults import BrokerPolicy, MeasurementFailedError
 
 ALL_ARTIFACTS = (
     "table2",
@@ -158,6 +159,23 @@ class TestRoundTrip:
                 row for row in result.rows if row.variant == result.reference_variant
             ]
             assert all(row.cost_ratio_vs_reference == 1.0 for row in reference_rows)
+
+
+class TestInMemoryFailure:
+    """The in-memory executor has no quarantine: a permanently failed
+    measurement aborts the run with its own error at any worker count."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_measurement_propagates(self, workers):
+        policy = BrokerPolicy(max_retries=1, inject_faults="fail-units=r001")
+        with pytest.raises(MeasurementFailedError) as excinfo:
+            run_artifacts(
+                _tiny_scale(repetitions=2),
+                ["table1"],
+                workers=workers,
+                broker_policy=policy,
+            )
+        assert "r001" in excinfo.value.dead_letter["unit"]
 
 
 class TestClaimLocking:
