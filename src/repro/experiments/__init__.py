@@ -19,10 +19,13 @@ Every artifact registers an :class:`~repro.experiments.registry.ExperimentSpec`
 declaring how it decomposes into seeded, order-independent,
 checkpointable work units and how completed units fold into its report.
 The registry is the only way an artifact is computed, on one of two
-backends: in memory (:func:`~repro.experiments.registry.run_artifacts`,
-what plain ``run_all`` uses; ``run_artifacts(scale, [name])[name]``
-returns one artifact) or through the sharded, resumable, multi-host task
-queue of :mod:`repro.experiments.runner` (``run_all --paper-run``).
+backends that share the registry's executor core (one unit context, one
+worker map, one fold loop): in memory
+(:func:`~repro.experiments.registry.run_artifacts`, what plain
+``run_all`` uses; ``run_artifacts(scale, [name])[name]`` returns one
+artifact) or through the sharded, resumable, multi-host task queue of
+:mod:`repro.experiments.runner` (``run_all --paper-run``), which adds
+only its run directory.
 Both take an :class:`repro.experiments.config.ExperimentScale`
 (``smoke``, ``laptop`` or ``paper``) and return result objects with a
 ``render()`` method that prints the same rows/series the paper reports.

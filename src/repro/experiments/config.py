@@ -15,8 +15,8 @@ every scale knob in one place:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from ..core.comparison import ComparisonConfig
 from ..core.learner import LearnerConfig

@@ -14,11 +14,15 @@ the same shape:
   ``batch-acquisition``) to their specs and resolves dependency closures
   (Figures 5 and 6 fold from Table 1's comparisons instead of recomputing
   them);
-* :func:`run_artifacts` is the in-memory executor — the degenerate
-  one-worker path of the sharded backend
-  (:mod:`repro.experiments.runner`), which executes the *same* units from
-  an on-disk queue across processes and hosts.  In-process callers take
-  one artifact as ``run_artifacts(scale, [name])[name]``.
+* one executor core runs the units and folds them for both backends:
+  :class:`UnitExecution` executes a unit under its :class:`UnitContext`,
+  :func:`map_units` runs units in-process or over a process pool, and
+  :func:`fold_artifacts` folds each artifact from what its backend
+  collected.  :func:`run_artifacts` is that core in memory — the sharded
+  backend (:mod:`repro.experiments.runner`) without its run directory —
+  and the runner executes the *same* units through it from an on-disk
+  queue across processes and hosts.  In-process callers take one
+  artifact as ``run_artifacts(scale, [name])[name]``.
 
 Unit payloads must be picklable and model-free (surrogate models are
 stripped before publication); unit parameters must be JSON-serialisable so
@@ -37,7 +41,7 @@ import dataclasses
 import hashlib
 import importlib
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -144,14 +148,15 @@ class WorkUnit:
 
 
 class UnitContext:
-    """Checkpoint facilities handed to an executing unit.
+    """What an executing unit learns about its run, plus checkpointing.
 
-    The base class is the in-memory no-op (no checkpointing); the sharded
-    runner substitutes a file-backed context that commits each checkpoint
-    — state, digest and example progress, which feeds the ETA display —
-    as one atomically written file.  Specs whose units are long learner
-    runs route these through :func:`execute_learner_run`; short units
-    ignore them.
+    Built from the executing unit, a context takes the unit's identity
+    and its spec's :attr:`ExperimentSpec.replay_rescore_from` itself.
+    The base class does not checkpoint; the sharded runner's file-backed
+    subclass adds only that, committing each checkpoint — state, digest
+    and example progress, which feeds the ETA display — as one atomically
+    written file.  Specs whose units are long learner runs route these
+    through :func:`execute_learner_run`; short units ignore them.
     """
 
     #: Training examples between checkpoints; 0 disables checkpointing.
@@ -168,8 +173,8 @@ class UnitContext:
     #: Identity of the executing work unit (:attr:`WorkUnit.unit_id`) and
     #: its artifact name.  Trace records are namespaced by the unit id, so
     #: the many units of a recording run stay statistically independent of
-    #: each other; both executors (in-memory and sharded) set these.
-    #: Direct API callers that leave them ``None`` get a per-run namespace
+    #: each other; a context built from a unit sets both.  Direct API
+    #: callers whose context has no unit get a per-run namespace
     #: derived from the run's identity by :func:`execute_learner_run`.
     unit_id: Optional[str] = None
     artifact: Optional[str] = None
@@ -177,8 +182,7 @@ class UnitContext:
     #: Artifacts whose recorded trace entries this unit may *re-score*
     #: from: a request missing from the unit's own namespace is served
     #: from a record one of these artifacts wrote (observations only —
-    #: never the foreign RNG/noise state).  Copied from the executing
-    #: spec's :attr:`ExperimentSpec.replay_rescore_from`.
+    #: never the foreign RNG/noise state).  Taken from the unit's spec.
     replay_rescore_from: Tuple[str, ...] = ()
 
     #: Fault-tolerance policy for the unit's measurements (see
@@ -187,6 +191,21 @@ class UnitContext:
     #: fault injection.  ``None`` (or an inactive policy) measures through
     #: the bare broker chain.
     broker_policy: Optional[BrokerPolicy] = None
+
+    def __init__(
+        self,
+        unit: Optional[WorkUnit] = None,
+        replay_trace: Optional[str] = None,
+        broker_policy: Optional[BrokerPolicy] = None,
+    ) -> None:
+        self.replay_trace = replay_trace
+        self.broker_policy = broker_policy
+        if unit is not None:
+            self.unit_id = unit.unit_id
+            self.artifact = unit.artifact
+            self.replay_rescore_from = tuple(
+                get_spec(unit.artifact).replay_rescore_from
+            )
 
     def load_checkpoint(self) -> Optional[Any]:
         """The unit's most recent checkpoint, or None to start fresh."""
@@ -324,104 +343,159 @@ def resolve_artifacts(
     return ordered
 
 
-# --------------------------------------------------------------- execution
+# ------------------------------------------ execution (core of both backends)
 
 
-def _memory_context(
-    replay_trace: Optional[str],
-    unit: Optional[WorkUnit] = None,
-    spec: Optional[ExperimentSpec] = None,
-    broker_policy: Optional[BrokerPolicy] = None,
-) -> UnitContext:
-    context = UnitContext()
-    context.replay_trace = replay_trace
-    context.broker_policy = broker_policy
-    if unit is not None:
-        context.unit_id = unit.unit_id
-        context.artifact = unit.artifact
-    if spec is not None:
-        context.replay_rescore_from = tuple(spec.replay_rescore_from)
-    return context
+@dataclass(frozen=True)
+class UnitExecution:
+    """What every unit of one run shares: the scale and the options each
+    unit's context carries.  It pickles, so a pool worker receives it
+    with its unit; calling it executes one unit in memory."""
+
+    scale: ExperimentScale
+    replay_trace: Optional[str] = None
+    profile_dir: Optional[str] = None
+    broker_policy: Optional[BrokerPolicy] = None
+
+    def execute(self, unit: WorkUnit, context: UnitContext) -> Any:
+        """Run ``unit`` under ``context``, with per-unit cProfile dumps
+        when ``profile_dir`` is set (see :mod:`repro.experiments.profiling`)."""
+        spec = get_spec(unit.artifact)
+        return profile_unit_call(
+            self.profile_dir,
+            unit.unit_id,
+            lambda: spec.execute_unit(unit, self.scale, context),
+        )
+
+    def __call__(self, unit: WorkUnit) -> Any:
+        return self.execute(
+            unit, UnitContext(unit, self.replay_trace, self.broker_policy)
+        )
 
 
-def _execute_unit_job(
-    args: Tuple[
-        str,
-        ExperimentScale,
-        dict,
-        Optional[str],
-        Optional[str],
-        Optional[BrokerPolicy],
-    ]
-) -> Any:
-    """Worker-process entry point for the in-memory pool path."""
-    spec_name, scale, record, replay_trace, profile_dir, broker_policy = args
-    spec = get_spec(spec_name)
-    unit = WorkUnit.from_record(record)
-    return profile_unit_call(
-        profile_dir,
-        unit.unit_id,
-        lambda: spec.execute_unit(
-            unit,
-            scale,
-            _memory_context(replay_trace, unit, spec, broker_policy),
-        ),
+def map_units(
+    job: Callable[[WorkUnit], Any],
+    units: Sequence[WorkUnit],
+    workers: int,
+    on_done: Callable[[WorkUnit, Any], None],
+    on_wake: Optional[Callable[[], None]] = None,
+    wake_seconds: Optional[float] = None,
+) -> None:
+    """Run ``job(unit)`` for every unit; ``on_done(unit, result)`` fires
+    as each one finishes.
+
+    ``workers <= 1`` runs the units in-process, in order.  Otherwise a
+    pool of ``min(workers, len(units))`` processes runs them (``job``
+    must pickle) and ``on_wake`` fires each time the collecting loop
+    wakes: when units finished, or after ``wake_seconds`` without one.
+    An error fails fast: it cancels every queued unit before it
+    propagates, where leaving the pool would first run the whole queue —
+    hours of doomed compute at paper scale.
+    """
+    if workers <= 1 or not units:
+        for unit in units:
+            on_done(unit, job(unit))
+        return
+    with ProcessPoolExecutor(max_workers=min(workers, len(units))) as pool:
+        futures = {pool.submit(job, unit): unit for unit in units}
+        outstanding = set(futures)
+        try:
+            while outstanding:
+                finished, outstanding = wait(
+                    outstanding, timeout=wake_seconds, return_when=FIRST_COMPLETED
+                )
+                for future in finished:
+                    on_done(futures[future], future.result())
+                if on_wake is not None:
+                    on_wake()
+        except BaseException:
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
+
+
+def failure_summary_line(record: dict) -> str:
+    """One human-readable line for a quarantined unit's failure record."""
+    attempts = record.get("attempts", [])
+    last_error = ""
+    if attempts:
+        lines = [
+            line
+            for line in str(attempts[-1].get("error", "")).strip().splitlines()
+            if line.strip()
+        ]
+        last_error = lines[-1].strip() if lines else ""
+    return (
+        f"{record.get('unit', '?')}: {len(attempts)} failed attempt(s)"
+        + (f"; last error: {last_error}" if last_error else "")
     )
 
 
-def execute_artifact_units(
-    spec: ExperimentSpec,
-    scale: ExperimentScale,
-    workers: int = 1,
-    replay_trace: Optional[str] = None,
-    profile_dir: Optional[str] = None,
-    broker_policy: Optional[BrokerPolicy] = None,
-) -> List[Tuple[WorkUnit, Any]]:
-    """Execute every unit of ``spec`` and return (unit, payload) pairs.
+class PartialArtifactResult:
+    """A folded artifact missing some quarantined units, plus its coverage.
 
-    ``workers == 1`` runs in-process; larger values fan the units out over
-    a process pool.  Units are seeded independently of execution order, so
-    the pairs are identical either way.  ``replay_trace`` routes learner
-    units through a recorded measurement trace (see :class:`UnitContext`).
-    ``profile_dir`` wraps each unit in cProfile and dumps per-unit stats
-    there (see :mod:`repro.experiments.profiling`).  ``broker_policy``
-    arms the fault-tolerance broker chain around each unit's measurements
-    (see :class:`~repro.measurement.faults.BrokerPolicy`); note the
-    in-memory executor has no quarantine — a permanently failed
-    measurement propagates and aborts the run (graceful degradation is
-    the sharded runner's job).
+    Wraps the spec's folded result (built from the completed units only)
+    and prepends an explicit coverage report to :meth:`render`, so a
+    degraded report can never be mistaken for a complete one.  Attribute
+    access delegates to the wrapped result, which keeps dependent folds
+    working (Figure 5 reads ``.comparisons`` off Table 1 whether or not
+    Table 1 is partial).  Only :func:`fold_artifacts` builds one.
     """
-    units = spec.work_units(scale)
-    if workers <= 1 or len(units) <= 1:
-        return [
-            (
-                unit,
-                profile_unit_call(
-                    profile_dir,
-                    unit.unit_id,
-                    lambda unit=unit: spec.execute_unit(
-                        unit,
-                        scale,
-                        _memory_context(replay_trace, unit, spec, broker_policy),
-                    ),
-                ),
-            )
-            for unit in units
+
+    def __init__(
+        self, result: Any, completed_units: int, quarantined: Sequence[dict]
+    ) -> None:
+        self.result = result
+        self.completed_units = completed_units
+        self.quarantined = list(quarantined)
+
+    def coverage_report(self) -> str:
+        total = self.completed_units + len(self.quarantined)
+        lines = [
+            f"!! PARTIAL RESULT: {self.completed_units}/{total} "
+            f"units folded; {len(self.quarantined)} quarantined:"
         ]
-    jobs = [
-        (
-            spec.name,
-            scale,
-            unit.to_record(),
-            replay_trace,
-            profile_dir,
-            broker_policy,
+        lines.extend(
+            f"!!   {failure_summary_line(record)}" for record in self.quarantined
         )
-        for unit in units
-    ]
-    with ProcessPoolExecutor(max_workers=min(workers, len(units))) as pool:
-        payloads = list(pool.map(_execute_unit_job, jobs))
-    return list(zip(units, payloads))
+        return "\n".join(lines)
+
+    def render(self) -> str:
+        return self.coverage_report() + "\n\n" + self.result.render()
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self.result, name)
+
+
+#: What a backend collects for one artifact: its completed (unit, payload)
+#: pairs in manifest order, and the failure records of its quarantined units.
+Collected = Tuple[List[Tuple[WorkUnit, Any]], List[dict]]
+
+
+def fold_artifacts(
+    scale: ExperimentScale,
+    specs: Sequence[ExperimentSpec],
+    collect: Callable[[ExperimentSpec], Collected],
+    on_result: Optional[Callable[[ExperimentSpec, Any], None]] = None,
+) -> Dict[str, Any]:
+    """Fold ``specs`` in order (dependencies first) — the fold loop of
+    both backends.
+
+    ``collect(spec)`` executes or loads the spec's units.  A spec with
+    quarantined units folds from the completed ones and comes back
+    wrapped in :class:`PartialArtifactResult`.  ``on_result`` fires with
+    ``(spec, result)`` after each fold.
+    """
+    results: Dict[str, Any] = {}
+    for spec in specs:
+        pairs, quarantined = collect(spec)
+        deps = {name: results[name] for name in spec.depends_on}
+        result = spec.fold(scale, pairs, deps)
+        if quarantined:
+            result = PartialArtifactResult(result, len(pairs), quarantined)
+        results[spec.name] = result
+        if on_result is not None:
+            on_result(spec, result)
+    return results
 
 
 def run_artifacts(
@@ -435,33 +509,38 @@ def run_artifacts(
 ) -> Dict[str, Any]:
     """Execute and fold artifacts in dependency order, in memory.
 
-    This is the degenerate one-worker path of the sharded backend: the
-    same units, the same seeding, the same folds — just without the
-    on-disk queue, claims and checkpoints.  ``on_result`` fires after each
-    artifact folds (dependency-closure artifacts included), which is what
-    lets the report stream section by section.  ``replay_trace`` names a
-    measurement-trace directory: learner runs replay recorded measurements
-    and record whatever they had to measure live, so a second run (or a
-    re-scoring of different acquisition arms) profiles only what the trace
-    does not already hold.  ``profile_dir`` turns on per-unit cProfile
-    dumps (the caller is responsible for merging them into a summary, see
-    :func:`repro.experiments.profiling.write_profile_summary`).
+    The sharded backend's core without its run directory: the same
+    units, seeding, worker map and folds, but no on-disk queue, claims or
+    checkpoints.  ``workers == 1`` runs in-process; larger values fan each
+    artifact's units out over a process pool, with identical results.
+    ``on_result`` fires after each artifact folds (dependency-closure
+    artifacts included), which is what lets the report stream section by
+    section.  ``replay_trace`` names a measurement-trace directory:
+    learner runs replay recorded measurements and record whatever they
+    had to measure live, so a second run (or a re-scoring of different
+    acquisition arms) profiles only what the trace does not already hold.
+    ``profile_dir`` turns on per-unit cProfile dumps (the caller merges
+    them, see :func:`repro.experiments.profiling.write_profile_summary`).
+    ``broker_policy`` arms the fault-tolerance broker chain around each
+    unit's measurements (see
+    :class:`~repro.measurement.faults.BrokerPolicy`).  There is no
+    quarantine here: a permanently failed measurement raises its
+    :class:`~repro.measurement.faults.MeasurementFailedError` at any
+    worker count (graceful degradation is the sharded runner's job).
     """
-    results: Dict[str, Any] = {}
-    for spec in resolve_artifacts(artifacts):
-        pairs = execute_artifact_units(
-            spec,
-            scale,
-            workers=workers,
-            replay_trace=replay_trace,
-            profile_dir=profile_dir,
-            broker_policy=broker_policy,
-        )
-        deps = {name: results[name] for name in spec.depends_on}
-        results[spec.name] = spec.fold(scale, pairs, deps)
-        if on_result is not None:
-            on_result(spec, results[spec.name])
-    return results
+    execution = UnitExecution(scale, replay_trace, profile_dir, broker_policy)
+
+    def collect(spec: ExperimentSpec) -> Collected:
+        units = spec.work_units(scale)
+        payloads: Dict[str, Any] = {}
+
+        def done(unit: WorkUnit, payload: Any) -> None:
+            payloads[unit.unit_id] = payload
+
+        map_units(execution, units, workers, done)
+        return [(unit, payloads[unit.unit_id]) for unit in units], []
+
+    return fold_artifacts(scale, resolve_artifacts(artifacts), collect, on_result)
 
 
 def group_learner_results(

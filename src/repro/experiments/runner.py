@@ -40,10 +40,14 @@ from a persistent on-disk queue:
   ``failed/dead-letters.jsonl`` when a fault-tolerance
   :class:`~repro.measurement.faults.BrokerPolicy` is armed.
 
-Artifacts execute in dependency order; each one folds and (optionally)
-streams its rendered report section as soon as its units are complete, so
-a killed report run still leaves every finished section behind.
-``run_all --paper-run`` drives this via :func:`run_paper_run`;
+The runner adds only the run directory to the registry's executor core:
+its job claims, executes and publishes a unit, and its collector reads
+payloads and quarantine records back from disk, while the worker map and
+the fold loop are the ones :func:`~repro.experiments.registry.run_artifacts`
+uses.  Artifacts execute in dependency order; each one folds and
+(optionally) streams its rendered report section as soon as its units are
+complete, so a killed report run still leaves every finished section
+behind.  ``run_all --paper-run`` drives this via :func:`run_paper_run`;
 :class:`ExperimentRunner` is the programmatic surface.
 """
 
@@ -60,20 +64,24 @@ import sys
 import threading
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from hashlib import sha256
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..measurement.faults import BrokerPolicy
 from .config import ExperimentScale
-from .profiling import profile_unit_call, write_profile_summary
+from .profiling import write_profile_summary
 from .registry import (
     DEFAULT_ARTIFACTS,
+    Collected,
     ExperimentSpec,
+    PartialArtifactResult,
     UnitContext,
+    UnitExecution,
     WorkUnit,
-    get_spec,
+    failure_summary_line,
+    fold_artifacts,
+    map_units,
     resolve_artifacts,
 )
 
@@ -243,23 +251,6 @@ def _unit_is_quarantined(
     """
     record = _load_failure_record(run_dir, unit_id)
     return record is not None and len(record["attempts"]) >= max_attempts
-
-
-def _failure_summary_line(record: dict) -> str:
-    """One human-readable line for a quarantined unit's report entry."""
-    attempts = record.get("attempts", [])
-    last_error = ""
-    if attempts:
-        lines = [
-            line
-            for line in str(attempts[-1].get("error", "")).strip().splitlines()
-            if line.strip()
-        ]
-        last_error = lines[-1].strip() if lines else ""
-    return (
-        f"{record.get('unit', '?')}: {len(attempts)} failed attempt(s)"
-        + (f"; last error: {last_error}" if last_error else "")
-    )
 
 
 # ------------------------------------------------------------------- claims
@@ -470,15 +461,10 @@ class _FileUnitContext(UnitContext):
         unit: WorkUnit,
         checkpoint_interval: int,
         replay_trace: Optional[str] = None,
-        replay_rescore_from: Tuple[str, ...] = (),
         broker_policy: Optional[BrokerPolicy] = None,
     ) -> None:
+        super().__init__(unit, replay_trace, broker_policy)
         self.checkpoint_interval = checkpoint_interval
-        self.replay_trace = replay_trace
-        self.unit_id = unit.unit_id
-        self.artifact = unit.artifact
-        self.replay_rescore_from = tuple(replay_rescore_from)
-        self.broker_policy = broker_policy
         self._run_dir = run_dir
         self._checkpoint_path = run_dir / "checkpoints" / f"{unit.unit_id}.pkl"
 
@@ -548,145 +534,87 @@ class _ClaimHeartbeat:
         self._thread.join(timeout=5.0)
 
 
-def _execute_unit(
-    run_dir: str,
-    spec_name: str,
-    scale: ExperimentScale,
-    record: dict,
-    checkpoint_interval: int,
-    lease_seconds: float,
-    replay_trace: Optional[str] = None,
-    profile_dir: Optional[str] = None,
-    broker_policy: Optional[BrokerPolicy] = None,
-    max_unit_attempts: int = 3,
-) -> Tuple[str, str]:
-    """Claim and run one work unit (worker-process entry point).
+@dataclass(frozen=True)
+class _QueuedExecution:
+    """Claim, execute and publish one unit of a run directory.
 
-    Returns ``(unit_id, status)`` where status is ``"done"`` (executed and
-    published), ``"already"`` (result existed), ``"claimed"`` (a peer
-    holds a live claim; the caller should poll for the peer's result),
-    ``"failed"`` (this attempt raised; the failure is recorded and the
-    unit stays retryable) or ``"quarantined"`` (the unit exhausted its
+    The job the runner hands :func:`~repro.experiments.registry.map_units`;
+    it pickles, so pool workers receive it with each unit.  Calling it
+    returns the unit's status: ``"done"`` (executed and published),
+    ``"already"`` (result existed), ``"claimed"`` (a peer holds a live
+    claim; the caller should poll for the peer's result), ``"failed"``
+    (this attempt raised; the failure is recorded and the unit stays
+    retryable) or ``"quarantined"`` (the unit exhausted its
     ``max_unit_attempts`` and is excluded from further execution — its
     ``failed/<unit>.json`` holds the full attempt history).
     """
-    base = pathlib.Path(run_dir)
-    unit = WorkUnit.from_record(record)
-    result_path = base / "results" / f"{unit.unit_id}.pkl"
-    if result_path.exists():
-        return unit.unit_id, "already"
-    if _unit_is_quarantined(base, unit.unit_id, max_unit_attempts):
-        return unit.unit_id, "quarantined"
-    claim_path = base / "claims" / f"{unit.unit_id}.claim"
-    if not _try_claim(claim_path, lease_seconds):
-        return unit.unit_id, "claimed"
-    try:
+
+    execution: UnitExecution
+    run_dir: pathlib.Path
+    checkpoint_interval: int
+    lease_seconds: float
+    max_unit_attempts: int
+
+    def __call__(self, unit: WorkUnit) -> str:
+        base = self.run_dir
+        result_path = base / "results" / f"{unit.unit_id}.pkl"
         if result_path.exists():
-            # The previous owner published between our staleness check and
-            # the takeover; nothing to do.
-            return unit.unit_id, "already"
-        _append_event(base, "execute", unit.unit_id)
+            return "already"
+        if _unit_is_quarantined(base, unit.unit_id, self.max_unit_attempts):
+            return "quarantined"
+        claim_path = base / "claims" / f"{unit.unit_id}.claim"
+        if not _try_claim(claim_path, self.lease_seconds):
+            return "claimed"
         try:
-            spec = get_spec(spec_name)
-            context = _FileUnitContext(
-                base,
-                unit,
-                checkpoint_interval,
-                replay_trace,
-                replay_rescore_from=spec.replay_rescore_from,
-                broker_policy=broker_policy,
-            )
-            with _ClaimHeartbeat(claim_path, lease_seconds):
-                payload = profile_unit_call(
-                    profile_dir,
-                    unit.unit_id,
-                    lambda: spec.execute_unit(unit, scale, context),
+            if result_path.exists():
+                # The previous owner published between our staleness check
+                # and the takeover; nothing to do.
+                return "already"
+            _append_event(base, "execute", unit.unit_id)
+            try:
+                context = _FileUnitContext(
+                    base,
+                    unit,
+                    self.checkpoint_interval,
+                    self.execution.replay_trace,
+                    self.execution.broker_policy,
                 )
-        except Exception:
-            # Graceful degradation: record the attempt (traceback + host +
-            # time) while we still hold the claim — the claim serialises
-            # the read-modify-write of the failure file — and hand the
-            # unit back.  It stays retryable until max_unit_attempts, then
-            # quarantines; KeyboardInterrupt and friends still propagate.
-            failure = _record_unit_failure(
-                base, unit.unit_id, traceback.format_exc(), max_unit_attempts
+                with _ClaimHeartbeat(claim_path, self.lease_seconds):
+                    payload = self.execution.execute(unit, context)
+            except Exception:
+                # Graceful degradation: record the attempt (traceback +
+                # host + time) while we still hold the claim — the claim
+                # serialises the read-modify-write of the failure file —
+                # and hand the unit back.  It stays retryable until
+                # max_unit_attempts, then quarantines; KeyboardInterrupt
+                # and friends still propagate.
+                failure = _record_unit_failure(
+                    base, unit.unit_id, traceback.format_exc(),
+                    self.max_unit_attempts,
+                )
+                if failure.get("quarantined"):
+                    _append_event(base, "quarantine", unit.unit_id)
+                    return "quarantined"
+                _append_event(base, "fail", unit.unit_id)
+                return "failed"
+            _atomic_write_bytes(
+                result_path,
+                pickle.dumps(
+                    {"unit": unit.to_record(), "payload": payload},
+                    protocol=pickle.HIGHEST_PROTOCOL,
+                ),
             )
-            quarantined = bool(failure.get("quarantined"))
-            _append_event(
-                base,
-                "quarantine" if quarantined else "fail",
-                unit.unit_id,
-            )
-            return unit.unit_id, "quarantined" if quarantined else "failed"
-        _atomic_write_bytes(
-            result_path,
-            pickle.dumps(
-                {"unit": unit.to_record(), "payload": payload},
-                protocol=pickle.HIGHEST_PROTOCOL,
-            ),
-        )
-        _append_event(base, "publish", unit.unit_id)
-        context.cleanup()
-        # A unit that failed on earlier attempts but succeeded now is not
-        # a failure: keep the coverage report clean.
-        _clear_unit_failure(base, unit.unit_id)
-    finally:
-        _release_claim(claim_path)
-    return unit.unit_id, "done"
+            _append_event(base, "publish", unit.unit_id)
+            context.cleanup()
+            # A unit that failed on earlier attempts but succeeded now is
+            # not a failure: keep the coverage report clean.
+            _clear_unit_failure(base, unit.unit_id)
+        finally:
+            _release_claim(claim_path)
+        return "done"
 
 
 # ------------------------------------------------------------------- runner
-
-
-class PartialArtifactResult:
-    """A folded artifact missing some quarantined units, plus its coverage.
-
-    Wraps the spec's folded result (built from the completed units only)
-    and prepends an explicit coverage report to :meth:`render`, so a
-    degraded report can never be mistaken for a complete one.  Attribute
-    access delegates to the wrapped result, which keeps dependent folds
-    working (Figure 5 reads ``.comparisons`` off Table 1 whether or not
-    Table 1 is partial).
-    """
-
-    def __init__(
-        self,
-        result: Any,
-        artifact: str,
-        total_units: int,
-        completed_units: int,
-        quarantined: Sequence[dict],
-    ) -> None:
-        self._result = result
-        self._artifact = artifact
-        self._total_units = total_units
-        self._completed_units = completed_units
-        self._quarantined = list(quarantined)
-
-    @property
-    def result(self) -> Any:
-        return self._result
-
-    @property
-    def quarantined(self) -> List[dict]:
-        return list(self._quarantined)
-
-    def coverage_report(self) -> str:
-        lines = [
-            f"!! PARTIAL RESULT: {self._completed_units}/{self._total_units} "
-            f"units folded; {len(self._quarantined)} quarantined:"
-        ]
-        lines.extend(
-            f"!!   {_failure_summary_line(record)}"
-            for record in self._quarantined
-        )
-        return "\n".join(lines)
-
-    def render(self) -> str:
-        return self.coverage_report() + "\n\n" + self._result.render()
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._result, name)
 
 
 class ExperimentRunner:
@@ -864,47 +792,34 @@ class ExperimentRunner:
             f"({total - len(self.pending_units(manifest))} already complete, "
             f"{workers} worker{'s' if workers != 1 else ''})"
         )
-        units_by_artifact: Dict[str, List[WorkUnit]] = {}
-        for unit in manifest.units:
-            units_by_artifact.setdefault(unit.artifact, []).append(unit)
-        results: Dict[str, Any] = {}
-        for index, spec in enumerate(self.specs):
+        units_by_artifact = self._units_by_artifact(manifest)
+
+        def collect(spec: ExperimentSpec) -> Collected:
             units = units_by_artifact.get(spec.name, [])
             later_units = [
                 unit
-                for later in self.specs[index + 1 :]
+                for later in self.specs[self.specs.index(spec) + 1 :]
                 for unit in units_by_artifact.get(later.name, [])
             ]
             self._execute_artifact(
                 spec, units, later_units, workers, say, state, progress_interval
             )
-            completed = [
-                unit for unit in units if self._result_path(unit).exists()
-            ]
-            quarantined = [
-                unit for unit in units if unit not in completed
-            ]
-            results[spec.name] = self._fold_artifact(spec, completed, results)
-            if quarantined:
-                # Graceful degradation: fold what completed, but wrap the
-                # result so the report carries an explicit coverage section
-                # instead of passing a partial fold off as complete.
-                results[spec.name] = PartialArtifactResult(
-                    results[spec.name],
-                    spec.name,
-                    total_units=len(units),
-                    completed_units=len(completed),
-                    quarantined=self.failure_records(quarantined),
-                )
+            return self._collect(units)
+
+        def folded(spec: ExperimentSpec, result: Any) -> None:
+            units = len(units_by_artifact.get(spec.name, []))
+            if isinstance(result, PartialArtifactResult):
                 say(
                     f"  artifact {spec.name}: folded PARTIAL "
-                    f"({len(completed)}/{len(units)} unit(s), "
-                    f"{len(quarantined)} quarantined)"
+                    f"({result.completed_units}/{units} unit(s), "
+                    f"{len(result.quarantined)} quarantined)"
                 )
             else:
-                say(f"  artifact {spec.name}: folded ({len(units)} unit(s))")
+                say(f"  artifact {spec.name}: folded ({units} unit(s))")
             if on_result is not None:
-                on_result(spec, results[spec.name])
+                on_result(spec, result)
+
+        results = fold_artifacts(self.scale, self.specs, collect, folded)
         if self.profile_dir is not None:
             summary = write_profile_summary(self.profile_dir)
             if summary is not None:
@@ -1029,69 +944,38 @@ class ExperimentRunner:
         advanced the unit's attempt history — so the caller re-plans
         immediately instead of sleeping on the claim-poll interval."""
         executed = 0
-        active = ("done", "failed", "quarantined")
-        if workers == 1:
-            for unit in pending:
-                _, status = _execute_unit(
-                    str(self.run_dir),
-                    unit.artifact,
-                    self.scale,
-                    unit.to_record(),
-                    self.checkpoint_interval,
-                    self.claim_lease_seconds,
-                    self.replay_trace,
-                    self.profile_dir,
-                    self.broker_policy,
-                    self.max_unit_attempts,
-                )
-                if status in ("done", "already"):
-                    say(self._status_line(state))
-                elif status in ("failed", "quarantined"):
-                    say(f"  unit {unit.unit_id}: attempt failed ({status})")
-                executed += status in active
-            return executed
-        with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
-            futures = {
-                pool.submit(
-                    _execute_unit,
-                    str(self.run_dir),
-                    unit.artifact,
-                    self.scale,
-                    unit.to_record(),
-                    self.checkpoint_interval,
-                    self.claim_lease_seconds,
-                    self.replay_trace,
-                    self.profile_dir,
-                    self.broker_policy,
-                    self.max_unit_attempts,
-                ): unit
-                for unit in pending
-            }
-            outstanding = set(futures)
-            try:
-                while outstanding:
-                    finished, outstanding = wait(
-                        outstanding,
-                        timeout=progress_interval,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    for future in finished:
-                        # Unit execution errors come back as "failed"/
-                        # "quarantined" statuses; .result() re-raises only
-                        # infrastructure failures (a dead worker process).
-                        _, status = future.result()
-                        executed += status in active
-                    if finished or outstanding:
-                        say(self._status_line(state))
-            except BaseException:
-                # Fail fast: without this, leaving the executor context
-                # would silently run every queued unit to completion before
-                # the error surfaces — hours of doomed compute at paper
-                # scale.  (Checkpoints and published results survive, so a
-                # fixed-and-resumed run loses nothing.)
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
+
+        def done(unit: WorkUnit, status: str) -> None:
+            nonlocal executed
+            executed += status in ("done", "failed", "quarantined")
+            if workers > 1:
+                return  # a pool reports progress once per wake-up instead
+            if status in ("done", "already"):
+                say(self._status_line(state))
+            elif status in ("failed", "quarantined"):
+                say(f"  unit {unit.unit_id}: attempt failed ({status})")
+
+        map_units(
+            self._queued_execution(),
+            pending,
+            workers,
+            done,
+            on_wake=lambda: say(self._status_line(state)),
+            wake_seconds=progress_interval,
+        )
         return executed
+
+    def _queued_execution(self) -> _QueuedExecution:
+        """The picklable job that claims, executes and publishes a unit."""
+        return _QueuedExecution(
+            UnitExecution(
+                self.scale, self.replay_trace, self.profile_dir, self.broker_policy
+            ),
+            self.run_dir,
+            self.checkpoint_interval,
+            self.claim_lease_seconds,
+            self.max_unit_attempts,
+        )
 
     def _status_line(self, state: dict) -> str:
         """One progress line: units, in-flight example counts, elapsed, ETA.
@@ -1143,17 +1027,25 @@ class ExperimentRunner:
         with open(self._result_path(unit), "rb") as handle:
             return pickle.load(handle)["payload"]
 
-    def _fold_artifact(
-        self,
-        spec: ExperimentSpec,
-        units: Sequence[WorkUnit],
-        results: Dict[str, Any],
-    ) -> Any:
-        """Fold one artifact from its published unit payloads; ``results``
-        must already hold every artifact in ``spec.depends_on``."""
-        payloads = [(unit, self._load_payload(unit)) for unit in units]
-        deps = {name: results[name] for name in spec.depends_on}
-        return spec.fold(self.scale, payloads, deps)
+    def _units_by_artifact(
+        self, manifest: RunManifest
+    ) -> Dict[str, List[WorkUnit]]:
+        units_by_artifact: Dict[str, List[WorkUnit]] = {}
+        for unit in manifest.units:
+            units_by_artifact.setdefault(unit.artifact, []).append(unit)
+        return units_by_artifact
+
+    def _collect(self, units: Sequence[WorkUnit]) -> Collected:
+        """The published payloads of ``units`` and the failure records of
+        the rest, which a finished run holds only for quarantined units."""
+        completed: List[WorkUnit] = []
+        missing: List[WorkUnit] = []
+        for unit in units:
+            (completed if self._result_path(unit).exists() else missing).append(unit)
+        return (
+            [(unit, self._load_payload(unit)) for unit in completed],
+            self.failure_records(missing),
+        )
 
     def merge(self, manifest: Optional[RunManifest] = None) -> Dict[str, Any]:
         """Fold every artifact from the completed results on disk.
@@ -1168,39 +1060,22 @@ class ExperimentRunner:
         """
         if manifest is None:
             manifest = RunManifest.read(self.manifest_path)
-        missing = self.pending_units(manifest)
-        quarantined_ids = {
-            unit.unit_id for unit in self.quarantined_units(manifest)
-        }
         incomplete = [
-            unit for unit in missing if unit.unit_id not in quarantined_ids
+            unit
+            for unit in self.pending_units(manifest)
+            if not self._unit_is_quarantined(unit)
         ]
         if incomplete:
             raise RunnerError(
                 f"cannot merge {self.run_dir}: {len(incomplete)} unit(s) "
                 f"incomplete (first: {incomplete[0].unit_id})"
             )
-        units_by_artifact: Dict[str, List[WorkUnit]] = {}
-        for unit in manifest.units:
-            units_by_artifact.setdefault(unit.artifact, []).append(unit)
-        results: Dict[str, Any] = {}
-        for spec in self.specs:
-            units = units_by_artifact.get(spec.name, [])
-            completed = [
-                unit for unit in units if self._result_path(unit).exists()
-            ]
-            results[spec.name] = self._fold_artifact(spec, completed, results)
-            if len(completed) < len(units):
-                results[spec.name] = PartialArtifactResult(
-                    results[spec.name],
-                    spec.name,
-                    total_units=len(units),
-                    completed_units=len(completed),
-                    quarantined=self.failure_records(
-                        [unit for unit in units if unit not in completed]
-                    ),
-                )
-        return results
+        units_by_artifact = self._units_by_artifact(manifest)
+        return fold_artifacts(
+            self.scale,
+            self.specs,
+            lambda spec: self._collect(units_by_artifact.get(spec.name, [])),
+        )
 
 
 def run_paper_run(
@@ -1288,7 +1163,7 @@ def run_paper_run(
             "histories in failed/<unit>.json):",
         ]
         lines.extend(
-            f"  - {_failure_summary_line(record)}"
+            f"  - {failure_summary_line(record)}"
             for record in runner.failure_records(quarantined)
         )
         text = "\n".join(lines)

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .expr import Expr, affine_coefficients
-from .loopnest import ArrayRef, Kernel, Loop, Node, Statement, walk_loops
+from .expr import affine_coefficients
+from .loopnest import ArrayRef, Kernel, Loop, Node, Statement
 
 __all__ = [
     "LoopContext",
@@ -77,10 +77,6 @@ class InnermostBodyStats:
     stores: int
     iterations: int
     unroll_product: int
-
-    @property
-    def memory_refs(self) -> int:
-        return self.loads + self.stores
 
 
 def _midpoint_bindings(

@@ -23,10 +23,10 @@ IR; analyses (:mod:`repro.ir.analysis`) and the machine model
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Iterator, List, Mapping, Sequence, Tuple, Union
 
-from .expr import Const, Expr, ExprLike, Var, to_expr
+from .expr import ExprLike, to_expr
 
 __all__ = [
     "ArrayDecl",

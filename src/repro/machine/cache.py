@@ -24,8 +24,8 @@ i7-4770K (Haswell): 32 KB L1-D, 256 KB L2, 8 MB shared L3, 64-byte lines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 __all__ = ["CacheLevel", "MemoryHierarchy", "haswell_hierarchy"]
 

@@ -20,7 +20,7 @@ This module provides the same interface against the simulated substrate:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np

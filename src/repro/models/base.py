@@ -15,7 +15,6 @@ from __future__ import annotations
 import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,10 +87,6 @@ class SurrogateModel(ABC):
         # Higher own-variance candidates are assumed to remove more variance.
         reduction = candidate_pred.variance / (len(reference) + 1.0)
         return np.maximum(base - reduction, 0.0)
-
-    def predictive_std(self, features: np.ndarray) -> np.ndarray:
-        """Convenience wrapper returning the predictive standard deviation."""
-        return np.sqrt(np.maximum(self.predict(features).variance, 0.0))
 
     def fantasy_copy(self) -> "SurrogateModel":
         """A throwaway copy safe to ``update`` with believed observations.

@@ -80,14 +80,8 @@ class Dataset:
     def mean_runtimes(self) -> np.ndarray:
         return np.array([entry.mean_runtime for entry in self._entries], dtype=float)
 
-    def true_runtimes(self) -> np.ndarray:
-        return np.array([entry.true_runtime for entry in self._entries], dtype=float)
-
     def variances(self) -> np.ndarray:
         return np.array([entry.variance for entry in self._entries], dtype=float)
-
-    def compile_times(self) -> np.ndarray:
-        return np.array([entry.compile_time for entry in self._entries], dtype=float)
 
     def features(self) -> np.ndarray:
         return self._benchmark.features_many(self.configurations())

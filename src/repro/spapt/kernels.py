@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from ..ir.expr import Const, Var
+from ..ir.expr import Var
 from ..ir.loopnest import ArrayDecl, ArrayRef, Kernel, Loop, Statement
 
 __all__ = [

@@ -21,21 +21,17 @@ its configurations directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..ir.loopnest import Kernel
-from ..machine.cost_model import (
-    CostEvaluation,
-    MachineCostModel,
-    TransformConfiguration,
-)
+from ..machine.cost_model import CostEvaluation, MachineCostModel
 from ..measurement.noise import NoiseModel, NoiseProfile, noise_model_from_profile
 from .kernels import KERNEL_BUILDERS
-from .search_space import ParameterKind, SearchSpace, TunableParameter
+from .search_space import SearchSpace, TunableParameter
 
 __all__ = [
     "BenchmarkSpec",
@@ -411,12 +407,6 @@ class SpaptBenchmark:
     def features_many(self, configurations: Sequence[Sequence[int]]) -> np.ndarray:
         """One feature matrix for a batch of configurations."""
         return self._space.normalize_many(configurations)
-
-    def transform_configuration(
-        self, configuration: Sequence[int]
-    ) -> TransformConfiguration:
-        """The transformation parameters a configuration lowers to."""
-        return self._space.to_transform_configuration(configuration)
 
     # -------------------------------------------------------------- internal
 

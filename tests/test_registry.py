@@ -37,11 +37,7 @@ from repro.experiments.registry import (
     run_artifacts,
     spec_names,
 )
-from repro.experiments.runner import (
-    ExperimentRunner,
-    _execute_unit,
-    _try_claim,
-)
+from repro.experiments.runner import ExperimentRunner, _try_claim
 from repro.measurement.faults import BrokerPolicy, MeasurementFailedError
 
 ALL_ARTIFACTS = (
@@ -209,16 +205,17 @@ class TestClaimLocking:
 
     def test_fresh_claim_makes_execute_unit_step_aside(self, tmp_path):
         scale = SCALE
-        runner = ExperimentRunner(tmp_path / "run", scale, artifacts=["table2"])
+        runner = ExperimentRunner(
+            tmp_path / "run", scale, artifacts=["table2"],
+            checkpoint_interval=5, claim_lease_seconds=600.0,
+        )
         manifest = runner.prepare()
         unit = manifest.units[0]
         claim = tmp_path / "run" / "claims" / f"{unit.unit_id}.claim"
         assert _try_claim(claim, lease_seconds=600.0)
-        unit_id, status = _execute_unit(
-            str(tmp_path / "run"), "table2", scale, unit.to_record(), 5, 600.0
-        )
+        status = runner._queued_execution()(unit)
         assert status == "claimed"
-        assert not (tmp_path / "run" / "results" / f"{unit_id}.pkl").exists()
+        assert not (tmp_path / "run" / "results" / f"{unit.unit_id}.pkl").exists()
 
     def test_blocked_host_works_ahead_on_later_artifacts(self, tmp_path):
         """A host whose current artifact is fully claimed by a peer does
@@ -326,13 +323,13 @@ class TestKillResumeMigratedArtifact:
         ).run(workers=1)
 
         partial_dir = tmp_path / "partial"
-        partial = ExperimentRunner(partial_dir, scale, artifacts=["table2"])
+        partial = ExperimentRunner(
+            partial_dir, scale, artifacts=["table2"],
+            checkpoint_interval=5, claim_lease_seconds=600.0,
+        )
         manifest = partial.prepare()
         # Simulate the kill: only the first unit got published.
-        first = manifest.units[0]
-        _execute_unit(
-            str(partial_dir), "table2", scale, first.to_record(), 5, 600.0
-        )
+        assert partial._queued_execution()(manifest.units[0]) == "done"
         assert len(partial.pending_units(manifest)) == len(manifest.units) - 1
 
         resumed = ExperimentRunner(

@@ -30,11 +30,13 @@ from repro.core.plans import sequential_plan
 from repro.experiments.config import ExperimentScale
 from repro.experiments.runner import (
     ExperimentRunner,
+    PartialArtifactResult,
     RunManifest,
     RunnerError,
     WorkUnit,
 )
 from repro.experiments.registry import resolve_artifacts
+from repro.measurement.faults import BrokerPolicy
 from repro.spapt.suite import get_benchmark
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -124,6 +126,28 @@ class TestWorkUnitsAndManifest:
         runner.prepare()
         with pytest.raises(RunnerError, match="incomplete"):
             runner.merge()
+
+    def test_merge_renders_a_quarantined_run_like_run(self, tmp_path):
+        """merge() of a finished run with a quarantined unit folds the same
+        partial artifact run() returned, coverage report included."""
+        runner = ExperimentRunner(
+            tmp_path,
+            _small_scale(),
+            artifacts=["table1"],
+            broker_policy=BrokerPolicy(
+                inject_faults="fail-units=mm--one-observation--r001"
+            ),
+            max_unit_attempts=1,
+        )
+        ran = runner.run(workers=1)["table1"]
+        merged = runner.merge()["table1"]
+        assert isinstance(ran, PartialArtifactResult)
+        assert isinstance(merged, PartialArtifactResult)
+        assert [record["unit"] for record in merged.quarantined] == [
+            "table1--mm--one-observation--r001"
+        ]
+        assert merged.render().startswith("!! PARTIAL RESULT: 5/6 units folded")
+        assert merged.render() == ran.render()
 
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(KeyError):
