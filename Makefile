@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test docs-check bench bench-update bench-session bench-batch bench-broker bench-gate bench-e2e lint coverage profile chaos
+.PHONY: test docs-check bench bench-update bench-session bench-batch bench-broker bench-gate bench-e2e bench-e2e-ab lint coverage profile chaos
 
 ## Coverage ratchet for the CI coverage job: fail below this line rate.
 ## Raise it when coverage grows; never lower it to make a PR pass.
@@ -65,6 +65,15 @@ SEED ?= 1
 bench-e2e:
 	$(PYTHON) e2ebench/run.py --workload laptop-suite --seed $(SEED) --seconds 30
 	$(PYTHON) e2ebench/run.py --workload sharded-table1 --seed $(SEED) --seconds 30
+
+## A/B the end-to-end benchmark: REF (exported with git archive) against
+## the worktree, both workloads, seeds 1..PAIRS, the two sides run back to
+## back in alternating order.  Prints every pair's end-to-end metrics and
+## each metric's median change; cite its summary for a perf claim.
+REF ?= HEAD
+PAIRS ?= 5
+bench-e2e-ab:
+	$(PYTHON) benchmarks/e2e_ab.py $(REF) --pairs $(PAIRS)
 
 ## cProfile a smoke-scale table1 run: per-unit .prof dumps plus a merged
 ## top-25 cumulative summary in $(PROFILE_DIR)/profile.txt.  Override the

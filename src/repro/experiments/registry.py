@@ -463,6 +463,11 @@ class PartialArtifactResult:
         return self.coverage_report() + "\n\n" + self.result.render()
 
     def __getattr__(self, name: str) -> Any:
+        # Only ``result``'s own fields delegate.  ``copy`` and ``pickle``
+        # probe dunders on an instance whose ``__init__`` has not run, and
+        # delegating ``result`` itself there would recurse without end.
+        if name == "result" or (name.startswith("__") and name.endswith("__")):
+            raise AttributeError(name)
         return getattr(self.result, name)
 
 

@@ -18,7 +18,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Prediction", "SurrogateModel"]
+__all__ = ["Prediction", "SurrogateModel", "squared_distances"]
+
+
+def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``(len(A), len(B))`` squared euclidean distances between the rows.
+
+    One pass per dimension, ``acc += d * d``: the accumulation order of
+    ``scipy.spatial.distance.cdist(A, B, "sqeuclidean")``, whose values it
+    reproduces bit for bit (a broadcast ``.sum(-1)`` adds pairwise and
+    does not), without importing ``scipy.spatial``.
+    """
+    acc = np.zeros((A.shape[0], B.shape[0]))
+    for dim in range(A.shape[1]):
+        d = A[:, dim, None] - B[None, :, dim]
+        acc += d * d
+    return acc
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .base import Prediction, SurrogateModel
+from .base import Prediction, SurrogateModel, squared_distances
 
 __all__ = ["ConstantMeanModel", "KNNRegressor"]
 
@@ -96,7 +95,7 @@ class KNNRegressor(SurrogateModel):
         if self._X is None or self._y is None:
             raise RuntimeError("the model has no training data yet")
         Xs = np.atleast_2d(np.asarray(features, dtype=float))
-        distances = cdist(Xs, self._X)
+        distances = np.sqrt(squared_distances(Xs, self._X))
         k = min(self._k, self._X.shape[0])
         order = np.argsort(distances, axis=1)[:, :k]
         neighbour_targets = self._y[order]

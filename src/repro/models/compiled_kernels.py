@@ -9,12 +9,11 @@ funnels its per-particle inner loops through three kernels:
   leaf node, parent and depth (the reweight front-end);
 * :func:`reweight_log_weights` — the fused gather + Student-t log-pdf
   accumulation over :class:`~repro.models.leaf.LeafCacheArrays` rows;
-* :func:`grow_scores` — the fused candidate scan: given the padded
-  partition sums and per-count NIG term tables, score every candidate
-  split of every particle and pick each particle's best.
+* :func:`nig_beta_n` — the posterior ``beta_n`` of leaves given their
+  sufficient statistics, the non-tabulated part of every leaf LML.
 
-The reweight and grow-score kernels take their ``log1p``/``log`` array
-map as an argument, and :func:`log_maps` picks the maps from
+The reweight kernel and the model's leaf LMLs take their ``log1p``/``log``
+array map as an argument, and :func:`log_maps` picks the maps from
 ``DynamicTreeConfig(float_mode=...)``:
 
 ``"exact"``
@@ -39,7 +38,6 @@ from typing import Callable, Tuple
 import numpy as np
 
 __all__ = [
-    "grow_scores",
     "log1p_map_exact",
     "log_map_exact",
     "log_maps",
@@ -164,69 +162,3 @@ def nig_beta_n(
     return (prior_beta + 0.5 * sum_sq_dev) + (
         0.5 * ((prior_kappa * counts) * ((mean - prior_mean) ** 2))
     ) / kappa_n
-
-
-# -------------------------------------------------------------- grow scores
-
-
-def grow_scores(
-    n_left: np.ndarray,
-    n_points: np.ndarray,
-    sums: np.ndarray,
-    min_leaf: int,
-    n_candidates: int,
-    kappa_tab: np.ndarray,
-    alpha_tab: np.ndarray,
-    head_tab: np.ndarray,
-    mid_tab: np.ndarray,
-    tail_tab: np.ndarray,
-    prior_beta: float,
-    prior_kappa: float,
-    prior_mean: float,
-    log_array: ArrayMap,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best candidate split per particle from padded partition sums.
-
-    ``n_left`` is ``(P, K)`` left-side counts (0 on padding slots, so
-    they are invalid whenever ``min_leaf >= 1``), ``n_points`` the
-    ``(P,)`` per-particle totals, ``sums`` the ``(P, 2, 2K)`` padded
-    sum/sum-of-squares block (left slots ``0..K-1``, right slots
-    ``K..2K-1``).  Returns ``(best_slot, left_lml, right_lml)`` with
-    ``best_slot[p] == -1`` when particle ``p`` has no valid candidate.
-    Ties keep the first maximum, like the scalar ``score > best`` scan.
-    """
-    count = n_points.shape[0]
-    best_slot = np.full(count, -1, dtype=np.intp)
-    best_left = np.zeros(count)
-    best_right = np.zeros(count)
-    n_right = n_points[:, None] - n_left
-    valid = (n_left >= min_leaf) & (n_right >= min_leaf)
-    pi, ci = np.nonzero(valid)
-    if not pi.size:
-        return best_slot, best_left, best_right
-    counts2 = np.concatenate([n_left[pi, ci], n_right[pi, ci]])
-    totals2 = np.concatenate([sums[pi, 0, ci], sums[pi, 0, ci + n_candidates]])
-    sqs2 = np.concatenate([sums[pi, 1, ci], sums[pi, 1, ci + n_candidates]])
-    kappa2 = kappa_tab[counts2]
-    alpha2 = alpha_tab[counts2]
-    beta2 = nig_beta_n(
-        counts2, totals2, sqs2, kappa2, prior_beta, prior_kappa, prior_mean
-    )
-    lml2 = ((head_tab[counts2] - alpha2 * log_array(beta2)) + mid_tab[counts2]) - (
-        tail_tab[counts2]
-    )
-    left_lml = lml2[: pi.size]
-    right_lml = lml2[pi.size :]
-    score_matrix = np.full(n_left.shape, -np.inf)
-    score_matrix[pi, ci] = left_lml + right_lml
-    left_matrix = np.zeros(n_left.shape)
-    right_matrix = np.zeros(n_left.shape)
-    left_matrix[pi, ci] = left_lml
-    right_matrix[pi, ci] = right_lml
-    rows = np.arange(count)
-    best_c = np.argmax(score_matrix, axis=1)
-    has_best = score_matrix[rows, best_c] > -np.inf
-    best_slot[has_best] = best_c[has_best]
-    best_left[has_best] = left_matrix[rows, best_c][has_best]
-    best_right[has_best] = right_matrix[rows, best_c][has_best]
-    return best_slot, best_left, best_right

@@ -40,8 +40,10 @@ which is what makes paper-scale particle counts (5 000) tractable:
   the cached log-pdf terms of the leaves it lands on;
 * **resample** — the systematic resampler gathers the forest's rows;
 * **propagate** — stay/grow/prune scores come from count-indexed NIG term
-  tables, one batched masked scan scores all candidate splits over tables
-  built from ``leaf_of``, and the moves land on the forest as one row
+  tables.  Particles whose leaves hold the same training rows (read from
+  ``leaf_of``) share one grow table, each distinct candidate split is
+  summed by one batched masked scan and scored once, and every particle
+  still draws its own move.  The moves land on the forest as one row
   write for every stay, one splice for every grow and one for every prune.
 
 Each update draws its randomness up front in one fixed, data-independent
@@ -75,6 +77,30 @@ __all__ = ["DynamicTreeConfig", "DynamicTreeRegressor"]
 _COUNT, _SUM, _SUM_SQ, _LML = (
     LeafCacheArrays.COUNT, LeafCacheArrays.SUM, LeafCacheArrays.SUM_SQ, LeafCacheArrays.LML
 )
+
+
+def _equal_rows(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Group the rows of a boolean matrix by content.
+
+    Returns ``(group_of, first)``: each row's group and each group's
+    first row.  The rows are packed to bits, zero-padded to ``uint64``
+    words and lexsorted, and a group starts wherever a row differs from
+    its sorted predecessor.  A zero-width matrix is one group.
+    """
+    count, width = mask.shape
+    if not width:
+        return np.zeros(count, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    packed = np.zeros((count, -(-width // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-width // 8)] = np.packbits(mask, axis=1)
+    words = packed.view(np.uint64)
+    order = np.lexsort(words.T)
+    ordered = words[order]
+    starts = np.empty(count, dtype=bool)
+    starts[0] = True
+    (ordered[1:] != ordered[:-1]).any(axis=1, out=starts[1:])
+    group_of = np.empty(count, dtype=np.intp)
+    group_of[order] = starts.cumsum() - 1
+    return group_of, order[starts]
 
 
 @dataclass(frozen=True)
@@ -160,8 +186,11 @@ class _LeafContext(NamedTuple):
 
     ``leaf`` holds every particle's leaf cache row and ``sibling`` the
     prune sibling's row of each prunable particle (``pr`` lists them, in
-    particle order).  ``members`` are the training rows of every
-    particle's leaf, particle-major and in ascending training order.
+    particle order).  Particles whose leaves hold the same training rows
+    (resample copies, mostly) form one group: ``group_of[p]`` is particle
+    ``p``'s group, ``groups`` one representative particle per group, and
+    ``members`` the training rows of every representative's leaf,
+    group-major and in ascending training order.
     """
 
     leaf: np.ndarray
@@ -169,23 +198,44 @@ class _LeafContext(NamedTuple):
     prunable: np.ndarray
     pr: np.ndarray
     is_left: np.ndarray
+    group_of: np.ndarray
+    groups: np.ndarray
     members: np.ndarray
 
 
 class _GrowTables(NamedTuple):
-    """Phase 1b's padded grow-proposal tables, one block per leaf-size bucket.
+    """Phase 1b's padded grow-proposal tables, one per group of particles.
 
-    Each bucket is ``(particles, features, targets, n_max, unique)``:
-    every particle's leaf observations plus the incoming point, padded to
-    the bucket's widest leaf, and the sorted distinct values of each
-    feature column compacted to the front.  ``n_unique[p, d]`` counts the
-    distinct values; ``bucket_of``/``bucket_pos`` locate a particle.
+    Table ``t`` holds one group's leaf observations plus the incoming
+    point; tables are numbered in ascending leaf size and ``table_of[p]``
+    is particle ``p``'s.  Each bucket is ``(start, features, targets,
+    compacted)``: tables ``start, start + 1, ...`` padded to the bucket's
+    widest leaf, and the sorted distinct values of each feature column
+    compacted to the front.  ``n_unique[t, d]`` counts the distinct
+    values and ``n_points[t]`` the table's real rows.
     """
 
     buckets: list
+    table_of: np.ndarray
     n_unique: np.ndarray
-    bucket_of: np.ndarray
-    bucket_pos: np.ndarray
+    n_points: np.ndarray
+
+
+class _Splits(NamedTuple):
+    """Phase 2a: the distinct candidate splits and their partition sums.
+
+    Candidates of particles that share a table and draw the same
+    ``(dim, cut)`` share one split; ``of_candidate[c]`` is candidate
+    ``c``'s.  Per split: its ``dim``, ``threshold``, left count, the
+    table's point count and ``sums[s] = [[sum_l, sq_l], [sum_r, sq_r]]``.
+    """
+
+    of_candidate: np.ndarray
+    dims: np.ndarray
+    thresholds: np.ndarray
+    n_left: np.ndarray
+    n_points: np.ndarray
+    sums: np.ndarray
 
 
 class _Moves(NamedTuple):
@@ -649,9 +699,10 @@ class DynamicTreeRegressor(SurrogateModel):
         Array phases over all particles, together bit-identical to the
         per-particle reference (one move per particle in turn).  Timed as
         ``propagate-score``: :meth:`_leaf_context` gathers each particle's
-        leaf state, :meth:`_grow_tables` pads its leaf rows into
-        grow-proposal tables, and :meth:`_draw_moves` scores stay, every
-        candidate grow (:meth:`_candidates`, :meth:`_partition_sums`) and
+        leaf state and groups the particles by their leaf's training rows,
+        :meth:`_grow_tables` pads each group's rows into a grow-proposal
+        table, and :meth:`_draw_moves` scores stay, every distinct
+        candidate grow (:meth:`_candidates`, :meth:`_grow_splits`) and
         prune and draws the move, reading only pre-update state.  Timed
         as ``propagate-apply``: :meth:`_apply_moves` lands the moves.
         """
@@ -674,8 +725,10 @@ class DynamicTreeRegressor(SurrogateModel):
         *other* child; a particle is prunable when it has a parent and
         that sibling is a leaf.  Root-leaves carry parent ``-1``: the
         in-bounds negative index reads garbage that the ``parents >= 0``
-        guard masks.  The leaf's training rows are one ``nonzero`` over
-        the first ``n`` columns of the (post-resample) ``leaf_of``.
+        guard masks.  The groups come from the ``(particles, n)``
+        membership mask over the first ``n`` columns of the
+        (post-resample) ``leaf_of`` (see :func:`_equal_rows`), and the
+        representatives' training rows are one ``nonzero`` of its rows.
         """
         forest = routing.forest
         data = forest.caches.data
@@ -685,40 +738,41 @@ class DynamicTreeRegressor(SurrogateModel):
         sib_nodes = np.where(is_left, forest.right[parents], left_of_parent)
         prunable = (parents >= 0) & (forest.split_dim[sib_nodes] == -1)
         pr = np.flatnonzero(prunable)
-        leaf_of = self._particle_forest.leaf_of[:, :n]
-        members = np.nonzero(leaf_of == routing.local_ids[:, None])[1]
+        in_leaf = self._particle_forest.leaf_of[:, :n] == routing.local_ids[:, None]
+        group_of, groups = _equal_rows(in_leaf)
+        members = np.nonzero(in_leaf[groups])[1]
         sibling = data[forest.leaf_slot[sib_nodes[pr]]]
-        return _LeafContext(data[routing.gids], sibling, prunable, pr, is_left, members)
+        return _LeafContext(
+            data[routing.gids], sibling, prunable, pr, is_left, group_of, groups, members
+        )
 
     def _grow_tables(self, context: _LeafContext, x: np.ndarray, y: float) -> _GrowTables:
-        """Phase 1b: every leaf's observations as padded grow-proposal tables.
+        """Phase 1b: every group's observations as padded grow-proposal tables.
 
         One ``(bucket, n_max_b, dims)`` block per leaf-size bucket holds
-        each leaf's rows plus the incoming point in the last real row.
-        Sorting the particles by leaf size and padding each bucket only to
-        its own widest leaf keeps the padded work proportional to the mean
-        leaf size.  Padding features are +inf, so no threshold selects
-        them, and padding targets 0.0, an exact no-op for the sums.
+        each group's leaf rows plus the incoming point in the last real
+        row.  Sorting the groups by leaf size and padding each bucket only
+        to its own widest leaf keeps the padded work proportional to the
+        mean leaf size.  Padding features are +inf, so no threshold
+        selects them, and padding targets 0.0, an exact no-op for the sums.
         """
-        sizes = context.leaf[:, _COUNT].astype(np.intp)
+        sizes = context.leaf[context.groups, _COUNT].astype(np.intp)
         count = sizes.shape[0]
         dims = x.shape[0]
         starts = np.cumsum(sizes) - sizes
         rows_arr = context.members
         order = np.argsort(sizes, kind="stable")
-        n_buckets = 4 if count >= 256 else 1
+        table_of_group = np.empty(count, dtype=np.intp)
+        table_of_group[order] = np.arange(count, dtype=np.intp)
         n_unique_arr = np.empty((count, dims), dtype=np.int32)
-        bucket_of = np.empty(count, dtype=np.intp)
-        bucket_pos = np.empty(count, dtype=np.intp)
         buckets = []
-        for bidx in np.array_split(order, n_buckets):
-            nb = bidx.shape[0]
-            if nb == 0:
-                continue
-            bucket_of[bidx] = len(buckets)
-            bucket_pos[bidx] = np.arange(nb, dtype=np.intp)
+        n_buckets = 4 if count >= 256 else 1
+        bounds = [count * b // n_buckets for b in range(n_buckets + 1)]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            bidx = order[start:stop]
+            nb = stop - start
             sizes_b = sizes[bidx]
-            n_max_b = int(sizes_b.max()) + 1
+            n_max_b = int(sizes_b[-1]) + 1
             padded_features = np.full((nb, n_max_b, dims), np.inf)
             padded_targets = np.zeros((nb, n_max_b))
             row_owner = np.repeat(np.arange(nb, dtype=np.intp), sizes_b)
@@ -733,8 +787,8 @@ class DynamicTreeRegressor(SurrogateModel):
             padded_features[local, sizes_b] = x
             padded_targets[local, sizes_b] = y
             # Batched unique scan (sort + first-of-run flags, the lean
-            # equivalent of per-candidate np.unique): ``n_unique[p, d]``
-            # bounds the cut draw, and ``unique_values[p, j, d]`` is the
+            # equivalent of per-candidate np.unique): ``n_unique[t, d]``
+            # bounds the cut draw, and ``unique_values[t, j, d]`` is the
             # j-th distinct value, compacted to the front so thresholds
             # are one gather.
             sorted_columns = np.sort(padded_features, axis=1)
@@ -746,7 +800,7 @@ class DynamicTreeRegressor(SurrogateModel):
             keep &= np.arange(n_max_b)[None, :, None] < (sizes_b + 1)[:, None, None]
             rank = keep.cumsum(axis=1, dtype=np.int32)
             n_uni_b = rank[:, -1, :]
-            n_unique_arr[bidx] = n_uni_b
+            n_unique_arr[start : start + nb] = n_uni_b
             # ``n_unique <= size + 1`` columnwise, so sum equality means
             # every column is already duplicate-free — then the sorted
             # block *is* the compacted table (real rows sort ahead of the
@@ -766,28 +820,30 @@ class DynamicTreeRegressor(SurrogateModel):
                 dest = flat_keep + dims * (rank.reshape(-1)[flat_keep] - 1 - rows_of)
                 compacted = np.empty_like(sorted_columns)
                 compacted.reshape(-1)[dest] = sorted_columns.reshape(-1)[flat_keep]
-            buckets.append((bidx, padded_features, padded_targets, n_max_b, compacted))
+            buckets.append((start, padded_features, padded_targets, compacted))
             del sorted_columns, keep, rank
-        return _GrowTables(buckets, n_unique_arr, bucket_of, bucket_pos)
+        return _GrowTables(
+            buckets, table_of_group[context.group_of], n_unique_arr, sizes[order] + 1
+        )
 
     def _candidates(
-        self, draws: np.ndarray, n_unique: np.ndarray, n_points: np.ndarray
+        self, draws: np.ndarray, tables: _GrowTables, n_points: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Phase 1c: every particle's K grow candidates from its draw row.
 
         Row ``i`` of the draw block belongs to particle ``i``: columns
         ``[0, K)`` pick the dimension as ``min(floor(u * d), d - 1)``,
         columns ``[K, 2K)`` the cut as ``min(floor(u * (n_unique - 1)),
-        n_unique - 2)`` and column ``2K`` is the move uniform.  Slot ``k``
-        keeps its column; a slot whose dimension has fewer than two
-        distinct values, or whose particle has too few points to grow, is
-        left empty.  Returns ``(particle, slot, dim, cut)`` of the filled
-        slots.
+        n_unique - 2)``, with ``n_unique`` read from the particle's table,
+        and column ``2K`` is the move uniform.  Slot ``k`` keeps its
+        column; a slot whose dimension has fewer than two distinct values,
+        or whose particle has too few points to grow, is left empty.
+        Returns ``(particle, slot, dim, cut)`` of the filled slots.
         """
         n_candidates = self._config.n_split_candidates
-        dims = n_unique.shape[1]
+        dims = tables.n_unique.shape[1]
         dim_draws = np.minimum((draws[:, :n_candidates] * dims).astype(np.intp), dims - 1)
-        unique_drawn = np.take_along_axis(n_unique, dim_draws, axis=1)
+        unique_drawn = tables.n_unique[tables.table_of[:, None], dim_draws]
         growers = n_points >= 2 * self._config.min_leaf
         cand_particle, cand_slot = np.nonzero((unique_drawn >= 2) & growers[:, None])
         cut_span = unique_drawn[cand_particle, cand_slot] - 1
@@ -797,98 +853,109 @@ class DynamicTreeRegressor(SurrogateModel):
         )
         return cand_particle, cand_slot, dim_draws[cand_particle, cand_slot], cand_cut
 
-    def _partition_sums(
+    def _grow_splits(
         self,
         tables: _GrowTables,
         candidates: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        count: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Phase 2a: every candidate split's threshold and partition sums.
+    ) -> _Splits:
+        """Phase 2a: every distinct candidate split's threshold and partition sums.
 
-        Returns ``(thresholds, dims, sums, n_left)``, the first two and
-        the last ``(count, K)`` (empty slots hold a ``-inf`` threshold, so
-        their left count is 0) and ``sums`` the ``(count, 2, 2K)`` block
-        of left (slots ``0..K-1``) and right (``K..2K-1``) sums and sums
-        of squares.
+        A split is a ``(table, dim, cut)`` key; sorting the keys orders
+        the distinct splits by table, and so by bucket.  The ``j``-th
+        split of a table goes to slot ``j % K`` of the table's ``j // K``-th
+        packed row, so there are at most as many rows as particles, and
+        one masked ``einsum`` pass per side and moment sums a bucket's
+        rows against their tables' targets.  Rows are at least two slots
+        wide: over a one-wide slot axis ``einsum`` does not add in row
+        order.
         """
         n_candidates = self._config.n_split_candidates
-        cand_particle, cand_slot, cand_dim, cand_cut = candidates
-        buckets, bucket_of, bucket_pos = tables.buckets, tables.bucket_of, tables.bucket_pos
-        dims = tables.n_unique.shape[1]
-        thresholds = np.full((count, n_candidates), -math.inf)
-        dim_matrix = np.zeros((count, n_candidates), dtype=np.intp)
-        if cand_particle.size:
-            # The drawn cut values live in the per-bucket compacted unique
-            # tables; one masked gather per bucket reads the ~K entries
-            # each particle needs without materialising (and scattering
-            # into) a global ``(count, n_max, dims)`` table.
-            low = np.empty(cand_particle.shape[0])
-            high = np.empty(cand_particle.shape[0])
-            cand_bucket = bucket_of[cand_particle]
-            cand_pos = bucket_pos[cand_particle]
-            for b, (_, _, _, _, compacted) in enumerate(buckets):
-                sel = np.flatnonzero(cand_bucket == b)
-                if sel.size:
-                    pos_s = cand_pos[sel]
-                    cd_s = cand_dim[sel]
-                    cc_s = cand_cut[sel]
-                    low[sel] = compacted[pos_s, cc_s, cd_s]
-                    high[sel] = compacted[pos_s, cc_s + 1, cd_s]
-            thresholds[cand_particle, cand_slot] = 0.5 * (low + high)
-            dim_matrix[cand_particle, cand_slot] = cand_dim
-        two_k = 2 * n_candidates
-        sums = np.empty((count, 2, two_k))
-        n_left_matrix = np.empty((count, n_candidates), dtype=np.intp)
-        for bidx, padded_features, padded_targets, n_max_b, _ in buckets:
-            nb = bidx.shape[0]
-            thresholds_b = thresholds[bidx]
-            dims_b = dim_matrix[bidx]
-            masks_b = np.empty((nb, n_max_b, n_candidates), dtype=bool)
-            sums_b = np.empty((nb, 2, two_k))
-            # The masked sums contract the (chunk, n_max_b, k) side masks
+        n_slots = max(n_candidates, 2)
+        cand_particle, _, cand_dim, cand_cut = candidates
+        if not cand_particle.size:
+            none = np.empty(0, dtype=np.intp)
+            return _Splits(none, none, np.empty(0), none, none, np.empty((0, 2, 2)))
+        n_unique = tables.n_unique
+        dims = n_unique.shape[1]
+        width = int(tables.n_points[-1])
+        keys = (tables.table_of[cand_particle] * dims + cand_dim) * width + cand_cut
+        order = keys.argsort()
+        keys = keys[order]
+        distinct = np.empty(keys.shape[0], dtype=bool)
+        distinct[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        of_candidate = np.empty(keys.shape[0], dtype=np.intp)
+        of_candidate[order] = distinct.cumsum() - 1
+        split_table, split_cut = np.divmod(keys[distinct], width)
+        split_table, split_dim = np.divmod(split_table, dims)
+        slot = (
+            np.arange(split_table.shape[0]) - np.searchsorted(split_table, split_table)
+        ) % n_candidates
+        opens = slot == 0
+        row = opens.cumsum() - 1
+        row_table = split_table[opens]
+        n_rows = row_table.shape[0]
+        thresholds = np.empty(split_table.shape[0])
+        row_thresholds = np.full((n_rows, n_slots), -math.inf)
+        row_dims = np.zeros((n_rows, n_slots), dtype=np.intp)
+        row_dims[row, slot] = split_dim
+        sums = np.empty((n_rows, 2, 2 * n_slots))
+        n_left = np.empty((n_rows, n_slots), dtype=np.intp)
+        bucket_starts = [bucket[0] for bucket in tables.buckets] + [n_unique.shape[0]]
+        split_bounds = np.searchsorted(split_table, bucket_starts)
+        row_bounds = np.searchsorted(row_table, bucket_starts)
+        for b, (start, padded_features, padded_targets, compacted) in enumerate(tables.buckets):
+            s0, s1 = split_bounds[b], split_bounds[b + 1]
+            if s0 == s1:
+                continue
+            # The drawn cut values live in the bucket's compacted unique
+            # tables; one gather per side reads the entries the splits need.
+            pos = split_table[s0:s1] - start
+            dim_s = split_dim[s0:s1]
+            cut_s = split_cut[s0:s1]
+            thresholds[s0:s1] = 0.5 * (
+                compacted[pos, cut_s, dim_s] + compacted[pos, cut_s + 1, dim_s]
+            )
+            row_thresholds[row[s0:s1], slot[s0:s1]] = thresholds[s0:s1]
+            n_max_b = padded_targets.shape[1]
+            # The masked sums contract the (chunk, n_max_b, K) side masks
             # against the target rows in one einsum pass per side/moment;
-            # chunking bounds the boolean right-side scratch.
-            chunk = max(1, 4_000_000 // (n_max_b * two_k))
+            # chunking bounds the boolean scratch.
+            chunk = max(1, 4_000_000 // (n_max_b * 2 * n_slots))
             flat_features = padded_features.reshape(-1)
             row_offsets = (np.arange(n_max_b, dtype=np.intp) * dims)[None, :, None]
-            targets_sq = padded_targets * padded_targets
-            width = min(chunk, nb)
-            inv = np.empty((width, n_max_b, n_candidates), dtype=bool)
-            for start in range(0, nb, chunk):
-                stop = min(start + chunk, nb)
-                window = slice(start, stop)
-                w = stop - start
+            for c0 in range(row_bounds[b], row_bounds[b + 1], chunk):
+                window = slice(c0, min(c0 + chunk, row_bounds[b + 1]))
+                pos_w = row_table[window] - start
                 # One flat gather for the candidate columns (notably faster
                 # than take_along_axis's generic inner loop at this shape).
-                flat_idx = (
-                    np.arange(start, stop, dtype=np.intp)[:, None, None]
-                    * (n_max_b * dims)
+                columns = flat_features[
+                    (pos_w * (n_max_b * dims))[:, None, None]
                     + row_offsets
-                    + dims_b[window][:, None, :]
-                )
-                columns = flat_features[flat_idx]
-                left_block = masks_b[window]
-                np.less_equal(
-                    columns, thresholds_b[window][:, None, :], out=left_block
-                )
-                inv_w = inv[:w]
-                np.logical_not(left_block, out=inv_w)
-                targets_w = padded_targets[window]
-                targets_sq_w = targets_sq[window]
+                    + row_dims[window][:, None, :]
+                ]
+                left = columns <= row_thresholds[window][:, None, :]
+                targets_w = padded_targets[pos_w]
+                targets_sq_w = targets_w * targets_w
                 # np.einsum's unoptimized path accumulates the contracted
                 # axis strictly in index order (no pairwise or SIMD
-                # partial sums), so each fused mask-product-and-sum below
-                # is bit-identical to ``cumsum`` over the compressed side
-                # (padding rows contribute exact ``0.0`` no-ops) — pinned
-                # by the equivalence suite.
-                sums_row = sums_b[window]
-                for side, mask in ((slice(None, n_candidates), left_block),
-                                   (slice(n_candidates, None), inv_w)):
-                    np.einsum("pnk,pn->pk", mask, targets_w, out=sums_row[:, 0, side])
-                    np.einsum("pnk,pn->pk", mask, targets_sq_w, out=sums_row[:, 1, side])
-            sums[bidx] = sums_b
-            n_left_matrix[bidx] = masks_b.sum(axis=1)
-        return thresholds, dim_matrix, sums, n_left_matrix
+                # partial sums) over a slot axis at least two wide, so
+                # each fused mask-product-and-sum below is bit-identical
+                # to ``cumsum`` over the compressed side (padding rows
+                # contribute exact ``0.0`` no-ops) — pinned by the
+                # equivalence suite.
+                sums_w = sums[window]
+                for side, mask in ((slice(None, n_slots), left),
+                                   (slice(n_slots, None), ~left)):
+                    np.einsum("pnk,pn->pk", mask, targets_w, out=sums_w[:, 0, side])
+                    np.einsum("pnk,pn->pk", mask, targets_sq_w, out=sums_w[:, 1, side])
+                n_left[window] = left.sum(axis=1)
+        # (split, moment, side) -> (split, side, moment)
+        split_sums = sums.reshape(n_rows, 2, 2, n_slots)[row, :, :, slot]
+        return _Splits(
+            of_candidate, split_dim, thresholds, n_left[row, slot],
+            tables.n_points[split_table], split_sums.swapaxes(1, 2),
+        )
 
     def _draw_moves(
         self,
@@ -905,81 +972,72 @@ class DynamicTreeRegressor(SurrogateModel):
         log_array, _ = kernels.log_maps(config.float_mode == "fast")
         neg_inf = -math.inf
         leaf, sibling, prunable, pr = context.leaf, context.sibling, context.prunable, context.pr
-        leaf_ns = leaf[:, _COUNT].astype(np.intp)
-        n_points_arr = leaf_ns + 1
-        n_max = int(leaf_ns.max()) + 1
-        candidates = self._candidates(draws, grow_tables.n_unique, n_points_arr)
-        cand_particle = candidates[0]
+        n_points_arr = leaf[:, _COUNT].astype(np.intp) + 1
+        candidates = self._candidates(draws, grow_tables, n_points_arr)
+        splits = self._grow_splits(grow_tables, candidates)
 
-        # ------------------- phase 1d: vectorized stay/prune scoring
+        # ------------- phase 2b: stay, prune and split leaf LMLs together
         # The hypothetical leaves (stay absorbs the new point, prune also
-        # merges the sibling) are scored by gathering the count-dependent
-        # LML terms from the term tables and evaluating the beta_n
-        # arithmetic elementwise — the expression grouping and the scalar-
-        # rounded log map keep every score bit-identical to the scalar
-        # evaluation the reference path performs.
-        tables = self._leaf_term_tables()
-        prior = self._prior
-        counts_stay = leaf_ns + 1
+        # merges the sibling, a split's two sides) are scored by one pass
+        # that gathers the count-dependent LML terms from the term tables
+        # and evaluates the beta_n arithmetic elementwise — the expression
+        # grouping and the scalar-rounded log map keep every score
+        # bit-identical to the scalar evaluation the reference performs.
+        # Each valid distinct split is scored once, whichever particles
+        # drew it; a split that leaves fewer than ``min_leaf`` points on a
+        # side is invalid.
         totals_stay = leaf[:, _SUM] + y
         sqs_stay = leaf[:, _SUM_SQ] + y * y
-        counts_prune = counts_stay[pr] + sibling[:, _COUNT].astype(np.intp)
-        max_count = int(counts_stay.max())
-        if pr.size:
-            max_count = max(max_count, int(counts_prune.max()))
-        if cand_particle.size:
-            max_count = max(max_count, n_max)
-        tables.ensure(max_count)
+        n_right = splits.n_points - splits.n_left
+        valid = np.flatnonzero((splits.n_left >= config.min_leaf) & (n_right >= config.min_leaf))
+        side_sums = splits.sums[valid]
+        counts = np.concatenate([
+            n_points_arr, n_points_arr[pr] + sibling[:, _COUNT].astype(np.intp),
+            splits.n_left[valid], n_right[valid],
+        ])
+        totals = np.concatenate([
+            totals_stay, totals_stay[pr] + sibling[:, _SUM], side_sums[:, 0, 0], side_sums[:, 1, 0],
+        ])
+        sqs = np.concatenate([
+            sqs_stay, sqs_stay[pr] + sibling[:, _SUM_SQ], side_sums[:, 0, 1], side_sums[:, 1, 1],
+        ])
+        self._leaf_term_tables().ensure(int(counts.max()))
+        lml = self._leaf_lml(counts, totals, sqs, log_array)[0]
         depth_table = self._depth_table(int(depths_arr.max()))
         log1m_here = depth_table[depths_arr, 0]
-        grow_heads = depth_table[depths_arr, 1]
-        stay_scores = log1m_here + self._leaf_lml(
-            counts_stay, totals_stay, sqs_stay, log_array
-        )[0]
+        stay_scores = log1m_here + lml[:count]
         commons = np.zeros(count)
         prune_scores = np.full(count, neg_inf)
         if pr.size:
             parent_rows = depth_table[depths_arr[pr] - 1]
-            log1m_parent = parent_rows[:, 0]
-            log_p_parent = parent_rows[:, 2]
             # The sibling sits at the leaf's own depth (they share a parent).
-            log1m_sibling = log1m_here[pr]
-            common_vals = (log_p_parent + log1m_sibling) + sibling[:, _LML]
+            common_vals = (parent_rows[:, 2] + log1m_here[pr]) + sibling[:, _LML]
             commons[pr] = common_vals
-            prune_lml, _ = self._leaf_lml(
-                counts_prune,
-                totals_stay[pr] + sibling[:, _SUM],
-                sqs_stay[pr] + sibling[:, _SUM_SQ],
-                log_array,
-            )
-            prune_scores[pr] = log1m_parent + prune_lml
+            prune_scores[pr] = parent_rows[:, 0] + lml[count : count + pr.size]
             stay_scores[pr] += common_vals
-        thresholds, dim_matrix, sums, n_left_matrix = self._partition_sums(
-            grow_tables, candidates, count
-        )
 
-        # -------------------------------- phase 2b: grow scores (kernel)
-        # One fused pass over the padded candidate grid: the kernel
-        # evaluates the left/right marginal likelihoods from the same
-        # count-term tables (one log pass over the concatenated beta_n
-        # values) and returns each particle's argmax candidate.  Padded
-        # slots carry ``-inf`` thresholds, so their left counts are 0 and
-        # min_leaf filtering rejects them exactly like the reference's
-        # per-candidate guard.
-        best_slot, best_left, best_right = kernels.grow_scores(
-            n_left_matrix, n_points_arr, sums, config.min_leaf, n_candidates,
-            tables.kappa_n, tables.alpha_n, tables.head, tables.mid, tables.tail,
-            prior.beta, prior.kappa, prior.mean, log_array,
-        )
+        # ----------------- phase 2c: every particle's best grow proposal
+        # A split's score lands in every slot that drew it (empty slots
+        # point at the ``-inf`` sentinel past the last split), and each
+        # particle keeps its first maximum, like the scalar
+        # ``score > best`` scan.
+        n_splits = splits.dims.shape[0]
+        lml_left = np.empty(n_splits)
+        lml_right = np.empty(n_splits)
+        lml_left[valid] = lml[count + pr.size : count + pr.size + valid.size]
+        lml_right[valid] = lml[count + pr.size + valid.size :]
+        split_scores = np.full(n_splits + 1, neg_inf)
+        split_scores[valid] = lml_left[valid] + lml_right[valid]
+        slot_split = np.full((count, n_candidates), n_splits, dtype=np.intp)
+        slot_split[candidates[0], candidates[1]] = splits.of_candidate
+        best = slot_split[np.arange(count), split_scores[slot_split].argmax(axis=1)]
+        has_best = np.flatnonzero(split_scores[best] > neg_inf)
+        won = best[has_best]
+        g = (depth_table[depths_arr[has_best], 1] + lml_left[won]) + lml_right[won]
         grow_scores = np.full(count, neg_inf)
-        has_best = best_slot >= 0
-        if has_best.any():
-            g = (grow_heads[has_best] + best_left[has_best]) + best_right[has_best]
-            grow_scores[has_best] = np.where(
-                prunable[has_best], g + commons[has_best], g
-            )
+        grow_scores[has_best] = np.where(prunable[has_best], g + commons[has_best], g)
 
-        # ------------------------------ phase 2c: batched move ceremony
+        # ------------------------------ phase 2d: batched move ceremony
         # ``exp(-inf - max) == 0.0`` exactly, so exponentiating the full
         # score rows reproduces the reference's zero-filled probabilities
         # without an isfinite mask (the stay score is always finite, so
@@ -999,21 +1057,20 @@ class DynamicTreeRegressor(SurrogateModel):
         uniforms = draws[:, 2 * n_candidates]
         moves = (cdf <= uniforms[:, None]).sum(axis=1)
         prune_mask = (moves == 2) & prunable
-        grow_mask = (moves == 1) & (best_slot >= 0)
+        # Only a particle with a winning split has a finite grow score.
+        grow_mask = (moves == 1) & (grow_scores > neg_inf)
         grows = np.flatnonzero(grow_mask)
-        best_grow = best_slot[grows]
-        n_left_grow = n_left_matrix[grows, best_grow]
+        won = best[grows]
+        n_left_grow = splits.n_left[won]
         return _Moves(
             stays=np.flatnonzero(~(prune_mask | grow_mask)),
             grows=grows,
             prunes=np.flatnonzero(prune_mask),
-            dims=dim_matrix[grows, best_grow],
-            thresholds=thresholds[grows, best_grow],
+            dims=splits.dims[won],
+            thresholds=splits.thresholds[won],
             n_left=n_left_grow,
             n_right=n_points_arr[grows] - n_left_grow,
-            sums=sums[
-                grows[:, None], :, np.stack([best_grow, n_candidates + best_grow], axis=1)
-            ],
+            sums=splits.sums[won],
         )
 
     def _apply_moves(

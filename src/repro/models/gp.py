@@ -34,6 +34,10 @@ downdate, can never go indefinite.  ``window_size`` combines the two into a
 sliding-window GP: each :meth:`update` extends the factor with the new
 observation and forgets the oldest one, so the model tracks drift-noise
 benchmarks with bounded memory and O(w²) per step instead of O(w³).
+
+``scipy.linalg`` is imported inside the methods that factor and solve, and
+the kernel's distances are NumPy (``squared_distances``), so importing the
+package does not load SciPy.
 """
 
 from __future__ import annotations
@@ -41,10 +45,8 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.spatial.distance import cdist
 
-from .base import Prediction, SurrogateModel
+from .base import Prediction, SurrogateModel, squared_distances
 
 __all__ = ["GaussianProcessRegressor"]
 
@@ -186,7 +188,7 @@ class GaussianProcessRegressor(SurrogateModel):
     # ------------------------------------------------------------ internals
 
     def _kernel(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        sq = cdist(A, B, metric="sqeuclidean")
+        sq = squared_distances(A, B)
         return self._signal * np.exp(-0.5 * sq / (self._lengthscale ** 2))
 
     def _extend_factor(self, x: np.ndarray, target: float) -> bool:
@@ -199,6 +201,8 @@ class GaussianProcessRegressor(SurrogateModel):
         ``d²`` is numerically non-positive, which can only happen when the
         new point nearly duplicates an existing one.
         """
+        from scipy.linalg import cho_solve, solve_triangular
+
         assert self._X is not None and self._y is not None and self._chol is not None
         L = self._chol
         n = L.shape[0]
@@ -239,6 +243,8 @@ class GaussianProcessRegressor(SurrogateModel):
         against the new factor while the kernel hyper-parameters stay
         frozen until the next refit.
         """
+        from scipy.linalg import cho_solve
+
         assert self._X is not None and self._y is not None and self._chol is not None
         L = self._chol
         n = L.shape[0]
@@ -271,6 +277,8 @@ class GaussianProcessRegressor(SurrogateModel):
     def _refresh(self) -> None:
         if not self._stale:
             return
+        from scipy.linalg import cho_factor, cho_solve
+
         if self._X is None or self._y is None:
             raise RuntimeError("the model has no training data yet")
         X, y = self._X, self._y
@@ -281,7 +289,7 @@ class GaussianProcessRegressor(SurrogateModel):
             self._lengthscale = float(self._lengthscale_override)
         else:
             if n > 1:
-                distances = cdist(X, X)
+                distances = np.sqrt(squared_distances(X, X))
                 positive = distances[distances > 0]
                 self._lengthscale = float(np.median(positive)) if positive.size else 1.0
             else:
@@ -312,6 +320,8 @@ class GaussianProcessRegressor(SurrogateModel):
     # ----------------------------------------------------------- prediction
 
     def predict(self, features: np.ndarray) -> Prediction:
+        from scipy.linalg import cho_solve
+
         self._refresh()
         assert self._X is not None and self._alpha is not None and self._chol is not None
         Xs = np.atleast_2d(np.asarray(features, dtype=float))
@@ -335,6 +345,8 @@ class GaussianProcessRegressor(SurrogateModel):
         average variance remaining over the reference set for each
         candidate — the quantity Algorithm 1 minimises.
         """
+        from scipy.linalg import cho_solve
+
         self._refresh()
         assert self._X is not None and self._chol is not None
         C = np.atleast_2d(np.asarray(candidates, dtype=float))

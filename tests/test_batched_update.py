@@ -7,8 +7,11 @@ scores and the resample decision from weights, so a single differing bit
 forks every seeded trajectory that follows.  These tests drive long seeded
 trajectories through both paths (exercising stay, grow, prune and resample
 events) on more than one bit generator, pin the update's fixed draw
-layout, check per particle that resample duplicates stay private, and pin
-the fixed systematic resampler's behaviour on adversarial weight vectors.
+layout, check per particle that resample duplicates stay private, pin the
+grow proposals that particles sharing a leaf's training rows score once
+(heavy duplication, the first update, packed-key word boundaries, the
+multi-bucket tables, left-to-right partition sums), and pin the fixed
+systematic resampler's behaviour on adversarial weight vectors.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.models import compiled_kernels as kernels
-from repro.models.dynamic_tree import DynamicTreeConfig, DynamicTreeRegressor
+from repro.models.dynamic_tree import DynamicTreeConfig, DynamicTreeRegressor, _equal_rows
 from repro.models.leaf import LeafCacheArrays, NIGPrior
 from tests.oracles.dynamic_tree import ReferenceDynamicTree, descend
 from tests.oracles.leaf import (
@@ -213,6 +216,175 @@ class TestCopyOnWriteResample:
                     np.flatnonzero(members == leaf_id).tolist() == leaf.indices
                     for leaf_id, leaf in enumerate(leaves)
                 ), f"particle {index}: leaf_of names foreign leaves"
+
+
+def _lockstep(model, reference, X, y, start, stop, probes):
+    """Update both models on rows ``start..stop``; predictions agree bitwise."""
+    for i in range(start, stop):
+        model.update(X[i], float(y[i]))
+        reference.update(X[i], float(y[i]))
+        fast = model.predict(probes)
+        slow = reference.predict(probes)
+        assert fast.mean.tolist() == slow.mean.tolist(), f"step {i}"
+        assert fast.variance.tolist() == slow.variance.tolist(), f"step {i}"
+    assert model.leaf_counts() == reference.leaf_counts()
+
+
+@pytest.fixture
+def phase_log(monkeypatch):
+    """Per update of the batched model: ``(training size, groups, buckets)``."""
+    log = []
+    leaf_context = DynamicTreeRegressor._leaf_context
+    grow_tables = DynamicTreeRegressor._grow_tables
+
+    def logged_context(self, routing, n):
+        context = leaf_context(self, routing, n)
+        log.append([n, context.groups.shape[0], None])
+        return context
+
+    def logged_tables(self, context, x, y):
+        tables = grow_tables(self, context, x, y)
+        log[-1][2] = len(tables.buckets)
+        return tables
+
+    monkeypatch.setattr(DynamicTreeRegressor, "_leaf_context", logged_context)
+    monkeypatch.setattr(DynamicTreeRegressor, "_grow_tables", logged_tables)
+    return log
+
+
+class TestGroupedGrowProposals:
+    """Particles whose leaves hold the same training rows share one grow
+    table, and candidates that draw the same split share its sums and
+    scores; every trajectory still replays the per-particle oracle."""
+
+    def test_duplicated_particles_match_reference(self, phase_log):
+        X, y = _piecewise_data(110, 3, 5)
+        model = DynamicTreeRegressor(
+            DynamicTreeConfig(n_particles=30), rng=np.random.default_rng(8)
+        )
+        model.fit(X[:70], y[:70])
+        model._forest().gather(np.tile(np.array([0, 1]), 15))
+        reference = ReferenceDynamicTree.from_model(model)
+        del phase_log[:]
+        _lockstep(model, reference, X, y, 70, 110, X[:9])
+        groups = [entry[1] for entry in phase_log]
+        assert groups[0] <= 2
+        assert max(groups) < 30
+
+    def test_first_update_is_one_group(self, phase_log):
+        group_of, first = _equal_rows(np.zeros((6, 0), dtype=bool))
+        assert group_of.tolist() == [0] * 6 and first.tolist() == [0]
+        X, y = _piecewise_data(30, 3, 9)
+        model, reference = _paired_models(6, particles=10)
+        model.fit(X[:1], y[:1])
+        reference.fit(X[:1], y[:1])
+        assert phase_log[0][:2] == [0, 1]
+        _lockstep(model, reference, X, y, 1, 30, X[:5])
+
+    def test_training_size_crosses_packed_word_boundaries(self, phase_log):
+        X, y = _piecewise_data(140, 3, 13)
+        model, reference = _paired_models(17, particles=12, resample_threshold=0.9)
+        model.fit(X[:40], y[:40])
+        reference.fit(X[:40], y[:40])
+        _lockstep(model, reference, X, y, 40, 140, X[:7])
+        sizes = {entry[0] for entry in phase_log}
+        assert {63, 64, 65, 127, 128, 129} <= sizes
+        assert any(groups < 12 for _, groups, _ in phase_log[40:])
+
+    def test_many_distinct_leaves_use_several_buckets(self, phase_log):
+        rng = np.random.default_rng(0)
+        X = rng.uniform(-2, 2, size=(70, 6))
+        y = np.sin(2 * X[:, 0]) + X[:, 1] + rng.normal(0, 0.3, 70)
+        config = DynamicTreeConfig(
+            n_particles=600, n_split_candidates=3, resample_threshold=0.01
+        )
+        model = DynamicTreeRegressor(config, rng=np.random.default_rng(1))
+        model.fit(X[:60], y[:60])
+        reference = ReferenceDynamicTree.from_model(model)
+        del phase_log[:]
+        _lockstep(model, reference, X, y, 60, 70, X[:5])
+        assert max(groups for _, groups, _ in phase_log) >= 256
+        assert max(buckets for _, _, buckets in phase_log) > 1
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_single_candidate_matches_reference(self, seed):
+        """``n_split_candidates=1`` still sums in row order: the packed
+        rows keep a slot axis at least two wide."""
+        X, y = _piecewise_data(150, 3, seed)
+        config = DynamicTreeConfig(
+            n_particles=10, n_split_candidates=1, resample_threshold=0.9
+        )
+        model = DynamicTreeRegressor(config, rng=np.random.default_rng(seed))
+        reference = ReferenceDynamicTree(config, rng=np.random.default_rng(seed))
+        model.fit(X[:20], y[:20])
+        reference.fit(X[:20], y[:20])
+        _lockstep(model, reference, X, y, 20, 150, X[:9])
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 200])
+    def test_equal_rows_groups_identical_rows(self, width):
+        rng = np.random.default_rng(width)
+        base = rng.random((5, width)) < 0.5
+        # Three rows share their first 64-bit word and differ after it.
+        base[1:3, :64] = base[0, :64]
+        rows = base[rng.integers(0, 5, size=40)]
+        # Rows that differ from another in the last column only.
+        rows[::7, -1] = ~rows[::7, -1]
+        pair = np.zeros((2, width), dtype=bool)
+        pair[1, -1] = True
+        assert _equal_rows(pair)[0].tolist() == [0, 1]
+        group_of, first = _equal_rows(rows)
+        keys = [row.tobytes() for row in rows]
+        assert len(first) == len(set(keys))
+        for i, key in enumerate(keys):
+            assert keys[first[group_of[i]]] == key
+            assert first[group_of[i]] == keys.index(key)
+
+    def test_partition_sums_add_left_to_right(self):
+        """On targets of adversarial magnitudes every split's sums equal a
+        Python left-to-right sum over the leaf's rows (training order, the
+        new point last), which pairwise summation would not give."""
+        rng = np.random.default_rng(4)
+        X = rng.integers(0, 6, size=(80, 3)) / 5.0
+        y = rng.choice([1e16, -1e16, 1.0, -1.0, 0.5, 3.0], size=80)
+        model = DynamicTreeRegressor(
+            DynamicTreeConfig(n_particles=8), rng=np.random.default_rng(2)
+        )
+        model.fit(X[:40], y[:40])
+        checked = reordered = 0
+        for i in range(40, 80):
+            x, target = X[i], float(y[i])
+            probe = copy.deepcopy(model)
+            draws_rng = probe._rng
+            uniform = draws_rng.random()
+            draws = draws_rng.random((8, 2 * 12 + 1))
+            routing = probe._resample(x, target, uniform)
+            index = probe._append_observation(x, target)
+            context = probe._leaf_context(routing, index)
+            tables = probe._grow_tables(context, x, target)
+            candidates = probe._candidates(
+                draws, tables, context.leaf[:, LeafCacheArrays.COUNT].astype(np.intp) + 1
+            )
+            splits = probe._grow_splits(tables, candidates)
+            leaf_of = probe._particle_forest.leaf_of
+            for p, s in zip(candidates[0], splits.of_candidate):
+                rows = np.flatnonzero(leaf_of[p, :index] == routing.local_ids[p])
+                features = probe._X[np.append(rows, index)]
+                targets = probe._y[np.append(rows, index)]
+                left = features[:, splits.dims[s]] <= splits.thresholds[s]
+                expected = []
+                for side in (left, ~left):
+                    total = total_sq = 0.0
+                    for value in targets[side].tolist():
+                        total += value
+                        total_sq += value * value
+                    expected.append([total, total_sq])
+                    reordered += total != math.fsum(targets[side].tolist())
+                assert splits.sums[s].tolist() == expected
+                assert splits.n_left[s] == int(left.sum())
+                checked += 1
+            model.update(x, target)
+        assert checked > 100
+        assert reordered > 0, "no split where the summation order matters"
 
 
 class TestSystematicResampler:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.learner import LearnerConfig
-from repro.models.base import Prediction
+from repro.models.base import Prediction, squared_distances
 from repro.models.baselines import ConstantMeanModel, KNNRegressor
 from repro.models.dynamic_tree import DynamicTreeConfig, DynamicTreeRegressor
 from repro.models.gp import GaussianProcessRegressor
@@ -455,3 +455,36 @@ class TestBaselines:
         model = KNNRegressor(k=1)
         model.update(np.array([0.0]), 5.0)
         assert model.predict(np.array([[0.0]])).mean[0] == pytest.approx(5.0)
+
+
+class TestSquaredDistances:
+    """The NumPy distances that replaced ``scipy.spatial``'s ``cdist`` in
+    the GP kernel and the kNN baseline reproduce it bit for bit, so the
+    GP and kNN ablation reports do not move."""
+
+    @pytest.mark.parametrize("dims", list(range(1, 18)))
+    def test_equals_cdist_on_random_matrices(self, dims):
+        from scipy.spatial.distance import cdist
+
+        rng = np.random.default_rng(dims)
+        A = rng.normal(size=(40, dims)) * rng.choice([1e-3, 1.0, 1e3], size=dims)
+        B = rng.uniform(-5, 5, size=(30, dims))
+        squared = squared_distances(A, B)
+        assert np.array_equal(squared, cdist(A, B, metric="sqeuclidean"))
+        assert np.array_equal(np.sqrt(squared), cdist(A, B))
+        assert np.array_equal(np.sqrt(squared_distances(A, A)), cdist(A, A))
+
+    @pytest.mark.parametrize("name", ["mm", "adi", "correlation", "lu"])
+    def test_equals_cdist_on_spapt_features(self, name):
+        from scipy.spatial.distance import cdist
+
+        from repro.spapt.suite import get_benchmark
+
+        benchmark = get_benchmark(name)
+        configurations = benchmark.search_space.sample_distinct(
+            120, np.random.default_rng(3)
+        )
+        X = benchmark.features_many(configurations)
+        A, B = X[:70], X[70:]
+        assert np.array_equal(squared_distances(A, B), cdist(A, B, metric="sqeuclidean"))
+        assert np.array_equal(np.sqrt(squared_distances(X, X)), cdist(X, X))

@@ -193,6 +193,25 @@ class TestRunAll:
         assert completed.returncode == 0, completed.stderr
         assert not entry_points & set(completed.stdout.split())
 
+    def test_package_import_loads_no_scipy(self):
+        """`import repro.experiments` loads no ``scipy`` module: the GP
+        and the CI helper import theirs when first called."""
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.experiments; print(' '.join(sys.modules))",
+            ],
+            env=_source_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        loaded = completed.stdout.split()
+        assert "repro.models.gp" in loaded
+        assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
+
     def test_runner_api_exported(self):
         from repro.experiments import (
             ExperimentRunner,

@@ -15,12 +15,16 @@ The load-bearing guarantees:
   to an uninterrupted run (the SIGKILL variant over the full artifact set
   lives in ``test_runner.py``);
 * **streaming reports** — ``run_all`` emits each artifact's section as it
-  completes, so a killed report run keeps its finished sections.
+  completes, so a killed report run keeps its finished sections;
+* **partial results copy** — a folded artifact with quarantined units
+  survives ``copy``, ``deepcopy`` and a pickle round trip unchanged.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import threading
 import time
 
@@ -30,6 +34,7 @@ from repro.core.learner import LearnerConfig
 from repro.experiments.config import ExperimentScale
 from repro.experiments.registry import (
     DEFAULT_ARTIFACTS,
+    PartialArtifactResult,
     UnitContext,
     WorkUnit,
     get_spec,
@@ -172,6 +177,50 @@ class TestInMemoryFailure:
                 broker_policy=policy,
             )
         assert "r001" in excinfo.value.dead_letter["unit"]
+
+
+class _FoldedTable:
+    """A stand-in folded artifact: a rendered report and one field."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def render(self):
+        return "\n".join(f"{name}: {value}" for name, value in self.rows)
+
+
+class TestPartialArtifactResult:
+    """Copies of a partial result look attributes up before ``__init__``
+    has run; the delegation to the wrapped result must not recurse."""
+
+    @staticmethod
+    def _partial():
+        quarantined = [{
+            "unit": "table1--mm--one-observation--r001",
+            "attempts": [{"error": "Traceback ...\nMeasurementFailedError: dead"}],
+        }]
+        return PartialArtifactResult(_FoldedTable([("mm", 1.5)]), 5, quarantined)
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy,
+        copy.deepcopy,
+        lambda partial: pickle.loads(pickle.dumps(partial)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_clone_renders_the_same_report(self, clone):
+        partial = self._partial()
+        cloned = clone(partial)
+        assert cloned.render() == partial.render()
+        assert cloned.render().startswith("!! PARTIAL RESULT: 5/6 units folded")
+        assert cloned.rows == [("mm", 1.5)]
+
+    def test_missing_names_raise_attribute_error(self):
+        partial = self._partial()
+        with pytest.raises(AttributeError):
+            partial.no_such_field
+        # Before __init__ (as copy and pickle build it) nothing delegates.
+        bare = PartialArtifactResult.__new__(PartialArtifactResult)
+        with pytest.raises(AttributeError):
+            bare.rows
 
 
 class TestClaimLocking:
