@@ -19,7 +19,6 @@ perf trajectory of the model hot paths is tracked across PRs
 from __future__ import annotations
 
 import copy
-import dataclasses
 
 import numpy as np
 import pytest
@@ -95,19 +94,17 @@ def paper_scale_model():
 
 
 @pytest.mark.benchmark(group="model-update")
-@pytest.mark.parametrize("kernel", ["batched", "fast", "reference"])
+@pytest.mark.parametrize("kernel", ["batched", "reference"])
 def test_bench_particle_update_1000(benchmark, paper_scale_model, kernel):
     """Algorithm 1's per-observation model update at 1 000 particles.
 
-    ``batched`` is the production kernel on the default NumPy backend
-    (batched reweight, row-gather resample, phased array propagate);
-    ``fast`` is the same kernel with ``DynamicTreeConfig(float_mode="fast")``
-    (fused reductions and SIMD transcendentals, tolerance-tested instead of
-    bit-exact); ``reference`` is the pre-batching per-particle Python loop,
-    the ``ReferenceDynamicTree`` equivalence oracle of ``tests/oracles``.
-    All absorb the same held-out observations from identical tree state, so
-    the trio measures the update-kernel speedup directly.  One untimed
-    warm-up round absorbs allocator warm-up.
+    ``batched`` is the production kernel (batched reweight, row-gather
+    resample, phased array propagate); ``reference`` is the pre-batching
+    per-particle Python loop, the ``ReferenceDynamicTree`` equivalence
+    oracle of ``tests/oracles``.  Both absorb the same held-out
+    observations from identical tree state, so the pair measures the
+    update-kernel speedup directly.  One untimed warm-up round absorbs
+    allocator warm-up.
 
     The last timed round's per-phase wall-clock split
     (``DynamicTreeRegressor.phase_timings``) lands in the JSON record's
@@ -128,10 +125,6 @@ def test_bench_particle_update_1000(benchmark, paper_scale_model, kernel):
             model = _as_reference(fitted)
         else:
             model = copy.deepcopy(fitted)
-            if kernel == "fast":
-                model._config = dataclasses.replace(
-                    model.config, float_mode="fast"
-                )
             # Zero the fit's accumulators so extra_info reports exactly the
             # round's five updates.
             model.reset_phase_timings()

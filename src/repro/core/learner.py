@@ -85,8 +85,9 @@ class LearnerConfig:
     runs in minutes on a laptop, and :meth:`paper_scale` restores the paper's
     values.
 
-    ``tree_backend`` has one accepted value, ``"numpy"``; it is kept only so
-    callers that still pass it keep working.
+    ``tree_backend`` and ``tree_float_mode`` each have one accepted value,
+    ``"numpy"`` and ``"exact"``; they are kept only because the traced path
+    of ``e2ebench/workloads.py`` still passes them.
     """
 
     n_initial: int = 5
@@ -119,8 +120,8 @@ class LearnerConfig:
             raise ValueError("tree_particles must be at least 1")
         if self.tree_backend != "numpy":
             raise ValueError('tree_backend must be "numpy"')
-        if self.tree_float_mode not in ("exact", "fast"):
-            raise ValueError('tree_float_mode must be "exact" or "fast"')
+        if self.tree_float_mode != "exact":
+            raise ValueError('tree_float_mode must be "exact"')
 
     @classmethod
     def paper_scale(cls, **overrides) -> "LearnerConfig":
@@ -128,7 +129,7 @@ class LearnerConfig:
 
         Keyword overrides are forwarded to the constructor, so callers can
         keep the paper's loop parameters while adjusting orthogonal knobs
-        (``max_cost_seconds``, ``tree_float_mode``, ...)::
+        (``max_cost_seconds``, ``tree_particles``, ...)::
 
             LearnerConfig.paper_scale(max_cost_seconds=3600.0)
         """

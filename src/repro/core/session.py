@@ -562,11 +562,7 @@ class TuningSession:
         if self._model_factory is not None:
             return self._model_factory(rng)
         return DynamicTreeRegressor(
-            DynamicTreeConfig(
-                n_particles=self._config.tree_particles,
-                float_mode=self._config.tree_float_mode,
-            ),
-            rng=rng,
+            DynamicTreeConfig(n_particles=self._config.tree_particles), rng=rng
         )
 
     def _budget_exhausted(self) -> bool:

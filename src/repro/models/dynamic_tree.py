@@ -35,9 +35,9 @@ by level for all rows and particles at once, and the sequential update
 (Algorithm 1's per-observation model update) is batched across particles,
 which is what makes paper-scale particle counts (5 000) tractable:
 
-* **reweight** — one ``route_update`` descent routes the incoming ``x``
-  through every particle together, and the predictive log-pdfs come from
-  the cached log-pdf terms of the leaves it lands on;
+* **reweight** — one ``FlatForest.route_update`` descent routes the
+  incoming ``x`` through every particle together, and the predictive
+  log-pdfs come from the cached log-pdf terms of the leaves it lands on;
 * **resample** — the systematic resampler gathers the forest's rows;
 * **propagate** — stay/grow/prune scores come from count-indexed NIG term
   tables.  Particles whose leaves hold the same training rows (read from
@@ -48,10 +48,10 @@ which is what makes paper-scale particle counts (5 000) tractable:
 
 Each update draws its randomness up front in one fixed, data-independent
 layout (see :meth:`DynamicTreeRegressor.update`).  Every floating-point
-operation replays a per-particle reference exactly (sequential ``cumsum``
-sums, scalar ``math`` transcendentals), and the reference decodes the same
-draw block row by row, so seeded learning curves are bit-identical between
-the two.  That reference (``ReferenceDynamicTree`` in
+operation replays a per-particle reference exactly (sums over particles
+in row order, scalar ``math`` transcendentals), and the reference decodes
+the same draw block row by row, so seeded learning curves are
+bit-identical between the two.  That reference (``ReferenceDynamicTree`` in
 ``tests/oracles/dynamic_tree.py``, node trees with one Python descent per
 particle and row) is the oracle of the equivalence tests.
 """
@@ -67,10 +67,8 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .base import Prediction, SurrogateModel
-from . import compiled_kernels as kernels
-from .compiled_kernels import nig_beta_n
 from .flat_tree import FlatForest, ParticleForest
-from .leaf import LeafCacheArrays, LeafTermTables, NIGPrior
+from .leaf import LeafCacheArrays, LeafTermTables, NIGPrior, log_map_exact
 
 __all__ = ["DynamicTreeConfig", "DynamicTreeRegressor"]
 
@@ -103,6 +101,21 @@ def _equal_rows(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return group_of, order[starts]
 
 
+def _sum_particles(values: np.ndarray) -> np.ndarray:
+    """Column sums of a ``(particles, columns)`` array, added in row order.
+
+    Row order is the per-particle reference's accumulation order, so the
+    sums are bit-identical to it.  ``np.add.reduce`` over axis 0 of a
+    C-contiguous array at least two columns wide adds one row at a time;
+    along a contiguous axis (one column, or Fortran order) it adds
+    pairwise instead, so those shapes keep the last row of a ``cumsum``,
+    which is sequential always but writes the whole running array.
+    """
+    if values.shape[1] >= 2 and values.flags.c_contiguous:
+        return np.add.reduce(values, axis=0)
+    return np.cumsum(values, axis=0)[-1]
+
+
 @dataclass(frozen=True)
 class DynamicTreeConfig:
     """Hyper-parameters of the dynamic tree model.
@@ -113,17 +126,11 @@ class DynamicTreeConfig:
     identically (this is exercised by an ablation benchmark), but with the
     batched update kernel the paper's particle count is affordable too.
 
-    ``float_mode`` selects between the bit-exact float contract
-    (``"exact"``, the default: sequential-cumsum reductions and scalar
-    ``math`` transcendental maps, bit-identical to the per-particle
-    reference) and ``"fast"`` (``np.sum``/matmul reductions and numpy SIMD
-    transcendentals where bit-identity is what blocks fusion).  Fast-mode
-    scores can differ from the reference in the last ulp, which may fork
-    sampled trajectories at knife-edge draws; the tolerance suite pins
-    the agreement (see ``docs/architecture.md``).
-
-    ``backend`` has one accepted value, ``"numpy"``; it is kept only so
-    callers that still pass it keep working.
+    ``backend`` and ``float_mode`` each have one accepted value,
+    ``"numpy"`` and ``"exact"``; they are kept only because the traced
+    path of ``e2ebench/workloads.py`` still passes them.  Every reduction
+    and transcendental is bit-identical to the per-particle reference
+    (see ``docs/architecture.md``, "Kernels and the float contract").
     """
 
     n_particles: int = 40
@@ -152,8 +159,8 @@ class DynamicTreeConfig:
             raise ValueError("resample_threshold must be in (0, 1]")
         if self.backend != "numpy":
             raise ValueError('backend must be "numpy"')
-        if self.float_mode not in ("exact", "fast"):
-            raise ValueError('float_mode must be "exact" or "fast"')
+        if self.float_mode != "exact":
+            raise ValueError('float_mode must be "exact"')
 
     def split_probability(self, depth: int) -> float:
         """CGM tree prior: probability that a node at ``depth`` is split."""
@@ -163,7 +170,7 @@ class DynamicTreeConfig:
 class _UpdateRouting(NamedTuple):
     """Per-particle routing context of one update's reweight descent.
 
-    Produced by the ``route_update`` kernel over the (pre-update) forest
+    Produced by :meth:`FlatForest.route_update` over the (pre-update) forest
     and threaded from :meth:`DynamicTreeRegressor._resample` into the
     propagate phases, which read each particle's leaf and prune-sibling
     statistics straight from the forest's packed cache columns.  After a
@@ -415,8 +422,7 @@ class DynamicTreeRegressor(SurrogateModel):
             stats = snapshot["leaf_stats"]
             counts = stats[:, 0].astype(np.intp)
             self._leaf_term_tables().ensure(int(counts.max()))
-            log_array, _ = kernels.log_maps(self._config.float_mode == "fast")
-            rows = self._cache_rows(counts, stats[:, 1], stats[:, 2], log_array)
+            rows = self._cache_rows(counts, stats[:, 1], stats[:, 2])
             forest = ParticleForest.from_preorder(
                 snapshot["n_nodes"], snapshot["split_dim"], snapshot["split_value"], rows
             )
@@ -506,17 +512,8 @@ class DynamicTreeRegressor(SurrogateModel):
         X = np.atleast_2d(np.asarray(features, dtype=float))
         count = float(self.n_particles)
         mean, variance = self._ensure_forest().predict_components(X)
-        if self._config.float_mode == "fast":
-            # Pairwise reductions: tolerance-tested against the sequential
-            # accumulation, not bit-identical to it.
-            means = np.add.reduce(mean, axis=0) / count
-            second_moments = np.add.reduce(variance + mean * mean, axis=0)
-        else:
-            # cumsum(axis=0)[-1] accumulates over particles in the same
-            # sequential order as the reference loop, keeping the result
-            # bit-identical.
-            means = np.cumsum(mean, axis=0)[-1] / count
-            second_moments = np.cumsum(variance + mean * mean, axis=0)[-1]
+        means = _sum_particles(mean) / count
+        second_moments = _sum_particles(variance + mean * mean)
         variances = np.maximum(second_moments / count - means ** 2, 1e-18)
         return Prediction(mean=means, variance=variances)
 
@@ -551,14 +548,9 @@ class DynamicTreeRegressor(SurrogateModel):
         # reference-variance mass of the entire forest.
         reference_leaf_ids = forest.route(R)
         reference_variance = forest.leaf_variance[reference_leaf_ids]
-        fast = self._config.float_mode == "fast"
-        # Sequential (cumsum) accumulation keeps every score bit-identical to
-        # the reference loop; bincount also adds weights in input order.  In
-        # fast mode the pairwise np.add.reduce stands in (tolerance-tested).
-        if fast:
-            base_total = np.add.reduce(reference_variance, axis=1)
-        else:
-            base_total = np.cumsum(reference_variance, axis=1)[:, -1]
+        # Sequential accumulation keeps every score bit-identical to the
+        # reference loop; bincount also adds weights in input order.
+        base_total = np.cumsum(reference_variance, axis=1)[:, -1]
         variance_by_leaf = np.bincount(
             reference_leaf_ids.ravel(),
             weights=reference_variance.ravel(),
@@ -568,11 +560,7 @@ class DynamicTreeRegressor(SurrogateModel):
         shrink = 1.0 / (forest.leaf_count[candidate_leaf_ids] + kappa + 1.0)
         reduction = variance_by_leaf[candidate_leaf_ids] * shrink
         spread = (base_total[:, None] - reduction) / n_reference
-        if fast:
-            scores = np.add.reduce(spread, axis=0)
-        else:
-            scores = np.cumsum(spread, axis=0)[-1]
-        return scores / self.n_particles
+        return _sum_particles(spread) / self.n_particles
 
 
     # --------------------------------------------------- reweight + resample
@@ -600,16 +588,15 @@ class DynamicTreeRegressor(SurrogateModel):
     def _resample(self, x: np.ndarray, y: float, uniform: float) -> _UpdateRouting:
         """Batched reweight-and-resample; returns the update's routing context.
 
-        The reweight is three kernel calls over the particle forest's flat
-        view: one all-particles ``route_update`` descent — recording each
-        particle's leaf node, parent node and descent depth alongside the
-        leaf id, the structural context the propagate phases read — one
-        fused gather-and-log-pdf pass over the leaf cache rows, and the
-        offset subtraction that localises the global ids.  The arithmetic
-        is the cached-log-pdf-terms evaluation with the float mode's
-        ``log1p`` map (scalar-rounded in exact mode — numpy's rounds
-        differently and the resample decision is sampled from these
-        weights).  The first update only routes: a model without data has
+        The reweight is three array passes over the particle forest's flat
+        view: one all-particles :meth:`FlatForest.route_update` descent —
+        recording each particle's leaf node, parent node and descent depth
+        alongside the leaf id, the structural context the propagate phases
+        read — one fused gather-and-log-pdf pass over the leaf cache rows
+        (:meth:`LeafCacheArrays.predictive_logpdf`), and the offset
+        subtraction that localises the global ids.  The ``log1p`` map is
+        scalar-rounded (numpy's rounds differently and the resample
+        decision is sampled from these weights).  The first update only routes: a model without data has
         no predictive weights.  When the effective sample size calls for a
         resample, the forest gathers its rows into the new particle order
         and the routing arrays are permuted to match (the routing's view
@@ -620,20 +607,14 @@ class DynamicTreeRegressor(SurrogateModel):
         tic = perf_counter()
         particle_forest = self._forest()
         forest = particle_forest.view()
-        gids, nodes, parents, depths = kernels.route_update_numpy(
-            forest.split_dim, forest.split_value, forest.left, forest.right,
-            forest.leaf_slot, forest.roots, x,
-        )
+        gids, nodes, parents, depths = forest.route_update(x)
         local_ids = gids - forest.leaf_offsets
         routing = _UpdateRouting(forest, local_ids, gids, nodes, parents, depths)
         if not self._n:
             timings["reweight"] += perf_counter() - tic
             return routing
         config = self._config
-        _, log1p_array = kernels.log_maps(config.float_mode == "fast")
-        log_weights = kernels.reweight_log_weights(
-            forest.caches.data, gids, y, log1p_array
-        )
+        log_weights = forest.caches.predictive_logpdf(gids, y)
         toc = perf_counter()
         timings["reweight"] += toc - tic
         tic = toc
@@ -969,7 +950,6 @@ class DynamicTreeRegressor(SurrogateModel):
         config = self._config
         count = depths_arr.shape[0]
         n_candidates = config.n_split_candidates
-        log_array, _ = kernels.log_maps(config.float_mode == "fast")
         neg_inf = -math.inf
         leaf, sibling, prunable, pr = context.leaf, context.sibling, context.prunable, context.pr
         n_points_arr = leaf[:, _COUNT].astype(np.intp) + 1
@@ -1001,8 +981,9 @@ class DynamicTreeRegressor(SurrogateModel):
         sqs = np.concatenate([
             sqs_stay, sqs_stay[pr] + sibling[:, _SUM_SQ], side_sums[:, 0, 1], side_sums[:, 1, 1],
         ])
-        self._leaf_term_tables().ensure(int(counts.max()))
-        lml = self._leaf_lml(counts, totals, sqs, log_array)[0]
+        tables = self._leaf_term_tables()
+        tables.ensure(int(counts.max()))
+        lml = tables.lml(counts, totals, sqs)[0]
         depth_table = self._depth_table(int(depths_arr.max()))
         log1m_here = depth_table[depths_arr, 0]
         stay_scores = log1m_here + lml[:count]
@@ -1100,7 +1081,6 @@ class DynamicTreeRegressor(SurrogateModel):
         pruned = context.leaf[prunes]
         sibling = context.sibling[np.searchsorted(context.pr, prunes)]
         merged_ns = pruned[:, _COUNT].astype(np.intp) + sibling[:, _COUNT].astype(np.intp)
-        log_array, _ = kernels.log_maps(self._config.float_mode == "fast")
         rows = self._cache_rows(
             np.concatenate([stay[:, _COUNT].astype(np.intp) + 1, moves.n_left,
                             moves.n_right, merged_ns + 1]),
@@ -1108,7 +1088,6 @@ class DynamicTreeRegressor(SurrogateModel):
                             (pruned[:, _SUM] + sibling[:, _SUM]) + y]),
             np.concatenate([stay[:, _SUM_SQ] + y * y, moves.sums[:, 0, 1], moves.sums[:, 1, 1],
                             (pruned[:, _SUM_SQ] + sibling[:, _SUM_SQ]) + y * y]),
-            log_array,
         )
         forest = self._particle_forest
         local_ids = routing.local_ids
@@ -1141,23 +1120,18 @@ class DynamicTreeRegressor(SurrogateModel):
         forest.assign(index, new_leaf)
 
     def _cache_rows(
-        self,
-        counts: np.ndarray,
-        totals: np.ndarray,
-        total_sqs: np.ndarray,
-        log_array: kernels.ArrayMap,
+        self, counts: np.ndarray, totals: np.ndarray, total_sqs: np.ndarray
     ) -> np.ndarray:
         """Leaf-cache rows of leaves holding ``(count, sum, sum_sq)`` statistics.
 
         Count-table gathers and elementwise arithmetic grouped as the
-        oracle's per-leaf scalar evaluation groups it, with the float
-        mode's ``log`` map, so in exact mode every row is bit-identical to
-        the oracle's.  Every count must be at least 1 and already covered
-        by the term tables.
+        oracle's per-leaf scalar evaluation groups it, with the scalar
+        ``log`` map, so every row is bit-identical to the oracle's.  Every
+        count must be at least 1 and already covered by the term tables.
         """
         tables = self._leaf_term_tables()
         prior = self._prior
-        lml, beta_n = self._leaf_lml(counts, totals, total_sqs, log_array)
+        lml, beta_n = tables.lml(counts, totals, total_sqs)
         kappa_n = tables.kappa_n[counts]
         alpha_n = tables.alpha_n[counts]
         scale = (beta_n * (kappa_n + 1.0)) / (alpha_n * kappa_n)
@@ -1170,33 +1144,8 @@ class DynamicTreeRegressor(SurrogateModel):
         rows[:, LeafCacheArrays.LOGPDF_COEF] = tables.coef[counts]
         rows[:, LeafCacheArrays.LOGPDF_CONST] = tables.lgamma_part[
             counts
-        ] - 0.5 * log_array(tables.dof_pi[counts] * scale)
+        ] - 0.5 * log_map_exact(tables.dof_pi[counts] * scale)
         rows[:, LeafCacheArrays.SUM] = totals
         rows[:, LeafCacheArrays.SUM_SQ] = total_sqs
         rows[:, LeafCacheArrays.LML] = lml
         return rows
-
-    def _leaf_lml(
-        self,
-        counts: np.ndarray,
-        totals: np.ndarray,
-        total_sqs: np.ndarray,
-        log_array: kernels.ArrayMap,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(log marginal likelihood, beta_n)`` of leaves with these statistics.
-
-        The count-dependent terms are term-table gathers and the rest is
-        the scalar log-marginal-likelihood expression elementwise, grouped
-        the same way, so exact mode is bit-identical to it.
-        """
-        tables = self._leaf_term_tables()
-        prior = self._prior
-        beta_n = nig_beta_n(
-            counts, totals, total_sqs, tables.kappa_n[counts],
-            prior.beta, prior.kappa, prior.mean,
-        )
-        lml = (
-            (tables.head[counts] - tables.alpha_n[counts] * log_array(beta_n))
-            + tables.mid[counts]
-        ) - tables.tail[counts]
-        return lml, beta_n

@@ -104,6 +104,33 @@ class FlatForest:
             active = active[still_internal]
         return self.leaf_slot[nodes].reshape(self.n_particles, n)
 
+    def route_update(
+        self, x: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One row routed through every particle, with its context.
+
+        The same level-synchronous descent as :meth:`route` for a single
+        row, also recording where each particle's descent ended.  Returns
+        ``(leaf_ids, leaf_nodes, parent_nodes, depths)``: the global leaf
+        id and *node* index each particle lands on, the node index of that
+        leaf's parent (``-1`` for root-leaves) and the descent depth.  The
+        update's propagate phases derive the prune sibling and the
+        tree-prior depth terms from these.
+        """
+        nodes = self.roots.copy()
+        parents = np.full(nodes.shape[0], -1, dtype=np.intp)
+        depths = np.zeros(nodes.shape[0], dtype=np.intp)
+        active = np.flatnonzero(self.split_dim[nodes] >= 0)
+        while active.size:
+            current = nodes[active]
+            go_left = x[self.split_dim[current]] <= self.split_value[current]
+            parents[active] = current
+            nodes[active] = np.where(go_left, self.left[current], self.right[current])
+            depths[active] += 1
+            still_internal = self.split_dim[nodes[active]] >= 0
+            active = active[still_internal]
+        return self.leaf_slot[nodes], nodes, parents, depths
+
     def predict_components(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per-particle predictive ``(mean, variance)``, each ``(n_particles, n_rows)``."""
         leaf_ids = self.route(X)

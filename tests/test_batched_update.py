@@ -10,8 +10,10 @@ events) on more than one bit generator, pin the update's fixed draw
 layout, check per particle that resample duplicates stay private, pin the
 grow proposals that particles sharing a leaf's training rows score once
 (heavy duplication, the first update, packed-key word boundaries, the
-multi-bucket tables, left-to-right partition sums), and pin the fixed
-systematic resampler's behaviour on adversarial weight vectors.
+multi-bucket tables, left-to-right partition sums), pin the sums over
+particles behind ``predict`` and the ALC score to the oracle's row order,
+and pin the fixed systematic resampler's behaviour on adversarial weight
+vectors.
 """
 
 from __future__ import annotations
@@ -22,10 +24,19 @@ import math
 import numpy as np
 import pytest
 
-from repro.models import compiled_kernels as kernels
-from repro.models.dynamic_tree import DynamicTreeConfig, DynamicTreeRegressor, _equal_rows
+from repro.models.dynamic_tree import (
+    DynamicTreeConfig,
+    DynamicTreeRegressor,
+    _equal_rows,
+    _sum_particles,
+)
 from repro.models.leaf import LeafCacheArrays, NIGPrior
-from tests.oracles.dynamic_tree import ReferenceDynamicTree, descend
+from tests.oracles.dynamic_tree import (
+    ReferenceDynamicTree,
+    descend,
+    expected_average_variance_reference,
+    predict_reference,
+)
 from tests.oracles.leaf import (
     GaussianLeafModel,
     cache_arrays,
@@ -387,6 +398,64 @@ class TestGroupedGrowProposals:
         assert reordered > 0, "no split where the summation order matters"
 
 
+def _row_loop_sum(values):
+    """Column sums of a 2-D array by a Python loop over its rows."""
+    total = values[0].tolist()
+    for row in values[1:].tolist():
+        total = [a + b for a, b in zip(total, row)]
+    return total
+
+
+class TestParticleSums:
+    """Sums over particles add in row order, as the per-particle oracle
+    does: predictions and ALC scores equal it bit for bit, not just to a
+    relative tolerance a pairwise sum would also meet."""
+
+    @pytest.mark.parametrize(
+        "shape, order",
+        [((40, 1), "C"), ((40, 2), "C"), ((40, 2), "F"), ((300, 7), "F"), ((5000, 500), "C")],
+        ids=["40x1", "40x2", "40x2-fortran", "300x7-fortran", "5000x500"],
+    )
+    def test_sum_particles_matches_row_loop(self, shape, order):
+        rng = np.random.default_rng(shape[0] + shape[1])
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        values = np.asarray(values, order=order)
+        expected = _row_loop_sum(values)
+        assert _sum_particles(values).tolist() == expected
+        if shape[1] == 1 or order == "F":
+            # A pairwise sum rounds these inputs differently, so the pin
+            # can tell the two apart.
+            assert np.add.reduce(values, axis=0).tolist() != expected
+
+    @staticmethod
+    def _fitted(seed):
+        X, y = _piecewise_data(60, 3, seed, noise=0.6)
+        model = DynamicTreeRegressor(
+            DynamicTreeConfig(n_particles=48), rng=np.random.default_rng(seed)
+        )
+        model.fit(X, y)
+        probes = np.random.default_rng(seed + 1).uniform(-2, 2, size=(24, 3))
+        return model, probes
+
+    @pytest.mark.parametrize("n_rows", [1, 9])
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_predict_matches_reference_bitwise(self, n_rows, seed):
+        model, probes = self._fitted(seed)
+        batched = model.predict(probes[:n_rows])
+        oracle = predict_reference(model, probes[:n_rows])
+        assert batched.mean.tolist() == oracle.mean.tolist()
+        assert batched.variance.tolist() == oracle.variance.tolist()
+
+    @pytest.mark.parametrize("n_candidates", [1, 7])
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_alc_matches_reference_bitwise(self, n_candidates, seed):
+        model, probes = self._fitted(seed)
+        candidates, reference = probes[:n_candidates], probes[12:]
+        batched = model.expected_average_variance(candidates, reference)
+        oracle = expected_average_variance_reference(model, candidates, reference)
+        assert batched.tolist() == oracle.tolist()
+
+
 class TestSystematicResampler:
     """Regression tests for the fixed systematic resampling loop."""
 
@@ -464,10 +533,8 @@ def _term_table_rows(prior, counts, totals, total_sqs):
     model._prior = prior
     counts = np.asarray(counts, dtype=np.intp)
     model._leaf_term_tables().ensure(int(counts.max()))
-    log_array, _ = kernels.log_maps(False)
     return model._cache_rows(
-        counts, np.asarray(totals, dtype=float), np.asarray(total_sqs, dtype=float),
-        log_array,
+        counts, np.asarray(totals, dtype=float), np.asarray(total_sqs, dtype=float)
     )
 
 

@@ -245,9 +245,8 @@ class TestLearnerResume:
             reference_size=8,
             evaluation_interval=5,
             tree_particles=5,
-            tree_float_mode="fast",
         )
-        expected = DynamicTreeConfig(n_particles=5, float_mode="fast")
+        expected = DynamicTreeConfig(n_particles=5)
         test_set = build_test_set(
             benchmark, size=20, observations=2, rng=np.random.default_rng(8)
         )

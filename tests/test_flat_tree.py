@@ -19,7 +19,6 @@ import pytest
 from repro.core.evaluation import build_test_set
 from repro.core.learner import ActiveLearner, LearnerConfig
 from repro.models.dynamic_tree import DynamicTreeConfig, DynamicTreeRegressor
-from repro.models.compiled_kernels import route_update_numpy
 from repro.spapt.suite import get_benchmark
 from tests.oracles.dynamic_tree import (
     FlatTree,
@@ -92,15 +91,7 @@ class TestFlatTreeRouting:
         forest = model._ensure_forest()
         for _ in range(10):
             x = rng.uniform(-2.5, 2.5, size=4)
-            global_ids = route_update_numpy(
-                forest.split_dim,
-                forest.split_value,
-                forest.left,
-                forest.right,
-                forest.leaf_slot,
-                forest.roots,
-                x,
-            )[0]
+            global_ids = forest.route_update(x)[0]
             assert global_ids.shape == (len(trees),)
             for p, tree in enumerate(trees):
                 assert global_ids[p] - forest.leaf_offsets[p] == tree.route(x[None, :])[0]

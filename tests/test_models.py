@@ -48,6 +48,15 @@ class TestDynamicTreeConfig:
             with pytest.raises(ValueError, match="tree_backend"):
                 LearnerConfig(tree_backend=backend)
 
+    def test_float_mode_accepts_only_exact(self):
+        DynamicTreeConfig(float_mode="exact")
+        LearnerConfig(tree_float_mode="exact")
+        for mode in ("fast", "sloppy"):
+            with pytest.raises(ValueError, match="float_mode"):
+                DynamicTreeConfig(float_mode=mode)
+            with pytest.raises(ValueError, match="tree_float_mode"):
+                LearnerConfig(tree_float_mode=mode)
+
     def test_split_probability_decreases_with_depth(self):
         config = DynamicTreeConfig()
         assert config.split_probability(0) > config.split_probability(2) > 0

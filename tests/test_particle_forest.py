@@ -273,18 +273,13 @@ class TestLeafAssignment:
     particles or models share it."""
 
     @pytest.mark.parametrize("discrete", [False, True], ids=["continuous", "discrete"])
-    @pytest.mark.parametrize("float_mode", ["exact", "fast"])
-    def test_leaf_of_matches_routing_after_every_update(
-        self, monkeypatch, discrete, float_mode
-    ):
+    def test_leaf_of_matches_routing_after_every_update(self, monkeypatch, discrete):
         """Resampling on every update, through node-capacity doublings and
         ``leaf_of`` widenings."""
         monkeypatch.setattr(ParticleForest, "MIN_CAPACITY", 4)
         X, y = _training_data(150, dims=3, seed=17, discrete=discrete)
         model = DynamicTreeRegressor(
-            DynamicTreeConfig(
-                n_particles=16, resample_threshold=1.0, float_mode=float_mode
-            ),
+            DynamicTreeConfig(n_particles=16, resample_threshold=1.0),
             rng=np.random.default_rng(3),
         )
         model.fit(X[:3], y[:3])
