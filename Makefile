@@ -21,30 +21,33 @@ lint:
 docs-check:
 	$(PYTHON) -m pytest tests/test_docs.py -q
 
-## Refresh the tracked model benchmarks (writes BENCH_model.json).
+## Refresh the tracked model benchmarks (writes BENCH_model.json).  Only
+## the bench targets pass --bench-export; `make test` never rewrites the
+## baseline.
 bench:
-	$(PYTHON) -m pytest benchmarks/test_bench_predict.py benchmarks/test_bench_model_update.py -q
+	$(PYTHON) -m pytest benchmarks/test_bench_predict.py benchmarks/test_bench_model_update.py -q \
+		--bench-export
 
 ## Refresh only the model-update benchmark group (the SMC update kernel):
 ## the quick loop when iterating on the update path.
 bench-update:
-	$(PYTHON) -m pytest benchmarks/test_bench_model_update.py -q \
+	$(PYTHON) -m pytest benchmarks/test_bench_model_update.py -q --bench-export \
 		-k "particle_update or dynamic_tree_update"
 
 ## Refresh the ask/tell session dispatch-overhead group (session-driven
 ## run vs the frozen inline loop; also asserts < 5% dispatch overhead).
 bench-session:
-	$(PYTHON) -m pytest benchmarks/test_bench_session_overhead.py -q
+	$(PYTHON) -m pytest benchmarks/test_bench_session_overhead.py -q --bench-export
 
 ## Refresh the batch-acquisition group: one ask(5) batch cycle vs five
 ## ask(1) cycles from the same primed session.
 bench-batch:
-	$(PYTHON) -m pytest benchmarks/test_bench_batch_ask.py -q
+	$(PYTHON) -m pytest benchmarks/test_bench_batch_ask.py -q --bench-export
 
 ## Refresh the broker-overhead group (bare ProfilerBroker vs the
 ## ResilientBroker happy path; also asserts < 5% wrapper overhead).
 bench-broker:
-	$(PYTHON) -m pytest benchmarks/test_bench_broker_overhead.py -q
+	$(PYTHON) -m pytest benchmarks/test_bench_broker_overhead.py -q --bench-export
 
 ## Chaos suite: fault injection, retry/quarantine, and the bit-identity
 ## contract under a fresh random fault schedule each run.  The chosen

@@ -24,8 +24,10 @@ from repro.core.learner import LearnerConfig
 from repro.experiments.config import ExperimentScale
 
 #: Machine-readable benchmark results land here (pytest-benchmark's JSON
-#: export), so the perf trajectory of the model hot paths is tracked across
-#: PRs.  An explicit ``--benchmark-json=...`` on the command line wins.
+#: export) when a run passes ``--bench-export``, so the perf trajectory of
+#: the model hot paths is tracked across PRs.  Any other run, the test
+#: suite included, leaves the tracked baseline alone.  An explicit
+#: ``--benchmark-json=...`` on the command line wins.
 BENCH_JSON_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_model.json"
 
 
@@ -36,6 +38,13 @@ def pytest_addoption(parser):
         default="bench",
         choices=["bench", "laptop"],
         help="Scale of the experiment benchmarks (default: bench, a fast configuration).",
+    )
+    parser.addoption(
+        "--bench-export",
+        action="store_true",
+        default=False,
+        help="Merge this run's timings into the tracked BENCH_model.json "
+        "(the make bench targets pass it).",
     )
 
 
@@ -57,7 +66,7 @@ def pytest_configure(config):
         config.option.benchmark_warmup_iterations = 1
 
     benchmark_json = getattr(config.option, "benchmark_json", "missing")
-    if benchmark_json is None:
+    if benchmark_json is None and config.getoption("--bench-export"):
         # pytest-benchmark is installed and no JSON target was given: export
         # to a scratch file first and publish to the tracked BENCH_model.json
         # only once the run has produced results (see pytest_unconfigure) —

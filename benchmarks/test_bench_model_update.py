@@ -159,7 +159,7 @@ def test_bench_forest_maintenance_1000(benchmark, paper_scale_model, forest):
     model = copy.deepcopy(fitted)
     rng = np.random.default_rng(5)
     candidates = rng.uniform(-1.5, 1.5, size=(20, X.shape[1]))
-    reference = candidates[:10]
+    reference_rows = np.arange(10)
     model.predict(candidates[:1])  # build the initial forest outside the timing
     state = {"i": 0}
 
@@ -173,7 +173,7 @@ def test_bench_forest_maintenance_1000(benchmark, paper_scale_model, forest):
         return (), {}
 
     def score_batch():
-        model.expected_average_variance(candidates, reference)
+        model.expected_average_variance(candidates, reference_rows)
         model.predict(candidates[:5])
 
     benchmark.pedantic(

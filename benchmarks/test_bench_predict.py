@@ -44,8 +44,8 @@ def _make_model(vectorized: bool):
     )
     model.fit(X, y)
     candidates = rng.uniform(-1.5, 1.5, size=(N_CANDIDATES, DIMS))
-    reference = candidates[rng.choice(N_CANDIDATES, size=N_REFERENCE, replace=False)]
-    return model, candidates, reference
+    reference_rows = rng.choice(N_CANDIDATES, size=N_REFERENCE, replace=False)
+    return model, candidates, reference_rows
 
 
 @pytest.mark.benchmark(group="predict-alc")
@@ -57,11 +57,11 @@ def test_bench_predict_alc(benchmark, kernel):
     ``vectorized`` is the flat-array kernel.  Their ratio in
     ``BENCH_model.json`` is the tracked before/after speedup.
     """
-    model, candidates, reference = _make_model(vectorized=(kernel == "vectorized"))
+    model, candidates, reference_rows = _make_model(vectorized=(kernel == "vectorized"))
 
     def score_once():
         model.predict(candidates)
-        return model.expected_average_variance(candidates, reference)
+        return model.expected_average_variance(candidates, reference_rows)
 
     scores = benchmark(score_once)
     assert scores.shape == (N_CANDIDATES,)
@@ -72,7 +72,7 @@ def test_bench_acquisition_iteration(benchmark):
     """A full learner-iteration model workload: update (cache invalidation +
     patching) followed by batched ALC scoring and a prediction, i.e. what
     the vectorized pipeline pays per Algorithm-1 iteration."""
-    model, candidates, reference = _make_model(vectorized=True)
+    model, candidates, reference_rows = _make_model(vectorized=True)
     rng = np.random.default_rng(7)
     xs = rng.uniform(-1.5, 1.5, size=(512, DIMS))
     ys = 1.0 + 0.3 * xs[:, 0] + np.where(xs[:, 1] > 0, 0.5, 0.0)
@@ -81,7 +81,7 @@ def test_bench_acquisition_iteration(benchmark):
     def one_iteration():
         i = state["i"] = (state["i"] + 1) % xs.shape[0]
         model.update(xs[i], float(ys[i]))
-        scores = model.expected_average_variance(candidates, reference)
+        scores = model.expected_average_variance(candidates, reference_rows)
         model.predict(candidates[: int(np.argmax(-scores)) + 1])
         return scores
 

@@ -113,9 +113,7 @@ def _inline_run(mm, test_set):
         indices = rng.choice(candidate_features.shape[0], size=size, replace=False)
         # ALC with a 1e-12 relative tie band, ties drawn uniformly.
         scores = -np.asarray(
-            model.expected_average_variance(
-                candidate_features, candidate_features[indices]
-            )
+            model.expected_average_variance(candidate_features, indices)
         )
         best = float(scores.max())
         ties = np.flatnonzero(scores >= best - 1e-12 * abs(best))

@@ -53,10 +53,14 @@ class AcquisitionFunction(ABC):
         self,
         model: SurrogateModel,
         candidates: np.ndarray,
-        reference: np.ndarray,
+        reference_rows: np.ndarray,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Return one score per candidate; **higher is better**."""
+        """Return one score per candidate; **higher is better**.
+
+        ``reference_rows`` are row indices into ``candidates``: the
+        reference set that ALC averages the remaining variance over.
+        """
 
     #: Relative tie tolerance: candidates within this fraction of the best
     #: score's magnitude are considered tied and drawn from uniformly.
@@ -93,7 +97,7 @@ class AcquisitionFunction(ABC):
         self,
         model: SurrogateModel,
         candidates: np.ndarray,
-        reference: np.ndarray,
+        reference_rows: np.ndarray,
         rng: np.random.Generator,
         k: int,
     ) -> List[int]:
@@ -109,7 +113,7 @@ class AcquisitionFunction(ABC):
         if not 1 <= k <= n:
             raise ValueError(f"batch size k={k} must be within [1, {n}] candidates")
         scores = np.asarray(
-            self.score(model, candidates, reference, rng), dtype=float
+            self.score(model, candidates, reference_rows, rng), dtype=float
         )
         if scores.shape[0] != n:
             raise ValueError("score() must return one value per candidate")
@@ -139,10 +143,10 @@ class ALCAcquisition(AcquisitionFunction):
         self,
         model: SurrogateModel,
         candidates: np.ndarray,
-        reference: np.ndarray,
+        reference_rows: np.ndarray,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        expected = model.expected_average_variance(candidates, reference)
+        expected = model.expected_average_variance(candidates, reference_rows)
         return -np.asarray(expected, dtype=float)
 
 
@@ -155,7 +159,7 @@ class ALMAcquisition(AcquisitionFunction):
         self,
         model: SurrogateModel,
         candidates: np.ndarray,
-        reference: np.ndarray,
+        reference_rows: np.ndarray,
         rng: np.random.Generator,
     ) -> np.ndarray:
         prediction = model.predict(np.atleast_2d(candidates))
@@ -171,7 +175,7 @@ class RandomAcquisition(AcquisitionFunction):
         self,
         model: SurrogateModel,
         candidates: np.ndarray,
-        reference: np.ndarray,
+        reference_rows: np.ndarray,
         rng: np.random.Generator,
     ) -> np.ndarray:
         return rng.random(np.atleast_2d(candidates).shape[0])
@@ -199,7 +203,7 @@ class GreedyALCFantasyAcquisition(ALCAcquisition):
         self,
         model: SurrogateModel,
         candidates: np.ndarray,
-        reference: np.ndarray,
+        reference_rows: np.ndarray,
         rng: np.random.Generator,
         k: int,
     ) -> List[int]:
@@ -212,10 +216,12 @@ class GreedyALCFantasyAcquisition(ALCAcquisition):
         current = model
         for step in range(k):
             available = np.flatnonzero(~taken)
-            scores = np.full(n, -np.inf)
-            scores[available] = np.asarray(
-                self.score(current, C[available], reference, rng), dtype=float
-            )
+            # The whole batch is scored, since a reference row may be a
+            # taken candidate, and taken candidates are masked.  The
+            # dynamic tree sums each candidate's column over particles in
+            # row order, so an available candidate scores as it would alone.
+            scores = np.asarray(self.score(current, C, reference_rows, rng), dtype=float)
+            scores = np.where(taken, -np.inf, scores)
             pick = self._pick_best(scores, available, rng)
             chosen.append(pick)
             taken[pick] = True
@@ -256,7 +262,7 @@ class DiversityPenaltyAcquisition(ALCAcquisition):
         self,
         model: SurrogateModel,
         candidates: np.ndarray,
-        reference: np.ndarray,
+        reference_rows: np.ndarray,
         rng: np.random.Generator,
         k: int,
     ) -> List[int]:
@@ -264,7 +270,7 @@ class DiversityPenaltyAcquisition(ALCAcquisition):
         n = C.shape[0]
         if not 1 <= k <= n:
             raise ValueError(f"batch size k={k} must be within [1, {n}] candidates")
-        base = np.asarray(self.score(model, C, reference, rng), dtype=float)
+        base = np.asarray(self.score(model, C, reference_rows, rng), dtype=float)
         if base.shape[0] != n:
             raise ValueError("score() must return one value per candidate")
         chosen: List[int] = []

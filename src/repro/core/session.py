@@ -498,9 +498,9 @@ class TuningSession:
             return []
         k_eff = min(k, config.max_training_examples - self._iteration, len(candidates))
         candidate_features = self._benchmark.features_many(candidates)
-        reference_features = self._reference_features(candidate_features)
+        reference_rows = self._reference_rows(len(candidates))
         indices = self._acquisition.select_batch(
-            self._model, candidate_features, reference_features, self._rng, k_eff
+            self._model, candidate_features, reference_rows, self._rng, k_eff
         )
         if len(set(indices)) != len(indices):
             raise RuntimeError(
@@ -569,11 +569,10 @@ class TuningSession:
         budget = self._config.max_cost_seconds
         return budget is not None and self._ledger.total_seconds >= budget
 
-    def _reference_features(self, candidate_features: np.ndarray) -> np.ndarray:
-        n = candidate_features.shape[0]
-        size = min(self._config.reference_size, n)
-        indices = self._rng.choice(n, size=size, replace=False)
-        return candidate_features[indices]
+    def _reference_rows(self, n_candidates: int) -> np.ndarray:
+        """Row indices of the round's reference set, drawn from its candidates."""
+        size = min(self._config.reference_size, n_candidates)
+        return self._rng.choice(n_candidates, size=size, replace=False)
 
     def _record_point(self, training_examples: int) -> None:
         rmse = evaluate_rmse(self._model, self._test_set)

@@ -37,10 +37,12 @@ benchmark instance and supports mid-unit checkpoint/resume through a
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import importlib
 from abc import ABC, abstractmethod
+from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import (
@@ -57,13 +59,14 @@ from typing import (
 import numpy as np
 
 from ..core.comparison import ComparisonConfig, resolve_acquisition, run_seeds
-from ..core.evaluation import build_test_set
+from ..core.evaluation import TestSet, build_test_set
 from ..core.learner import ActiveLearner, LearningResult
 from ..core.plans import SamplingPlan
 from ..core.session import TuningSession
 from ..measurement.broker import ReplayBroker, ReplayTrace
 from ..measurement.faults import BrokerPolicy
-from ..spapt.suite import get_benchmark
+from ..measurement.noise import NoiseModel
+from ..spapt.suite import SpaptBenchmark, get_benchmark
 from .config import ExperimentScale
 from .profiling import profile_unit_call
 
@@ -577,6 +580,50 @@ def group_learner_results(
     }
 
 
+#: Most held-out test sets one process keeps (see :func:`_held_out_test_set`).
+_TEST_SET_MEMO_SIZE = 16
+
+#: (benchmark, size, observations, seed) -> the test set and a copy of the
+#: benchmark's noise model right after the build, least recently used first.
+_TEST_SET_MEMO: "OrderedDict[Tuple[str, int, int, int], Tuple[TestSet, NoiseModel]]"
+_TEST_SET_MEMO = OrderedDict()
+
+
+def _held_out_test_set(
+    benchmark: SpaptBenchmark, size: int, observations: int, seed: int
+) -> TestSet:
+    """The held-out test set of a freshly built ``benchmark``, profiled at
+    most once per process.
+
+    Every plan (or variant) of a repetition is scored on the same test
+    set, so the learner units of one (benchmark, repetition) would
+    otherwise profile it once each.  Building it advances the benchmark's
+    drift walk, the benchmark's only state; on a memo hit the benchmark
+    gets a copy of the noise model as it stood after the build, so the
+    unit runs exactly as if it had built the set itself.  The arrays of a
+    memoized set are read-only, since units share it.
+    """
+    key = (benchmark.name, size, observations, seed)
+    entry = _TEST_SET_MEMO.get(key)
+    if entry is None:
+        test_set = build_test_set(
+            benchmark,
+            size=size,
+            observations=observations,
+            rng=np.random.default_rng(seed),
+        )
+        test_set.features.setflags(write=False)
+        test_set.mean_runtimes.setflags(write=False)
+        _TEST_SET_MEMO[key] = (test_set, copy.deepcopy(benchmark.noise_model))
+        if len(_TEST_SET_MEMO) > _TEST_SET_MEMO_SIZE:
+            _TEST_SET_MEMO.popitem(last=False)
+        return test_set
+    _TEST_SET_MEMO.move_to_end(key)
+    test_set, noise_model = entry
+    benchmark.restore_noise_model(copy.deepcopy(noise_model))
+    return test_set
+
+
 def execute_learner_run(
     benchmark_name: str,
     plan: SamplingPlan,
@@ -590,14 +637,15 @@ def execute_learner_run(
 ) -> LearningResult:
     """One seeded active-learner run — the shared learner-unit body.
 
-    Rebuilds the benchmark and the repetition's held-out test set from
-    their deterministic seeds (:func:`~repro.core.comparison.run_seeds`:
+    Rebuilds the benchmark and takes the repetition's held-out test set
+    from their deterministic seeds (:func:`~repro.core.comparison.run_seeds`:
     the test seed depends only on the repetition, the run seed on
-    repetition × ``plan_index``), resumes from the context's checkpoint
+    repetition × ``plan_index``; :func:`_held_out_test_set` profiles each
+    test set once per process), resumes from the context's checkpoint
     when one exists — a pickled
     :class:`~repro.core.session.TuningSession`, whose
     ``attach_benchmark`` restores the benchmark's stateful noise
-    components only *after* the test set is rebuilt here, since building
+    components only *after* the test set is taken here, since building
     it advances the drift walk — and returns the result with the
     surrogate model stripped (payloads must stay small and picklable).
     ``plan_index`` is whatever position the run occupies on its
@@ -613,11 +661,8 @@ def execute_learner_run(
     context = context if context is not None else UnitContext()
     benchmark = get_benchmark(benchmark_name)
     test_seed, run_seed = run_seeds(config, repetition, plan_index)
-    test_set = build_test_set(
-        benchmark,
-        size=config.test_size,
-        observations=config.test_observations,
-        rng=np.random.default_rng(test_seed),
+    test_set = _held_out_test_set(
+        benchmark, config.test_size, config.test_observations, test_seed
     )
     resume: Optional[TuningSession] = context.load_checkpoint()
     learner = ActiveLearner(

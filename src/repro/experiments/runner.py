@@ -29,7 +29,8 @@ from a persistent on-disk queue:
   The owner's heartbeat thread renews the lease while the unit runs;
 * ``<run_dir>/log/events.jsonl`` — an append-only journal of claim /
   execute / publish / takeover / fail / quarantine events (host, pid,
-  timestamps), fsynced per event, the audit trail the contention tests
+  timestamps; a publish also carries the unit's checkpoint count and
+  seconds), fsynced per event, the audit trail the contention tests
   assert on; a torn tail from a killed writer is truncated on resume;
 * ``<run_dir>/failed/<unit>.json`` — the attempt history of a unit whose
   execution raised: traceback, host, pid and time per attempt.  A unit
@@ -120,8 +121,13 @@ def _host_tag() -> str:
     return f"{socket.gethostname()}:{os.getpid()}"
 
 
-def _append_event(run_dir: pathlib.Path, event: str, unit_id: str) -> None:
+def _append_event(
+    run_dir: pathlib.Path, event: str, unit_id: str, **fields: Any
+) -> None:
     """One journal line per event, written with a single ``O_APPEND`` write.
+
+    ``fields`` are extra JSON values the event carries (a ``publish``
+    carries the unit's checkpoint count and seconds).
 
     On local POSIX filesystems a single small append lands as one whole
     record, so concurrent writers interleave lines, never fragments.  On
@@ -138,6 +144,7 @@ def _append_event(run_dir: pathlib.Path, event: str, unit_id: str) -> None:
                 "host": socket.gethostname(),
                 "pid": os.getpid(),
                 "time": time.time(),
+                **fields,
             }
         )
         + "\n"
@@ -453,6 +460,10 @@ class _FileUnitContext(UnitContext):
     as ``checkpoint-corrupt`` and deleted, and the unit restarts cleanly
     instead of resuming from garbage.  The claim lease is renewed by the
     unit's :class:`_ClaimHeartbeat`, not by checkpoints.
+
+    The context counts the checkpoints it saves and their wall seconds
+    (pickle, digest and fsynced write); the unit's ``publish`` event
+    carries both.  The timing reads only a clock, never an RNG.
     """
 
     def __init__(
@@ -467,6 +478,8 @@ class _FileUnitContext(UnitContext):
         self.checkpoint_interval = checkpoint_interval
         self._run_dir = run_dir
         self._checkpoint_path = run_dir / "checkpoints" / f"{unit.unit_id}.pkl"
+        self.checkpoints = 0
+        self.checkpoint_seconds = 0.0
 
     def load_checkpoint(self) -> Optional[Any]:
         try:
@@ -487,6 +500,7 @@ class _FileUnitContext(UnitContext):
             return None  # stale checkpoint layout: restart the unit
 
     def save_checkpoint(self, state: Any, done: int, target: int) -> None:
+        start = time.perf_counter()
         payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
         header = json.dumps(
             {
@@ -498,6 +512,8 @@ class _FileUnitContext(UnitContext):
         _atomic_write_bytes(
             self._checkpoint_path, header.encode("utf-8") + b"\n" + payload
         )
+        self.checkpoints += 1
+        self.checkpoint_seconds += time.perf_counter() - start
 
     def cleanup(self) -> None:
         try:
@@ -604,7 +620,13 @@ class _QueuedExecution:
                     protocol=pickle.HIGHEST_PROTOCOL,
                 ),
             )
-            _append_event(base, "publish", unit.unit_id)
+            _append_event(
+                base,
+                "publish",
+                unit.unit_id,
+                checkpoints=context.checkpoints,
+                checkpoint_s=context.checkpoint_seconds,
+            )
             context.cleanup()
             # A unit that failed on earlier attempts but succeeded now is
             # not a failure: keep the coverage report clean.

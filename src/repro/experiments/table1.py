@@ -178,7 +178,10 @@ class Table1Spec(ExperimentSpec):
     :func:`~repro.core.comparison.run_seeds`.  Every unit rebuilds its
     benchmark, so benchmarks with stateful drift noise start each unit
     with a fresh noise state and the table is the same at any worker
-    count, in memory or sharded."""
+    count, in memory or sharded.  The drift walk is the benchmark's only
+    state, so a unit that reuses its repetition's memoized test set and
+    the noise state after that set's build runs exactly as one that
+    builds the set itself."""
 
     name = "table1"
     title = "Table 1"

@@ -81,9 +81,9 @@ class SurrogateModel(ABC):
     # ------------------------------------------------------------------ ALC
 
     def expected_average_variance(
-        self, candidates: np.ndarray, reference: np.ndarray
+        self, candidates: np.ndarray, reference_rows: np.ndarray
     ) -> np.ndarray:
-        """Predicted average variance over ``reference`` after observing each candidate.
+        """Predicted average variance over the reference rows after observing each candidate.
 
         This is the quantity Algorithm 1 of the paper minimises
         (``predictAvgModelVariance``): for every candidate ``c`` it returns
@@ -91,16 +91,23 @@ class SurrogateModel(ABC):
         set that would remain if one additional observation were taken at
         ``c``.  Equivalently, minimising it maximises the ALC (Cohn) score.
 
+        The reference set is ``candidates[reference_rows]``: Algorithm 1
+        draws it from the candidate batch, so it is passed as row indices
+        into ``candidates`` and a model that routes the candidates (the
+        dynamic tree) reuses their routes instead of routing the
+        references again.
+
         The default implementation ignores the candidate's global effect and
         simply discounts the candidate's own variance, which reduces the
         acquisition to ALM-like behaviour; models with a proper closed form
         (the dynamic tree, the GP) override it.
         """
-        reference_pred = self.predict(np.asarray(reference, dtype=float))
+        C = np.atleast_2d(np.asarray(candidates, dtype=float))
+        reference_pred = self.predict(C[reference_rows])
         base = float(np.mean(reference_pred.variance))
-        candidate_pred = self.predict(np.asarray(candidates, dtype=float))
+        candidate_pred = self.predict(C)
         # Higher own-variance candidates are assumed to remove more variance.
-        reduction = candidate_pred.variance / (len(reference) + 1.0)
+        reduction = candidate_pred.variance / (len(reference_rows) + 1.0)
         return np.maximum(base - reduction, 0.0)
 
     def fantasy_copy(self) -> "SurrogateModel":

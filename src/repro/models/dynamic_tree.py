@@ -518,7 +518,7 @@ class DynamicTreeRegressor(SurrogateModel):
         return Prediction(mean=means, variance=variances)
 
     def expected_average_variance(
-        self, candidates: np.ndarray, reference: np.ndarray
+        self, candidates: np.ndarray, reference_rows: np.ndarray
     ) -> np.ndarray:
         """ALC-style score: average reference variance left after observing each candidate.
 
@@ -531,22 +531,25 @@ class DynamicTreeRegressor(SurrogateModel):
         Averaging the remaining variance over the reference set and over
         particles gives the quantity Algorithm 1 minimises.
 
-        Vectorized: per particle, the reference and candidate batches are
-        routed to integer leaf ids in one pass each; the per-leaf reference
-        variance mass is a ``bincount`` and the candidate reductions are
-        gathers — no Python-level descent and no ``id(node)`` dictionaries.
+        The reference set is ``candidates[reference_rows]``.  Vectorized:
+        the candidate batch is routed to integer leaf ids in one pass over
+        all particles, and the references' leaf ids are columns of that
+        route (routing is per row, so they equal ``route(C[rows])``
+        exactly); the per-leaf reference variance mass is a ``bincount``
+        and the candidate reductions are gathers — no Python-level descent
+        and no ``id(node)`` dictionaries.
         """
         if not self._n:
             raise RuntimeError("the model has no training data yet")
         C = np.atleast_2d(np.asarray(candidates, dtype=float))
-        R = np.atleast_2d(np.asarray(reference, dtype=float))
-        n_reference = R.shape[0]
         kappa = self._prior.kappa
         forest = self._ensure_forest()
-        # (n_particles, n_reference) global leaf ids; leaf ids never collide
+        # (n_particles, n_candidates) global leaf ids; leaf ids never collide
         # across particles, so one bincount aggregates the per-leaf
         # reference-variance mass of the entire forest.
-        reference_leaf_ids = forest.route(R)
+        candidate_leaf_ids = forest.route(C)
+        reference_leaf_ids = candidate_leaf_ids[:, reference_rows]
+        n_reference = reference_leaf_ids.shape[1]
         reference_variance = forest.leaf_variance[reference_leaf_ids]
         # Sequential accumulation keeps every score bit-identical to the
         # reference loop; bincount also adds weights in input order.
@@ -556,7 +559,6 @@ class DynamicTreeRegressor(SurrogateModel):
             weights=reference_variance.ravel(),
             minlength=forest.n_leaves,
         )
-        candidate_leaf_ids = forest.route(C)
         shrink = 1.0 / (forest.leaf_count[candidate_leaf_ids] + kappa + 1.0)
         reduction = variance_by_leaf[candidate_leaf_ids] * shrink
         spread = (base_total[:, None] - reduction) / n_reference

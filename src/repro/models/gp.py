@@ -334,7 +334,7 @@ class GaussianProcessRegressor(SurrogateModel):
         return Prediction(mean=mean, variance=variance)
 
     def expected_average_variance(
-        self, candidates: np.ndarray, reference: np.ndarray
+        self, candidates: np.ndarray, reference_rows: np.ndarray
     ) -> np.ndarray:
         """Closed-form ALC for a GP.
 
@@ -342,15 +342,16 @@ class GaussianProcessRegressor(SurrogateModel):
         variance at a reference point ``r`` by
         ``cov(r, c)^2 / (var(c) + noise)`` where ``cov`` and ``var`` are the
         *posterior* covariance and variance.  The returned score is the
-        average variance remaining over the reference set for each
-        candidate — the quantity Algorithm 1 minimises.
+        average variance remaining over the reference set
+        ``candidates[reference_rows]`` for each candidate — the quantity
+        Algorithm 1 minimises.
         """
         from scipy.linalg import cho_solve
 
         self._refresh()
         assert self._X is not None and self._chol is not None
         C = np.atleast_2d(np.asarray(candidates, dtype=float))
-        R = np.atleast_2d(np.asarray(reference, dtype=float))
+        R = C[reference_rows]
         K_rc = self._kernel(R, C)
         K_rx = self._kernel(R, self._X)
         K_cx = self._kernel(C, self._X)

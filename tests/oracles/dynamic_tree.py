@@ -348,9 +348,10 @@ class ReferenceDynamicTree(DynamicTreeRegressor):
         return predict_reference(self, features)
 
     def expected_average_variance(
-        self, candidates: np.ndarray, reference: np.ndarray
+        self, candidates: np.ndarray, reference_rows: np.ndarray
     ) -> np.ndarray:
-        return expected_average_variance_reference(self, candidates, reference)
+        C = np.atleast_2d(np.asarray(candidates, dtype=float))
+        return expected_average_variance_reference(self, C, C[reference_rows])
 
     # --------------------------------------------------- reweight + resample
 

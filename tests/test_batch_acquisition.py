@@ -40,8 +40,10 @@ from repro.experiments.registry import run_artifacts
 from repro.experiments.runner import run_paper_run
 from repro.measurement.broker import ProfilerBroker
 from repro.measurement.profiler import Profiler
+from repro.models.dynamic_tree import DynamicTreeConfig, DynamicTreeRegressor
 from repro.models.gp import GaussianProcessRegressor
 from repro.spapt.suite import get_benchmark
+from tests.oracles.dynamic_tree import expected_average_variance_reference
 
 SMALL = LearnerConfig(
     n_initial=4,
@@ -145,7 +147,7 @@ class TestAskOneBitIdentity:
         X = rng.normal(size=(12, 4))
         model.fit(X, rng.normal(size=12))
         candidates = rng.normal(size=(9, 4))
-        reference = rng.normal(size=(5, 4))
+        reference = np.array([0, 2, 4, 6, 8])
         for acquisition in (
             ALCAcquisition(),
             GreedyALCFantasyAcquisition(),
@@ -160,6 +162,49 @@ class TestAskOneBitIdentity:
             batch = acquisition.select_batch(model, candidates, reference, b, 1)
             assert batch == [single]
             assert a.bit_generator.state == b.bit_generator.state
+
+
+class TestGreedyFantasyMasking:
+    """Greedy-ALC scores the whole candidate batch each step and masks the
+    taken candidates; its picks equal scoring only the available ones."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("seed", [1, 6])
+    def test_picks_match_scoring_available_candidates(self, k, seed):
+        data = np.random.default_rng(seed)
+        X = data.uniform(-2, 2, size=(60, 3))
+        y = np.where(X[:, 0] > 0.2, 2.0, -1.0) + 0.4 * X[:, 1] + data.normal(0, 0.4, 60)
+        model = DynamicTreeRegressor(
+            DynamicTreeConfig(n_particles=24), rng=np.random.default_rng(seed)
+        )
+        model.fit(X, y)
+        C = data.uniform(-2, 2, size=(20, 3))
+        rows = data.choice(20, size=8, replace=False)
+
+        # Oracle: each step scores C[available] against the matrix C[rows]
+        # with the per-particle reference, on its own fantasy copy.
+        oracle_rng = np.random.default_rng(seed + 100)
+        expected, taken, current = [], np.zeros(20, dtype=bool), model
+        for step in range(k):
+            available = np.flatnonzero(~taken)
+            scores = np.full(20, -np.inf)
+            scores[available] = -expected_average_variance_reference(
+                current, C[available], C[rows]
+            )
+            best = float(scores[available].max())
+            band = scores[available] >= best - 1e-12 * abs(best)
+            pick = int(oracle_rng.choice(available[np.flatnonzero(band)]))
+            expected.append(pick)
+            taken[pick] = True
+            if step + 1 < k:
+                if current is model:
+                    current = model.fantasy_copy()
+                current.update(C[pick], float(current.predict(C[pick : pick + 1]).mean[0]))
+
+        rng = np.random.default_rng(seed + 100)
+        picks = GreedyALCFantasyAcquisition().select_batch(model, C, rows, rng, k)
+        assert picks == expected
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestFoldDeterminism:

@@ -12,8 +12,9 @@ grow proposals that particles sharing a leaf's training rows score once
 (heavy duplication, the first update, packed-key word boundaries, the
 multi-bucket tables, left-to-right partition sums), pin the sums over
 particles behind ``predict`` and the ALC score to the oracle's row order,
-and pin the fixed systematic resampler's behaviour on adversarial weight
-vectors.
+pin ALC scores over reference rows of the candidate matrix to the oracle's
+scores over the reference matrix, and pin the fixed systematic
+resampler's behaviour on adversarial weight vectors.
 """
 
 from __future__ import annotations
@@ -111,8 +112,8 @@ class TestTrajectoryBitIdentity:
                 assert fast.mean.tolist() == slow.mean.tolist(), f"step {i}"
                 assert fast.variance.tolist() == slow.variance.tolist(), f"step {i}"
             assert batched.leaf_counts() == reference.leaf_counts()
-            alc_fast = batched.expected_average_variance(probes[:4], probes[4:])
-            alc_slow = reference.expected_average_variance(probes[:4], probes[4:])
+            alc_fast = batched.expected_average_variance(probes, np.arange(4, 9))
+            alc_slow = reference.expected_average_variance(probes, np.arange(4, 9))
             np.testing.assert_allclose(alc_fast, alc_slow, rtol=1e-12)
         finally:
             ReferenceDynamicTree._apply_prune = original_prune
@@ -450,10 +451,60 @@ class TestParticleSums:
     @pytest.mark.parametrize("seed", [3, 8])
     def test_alc_matches_reference_bitwise(self, n_candidates, seed):
         model, probes = self._fitted(seed)
-        candidates, reference = probes[:n_candidates], probes[12:]
-        batched = model.expected_average_variance(candidates, reference)
-        oracle = expected_average_variance_reference(model, candidates, reference)
+        candidates = np.vstack([probes[:n_candidates], probes[12:]])
+        rows = np.arange(n_candidates, len(candidates))
+        batched = model.expected_average_variance(candidates, rows)
+        oracle = expected_average_variance_reference(model, candidates, candidates[rows])
         assert batched.tolist() == oracle.tolist()
+
+
+class TestReferenceRows:
+    """The ALC references are rows of the candidate matrix: the tree reads
+    their leaf ids off the candidates' route, and the scores equal the
+    per-particle oracle's on the reference *matrix* ``C[rows]`` bit for
+    bit."""
+
+    @staticmethod
+    def _fitted(seed, n_particles=32):
+        X, y = _piecewise_data(70, 3, seed, noise=0.5)
+        model = DynamicTreeRegressor(
+            DynamicTreeConfig(n_particles=n_particles), rng=np.random.default_rng(seed)
+        )
+        model.fit(X[:40], y[:40])
+        for i in range(40, 70):
+            model.update(X[i], float(y[i]))
+        probes = np.random.default_rng(seed + 1).uniform(-2, 2, size=(30, 3))
+        return model, probes
+
+    @staticmethod
+    def _assert_matches_oracle(model, candidates, rows):
+        scores = model.expected_average_variance(candidates, rows)
+        oracle = expected_average_variance_reference(model, candidates, candidates[rows])
+        assert scores.tolist() == oracle.tolist()
+        return scores
+
+    @pytest.mark.parametrize("seed", [4, 9])
+    def test_one_candidate_is_its_own_reference(self, seed):
+        model, probes = self._fitted(seed)
+        self._assert_matches_oracle(model, probes[:1], np.array([0]))
+
+    @pytest.mark.parametrize("n_particles", [16, 48])
+    @pytest.mark.parametrize("seed", [4, 9])
+    def test_many_candidates_drawn_references(self, seed, n_particles):
+        model, probes = self._fitted(seed, n_particles)
+        rows = np.random.default_rng(seed).choice(len(probes), size=12, replace=False)
+        self._assert_matches_oracle(model, probes, rows)
+
+    @pytest.mark.parametrize("seed", [4, 9])
+    def test_reference_set_holds_the_chosen_row(self, seed):
+        model, probes = self._fitted(seed)
+        rows = np.arange(0, len(probes), 3)
+        scores = self._assert_matches_oracle(model, probes, rows)
+        chosen = int(np.argmin(scores))
+        with_chosen = np.append(rows[rows != chosen], chosen)
+        self._assert_matches_oracle(model, probes, with_chosen)
+        # A repeated row counts twice, as a repeated reference point would.
+        self._assert_matches_oracle(model, probes, np.append(with_chosen, chosen))
 
 
 class TestSystematicResampler:

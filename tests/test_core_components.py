@@ -82,7 +82,7 @@ class _FakeModel:
         X = np.atleast_2d(X)
         return Prediction(mean=np.zeros(X.shape[0]), variance=self._variances[: X.shape[0]])
 
-    def expected_average_variance(self, candidates, reference):
+    def expected_average_variance(self, candidates, reference_rows):
         # Pretend the candidate with the highest own variance removes the most.
         return 1.0 - self._variances[: np.atleast_2d(candidates).shape[0]] * 0.1
 
@@ -91,7 +91,7 @@ def _tie_broken_pick(acquisition, n, seed):
     """``select_batch(..., 1)`` with a seeded generator, checked against an
     independent tie-banded argmax: the best score, with every score within
     a 1e-12 relative band of it drawn from uniformly."""
-    candidates, reference = np.zeros((n, 2)), np.zeros((1, 2))
+    candidates, reference = np.zeros((n, 2)), np.array([0])
     rng = np.random.default_rng(seed)
     picks = acquisition.select_batch(None, candidates, reference, rng, 1)
     oracle = np.random.default_rng(seed)
@@ -107,14 +107,14 @@ class TestAcquisition:
     def test_alm_selects_highest_variance(self, rng):
         model = _FakeModel([0.1, 0.9, 0.3])
         picks = ALMAcquisition().select_batch(
-            model, np.zeros((3, 2)), np.zeros((2, 2)), rng, 1
+            model, np.zeros((3, 2)), np.array([0, 1]), rng, 1
         )
         assert picks == [1]
 
     def test_alc_selects_lowest_expected_average_variance(self, rng):
         model = _FakeModel([0.1, 0.9, 0.3])
         picks = ALCAcquisition().select_batch(
-            model, np.zeros((3, 2)), np.zeros((2, 2)), rng, 1
+            model, np.zeros((3, 2)), np.array([0, 1]), rng, 1
         )
         assert picks == [1]  # highest variance -> lowest remaining average variance
 
@@ -122,7 +122,7 @@ class TestAcquisition:
         model = _FakeModel([0.5] * 4)
         picks = {
             RandomAcquisition().select_batch(
-                model, np.zeros((4, 2)), np.zeros((1, 2)), rng, 1
+                model, np.zeros((4, 2)), np.array([0]), rng, 1
             )[0]
             for _ in range(60)
         }
@@ -145,7 +145,7 @@ class TestAcquisition:
         """
 
         class _Scored(ALMAcquisition):
-            def score(self, model, candidates, reference, rng):
+            def score(self, model, candidates, reference_rows, rng):
                 best = -1e6
                 return np.array(
                     [best - 2.0, np.nextafter(best, -np.inf), best, best - 1.0]
@@ -163,7 +163,7 @@ class TestAcquisition:
         """
 
         class _Scored(ALMAcquisition):
-            def score(self, model, candidates, reference, rng):
+            def score(self, model, candidates, reference_rows, rng):
                 return np.array([-5e-18, -1e-18, -4e-16, -2e-18])
 
         picks = {_tie_broken_pick(_Scored(), 4, seed) for seed in range(40)}
@@ -173,7 +173,7 @@ class TestAcquisition:
         """Exact ties (identical-leaf candidates) are drawn from uniformly."""
 
         class _Scored(ALMAcquisition):
-            def score(self, model, candidates, reference, rng):
+            def score(self, model, candidates, reference_rows, rng):
                 return np.array([0.5, 0.7, 0.7, 0.1])
 
         picks = {_tie_broken_pick(_Scored(), 4, seed) for seed in range(40)}
@@ -181,7 +181,7 @@ class TestAcquisition:
 
     def test_tie_break_zero_best_degrades_to_exact(self):
         class _Scored(ALMAcquisition):
-            def score(self, model, candidates, reference, rng):
+            def score(self, model, candidates, reference_rows, rng):
                 return np.array([-1e-300, 0.0, -5e-301])
 
         picks = {_tie_broken_pick(_Scored(), 3, seed) for seed in range(20)}
@@ -199,9 +199,9 @@ class TestAcquisition:
         X = np.vstack([dense, sparse])
         y = np.concatenate([np.full(40, 1.0) + rng.normal(0, 0.01, 40), [5.0]])
         model.fit(X, y)
-        candidates = np.array([[-1.0, -1.0], [1.0, 1.0]])
-        reference = np.vstack([dense[:10], sparse])
-        scores = ALCAcquisition().score(model, candidates, reference, rng)
+        # The references are the sparse candidate and ten dense points.
+        candidates = np.vstack([[[-1.0, -1.0], [1.0, 1.0]], dense[:10]])
+        scores = ALCAcquisition().score(model, candidates, np.arange(1, 12), rng)
         assert scores[1] >= scores[0]
 
 

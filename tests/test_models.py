@@ -149,12 +149,12 @@ class TestDynamicTree:
         X, y = training_data
         model = self.make_model()
         model.fit(X, y)
-        candidates = rng.uniform(-2, 2, size=(15, 2))
-        reference = rng.uniform(-2, 2, size=(25, 2))
-        scores = model.expected_average_variance(candidates, reference)
-        assert scores.shape == (15,)
+        candidates = rng.uniform(-2, 2, size=(40, 2))
+        rows = np.arange(15, 40)
+        scores = model.expected_average_variance(candidates, rows)
+        assert scores.shape == (40,)
         assert np.all(scores >= 0)
-        base = float(np.mean(model.predict(reference).variance))
+        base = float(np.mean(model.predict(candidates[rows]).variance))
         assert np.all(scores <= base + 1e-9)
 
     def test_deterministic_given_seed(self, training_data):
@@ -197,11 +197,11 @@ class TestGaussianProcess:
         y = X[:, 0] + 0.5 * X[:, 1]
         gp = GaussianProcessRegressor()
         gp.fit(X, y)
-        reference = np.array([[3.0, 3.0]])
         near_reference = np.array([[3.0, 3.0]])
         far_from_reference = np.array([[0.0, 0.0]])
+        # The lonely reference point is the first candidate's own row.
         scores = gp.expected_average_variance(
-            np.vstack([near_reference, far_from_reference]), reference
+            np.vstack([near_reference, far_from_reference]), np.array([0])
         )
         # Sampling right at the lonely reference point removes more variance.
         assert scores[0] < scores[1]
@@ -235,8 +235,8 @@ class TestGaussianProcess:
         b = full.predict(grid)
         np.testing.assert_allclose(a.mean, b.mean, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(a.variance, b.variance, rtol=1e-8, atol=1e-10)
-        alc_a = incremental.expected_average_variance(grid[:5], grid[5:])
-        alc_b = full.expected_average_variance(grid[:5], grid[5:])
+        alc_a = incremental.expected_average_variance(grid, np.arange(5, 15))
+        alc_b = full.expected_average_variance(grid, np.arange(5, 15))
         np.testing.assert_allclose(alc_a, alc_b, rtol=1e-8, atol=1e-12)
 
     def test_rank1_update_with_heuristic_hyperparameters_stays_close(self, rng):
@@ -464,6 +464,64 @@ class TestBaselines:
         model = KNNRegressor(k=1)
         model.update(np.array([0.0]), 5.0)
         assert model.predict(np.array([[0.0]])).mean[0] == pytest.approx(5.0)
+
+
+def _gp_alc_on_matrix(gp, candidates, reference):
+    """The GP's closed-form ALC with the reference set given as a matrix,
+    as it was computed before references became candidate rows."""
+    from scipy.linalg import cho_solve
+
+    gp._refresh()
+    C, R = candidates, reference
+    K_rc = gp._kernel(R, C)
+    K_rx = gp._kernel(R, gp._X)
+    K_cx = gp._kernel(C, gp._X)
+    v_c = cho_solve((gp._chol, True), K_cx.T)
+    post_cov = K_rc - K_rx @ v_c
+    post_var_c = np.maximum(gp._signal - np.einsum("ij,ji->i", K_cx, v_c), 1e-18)
+    post_var_r = np.maximum(
+        gp._signal
+        - np.einsum("ij,ji->i", K_rx, cho_solve((gp._chol, True), K_rx.T)),
+        1e-18,
+    )
+    remaining = post_var_r[:, None] - post_cov ** 2 / (post_var_c + gp._noise)[None, :]
+    return np.maximum(remaining, 0.0).mean(axis=0) + gp._noise
+
+
+def _default_alc_on_matrix(model, candidates, reference):
+    """``SurrogateModel``'s default ALC with a reference matrix."""
+    base = float(np.mean(model.predict(reference).variance))
+    reduction = model.predict(candidates).variance / (len(reference) + 1.0)
+    return np.maximum(base - reduction, 0.0)
+
+
+class TestReferenceRowsMatchMatrix:
+    """Passing the references as rows of the candidate matrix scores
+    exactly as passing the matrix ``C[rows]`` did."""
+
+    @pytest.fixture
+    def problem(self, rng):
+        X = rng.uniform(-1, 1, size=(30, 3))
+        y = np.sin(2 * X[:, 0]) + 0.3 * X[:, 1] + rng.normal(0, 0.05, 30)
+        candidates = rng.uniform(-1, 1, size=(25, 3))
+        rows = rng.choice(25, size=10, replace=False)
+        return X, y, candidates, rows
+
+    def test_gp(self, problem):
+        X, y, candidates, rows = problem
+        gp = GaussianProcessRegressor()
+        gp.fit(X, y)
+        scores = gp.expected_average_variance(candidates, rows)
+        assert scores.tolist() == _gp_alc_on_matrix(gp, candidates, candidates[rows]).tolist()
+
+    @pytest.mark.parametrize("make", [ConstantMeanModel, KNNRegressor])
+    def test_default_implementation(self, problem, make):
+        X, y, candidates, rows = problem
+        model = make()
+        model.fit(X, y)
+        scores = model.expected_average_variance(candidates, rows)
+        expected = _default_alc_on_matrix(model, candidates, candidates[rows])
+        assert scores.tolist() == expected.tolist()
 
 
 class TestSquaredDistances:

@@ -83,13 +83,13 @@ def _rebuild_from_snapshot(model):
     model._particle_forest = None
 
 
-def _assert_same_queries(a, b, probe, reference):
+def _assert_same_queries(a, b, probe, reference_rows):
     pa, pb = a.predict(probe), b.predict(probe)
     assert np.array_equal(pa.mean, pb.mean)
     assert np.array_equal(pa.variance, pb.variance)
     assert np.array_equal(
-        a.expected_average_variance(probe, reference),
-        b.expected_average_variance(probe, reference),
+        a.expected_average_variance(probe, reference_rows),
+        b.expected_average_variance(probe, reference_rows),
     )
 
 
@@ -110,13 +110,13 @@ class TestBitIdentity:
         live.fit(X[:30], y[:30])
         rebuilt.fit(X[:30], y[:30])
         rng = np.random.default_rng(9)
-        probe = rng.uniform(-1.5, 1.5, size=(30, X.shape[1]))
-        reference = rng.uniform(-1.5, 1.5, size=(20, X.shape[1]))
+        probe = rng.uniform(-1.5, 1.5, size=(50, X.shape[1]))
+        reference_rows = np.arange(30, 50)
         for i in range(30, 240):
             live.update(X[i], float(y[i]))
             rebuilt.update(X[i], float(y[i]))
             _rebuild_from_snapshot(rebuilt)
-            _assert_same_queries(live, rebuilt, probe, reference)
+            _assert_same_queries(live, rebuilt, probe, reference_rows)
 
     def test_aggressive_resampling_stays_bit_identical(self):
         """A resample-every-update regime gathers duplicate rows, and then
@@ -181,7 +181,7 @@ class TestCompileOracle:
             _assert_matches_compile(model, reference)
             moved.update(model._particle_forest.n_nodes.tolist())
             if step % 7 == 0:
-                _assert_same_queries(model, reference, probe, probe[:6])
+                _assert_same_queries(model, reference, probe, np.arange(6))
         assert len(moved) > 3, "trees never grew or pruned"
 
     def test_capacity_doubling_keeps_rows_exact(self, monkeypatch):
@@ -214,14 +214,14 @@ class TestCopies:
         model.fit(X[:30], y[:30])
         for i in range(30, 60):
             model.update(X[i], float(y[i]))
-        probe, reference = X[:20], X[20:30]
+        probe, reference_rows = X[:30], np.arange(20, 30)
 
         def snapshot(m):
             prediction = m.predict(probe)
             return (
                 prediction.mean,
                 prediction.variance,
-                m.expected_average_variance(probe, reference),
+                m.expected_average_variance(probe, reference_rows),
             )
 
         def same(a, b):

@@ -17,25 +17,32 @@ The load-bearing guarantees:
 * **streaming reports** — ``run_all`` emits each artifact's section as it
   completes, so a killed report run keeps its finished sections;
 * **partial results copy** — a folded artifact with quarantined units
-  survives ``copy``, ``deepcopy`` and a pickle round trip unchanged.
+  survives ``copy``, ``deepcopy`` and a pickle round trip unchanged;
+* **held-out test set memo** — a learner unit that reuses its
+  repetition's test set (and the drift state after its build) returns
+  what a fresh process returns.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import multiprocessing
 import pickle
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.core.learner import LearnerConfig
 from repro.experiments.config import ExperimentScale
+from repro.experiments import registry
 from repro.experiments.registry import (
     DEFAULT_ARTIFACTS,
     PartialArtifactResult,
     UnitContext,
+    UnitExecution,
     WorkUnit,
     get_spec,
     resolve_artifacts,
@@ -44,6 +51,7 @@ from repro.experiments.registry import (
 )
 from repro.experiments.runner import ExperimentRunner, _try_claim
 from repro.measurement.faults import BrokerPolicy, MeasurementFailedError
+from repro.spapt.suite import get_benchmark
 
 ALL_ARTIFACTS = (
     "table2",
@@ -117,6 +125,85 @@ class TestRegistry:
         assert spec.fingerprint(SCALE) != spec.fingerprint(
             _tiny_scale(max_examples=24)
         )
+
+
+def _learning_fingerprint(result):
+    return (
+        [
+            (p.cost_seconds, p.rmse, p.training_examples, p.observations)
+            for p in result.curve.points
+        ],
+        (
+            result.ledger.compile_seconds,
+            result.ledger.runtime_seconds,
+            result.ledger.compilations,
+            result.ledger.executions,
+        ),
+        result.observation_counts,
+    )
+
+
+class TestHeldOutTestSetMemo:
+    """Each process profiles a repetition's held-out test set once; a unit
+    that reuses it runs exactly as one that builds it."""
+
+    SIZE, OBSERVATIONS, SEED = 30, 3, 2017
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        registry._TEST_SET_MEMO.clear()
+        yield
+        registry._TEST_SET_MEMO.clear()
+
+    def _held_out(self, name="adi", seed=SEED):
+        benchmark = get_benchmark(name)
+        test_set = registry._held_out_test_set(
+            benchmark, self.SIZE, self.OBSERVATIONS, seed
+        )
+        return benchmark, test_set
+
+    def test_table1_unit_hit_matches_a_fresh_process(self):
+        scale = _tiny_scale(benchmarks=("adi",))
+        unit = get_spec("table1").work_units(scale)[1]
+        execution = UnitExecution(scale)
+        first = execution(unit)
+        assert len(registry._TEST_SET_MEMO) == 1
+        hit = execution(unit)
+        assert len(registry._TEST_SET_MEMO) == 1
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+            fresh = pool.submit(execution, unit).result()
+        assert _learning_fingerprint(hit) == _learning_fingerprint(fresh)
+        assert _learning_fingerprint(first) == _learning_fingerprint(fresh)
+
+    def test_hit_restores_the_noise_state_after_a_build(self):
+        built, test_set = self._held_out()
+        state = built.noise_model.drift_state()
+        assert any(value != 0.0 for value in state), "adi should drift"
+        reused, again = self._held_out()
+        assert again is test_set
+        assert reused.noise_model.drift_state() == state
+        assert reused.noise_model is not built.noise_model
+        # Each hit installs its own copy: one unit's drift never leaks into
+        # the next unit's start.
+        reused.noise_model.restore_drift_state([0.5 for _ in state])
+        assert self._held_out()[0].noise_model.drift_state() == state
+
+    def test_memoized_arrays_are_read_only(self):
+        _, test_set = self._held_out("mm")
+        with pytest.raises(ValueError):
+            test_set.features[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            test_set.mean_runtimes[0] = 1.0
+
+    def test_memo_is_bounded(self):
+        bound = registry._TEST_SET_MEMO_SIZE
+        for seed in range(bound + 3):
+            benchmark = get_benchmark("mm")
+            registry._held_out_test_set(benchmark, 2, 1, seed)
+            assert len(registry._TEST_SET_MEMO) <= bound
+        assert ("mm", 2, 1, bound + 2) in registry._TEST_SET_MEMO
+        assert ("mm", 2, 1, 0) not in registry._TEST_SET_MEMO
 
 
 class TestRoundTrip:

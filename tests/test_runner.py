@@ -35,7 +35,7 @@ from repro.experiments.runner import (
     RunnerError,
     WorkUnit,
 )
-from repro.experiments.registry import resolve_artifacts
+from repro.experiments.registry import UnitExecution, get_spec, resolve_artifacts
 from repro.measurement.faults import BrokerPolicy
 from repro.spapt.suite import get_benchmark
 
@@ -485,6 +485,50 @@ class TestCheckpointIntegrity:
             assert isinstance(loaded, TuningSession)
         else:
             assert loaded is None
+
+
+class TestCheckpointTiming:
+    """Each unit's publish event reports how many checkpoints it saved and
+    the seconds they took (pickle, digest and fsynced write)."""
+
+    @staticmethod
+    def _publishes(run_dir):
+        path = run_dir / "log" / "events.jsonl"
+        events = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+        return {e["unit"]: e for e in events if e["event"] == "publish"}
+
+    def test_one_checkpoint_per_example(self, tmp_path):
+        scale = _small_scale(repetitions=1, max_examples=12)
+        runner = ExperimentRunner(
+            tmp_path / "run", scale, artifacts=["table1"], checkpoint_interval=1
+        )
+        runner.run(workers=1)
+        publishes = self._publishes(tmp_path / "run")
+        assert len(publishes) == 3
+        for unit_id, event in publishes.items():
+            record = pickle.loads((tmp_path / "run" / "results" / f"{unit_id}.pkl").read_bytes())
+            learned = record["payload"].training_examples - scale.learner.n_initial
+            assert learned > 0
+            assert event["checkpoints"] == learned
+            assert event["checkpoint_s"] > 0.0
+
+    def test_no_checkpoints_without_an_interval(self, tmp_path):
+        from repro.experiments.runner import _QueuedExecution
+
+        scale = _small_scale(repetitions=1, max_examples=12)
+        ExperimentRunner(tmp_path / "run", scale, artifacts=["table1"]).prepare()
+        job = _QueuedExecution(
+            UnitExecution(scale),
+            tmp_path / "run",
+            checkpoint_interval=0,
+            lease_seconds=60.0,
+            max_unit_attempts=1,
+        )
+        unit = get_spec("table1").work_units(scale)[0]
+        assert job(unit) == "done"
+        event = self._publishes(tmp_path / "run")[unit.unit_id]
+        assert event["checkpoints"] == 0
+        assert event["checkpoint_s"] == 0.0
 
 
 class TestStatusLine:

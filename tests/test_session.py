@@ -151,11 +151,10 @@ def _reference_run(benchmark, plan, config, test_set, rng):
         candidate_features = benchmark.features_many(candidates)
         size = min(config.reference_size, candidate_features.shape[0])
         indices = rng.choice(candidate_features.shape[0], size=size, replace=False)
-        reference_features = candidate_features[indices]
         # ALC: the lowest expected average variance wins, with candidates
         # within a 1e-12 relative band of the best drawn from uniformly.
         scores = -np.asarray(
-            model.expected_average_variance(candidate_features, reference_features)
+            model.expected_average_variance(candidate_features, indices)
         )
         best = float(scores.max())
         ties = np.flatnonzero(scores >= best - 1e-12 * abs(best))
