@@ -71,8 +71,9 @@ bench-e2e:
 
 ## A/B the end-to-end benchmark: REF (exported with git archive) against
 ## the worktree, both workloads, seeds 1..PAIRS, the two sides run back to
-## back in alternating order.  Prints every pair's end-to-end metrics and
-## each metric's median change; cite its summary for a perf claim.
+## back in alternating order.  Prints every pair's end-to-end metrics,
+## each metric's median change and in how many pairs it got better; cite
+## its summary for a perf claim.
 REF ?= HEAD
 PAIRS ?= 5
 bench-e2e-ab:

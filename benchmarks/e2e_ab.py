@@ -10,8 +10,9 @@ seed 1..PAIRS and each workload of ``BENCHMARK.json``, ``e2ebench/run.py``
 runs once in each tree, the two runs back to back and their order swapped
 from pair to pair, so slow drift of the host hits both sides alike.  Each
 pair's end-to-end metrics are printed as they come in; the summary gives
-every metric's median over the pairs on both sides and the median of the
-per-pair relative changes.  A run that fails its checks or fails
+every metric's median over the pairs on both sides, the median of the
+per-pair relative changes, and in how many pairs the worktree moved in
+the metric's better direction (``better`` in ``BENCHMARK.json``).  A run that fails its checks or fails
 operations is reported; the exit code is 1 if any run did.
 """
 
@@ -59,6 +60,12 @@ def change(old: float, new: float) -> float:
     return (new - old) / old * 100.0 if old else 0.0
 
 
+def improved(old: float, new: float, better: str) -> bool:
+    """Whether ``new`` moved from ``old`` in the ``better`` direction
+    (``"lower"`` or ``"higher"``); a tie is no improvement."""
+    return new < old if better == "lower" else new > old
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", help="the reference commit (any git revision)")
@@ -67,6 +74,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [metric["name"] for metric in benchmark["end_to_end"]]
+    better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
     workloads = [workload["name"] for workload in benchmark["workloads"]]
     ok = True
     with tempfile.TemporaryDirectory(prefix="e2e-ab-") as scratch:
@@ -103,10 +111,13 @@ def main(argv=None) -> int:
         print(workload)
         ref_values, work_values = values[workload, "ref"], values[workload, "work"]
         for name in names:
-            changes = [change(a, b) for a, b in zip(ref_values[name], work_values[name])]
+            pairs = list(zip(ref_values[name], work_values[name]))
+            changes = [change(a, b) for a, b in pairs]
+            wins = sum(improved(a, b, better[name]) for a, b in pairs)
             print(f"  {name:16s} {statistics.median(ref_values[name]):12.6g} -> "
                   f"{statistics.median(work_values[name]):12.6g}  "
-                  f"median change {statistics.median(changes):+7.2f} %")
+                  f"median change {statistics.median(changes):+7.2f} %  "
+                  f"better in {wins}/{len(pairs)} pairs")
     return 0 if ok else 1
 
 

@@ -41,6 +41,9 @@ import copy
 import dataclasses
 import hashlib
 import importlib
+import os
+import pathlib
+import pickle
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -156,13 +159,17 @@ class UnitContext:
     Built from the executing unit, a context takes the unit's identity
     and its spec's :attr:`ExperimentSpec.replay_rescore_from` itself.
     The base class does not checkpoint; the sharded runner's file-backed
-    subclass adds only that, committing each checkpoint — state, digest
-    and example progress, which feeds the ETA display — as one atomically
-    written file.  Specs whose units are long learner runs route these
+    subclass adds that, committing each checkpoint — state, digest and
+    example progress, which feeds the ETA display — into one of the
+    unit's two slot files, and points :attr:`inputs_dir` at its run
+    directory.  Specs whose units are long learner runs route these
     through :func:`execute_learner_run`; short units ignore them.
     """
 
-    #: Training examples between checkpoints; 0 disables checkpointing.
+    #: Training examples between checkpoints; 0, the in-memory base
+    #: context's value, disables checkpointing.  The sharded runner always
+    #: checkpoints (:class:`~repro.experiments.runner.ExperimentRunner`
+    #: requires an interval of at least 1).
     checkpoint_interval: int = 0
 
     #: Directory of a measurement trace (see
@@ -194,6 +201,12 @@ class UnitContext:
     #: fault injection.  ``None`` (or an inactive policy) measures through
     #: the bare broker chain.
     broker_policy: Optional[BrokerPolicy] = None
+
+    #: Directory where learner units share their held-out test sets across
+    #: processes and hosts (see :func:`_held_out_test_set`): the sharded
+    #: runner's ``<run_dir>/inputs``.  ``None`` keeps them in the process
+    #: memo only (the in-memory backend).
+    inputs_dir: Optional[str] = None
 
     def __init__(
         self,
@@ -347,6 +360,21 @@ def resolve_artifacts(
 
 
 # ------------------------------------------ execution (core of both backends)
+
+
+def _atomic_write_bytes(path: pathlib.Path, payload: bytes) -> None:
+    """Write ``payload`` so that ``path`` is either absent, old or complete.
+
+    The temporary file lives in the target directory (same filesystem) and
+    carries the writer's pid, so concurrent workers never collide and a
+    crash mid-write leaves at worst a stray ``*.tmp`` behind.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    with open(tmp, "wb") as handle:
+        handle.write(payload)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)
@@ -589,11 +617,40 @@ _TEST_SET_MEMO: "OrderedDict[Tuple[str, int, int, int], Tuple[TestSet, NoiseMode
 _TEST_SET_MEMO = OrderedDict()
 
 
+def _read_shared_test_set(
+    path: pathlib.Path,
+) -> Optional[Tuple[TestSet, NoiseModel]]:
+    """The (test set, noise snapshot) pair a peer published at ``path``, or
+    None when the file is missing or fails its digest or unpickling.
+
+    Any unpickling error counts as a failed verification — a run directory
+    resumed after the pickled classes moved raises ImportError or
+    TypeError, not only UnpicklingError — so the caller rebuilds the set
+    and overwrites the file instead of failing on every attempt.
+    """
+    try:
+        blob = path.read_bytes()
+    except OSError:
+        return None
+    line, _, payload = blob.partition(b"\n")
+    if line != hashlib.sha256(payload).hexdigest().encode("ascii"):
+        return None
+    try:
+        return pickle.loads(payload)
+    except Exception:
+        return None
+
+
 def _held_out_test_set(
-    benchmark: SpaptBenchmark, size: int, observations: int, seed: int
+    benchmark: SpaptBenchmark,
+    size: int,
+    observations: int,
+    seed: int,
+    inputs_dir: Optional[str] = None,
 ) -> TestSet:
     """The held-out test set of a freshly built ``benchmark``, profiled at
-    most once per process.
+    most once per process, and once per run directory when ``inputs_dir``
+    is set.
 
     Every plan (or variant) of a repetition is scored on the same test
     set, so the learner units of one (benchmark, repetition) would
@@ -602,26 +659,56 @@ def _held_out_test_set(
     gets a copy of the noise model as it stood after the build, so the
     unit runs exactly as if it had built the set itself.  The arrays of a
     memoized set are read-only, since units share it.
+
+    On a memo miss with ``inputs_dir`` set, the set comes from
+    ``<inputs_dir>/testset-<benchmark>-<size>x<observations>-s<seed>.pkl``
+    when that file verifies: a sha256 line, then the pickled (test set,
+    noise snapshot) pair the memo keeps, published by whichever unit of
+    the repetition built it first, on any worker or host.  A file that is
+    missing or fails verification is rebuilt and rewritten; units that
+    build it concurrently write identical bytes, so their race is benign.
     """
     key = (benchmark.name, size, observations, seed)
     entry = _TEST_SET_MEMO.get(key)
-    if entry is None:
-        test_set = build_test_set(
-            benchmark,
-            size=size,
-            observations=observations,
-            rng=np.random.default_rng(seed),
-        )
-        test_set.features.setflags(write=False)
-        test_set.mean_runtimes.setflags(write=False)
-        _TEST_SET_MEMO[key] = (test_set, copy.deepcopy(benchmark.noise_model))
-        if len(_TEST_SET_MEMO) > _TEST_SET_MEMO_SIZE:
-            _TEST_SET_MEMO.popitem(last=False)
-        return test_set
-    _TEST_SET_MEMO.move_to_end(key)
+    if entry is not None:
+        _TEST_SET_MEMO.move_to_end(key)
+    else:
+        path = None
+        if inputs_dir is not None:
+            path = pathlib.Path(inputs_dir) / (
+                f"testset-{slugify(benchmark.name)}-{size}x{observations}-s{seed}.pkl"
+            )
+            entry = _read_shared_test_set(path)
+        if entry is None:
+            test_set = build_test_set(
+                benchmark,
+                size=size,
+                observations=observations,
+                rng=np.random.default_rng(seed),
+            )
+            entry = (test_set, copy.deepcopy(benchmark.noise_model))
+            if path is not None:
+                payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
+                digest = hashlib.sha256(payload).hexdigest().encode("ascii")
+                _atomic_write_bytes(path, digest + b"\n" + payload)
+            _memoize_test_set(key, entry)
+            return test_set
+        _memoize_test_set(key, entry)
     test_set, noise_model = entry
     benchmark.restore_noise_model(copy.deepcopy(noise_model))
     return test_set
+
+
+def _memoize_test_set(
+    key: Tuple[str, int, int, int], entry: Tuple[TestSet, NoiseModel]
+) -> None:
+    """Keep ``entry`` in the process memo, its arrays read-only since units
+    share them, and drop the least recently used entry past the bound."""
+    entry[0].features.setflags(write=False)
+    entry[0].mean_runtimes.setflags(write=False)
+    _TEST_SET_MEMO[key] = entry
+    if len(_TEST_SET_MEMO) > _TEST_SET_MEMO_SIZE:
+        _TEST_SET_MEMO.popitem(last=False)
 
 
 def execute_learner_run(
@@ -641,7 +728,8 @@ def execute_learner_run(
     from their deterministic seeds (:func:`~repro.core.comparison.run_seeds`:
     the test seed depends only on the repetition, the run seed on
     repetition × ``plan_index``; :func:`_held_out_test_set` profiles each
-    test set once per process), resumes from the context's checkpoint
+    test set once per process, and once per run directory when the
+    context has an ``inputs_dir``), resumes from the context's checkpoint
     when one exists — a pickled
     :class:`~repro.core.session.TuningSession`, whose
     ``attach_benchmark`` restores the benchmark's stateful noise
@@ -662,7 +750,11 @@ def execute_learner_run(
     benchmark = get_benchmark(benchmark_name)
     test_seed, run_seed = run_seeds(config, repetition, plan_index)
     test_set = _held_out_test_set(
-        benchmark, config.test_size, config.test_observations, test_seed
+        benchmark,
+        config.test_size,
+        config.test_observations,
+        test_seed,
+        context.inputs_dir,
     )
     resume: Optional[TuningSession] = context.load_checkpoint()
     learner = ActiveLearner(

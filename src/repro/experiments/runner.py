@@ -12,14 +12,20 @@ from a persistent on-disk queue:
   than silently mixing results);
 * ``<run_dir>/results/<unit>.pkl`` — one atomically written payload per
   completed unit; a unit with a result file is never re-run;
-* ``<run_dir>/checkpoints/<unit>.pkl`` — the in-flight unit's most recent
-  checkpoint, refreshed every ``checkpoint_interval`` training examples
-  and deleted when the unit completes.  One file, written with one
-  fsynced atomic rename: a JSON header line (the payload's sha256 and the
-  unit's example progress, which feeds the ETA) followed by the pickled
-  state (for learner units a :class:`~repro.core.session.TuningSession`).
-  A killed run resumes from the last checkpoint, and the resumed
-  trajectory is bit-identical to the uninterrupted one;
+* ``<run_dir>/checkpoints/<unit>.0.pkl`` and ``<unit>.1.pkl`` — the
+  in-flight unit's two checkpoint slots, written in turn every
+  ``checkpoint_interval`` training examples and deleted when the unit completes.  Each write overwrites one slot in
+  place and makes it durable with one ``fdatasync``: a JSON header line
+  (the payload's sha256 and length, the checkpoint's sequence number and
+  the unit's example progress, which feeds the ETA) followed by the
+  pickled state (for learner units a
+  :class:`~repro.core.session.TuningSession`).  A killed run resumes from
+  the newest slot that verifies, and the resumed trajectory is
+  bit-identical to the uninterrupted one;
+* ``<run_dir>/inputs/testset-<benchmark>-<size>x<observations>-s<seed>.pkl``
+  — each (benchmark, repetition)'s held-out test set, published by the
+  first unit that profiles it and read by every other unit of the
+  repetition, on any worker or host;
 * ``<run_dir>/claims/<unit>.claim`` — per-unit claim files created with
   ``O_EXCL`` (host + pid + lease timestamp), so several *machines* can
   point workers at one shared run directory: a unit is executed by
@@ -80,6 +86,7 @@ from .registry import (
     UnitContext,
     UnitExecution,
     WorkUnit,
+    _atomic_write_bytes,
     failure_summary_line,
     fold_artifacts,
     map_units,
@@ -100,21 +107,6 @@ _MANIFEST_VERSION = 2
 
 class RunnerError(RuntimeError):
     """A run directory cannot be created, resumed or merged."""
-
-
-def _atomic_write_bytes(path: pathlib.Path, payload: bytes) -> None:
-    """Write ``payload`` so that ``path`` is either absent, old or complete.
-
-    The temporary file lives in the target directory (same filesystem) and
-    carries the writer's pid, so concurrent workers never collide and a
-    crash mid-write leaves at worst a stray ``*.tmp`` behind.
-    """
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
 
 
 def _host_tag() -> str:
@@ -432,11 +424,15 @@ class RunManifest:
 # ----------------------------------------------------------- unit execution
 
 
-def _checkpoint_header(line: bytes) -> Optional[dict]:
-    """The header record of a checkpoint file's first line, or None.
+#: Flushes a file's data (and the size, when it changed) to stable storage.
+_datasync = getattr(os, "fdatasync", os.fsync)
 
-    A file without one (truncated, corrupt, or written before checkpoints
-    carried a header) yields None.
+
+def _checkpoint_header(line: bytes) -> Optional[dict]:
+    """The header record of a checkpoint slot's first line, or None.
+
+    A file without one (torn, corrupt, or written by an older layout)
+    yields None.
     """
     try:
         record = json.loads(line)
@@ -447,22 +443,87 @@ def _checkpoint_header(line: bytes) -> Optional[dict]:
     return record
 
 
-class _FileUnitContext(UnitContext):
-    """File-backed checkpoint context for one claimed unit.
+def _verified_slot(blob: bytes, slot: int) -> Optional[Tuple[int, bytes]]:
+    """``(sequence, payload)`` of a checkpoint slot's contents, or None
+    unless the header is whole, belongs to ``slot`` and its digest matches
+    the ``bytes`` of payload that follow it (anything after is ignored)."""
+    line, _, rest = blob.partition(b"\n")
+    header = _checkpoint_header(line)
+    if header is None:
+        return None
+    sequence, size = header.get("sequence"), header.get("bytes")
+    if not isinstance(sequence, int) or not isinstance(size, int):
+        return None
+    payload = rest[:size]
+    if (
+        sequence % 2 != slot
+        or len(payload) != size
+        or sha256(payload).hexdigest() != header["sha256"]
+    ):
+        return None
+    return sequence, payload
 
-    A checkpoint is one file committed by one fsynced atomic rename: a
-    JSON header line carrying the sha256 of the payload and the unit's
-    progress (``examples`` of ``target``), then the pickled state.  A kill
-    anywhere in the write leaves either the previous checkpoint or the
-    new one, never a mix.  A file whose header is missing or whose digest
-    does not match the payload — bitrot, a torn filesystem, a partial
-    copy, a header-less checkpoint from an older layout — is journalled
-    as ``checkpoint-corrupt`` and deleted, and the unit restarts cleanly
-    instead of resuming from garbage.  The claim lease is renewed by the
-    unit's :class:`_ClaimHeartbeat`, not by checkpoints.
+
+def _write_slot(path: pathlib.Path, blob: bytes) -> None:
+    """Overwrite ``path`` from offset 0 with ``blob`` and make it durable.
+
+    The file is never truncated: bytes past the blob are left for the
+    header's ``bytes`` to exclude.  When the blob outgrows the file, the
+    file first grows to twice the blob, so most writes leave its size —
+    filesystem metadata — alone and the flush is a data-only one.
+    """
+    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        if os.fstat(fd).st_size < len(blob):
+            os.ftruncate(fd, 2 * len(blob))
+        view = memoryview(blob)
+        offset = 0
+        while offset < len(blob):
+            offset += os.pwrite(fd, view[offset:], offset)
+        _datasync(fd)
+    finally:
+        os.close(fd)
+
+
+class _FileUnitContext(UnitContext):
+    """File-backed context for one claimed unit: checkpoints in two slots,
+    held-out test sets shared through the run directory.
+
+    The unit checkpoints into ``checkpoints/<unit>.0.pkl`` and
+    ``<unit>.1.pkl`` in turn, checkpoint ``n`` into slot ``n % 2``.  A slot
+    holds a JSON header line — the payload's sha256 and length, the
+    checkpoint's ``sequence`` and the unit's progress (``examples`` of
+    ``target``) — then the pickled state, written in place at offset 0 and
+    made durable by one ``fdatasync``.  The slot being written never holds
+    the newest checkpoint, so a kill anywhere in the write leaves either
+    the previous checkpoint or the new one, never a mix.  Loading verifies
+    both slots and resumes from the highest sequence that verifies; the
+    next checkpoint goes to the other slot.  A slot that fails next to one
+    that verifies is what a kill mid-write leaves and is skipped silently.
+    When slots exist and none verifies — bitrot, a torn filesystem, a
+    partial copy — or only a single-file ``<unit>.pkl`` of an older layout
+    exists, the load is journalled as ``checkpoint-corrupt``, the files are
+    deleted and the unit restarts cleanly instead of resuming from
+    garbage.  The claim lease is renewed by the unit's
+    :class:`_ClaimHeartbeat`, not by checkpoints.
+
+    The slots assume one writer per unit.  A lease taken over from an
+    owner that stalled rather than died leaves two live writers, whose
+    in-place writes can interleave within one slot and leave both slots
+    failing verification.  The unit then restarts with a
+    ``checkpoint-corrupt`` entry: the progress is lost, but no mixed state
+    is ever resumed, since a slot verifies only when its whole payload
+    matches its header's digest (and both writers follow the same
+    deterministic trajectory, so either one's verified checkpoint is the
+    unit's).
+
+    :attr:`inputs_dir` is the run directory's ``inputs/``, where the first
+    unit of a (benchmark, repetition) publishes its held-out test set for
+    every other unit on any worker or host (see
+    :func:`~repro.experiments.registry._held_out_test_set`).
 
     The context counts the checkpoints it saves and their wall seconds
-    (pickle, digest and fsynced write); the unit's ``publish`` event
+    (pickle, digest and durable write); the unit's ``publish`` event
     carries both.  The timing reads only a clock, never an RNG.
     """
 
@@ -476,28 +537,46 @@ class _FileUnitContext(UnitContext):
     ) -> None:
         super().__init__(unit, replay_trace, broker_policy)
         self.checkpoint_interval = checkpoint_interval
+        self.inputs_dir = str(run_dir / "inputs")
         self._run_dir = run_dir
-        self._checkpoint_path = run_dir / "checkpoints" / f"{unit.unit_id}.pkl"
+        checkpoints = run_dir / "checkpoints"
+        self._slots = tuple(
+            checkpoints / f"{unit.unit_id}.{slot}.pkl" for slot in (0, 1)
+        )
+        self._legacy_path = checkpoints / f"{unit.unit_id}.pkl"
+        self._sequence = 0
         self.checkpoints = 0
         self.checkpoint_seconds = 0.0
 
     def load_checkpoint(self) -> Optional[Any]:
-        try:
-            blob = self._checkpoint_path.read_bytes()
-        except OSError:
+        verified = []
+        present = self._legacy_path.exists()
+        for slot, path in enumerate(self._slots):
+            try:
+                blob = path.read_bytes()
+            except OSError:
+                continue
+            present = True
+            found = _verified_slot(blob, slot)
+            if found is not None:
+                verified.append(found)
+        if not verified:
+            if present:
+                # Corrupted or older-layout checkpoints only: discard them
+                # and restart the unit cleanly rather than resume from garbage.
+                _append_event(self._run_dir, "checkpoint-corrupt", self.unit_id)
+                self.cleanup()
             return None
-        line, _, payload = blob.partition(b"\n")
-        header = _checkpoint_header(line)
-        if header is None or sha256(payload).hexdigest() != header["sha256"]:
-            # Corrupted, truncated or header-less checkpoint: discard it
-            # and restart the unit cleanly rather than resume from garbage.
-            _append_event(self._run_dir, "checkpoint-corrupt", self.unit_id)
+        sequence, payload = max(verified)
+        try:
+            state = pickle.loads(payload)
+        except (pickle.UnpicklingError, EOFError, AttributeError, ValueError):
+            # Stale checkpoint layout: restart the unit, and drop the slots
+            # so their sequences cannot outrank the restart's checkpoints.
             self.cleanup()
             return None
-        try:
-            return pickle.loads(payload)
-        except (pickle.UnpicklingError, EOFError, AttributeError, ValueError):
-            return None  # stale checkpoint layout: restart the unit
+        self._sequence = sequence + 1
+        return state
 
     def save_checkpoint(self, state: Any, done: int, target: int) -> None:
         start = time.perf_counter()
@@ -505,21 +584,26 @@ class _FileUnitContext(UnitContext):
         header = json.dumps(
             {
                 "sha256": sha256(payload).hexdigest(),
+                "bytes": len(payload),
+                "sequence": self._sequence,
                 "examples": done,
                 "target": target,
             }
         )
-        _atomic_write_bytes(
-            self._checkpoint_path, header.encode("utf-8") + b"\n" + payload
+        _write_slot(
+            self._slots[self._sequence % 2],
+            header.encode("utf-8") + b"\n" + payload,
         )
+        self._sequence += 1
         self.checkpoints += 1
         self.checkpoint_seconds += time.perf_counter() - start
 
     def cleanup(self) -> None:
-        try:
-            self._checkpoint_path.unlink()
-        except OSError:
-            pass
+        for path in (*self._slots, self._legacy_path):
+            try:
+                path.unlink()
+            except OSError:
+                pass
 
 
 class _ClaimHeartbeat:
@@ -740,14 +824,16 @@ class ExperimentRunner:
                     f"configuration (fingerprint {existing.fingerprint} != "
                     f"{manifest.fingerprint}); refusing to mix results"
                 )
-            # The failed/ directory postdates early run layouts; create it
-            # so failure recording works on resumed legacy directories.
-            (self.run_dir / "failed").mkdir(parents=True, exist_ok=True)
+            # The failed/ and inputs/ directories postdate early run
+            # layouts; create them so failure recording and shared test
+            # sets work on resumed legacy directories.
+            for sub in ("failed", "inputs"):
+                (self.run_dir / sub).mkdir(parents=True, exist_ok=True)
             # A predecessor killed mid-append may have left a torn final
             # journal line; cut it before this run appends to the file.
             _recover_journal(self.run_dir)
             return existing
-        for sub in ("results", "checkpoints", "claims", "log", "failed"):
+        for sub in ("results", "checkpoints", "claims", "log", "failed", "inputs"):
             (self.run_dir / sub).mkdir(parents=True, exist_ok=True)
         manifest.write(self.manifest_path, self.scale, self.artifacts)
         return manifest
@@ -1003,7 +1089,8 @@ class ExperimentRunner:
         """One progress line: units, in-flight example counts, elapsed, ETA.
 
         The completed count comes from the results directory, so units
-        published by peer hosts show up too.
+        published by peer hosts show up too.  Each in-flight unit counts
+        once, from the header of its newest checkpoint slot.
         """
         total = state["total"]
         results_dir = self.run_dir / "results"
@@ -1011,17 +1098,24 @@ class ExperimentRunner:
             len(list(results_dir.glob("*.pkl"))) if results_dir.is_dir() else 0
         )
         elapsed = time.monotonic() - state["started"]
-        inflight = []
-        for path in (self.run_dir / "checkpoints").glob("*.pkl"):
+        # unit id -> (sequence, examples, target) of its newest slot header
+        newest: Dict[str, Tuple[int, int, int]] = {}
+        for path in (self.run_dir / "checkpoints").glob("*.[01].pkl"):
             try:
                 with open(path, "rb") as handle:
                     header = _checkpoint_header(handle.readline())
-                if header is not None:
-                    inflight.append(
-                        (int(header.get("examples", 0)), int(header.get("target", 0)))
-                    )
-            except (OSError, ValueError, TypeError):
+                if header is None:
+                    continue
+                progress = (
+                    int(header["sequence"]),
+                    int(header.get("examples", 0)),
+                    int(header.get("target", 0)),
+                )
+            except (OSError, KeyError, ValueError, TypeError):
                 continue
+            unit_id = path.name[: -len(".0.pkl")]
+            newest[unit_id] = max(newest.get(unit_id, progress), progress)
+        inflight = [(examples, target) for _, examples, target in newest.values()]
         # ETA from whole-unit completion rate plus fractional credit for
         # in-flight learner units (their checkpoint headers report examples).
         fractional = sum(

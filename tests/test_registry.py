@@ -26,6 +26,8 @@ The load-bearing guarantees:
 from __future__ import annotations
 
 import copy
+import dataclasses
+import hashlib
 import json
 import multiprocessing
 import pickle
@@ -33,6 +35,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.core.learner import LearnerConfig
@@ -204,6 +207,136 @@ class TestHeldOutTestSetMemo:
             assert len(registry._TEST_SET_MEMO) <= bound
         assert ("mm", 2, 1, bound + 2) in registry._TEST_SET_MEMO
         assert ("mm", 2, 1, 0) not in registry._TEST_SET_MEMO
+
+
+class TestSharedTestSets:
+    """A sharded run profiles each held-out test set once per run
+    directory: the first unit of a (benchmark, repetition) publishes it to
+    ``inputs/`` and every other unit, on any worker or host, reads it."""
+
+    SIZE, OBSERVATIONS, SEED = 30, 3, 2017
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        registry._TEST_SET_MEMO.clear()
+        yield
+        registry._TEST_SET_MEMO.clear()
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        builds = []
+        real = registry.build_test_set
+
+        def build(*args, **kwargs):
+            builds.append(args[0].name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(registry, "build_test_set", build)
+        return builds
+
+    def _held_out(self, inputs_dir, name="adi"):
+        benchmark = get_benchmark(name)
+        test_set = registry._held_out_test_set(
+            benchmark, self.SIZE, self.OBSERVATIONS, self.SEED, str(inputs_dir)
+        )
+        return benchmark, test_set
+
+    def test_table1_unit_reading_the_set_matches_a_fresh_process(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments.runner import _FileUnitContext
+
+        scale = _tiny_scale(benchmarks=("adi",))
+        first, second = get_spec("table1").work_units(scale)[:2]
+        run_dir = tmp_path / "run"
+        ExperimentRunner(run_dir, scale, artifacts=["table1"]).prepare()
+        execution = UnitExecution(scale)
+        execution.execute(first, _FileUnitContext(run_dir, first, 0))
+        assert len(list((run_dir / "inputs").iterdir())) == 1
+        registry._TEST_SET_MEMO.clear()
+        builds = self._count_builds(monkeypatch)
+        shared = execution.execute(second, _FileUnitContext(run_dir, second, 0))
+        assert builds == []
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+            fresh = pool.submit(execution, second).result()
+        assert _learning_fingerprint(shared) == _learning_fingerprint(fresh)
+
+    def test_read_restores_the_drift_state_after_a_build(self, tmp_path, monkeypatch):
+        built, test_set = self._held_out(tmp_path)
+        state = built.noise_model.drift_state()
+        assert any(value != 0.0 for value in state), "adi should drift"
+        registry._TEST_SET_MEMO.clear()
+        builds = self._count_builds(monkeypatch)
+        read, again = self._held_out(tmp_path)
+        assert builds == []
+        assert read.noise_model.drift_state() == state
+        assert np.array_equal(again.features, test_set.features)
+        assert np.array_equal(again.mean_runtimes, test_set.mean_runtimes)
+        assert again.configurations == test_set.configurations
+        with pytest.raises(ValueError):
+            again.features[0, 0] = 1.0
+        # The read is memoized like a build: the next unit copies its drift.
+        read.noise_model.restore_drift_state([0.5 for _ in state])
+        assert self._held_out(tmp_path)[0].noise_model.drift_state() == state
+        assert builds == []
+
+    def test_flipped_byte_rebuilds_and_rewrites(self, tmp_path, monkeypatch):
+        self._held_out(tmp_path)
+        (path,) = tmp_path.iterdir()
+        assert path.name == f"testset-adi-{self.SIZE}x{self.OBSERVATIONS}-s{self.SEED}.pkl"
+        published = path.read_bytes()
+        flipped = bytearray(published)
+        flipped[-2] ^= 0x01
+        path.write_bytes(bytes(flipped))
+        registry._TEST_SET_MEMO.clear()
+        builds = self._count_builds(monkeypatch)
+        self._held_out(tmp_path)
+        assert builds == ["adi"]
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert path.read_bytes() == published
+
+    def test_verified_file_that_does_not_unpickle_is_rebuilt(
+        self, tmp_path, monkeypatch
+    ):
+        # A digest-valid file whose pickle names a class that no longer
+        # exists, as in a run directory resumed after a refactor.
+        self._held_out(tmp_path)
+        (path,) = tmp_path.iterdir()
+        published = path.read_bytes()
+        stale = b"cno_such_module_in_repro\nTestSet\n."
+        path.write_bytes(hashlib.sha256(stale).hexdigest().encode("ascii") + b"\n" + stale)
+        registry._TEST_SET_MEMO.clear()
+        builds = self._count_builds(monkeypatch)
+        self._held_out(tmp_path)
+        assert builds == ["adi"]
+        assert path.read_bytes() == published
+
+    def test_in_memory_run_writes_no_file(self, tmp_path, monkeypatch):
+        writes = []
+        monkeypatch.setattr(
+            registry, "_atomic_write_bytes", lambda path, payload: writes.append(path)
+        )
+        monkeypatch.chdir(tmp_path)
+        run_artifacts(_tiny_scale(), ["table1"], workers=1)
+        assert writes == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_two_worker_table1_leaves_one_file_per_repetition(self, tmp_path):
+        scale = dataclasses.replace(ExperimentScale.smoke(), repetitions=2)
+        run_dir = tmp_path / "run"
+        ExperimentRunner(run_dir, scale, artifacts=["table1"]).run(workers=2)
+        names = sorted(path.name for path in (run_dir / "inputs").iterdir())
+        seeds = [
+            registry.run_seeds(scale.comparison_config(), repetition, 0)[0]
+            for repetition in range(scale.repetitions)
+        ]
+        assert len(set(seeds)) == 2
+        assert names == sorted(
+            f"testset-{name}-{scale.test_size}x{scale.test_observations}-s{seed}.pkl"
+            for name in scale.benchmarks
+            for seed in seeds
+        )
 
 
 class TestRoundTrip:

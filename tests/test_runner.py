@@ -65,6 +65,19 @@ def _small_scale(benchmarks=("mm",), repetitions=2, max_examples=20):
     )
 
 
+def _payload_end(blob):
+    """Offset one past a checkpoint slot's payload (the file runs on)."""
+    line = blob.split(b"\n", 1)[0]
+    return len(line) + 1 + json.loads(line)["bytes"]
+
+
+def _flip_payload_byte(path):
+    """Corrupt a checkpoint slot inside its payload."""
+    blob = bytearray(path.read_bytes())
+    blob[_payload_end(blob) - 2] ^= 0x01
+    path.write_bytes(bytes(blob))
+
+
 class TestWorkUnitsAndManifest:
     def test_unit_id_is_filesystem_safe_and_stable(self):
         unit = WorkUnit(
@@ -341,11 +354,13 @@ class TestKillAndResume:
 
 
 class TestCheckpointIntegrity:
-    """One file per checkpoint: a JSON header line (the payload's sha256
-    and the unit's example progress) followed by the pickle, committed by
-    one atomic write.  Corrupted, truncated and header-less checkpoints
-    are detected and the unit restarts cleanly instead of resuming from
-    garbage."""
+    """Two slot files per unit, written in turn: each holds a JSON header
+    line (the payload's sha256 and length, the checkpoint's sequence and
+    the unit's example progress) followed by the pickle, overwritten in
+    place and made durable by one flush.  Loading resumes from the newest
+    slot that verifies; when slots exist and none verifies (corrupted,
+    truncated, header-less or older-layout files), the unit restarts
+    cleanly instead of resuming from garbage."""
 
     UNIT_ID = "table1--mm--p--r000"
 
@@ -354,13 +369,13 @@ class TestCheckpointIntegrity:
 
         run_dir = tmp_path / "run"
         for sub in ("checkpoints", "claims", "log"):
-            (run_dir / sub).mkdir(parents=True)
+            (run_dir / sub).mkdir(parents=True, exist_ok=True)
         unit = WorkUnit(artifact="table1", key=("mm", "p", "r000"), params={})
         context = _FileUnitContext(run_dir, unit, checkpoint_interval=5)
         return run_dir, context
 
-    def _checkpoint(self, run_dir):
-        return run_dir / "checkpoints" / f"{self.UNIT_ID}.pkl"
+    def _slot(self, run_dir, slot):
+        return run_dir / "checkpoints" / f"{self.UNIT_ID}.{slot}.pkl"
 
     def _journal(self, run_dir):
         path = run_dir / "log" / "events.jsonl"
@@ -369,80 +384,185 @@ class TestCheckpointIntegrity:
     def _assert_restarts(self, run_dir, context):
         assert context.load_checkpoint() is None
         assert "checkpoint-corrupt" in self._journal(run_dir)
-        # The corrupt file is discarded so the unit restarts from scratch.
-        assert not self._checkpoint(run_dir).exists()
+        # The corrupt files are discarded so the unit restarts from scratch.
+        assert not list((run_dir / "checkpoints").iterdir())
 
     def test_round_trip_and_corruption_detection(self, tmp_path):
         run_dir, context = self._context(tmp_path)
         context.save_checkpoint({"examples": 7}, 7, 30)
         assert context.load_checkpoint() == {"examples": 7}
-        checkpoint = self._checkpoint(run_dir)
-        assert [path.name for path in checkpoint.parent.iterdir()] == [checkpoint.name]
-        blob = checkpoint.read_bytes()
+        slot = self._slot(run_dir, 0)
+        assert [path.name for path in slot.parent.iterdir()] == [slot.name]
+        blob = slot.read_bytes()
         header = json.loads(blob.split(b"\n", 1)[0])
-        assert (header["examples"], header["target"]) == (7, 30)
+        assert (header["examples"], header["target"], header["sequence"]) == (7, 30, 0)
         assert "checkpoint-corrupt" not in self._journal(run_dir)
 
-        checkpoint.write_bytes(blob[: len(blob) // 2])  # truncated
+        slot.write_bytes(blob[: _payload_end(blob) // 2])  # truncated
         self._assert_restarts(run_dir, context)
+
+    def test_slots_alternate_and_the_newest_resumes(self, tmp_path):
+        run_dir, context = self._context(tmp_path)
+        for done in (5, 10, 15):
+            context.save_checkpoint({"examples": done}, done, 30)
+        headers = [
+            json.loads(self._slot(run_dir, slot).read_bytes().split(b"\n", 1)[0])
+            for slot in (0, 1)
+        ]
+        assert [(h["sequence"], h["examples"]) for h in headers] == [(2, 15), (1, 10)]
+        _, resumed = self._context(tmp_path)
+        assert resumed.load_checkpoint() == {"examples": 15}
+        # The next checkpoint overwrites the older slot, never the newest.
+        resumed.save_checkpoint({"examples": 20}, 20, 30)
+        header = json.loads(self._slot(run_dir, 1).read_bytes().split(b"\n", 1)[0])
+        assert (header["sequence"], header["examples"]) == (3, 20)
+        assert self._context(tmp_path)[1].load_checkpoint() == {"examples": 20}
 
     def test_flipped_payload_byte_is_detected(self, tmp_path):
         run_dir, context = self._context(tmp_path)
         context.save_checkpoint({"examples": 7}, 7, 30)
-        checkpoint = self._checkpoint(run_dir)
-        blob = bytearray(checkpoint.read_bytes())
-        blob[-2] ^= 0x01
-        checkpoint.write_bytes(bytes(blob))
+        slot = self._slot(run_dir, 0)
+        blob = bytearray(slot.read_bytes())
+        end = _payload_end(blob)
+        # A byte past the payload is not part of the checkpoint.
+        assert len(blob) > end
+        blob[end] ^= 0x01
+        slot.write_bytes(bytes(blob))
+        assert context.load_checkpoint() == {"examples": 7}
+        blob[end - 2] ^= 0x01
+        slot.write_bytes(bytes(blob))
         self._assert_restarts(run_dir, context)
 
     def test_headerless_checkpoint_restarts_unit(self, tmp_path):
         """A bare pickle, as checkpoints were written before they carried
         a header, is not resumed."""
         run_dir, context = self._context(tmp_path)
-        self._checkpoint(run_dir).write_bytes(
+        self._slot(run_dir, 0).write_bytes(
             pickle.dumps({"examples": 7}, protocol=pickle.HIGHEST_PROTOCOL)
         )
         self._assert_restarts(run_dir, context)
 
+    def test_two_corrupt_slots_restart_the_unit(self, tmp_path):
+        run_dir, context = self._context(tmp_path)
+        for done in (5, 10):
+            context.save_checkpoint({"examples": done}, done, 30)
+        for slot in (0, 1):
+            _flip_payload_byte(self._slot(run_dir, slot))
+        self._assert_restarts(run_dir, self._context(tmp_path)[1])
+
+    def test_corrupt_newest_slot_resumes_from_the_older(self, tmp_path):
+        run_dir, context = self._context(tmp_path)
+        for done in (5, 10):
+            context.save_checkpoint({"examples": done}, done, 30)
+        _flip_payload_byte(self._slot(run_dir, 1))
+        resumed = self._context(tmp_path)[1]
+        assert resumed.load_checkpoint() == {"examples": 5}
+        assert "checkpoint-corrupt" not in self._journal(run_dir)
+        # The next checkpoint overwrites the corrupt slot.
+        resumed.save_checkpoint({"examples": 10}, 10, 30)
+        assert self._context(tmp_path)[1].load_checkpoint() == {"examples": 10}
+
+    def test_legacy_single_file_checkpoint_restarts_unit(self, tmp_path):
+        """``<unit>.pkl`` with a digest header, the layout before slots, is
+        not resumed: the unit restarts and the file is deleted."""
+        from hashlib import sha256
+
+        run_dir, context = self._context(tmp_path)
+        payload = pickle.dumps({"examples": 7}, protocol=pickle.HIGHEST_PROTOCOL)
+        header = {"sha256": sha256(payload).hexdigest(), "examples": 7, "target": 30}
+        (run_dir / "checkpoints" / f"{self.UNIT_ID}.pkl").write_bytes(
+            json.dumps(header).encode("utf-8") + b"\n" + payload
+        )
+        self._assert_restarts(run_dir, context)
+
     def test_kill_before_rename_keeps_previous_checkpoint(self, tmp_path):
-        """A kill inside the tmp-write window leaves the previous good
-        checkpoint intact (plus a stray tmp) and the unit resumes from it."""
+        """A stray tmp next to a good checkpoint — what a kill inside the
+        tmp-write window of the single-file layout left — is ignored and
+        the unit resumes from the checkpoint."""
         run_dir, context = self._context(tmp_path)
         context.save_checkpoint({"examples": 7}, 7, 30)
-        checkpoint = self._checkpoint(run_dir)
+        checkpoint = self._slot(run_dir, 0)
         torn = checkpoint.with_name(f"{checkpoint.name}.12345.tmp")
         torn.write_bytes(b"torn half-written checkpoint")
         assert context.load_checkpoint() == {"examples": 7}
         assert "checkpoint-corrupt" not in self._journal(run_dir)
 
     def test_one_atomic_write_per_checkpoint(self, tmp_path, monkeypatch):
-        """Each checkpoint is one durable write; claims are renewed by the
+        """Each checkpoint is one durable write into the unit's slots, which
+        alternate; after a unit's first two writes nothing in checkpoints/
+        is created, replaced or renamed.  Claims are renewed by the
         heartbeat alone and no progress or digest file exists."""
         import repro.experiments.runner as runner
 
         writes = []
         saves = []
+        syncs = []
+        slot_writes = {}
+        moved = []
         real_write = runner._atomic_write_bytes
+        real_slot = runner._write_slot
+        real_sync = runner._datasync
         real_save = runner._FileUnitContext.save_checkpoint
+        real_replace, real_rename = os.replace, os.rename
 
         def write(path, payload):
             writes.append(path.relative_to(run_dir).parts[0])
             real_write(path, payload)
 
+        def write_slot(path, blob):
+            assert {p.name for p in path.parent.iterdir()} <= {
+                f"{unit}.{slot}.pkl" for unit in units for slot in (0, 1)
+            }
+            existed = path.exists()
+            real_slot(path, blob)
+            unit, slot = path.name[: -len(".0.pkl")], int(path.name[-5])
+            slot_writes.setdefault(unit, []).append(
+                (slot, existed, path.stat().st_ino)
+            )
+
+        def sync(fd):
+            syncs.append(fd)
+            real_sync(fd)
+
         def save(context, state, done, target):
             saves.append(done)
             real_save(context, state, done, target)
 
+        def replace(source, target, *args, **kwargs):
+            moved.append(pathlib.Path(target).parent.name)
+            real_replace(source, target, *args, **kwargs)
+
+        def rename(source, target, *args, **kwargs):
+            moved.append(pathlib.Path(target).parent.name)
+            real_rename(source, target, *args, **kwargs)
+
         monkeypatch.setattr(runner, "_atomic_write_bytes", write)
+        monkeypatch.setattr(runner, "_write_slot", write_slot)
+        monkeypatch.setattr(runner, "_datasync", sync)
         monkeypatch.setattr(runner._FileUnitContext, "save_checkpoint", save)
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "rename", rename)
         run_dir = tmp_path / "run"
+        scale = _small_scale(repetitions=1)
+        units = [unit.unit_id for unit in get_spec("table1").work_units(scale)]
         ExperimentRunner(
-            run_dir,
-            _small_scale(repetitions=1),
-            artifacts=["table1"],
-            checkpoint_interval=1,
+            run_dir, scale, artifacts=["table1"], checkpoint_interval=1
         ).run()
-        assert saves and writes.count("checkpoints") == len(saves)
+        monkeypatch.undo()
+        assert saves and len(syncs) == len(saves)
+        assert sum(len(unit_writes) for unit_writes in slot_writes.values()) == len(saves)
+        for unit_writes in slot_writes.values():
+            assert [slot for slot, _, _ in unit_writes] == [
+                index % 2 for index in range(len(unit_writes))
+            ]
+            # Two creates, then every write lands in an existing slot file
+            # that is never replaced (its inode stays).
+            assert [existed for _, existed, _ in unit_writes] == [False, False] + [
+                True
+            ] * (len(unit_writes) - 2)
+            for slot in (0, 1):
+                assert len({inode for s, _, inode in unit_writes if s == slot}) == 1
+        assert "checkpoints" not in writes and "checkpoints" not in moved
         assert "claims" not in writes and "progress" not in writes
         assert not (run_dir / "progress").exists()
         assert not list(run_dir.rglob("*.sha256"))
@@ -489,7 +609,7 @@ class TestCheckpointIntegrity:
 
 class TestCheckpointTiming:
     """Each unit's publish event reports how many checkpoints it saved and
-    the seconds they took (pickle, digest and fsynced write)."""
+    the seconds they took (pickle, digest and durable write)."""
 
     @staticmethod
     def _publishes(run_dir):
@@ -551,6 +671,21 @@ class TestStatusLine:
         assert line.startswith("  units 1/4, in flight 15 examples, elapsed 1.0 min")
         assert line.endswith(", ETA 1.3 min")
 
+    def test_in_flight_unit_counts_once(self, tmp_path):
+        """A unit with both slots written counts once, from its newest."""
+        from repro.experiments.runner import _FileUnitContext
+
+        runner = ExperimentRunner(tmp_path / "run", _small_scale(), artifacts=["table1"])
+        runner.prepare()
+        unit = WorkUnit(artifact="table1", key=("a",), params={})
+        context = _FileUnitContext(runner.run_dir, unit, checkpoint_interval=1)
+        for done in (4, 7, 10):
+            context.save_checkpoint({"examples": done}, done, 20)
+        assert len(list((runner.run_dir / "checkpoints").iterdir())) == 2
+        line = runner._status_line({"total": 2, "started": time.monotonic() - 60.0})
+        # 10/20 in flight, nothing done: 0.5 units in 60 s, 1.5 to go.
+        assert line == "  units 0/2, in flight 10 examples, elapsed 1.0 min, ETA 3.0 min"
+
     def test_no_eta_before_any_progress(self, tmp_path):
         runner = ExperimentRunner(tmp_path / "run", _small_scale(), artifacts=["table1"])
         runner.prepare()
@@ -599,30 +734,27 @@ import sys
 import repro.experiments.runner as runner
 
 MODE = sys.argv[1]
-real = runner._atomic_write_bytes
-counts = {"pkl": 0}
+real = runner._write_slot
+counts = {"slot": 0}
 
 
-def patched(path, payload):
-    if path.parent.name != "checkpoints":
-        real(path, payload)
-        return
-    counts["pkl"] += 1
-    if MODE == "tmp" and counts["pkl"] == 2:
-        # Die inside the tmp-write window of the second checkpoint:
-        # leave a torn tmp, never rename.
-        torn = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        with open(torn, "wb") as handle:
-            handle.write(payload[: max(1, len(payload) // 2)])
+def patched(path, blob):
+    counts["slot"] += 1
+    if MODE == "tmp" and counts["slot"] == 3:
+        # Die inside the third checkpoint's write: slot 0, which holds the
+        # first checkpoint, is overwritten in place with half the blob.
+        fd = os.open(path, os.O_RDWR)
+        os.pwrite(fd, blob[: len(blob) // 2], 0)
+        os.close(fd)
         os.kill(os.getpid(), signal.SIGKILL)
-    real(path, payload)
-    if MODE == "after-rename" and counts["pkl"] == 2:
-        # The second checkpoint's rename just committed; die before the
-        # unit takes another step.
+    real(path, blob)
+    if MODE != "tmp" and counts["slot"] == 3:
+        # The third checkpoint is durable; die before the unit takes
+        # another step.
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-runner._atomic_write_bytes = patched
+runner._write_slot = patched
 
 from repro.experiments.run_all import main
 
@@ -631,13 +763,20 @@ sys.exit(main(sys.argv[2:]))
 
 
 class TestKillInCheckpointWindow:
-    """SIGKILL inside the checkpoint tmp+rename window, or right after the
-    rename committed: --resume restarts from the last good checkpoint —
-    the previous one or the one just written — and the final report is
-    identical to an uninterrupted run."""
+    """SIGKILL while a checkpoint overwrites its slot (``tmp``), or right
+    after the write became durable (``after-rename``): --resume restarts
+    from the last good checkpoint — the previous one in the other slot, or
+    the one just written — and the final report is identical to an
+    uninterrupted run.  The same holds when, after the kill, the newest
+    slot is corrupted (the unit resumes from the older one) or both are
+    (the unit restarts, journalled as ``checkpoint-corrupt``)."""
 
-    @pytest.mark.parametrize("mode", ["tmp", "after-rename"])
+    @pytest.mark.parametrize(
+        "mode", ["tmp", "after-rename", "corrupt-newest", "corrupt-both"]
+    )
     def test_resume_after_kill_in_window_is_identical(self, tmp_path, mode):
+        from repro.experiments.runner import _verified_slot
+
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
@@ -687,8 +826,23 @@ class TestKillInCheckpointWindow:
             timeout=600,
         )
         assert process.returncode == -signal.SIGKILL, process.stderr.decode()
-        # The kill landed after the first good checkpoint.
-        assert list((killed_dir / "checkpoints").glob("*.pkl"))
+        # The kill landed in the third checkpoint: the torn slot 0 fails
+        # verification next to slot 1's second checkpoint, or slot 0 holds
+        # the durable third one.
+        slots = sorted((killed_dir / "checkpoints").glob("*.pkl"))
+        assert [path.name[-6:] for path in slots] == [".0.pkl", ".1.pkl"]
+        verified = [
+            _verified_slot(path.read_bytes(), slot) for slot, path in enumerate(slots)
+        ]
+        assert verified[1] is not None and verified[1][0] == 1
+        if mode == "tmp":
+            assert verified[0] is None
+        else:
+            assert verified[0] is not None and verified[0][0] == 2
+        if mode in ("corrupt-newest", "corrupt-both"):
+            _flip_payload_byte(slots[0])
+        if mode == "corrupt-both":
+            _flip_payload_byte(slots[1])
 
         subprocess.run(
             [sys.executable, "-m", "repro.experiments.run_all"]
@@ -704,9 +858,20 @@ class TestKillInCheckpointWindow:
             return path.read_text("utf-8").split("\n\n", 1)[1]
 
         assert body(killed_report) == body(clean_report)
-        # Either way a good checkpoint verified and the unit resumed from it.
         journal = (killed_dir / "log" / "events.jsonl").read_text("utf-8")
-        assert "checkpoint-corrupt" not in journal
+        if mode == "corrupt-both":
+            assert "checkpoint-corrupt" in journal
+        else:
+            # A good checkpoint verified and the unit resumed from it.
+            assert "checkpoint-corrupt" not in journal
+        assert not list((killed_dir / "checkpoints").iterdir())
+        # The resumed unit saved only the checkpoints after the one it
+        # resumed from: sequence 1 or 2, or none after a restart.
+        unit = slots[0].name[: -len(".0.pkl")]
+        resumed_from = {"tmp": 1, "after-rename": 2, "corrupt-newest": 1}.get(mode)
+        saved = TestCheckpointTiming._publishes(killed_dir)[unit]["checkpoints"]
+        clean = TestCheckpointTiming._publishes(tmp_path / "clean")[unit]["checkpoints"]
+        assert saved == clean - (0 if resumed_from is None else resumed_from + 1)
 
 
 class TestClaimOrder:
