@@ -12,8 +12,13 @@ from pair to pair, so slow drift of the host hits both sides alike.  Each
 pair's end-to-end metrics are printed as they come in; the summary gives
 every metric's median over the pairs on both sides, the median of the
 per-pair relative changes, and in how many pairs the worktree moved in
-the metric's better direction (``better`` in ``BENCHMARK.json``).  A run that fails its checks or fails
-operations is reported; the exit code is 1 if any run did.
+the metric's better direction (``better`` in ``BENCHMARK.json``).  It also
+gives the reference side's interquartile range (numpy's default linear
+quartiles) and the gap between the two medians in the better direction,
+in seconds (or the metric's unit) and in units of that IQR: a claimed
+gain must win at least 9 of 10 pairs and have a median gap above one
+reference IQR.  A run that fails its checks or fails operations is
+reported; the exit code is 1 if any run did.
 """
 
 from __future__ import annotations
@@ -66,6 +71,22 @@ def improved(old: float, new: float, better: str) -> bool:
     return new < old if better == "lower" else new > old
 
 
+def iqr(values) -> float:
+    """Interquartile range, linear interpolation between order statistics
+    (``numpy.percentile``'s default); 0 for fewer than two values."""
+    if len(values) < 2:
+        return 0.0
+    quartiles = statistics.quantiles(values, n=4, method="inclusive")
+    return quartiles[2] - quartiles[0]
+
+
+def median_gap(old_values, new_values, better: str) -> float:
+    """How far the new median sits from the old one in the better
+    direction (positive: better)."""
+    old, new = statistics.median(old_values), statistics.median(new_values)
+    return old - new if better == "lower" else new - old
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", help="the reference commit (any git revision)")
@@ -114,10 +135,14 @@ def main(argv=None) -> int:
             pairs = list(zip(ref_values[name], work_values[name]))
             changes = [change(a, b) for a, b in pairs]
             wins = sum(improved(a, b, better[name]) for a, b in pairs)
+            spread = iqr(ref_values[name])
+            gap = median_gap(ref_values[name], work_values[name], better[name])
+            in_iqr = f"{gap / spread:+.2f}" if spread else "n/a"
             print(f"  {name:16s} {statistics.median(ref_values[name]):12.6g} -> "
                   f"{statistics.median(work_values[name]):12.6g}  "
                   f"median change {statistics.median(changes):+7.2f} %  "
-                  f"better in {wins}/{len(pairs)} pairs")
+                  f"better in {wins}/{len(pairs)} pairs  "
+                  f"ref IQR {spread:.4g}, median gap {gap:+.4g} = {in_iqr} IQR")
     return 0 if ok else 1
 
 

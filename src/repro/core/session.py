@@ -389,9 +389,8 @@ class TuningSession:
         for seconds in result.compile_seconds:
             self._ledger.charge_compile(seconds)
         stats = self._stats.setdefault(key, RunningStats())
-        for runtime in result.runtimes:
-            self._ledger.charge_run(runtime)
-            stats.add(runtime)
+        self._ledger.charge_runs(result.runtimes)
+        stats.extend(result.runtimes)
         self._pool.record(key, len(result.runtimes))
         if self._phase == SEEDING:
             self._tell_seeding(key, stats)

@@ -38,7 +38,7 @@ from .noise import (
     NoiseProfile,
     noise_model_from_profile,
 )
-from .profiler import CostLedger, Observation, Profiler, TunableProgram
+from .profiler import CostLedger, Profiler, TunableProgram
 from .stats import (
     RunningStats,
     SampleSummary,
@@ -77,7 +77,6 @@ __all__ = [
     "NoiseProfile",
     "noise_model_from_profile",
     "CostLedger",
-    "Observation",
     "Profiler",
     "TunableProgram",
     "RunningStats",

@@ -207,10 +207,14 @@ class ProfilerBroker:
     """The live broker: compile-and-run through a :class:`Profiler`.
 
     The profiler supplies the noise stream (it shares the session's
-    generator) and the benchmark's cost model; the CI stopping rule is
-    evaluated against the request's ``prior_stats`` plus the runs taken
-    here, so the broker behaves identically whether the profiler is the
-    original one or a fresh instance reconstructed after a resume.
+    generator) and the benchmark's cost model; the request's
+    ``repetitions`` runs are one :meth:`Profiler.measure` pass.  The CI
+    stopping rule is evaluated against the request's ``prior_stats`` plus
+    the runs taken here, so the broker behaves identically whether the
+    profiler is the original one or a fresh instance reconstructed after a
+    resume.  Only a request with a stopping rule gets a working copy of
+    the prior statistics; a fixed-count request (every standard plan's)
+    needs none.
     """
 
     def __init__(self, profiler: Profiler) -> None:
@@ -227,17 +231,17 @@ class ProfilerBroker:
             # First build of this configuration anywhere in the session —
             # the (memoised, deterministic) compile time is charged once.
             compile_seconds = (float(self._profiler.program.compile_time(key)),)
-        stats = _stats_after(request)
-        observations = list(
-            self._profiler.measure(key, repetitions=request.repetitions)
-        )
-        stats.extend(observations)
+        observations = self._profiler.measure(
+            key, repetitions=request.repetitions
+        ).tolist()
         if request.ci_threshold is not None:
+            stats = _stats_after(request)
+            stats.extend(observations)
             while (
                 stats.count < request.max_observations
                 and not stats.summary().passes_ci_validation(request.ci_threshold)
             ):
-                more = self._profiler.measure(key, repetitions=1)
+                more = self._profiler.measure(key, repetitions=1).tolist()
                 observations.extend(more)
                 stats.extend(more)
         return MeasurementResult(

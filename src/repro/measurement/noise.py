@@ -24,6 +24,22 @@ CI/mean spreads resemble Table 2 of the paper (low for ``lu``/``mvt``/
 
 All randomness flows through a caller-supplied :class:`numpy.random.Generator`
 so experiments are reproducible.
+
+**Draw order.**  :meth:`NoiseModel.observe_many` is the only noise path
+(:meth:`NoiseModel.observe` is a request of one run).  A request of
+``count`` runs first makes, run by run, every active component's scalar
+draws in component order — the order in which one run at a time through
+every component draws — so the generator and the frequency-drift walk end
+where run-by-run observation leaves them.  Then each component's
+arithmetic runs once over the whole request as arrays, in component order.
+A ``Normal(0, sigma)`` draw is made as ``standard_normal()`` and scaled by
+``sigma`` in the array step, which is how ``Generator.normal`` computes
+it; every elementwise operation is the same IEEE operation as its scalar
+form (``np.exp`` on an array equals ``np.exp`` on each of its scalars), so
+the observations are bit-identical to the run-by-run ones.  A request of
+one run takes the same array steps on scalars.
+``tests/test_noise_draw_order.py`` pins this against the run-by-run oracle
+in ``tests/oracles/noise.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +47,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -51,8 +67,17 @@ __all__ = [
 class NoiseComponent(ABC):
     """A single source of measurement noise.
 
-    A component maps a true runtime (seconds) to a perturbed runtime.  The
-    optional ``sensitivity`` argument is a per-configuration scalar in
+    A component perturbs the runtimes of one measurement request — one or
+    more runs of one configuration — in two steps:
+
+    * :meth:`drawer` is called once per request and returns a zero-argument
+      callable that makes one run's scalar draws from the generator and
+      returns them as one float (``None`` when the component is inactive
+      and draws nothing, e.g. a zero sigma);
+    * :meth:`perturb` then applies the component's arithmetic to the whole
+      request at once, given the runtimes so far and one draw per run.
+
+    The ``sensitivity`` argument is a per-configuration scalar in
     ``[0, 1]`` produced by the benchmark substrate; it lets a component be
     heteroskedastic — stronger in some regions of the optimization space
     than others — which is the property Table 2 documents and the
@@ -60,10 +85,16 @@ class NoiseComponent(ABC):
     """
 
     @abstractmethod
-    def apply(
-        self, runtime: float, rng: np.random.Generator, sensitivity: float = 0.0
-    ) -> float:
-        """Return the runtime perturbed by this component."""
+    def drawer(
+        self, rng: np.random.Generator, sensitivity: float = 0.0
+    ) -> Optional[Callable[[], float]]:
+        """The callable making one run's draws, or ``None`` if inactive."""
+
+    @abstractmethod
+    def perturb(
+        self, runtimes: np.ndarray, draws: np.ndarray, sensitivity: float = 0.0
+    ) -> np.ndarray:
+        """Return ``runtimes`` perturbed by this component, one draw per run."""
 
 
 @dataclass
@@ -78,12 +109,11 @@ class LognormalInterference(NoiseComponent):
 
     sigma: float = 0.005
 
-    def apply(
-        self, runtime: float, rng: np.random.Generator, sensitivity: float = 0.0
-    ) -> float:
-        if self.sigma <= 0:
-            return runtime
-        return runtime * float(np.exp(rng.normal(0.0, self.sigma)))
+    def drawer(self, rng, sensitivity=0.0):
+        return None if self.sigma <= 0 else rng.standard_normal
+
+    def perturb(self, runtimes, draws, sensitivity=0.0):
+        return runtimes * np.exp(self.sigma * draws)
 
 
 @dataclass
@@ -96,13 +126,11 @@ class GaussianJitter(NoiseComponent):
 
     sigma_seconds: float = 1e-4
 
-    def apply(
-        self, runtime: float, rng: np.random.Generator, sensitivity: float = 0.0
-    ) -> float:
-        if self.sigma_seconds <= 0:
-            return runtime
-        perturbed = runtime + float(rng.normal(0.0, self.sigma_seconds))
-        return max(perturbed, runtime * 0.01)
+    def drawer(self, rng, sensitivity=0.0):
+        return None if self.sigma_seconds <= 0 else rng.standard_normal
+
+    def perturb(self, runtimes, draws, sensitivity=0.0):
+        return np.maximum(runtimes + self.sigma_seconds * draws, runtimes * 0.01)
 
 
 @dataclass
@@ -116,14 +144,21 @@ class HeavyTailedSpikes(NoiseComponent):
     probability: float = 0.01
     scale: float = 0.05
 
-    def apply(
-        self, runtime: float, rng: np.random.Generator, sensitivity: float = 0.0
-    ) -> float:
+    def drawer(self, rng, sensitivity=0.0):
         if self.probability <= 0:
-            return runtime
-        if rng.random() < self.probability:
-            return runtime * (1.0 + float(rng.exponential(self.scale)))
-        return runtime
+            return None
+        random, exponential = rng.random, rng.exponential
+        probability, scale = self.probability, self.scale
+
+        def factor() -> float:
+            if random() < probability:
+                return 1.0 + exponential(scale)
+            return 1.0
+
+        return factor
+
+    def perturb(self, runtimes, draws, sensitivity=0.0):
+        return runtimes * draws
 
 
 @dataclass
@@ -142,14 +177,15 @@ class HeteroskedasticLayoutNoise(NoiseComponent):
     sigma_low: float = 0.002
     sigma_high: float = 0.08
 
-    def apply(
-        self, runtime: float, rng: np.random.Generator, sensitivity: float = 0.0
-    ) -> float:
+    def _sigma(self, sensitivity: float) -> float:
         sensitivity = min(max(sensitivity, 0.0), 1.0)
-        sigma = self.sigma_low + (self.sigma_high - self.sigma_low) * sensitivity
-        if sigma <= 0:
-            return runtime
-        return runtime * float(np.exp(rng.normal(0.0, sigma)))
+        return self.sigma_low + (self.sigma_high - self.sigma_low) * sensitivity
+
+    def drawer(self, rng, sensitivity=0.0):
+        return None if self._sigma(sensitivity) <= 0 else rng.standard_normal
+
+    def perturb(self, runtimes, draws, sensitivity=0.0):
+        return runtimes * np.exp(self._sigma(sensitivity) * draws)
 
 
 @dataclass
@@ -157,24 +193,33 @@ class FrequencyDrift(NoiseComponent):
     """Slow multiplicative drift from DVFS / Turbo Boost / thermal throttling.
 
     Modelled as a bounded random walk shared across consecutive observations:
-    each call nudges the current frequency factor and applies it.  The state
+    each run nudges the current frequency factor and applies it.  The state
     is intentionally kept inside the component so that back-to-back
     observations of the *same* configuration are correlated, as they are on a
-    machine whose clock is drifting.
+    machine whose clock is drifting.  The walk advances in the draw step, so
+    it ends a request where run-by-run stepping would leave it.
     """
 
     step_sigma: float = 0.002
     max_deviation: float = 0.03
     _state: float = field(default=0.0, repr=False)
 
-    def apply(
-        self, runtime: float, rng: np.random.Generator, sensitivity: float = 0.0
-    ) -> float:
+    def drawer(self, rng, sensitivity=0.0):
         if self.step_sigma <= 0:
-            return runtime
-        self._state += float(rng.normal(0.0, self.step_sigma))
-        self._state = min(max(self._state, -self.max_deviation), self.max_deviation)
-        return runtime * (1.0 + self._state)
+            return None
+        normal, step, bound = rng.standard_normal, self.step_sigma, self.max_deviation
+
+        def walk() -> float:
+            # ``0.0 + step * z`` is ``Generator.normal(0.0, step)``'s own
+            # arithmetic, so even the sign of a zero state matches.
+            state = self._state + (0.0 + step * normal())
+            self._state = min(max(state, -bound), bound)
+            return self._state
+
+        return walk
+
+    def perturb(self, runtimes, draws, sensitivity=0.0):
+        return runtimes * (1.0 + draws)
 
 
 @dataclass(frozen=True)
@@ -246,26 +291,9 @@ class NoiseModel:
         rng: np.random.Generator,
         sensitivity: float = 0.0,
     ) -> float:
-        """Produce one noisy observation of ``true_runtime``.
-
-        Parameters
-        ----------
-        true_runtime:
-            The deterministic runtime predicted by the machine cost model.
-        rng:
-            Random generator owned by the caller (profiler or dataset
-            generator).
-        sensitivity:
-            Per-configuration heteroskedasticity knob in ``[0, 1]``.
-        """
-        if true_runtime <= 0:
-            raise ValueError(f"true_runtime must be positive, got {true_runtime!r}")
-        if not math.isfinite(true_runtime):
-            raise ValueError("true_runtime must be finite")
-        observed = float(true_runtime)
-        for component in self._components:
-            observed = component.apply(observed, rng, sensitivity=sensitivity)
-        return max(observed, true_runtime * 1e-3)
+        """Produce one noisy observation of ``true_runtime``: a request of
+        one run through :meth:`observe_many`."""
+        return float(self.observe_many(true_runtime, 1, rng, sensitivity)[0])
 
     def observe_many(
         self,
@@ -274,16 +302,50 @@ class NoiseModel:
         rng: np.random.Generator,
         sensitivity: float = 0.0,
     ) -> np.ndarray:
-        """Produce ``count`` independent observations as a numpy array."""
+        """Produce ``count`` independent observations as a numpy array.
+
+        Parameters
+        ----------
+        true_runtime:
+            The deterministic runtime predicted by the machine cost model.
+        count:
+            Runs in the request (at least 1).
+        rng:
+            Random generator owned by the caller (profiler or dataset
+            generator).
+        sensitivity:
+            Per-configuration heteroskedasticity knob in ``[0, 1]``.
+
+        Run by run, every active component makes its scalar draws in
+        component order; then each component's arithmetic runs over the
+        whole request, in component order (see the module docstring).
+        """
         if count < 1:
             raise ValueError("count must be at least 1")
-        return np.array(
-            [
-                self.observe(true_runtime, rng, sensitivity=sensitivity)
-                for _ in range(count)
-            ],
-            dtype=float,
-        )
+        if true_runtime <= 0:
+            raise ValueError(f"true_runtime must be positive, got {true_runtime!r}")
+        if not math.isfinite(true_runtime):
+            raise ValueError("true_runtime must be finite")
+        active = []
+        drawers = []
+        for component in self._components:
+            draw = component.drawer(rng, sensitivity)
+            if draw is not None:
+                active.append(component)
+                drawers.append(draw)
+        draws = [draw() for _ in range(count) for draw in drawers]
+        if count == 1:
+            # One run (the one-observation plan, each run the CI stopping
+            # rule adds): the same arithmetic on scalars, which skips
+            # numpy's per-call overhead on 1-element arrays.
+            observed = float(true_runtime)
+            columns = draws
+        else:
+            observed = np.full(count, float(true_runtime))
+            columns = np.array(draws).reshape(count, len(drawers)).T
+        for component, column in zip(active, columns):
+            observed = component.perturb(observed, column, sensitivity)
+        return np.maximum(observed, true_runtime * 1e-3, out=np.empty(count))
 
     def drift_state(self) -> list[float]:
         """The random-walk state of every stateful (frequency-drift)

@@ -28,7 +28,7 @@ import numpy as np
 from .noise import NoiseModel
 from .stats import RunningStats, SampleSummary
 
-__all__ = ["TunableProgram", "CostLedger", "Observation", "Profiler"]
+__all__ = ["TunableProgram", "CostLedger", "Profiler"]
 
 
 class TunableProgram(Protocol):
@@ -84,10 +84,18 @@ class CostLedger:
         self.compilations += 1
 
     def charge_run(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError("runtime cannot be negative")
-        self.runtime_seconds += seconds
-        self.executions += 1
+        self.charge_runs((seconds,))
+
+    def charge_runs(self, runs: Sequence[float]) -> None:
+        """Charge one execution per runtime in ``runs``: the runtime total
+        takes the same float additions as one :meth:`charge_run` per run."""
+        total = self.runtime_seconds
+        for seconds in runs:
+            if seconds < 0:
+                raise ValueError("runtime cannot be negative")
+            total += seconds
+        self.runtime_seconds = total
+        self.executions += len(runs)
 
     def snapshot(self) -> "CostLedger":
         """An independent copy of the current totals."""
@@ -99,15 +107,6 @@ class CostLedger:
         )
 
 
-@dataclass(frozen=True)
-class Observation:
-    """A single profiled execution of a configuration."""
-
-    configuration: Tuple[int, ...]
-    runtime: float
-    index: int
-
-
 class Profiler:
     """Compile-and-measure front end over a :class:`TunableProgram`.
 
@@ -115,7 +114,9 @@ class Profiler:
     experiment seeded once produces the exact same stream of measurements.
     It keeps, per configuration, the running statistics of all observations
     taken so far — the sequential-analysis learner reads those to decide
-    whether a configuration still looks under-sampled.
+    whether a configuration still looks under-sampled — and the cost
+    ledger; it keeps no per-run log.  :meth:`measure` serves a request of
+    any number of runs in one pass through the noise model.
     """
 
     def __init__(
@@ -130,7 +131,6 @@ class Profiler:
         self._ledger = CostLedger()
         self._compiled: set[Hashable] = set()
         self._stats: Dict[Tuple[int, ...], RunningStats] = {}
-        self._observations: List[Observation] = []
 
     @property
     def program(self) -> TunableProgram:
@@ -159,10 +159,6 @@ class Profiler:
     def ledger(self) -> CostLedger:
         return self._ledger
 
-    @property
-    def observations(self) -> Tuple[Observation, ...]:
-        return tuple(self._observations)
-
     def observation_count(self, configuration: Sequence[int]) -> int:
         """How many times ``configuration`` has been measured so far."""
         key = tuple(configuration)
@@ -190,25 +186,26 @@ class Profiler:
         compile time is charged only on the first build of a configuration
         (binaries are cached), unless the profiler was constructed with
         ``charge_compile_once=False`` in which case each call recompiles.
+
+        The request is one pass: one :meth:`NoiseModel.observe_many` call
+        for all the runs, then one ledger charge and one statistics fold
+        over them, in run order, so every total is bit-identical to
+        charging and folding run by run.
         """
         if repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         key = tuple(int(v) for v in configuration)
         self._ensure_compiled(key)
-        true_runtime = self._program.true_runtime(key)
-        sensitivity = self._program.noise_sensitivity(key)
-        stats = self._stats.setdefault(key, RunningStats())
-        results = np.empty(repetitions, dtype=float)
-        for i in range(repetitions):
-            observed = self._program.noise_model.observe(
-                true_runtime, self._rng, sensitivity=sensitivity
-            )
-            self._ledger.charge_run(observed)
-            stats.add(observed)
-            self._observations.append(
-                Observation(configuration=key, runtime=observed, index=stats.count)
-            )
-            results[i] = observed
+        program = self._program
+        results = program.noise_model.observe_many(
+            program.true_runtime(key),
+            repetitions,
+            self._rng,
+            program.noise_sensitivity(key),
+        )
+        runs = results.tolist()
+        self._ledger.charge_runs(runs)
+        self._stats.setdefault(key, RunningStats()).extend(runs)
         return results
 
     def measure_many(

@@ -22,7 +22,7 @@ its configurations directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -297,6 +297,13 @@ def benchmark_names() -> List[str]:
     return sorted(BENCHMARK_SPECS)
 
 
+def _evaluate(
+    model: MachineCostModel, space: SearchSpace, configuration: Tuple[int, ...]
+) -> CostEvaluation:
+    """Lower a validated configuration and evaluate it on the cost model."""
+    return model.evaluate(space.to_transform_configuration(configuration))
+
+
 class SpaptBenchmark:
     """One SPAPT search problem wired to the simulated machine.
 
@@ -329,8 +336,13 @@ class SpaptBenchmark:
         self._noise_model = noise_model_from_profile(spec.noise_profile)
         # One evaluation per configuration serves all three protocol methods:
         # the learners revisit configurations many times and dataset
-        # generation touches each configuration 35 times.
-        self._evaluations = lru_cache(maxsize=cache_size)(self._evaluate)
+        # generation touches each configuration 35 times.  The cached
+        # function holds the cost model and the space, not the benchmark: a
+        # cache of a bound method would make every benchmark a reference
+        # cycle, which only a full garbage collection frees, cache and all.
+        self._evaluations = lru_cache(maxsize=cache_size)(
+            partial(_evaluate, self._model, self._space)
+        )
 
     def _validate_parameters(self) -> None:
         loop_vars = set(self._kernel.loop_names())
@@ -407,11 +419,6 @@ class SpaptBenchmark:
     def features_many(self, configurations: Sequence[Sequence[int]]) -> np.ndarray:
         """One feature matrix for a batch of configurations."""
         return self._space.normalize_many(configurations)
-
-    # -------------------------------------------------------------- internal
-
-    def _evaluate(self, configuration: Tuple[int, ...]) -> CostEvaluation:
-        return self._model.evaluate(self._space.to_transform_configuration(configuration))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -17,40 +17,50 @@ from repro.measurement.noise import (
 )
 
 
+def apply_once(component, runtime, rng, sensitivity=0.0):
+    """One run through one component: its draw step, then its array step."""
+    draw = component.drawer(rng, sensitivity)
+    if draw is None:
+        return runtime
+    return float(
+        component.perturb(np.array([runtime]), np.array([draw()]), sensitivity)[0]
+    )
+
+
 class TestComponents:
     def test_lognormal_zero_sigma_is_identity(self, rng):
         component = LognormalInterference(sigma=0.0)
-        assert component.apply(2.0, rng) == 2.0
+        assert apply_once(component, 2.0, rng) == 2.0
 
     def test_lognormal_perturbs(self, rng):
         component = LognormalInterference(sigma=0.05)
-        values = [component.apply(2.0, rng) for _ in range(200)]
+        values = [apply_once(component, 2.0, rng) for _ in range(200)]
         assert np.std(values) > 0
         assert all(v > 0 for v in values)
 
     def test_jitter_keeps_positive(self, rng):
         component = GaussianJitter(sigma_seconds=10.0)
-        values = [component.apply(0.001, rng) for _ in range(100)]
+        values = [apply_once(component, 0.001, rng) for _ in range(100)]
         assert all(v > 0 for v in values)
 
     def test_spikes_only_slow_down(self, rng):
         component = HeavyTailedSpikes(probability=1.0, scale=0.5)
-        values = [component.apply(1.0, rng) for _ in range(100)]
+        values = [apply_once(component, 1.0, rng) for _ in range(100)]
         assert all(v >= 1.0 for v in values)
 
     def test_spikes_rare_when_probability_low(self, rng):
         component = HeavyTailedSpikes(probability=0.0)
-        assert component.apply(1.0, rng) == 1.0
+        assert apply_once(component, 1.0, rng) == 1.0
 
     def test_layout_noise_scales_with_sensitivity(self, rng):
         component = HeteroskedasticLayoutNoise(sigma_low=0.001, sigma_high=0.2)
-        quiet = [component.apply(1.0, rng, sensitivity=0.0) for _ in range(300)]
-        noisy = [component.apply(1.0, rng, sensitivity=1.0) for _ in range(300)]
+        quiet = [apply_once(component, 1.0, rng, sensitivity=0.0) for _ in range(300)]
+        noisy = [apply_once(component, 1.0, rng, sensitivity=1.0) for _ in range(300)]
         assert np.std(noisy) > np.std(quiet) * 3
 
     def test_drift_is_bounded(self, rng):
         component = FrequencyDrift(step_sigma=0.01, max_deviation=0.03)
-        values = [component.apply(1.0, rng) for _ in range(500)]
+        values = [apply_once(component, 1.0, rng) for _ in range(500)]
         assert max(values) <= 1.03 + 1e-9
         assert min(values) >= 0.97 - 1e-9
 

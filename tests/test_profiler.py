@@ -93,15 +93,6 @@ class TestProfiler:
         assert len(results) == 2
         assert all(r.shape == (2,) for r in results)
 
-    def test_observations_record_order(self, stub_program, rng):
-        profiler = Profiler(stub_program, rng=rng)
-        profiler.measure((1, 1), repetitions=2)
-        observations = profiler.observations
-        assert len(observations) == 2
-        assert observations[0].index == 1
-        assert observations[1].index == 2
-        assert observations[0].configuration == (1, 1)
-
     def test_noisy_measurements_vary_but_stay_reproducible(self):
         program = StubProgram(noise_model_from_profile(NoiseProfile(interference_sigma=0.05)))
         a = Profiler(program, rng=np.random.default_rng(11)).measure((1, 1), repetitions=10)

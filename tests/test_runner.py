@@ -771,47 +771,63 @@ class TestKillInCheckpointWindow:
     slot is corrupted (the unit resumes from the older one) or both are
     (the unit restarts, journalled as ``checkpoint-corrupt``)."""
 
-    @pytest.mark.parametrize(
-        "mode", ["tmp", "after-rename", "corrupt-newest", "corrupt-both"]
-    )
-    def test_resume_after_kill_in_window_is_identical(self, tmp_path, mode):
-        from repro.experiments.runner import _verified_slot
-
+    @staticmethod
+    def _env():
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
+        return env
 
-        def arguments(run_dir, report, resume=False):
-            argv = [
-                "--paper-run",
-                "--scale",
-                "smoke",
-                "--only",
-                "table1",
-                "--repetitions",
-                "1",
-                "--checkpoint-interval",
-                "3",
-                "--run-dir",
-                str(run_dir),
-                "--output",
-                str(report),
-            ]
-            if resume:
-                argv.append("--resume")
-            return argv
+    @staticmethod
+    def _arguments(run_dir, report, resume=False):
+        argv = [
+            "--paper-run",
+            "--scale",
+            "smoke",
+            "--only",
+            "table1",
+            "--repetitions",
+            "1",
+            "--checkpoint-interval",
+            "3",
+            "--run-dir",
+            str(run_dir),
+            "--output",
+            str(report),
+        ]
+        if resume:
+            argv.append("--resume")
+        return argv
 
-        clean_report = tmp_path / "clean.txt"
+    @pytest.fixture(scope="class")
+    def clean_run(self, tmp_path_factory):
+        """The uninterrupted run every mode is compared with: its run
+        directory and report, made once for the class."""
+        root = tmp_path_factory.mktemp("clean-run")
+        clean_report = root / "clean.txt"
         subprocess.run(
             [sys.executable, "-m", "repro.experiments.run_all"]
-            + arguments(tmp_path / "clean", clean_report),
-            env=env,
+            + self._arguments(root / "clean", clean_report),
+            env=self._env(),
             cwd=REPO_ROOT,
             check=True,
             capture_output=True,
             timeout=600,
         )
+        return root / "clean", clean_report
+
+    @pytest.mark.parametrize(
+        "mode", ["tmp", "after-rename", "corrupt-newest", "corrupt-both"]
+    )
+    def test_resume_after_kill_in_window_is_identical(
+        self, tmp_path, mode, clean_run
+    ):
+        from repro.experiments.runner import _verified_slot
+
+        env = self._env()
+        arguments = self._arguments
+        clean_dir, clean_report = clean_run
 
         driver = tmp_path / "driver.py"
         driver.write_text(_KILL_WINDOW_DRIVER, "utf-8")
@@ -870,7 +886,7 @@ class TestKillInCheckpointWindow:
         unit = slots[0].name[: -len(".0.pkl")]
         resumed_from = {"tmp": 1, "after-rename": 2, "corrupt-newest": 1}.get(mode)
         saved = TestCheckpointTiming._publishes(killed_dir)[unit]["checkpoints"]
-        clean = TestCheckpointTiming._publishes(tmp_path / "clean")[unit]["checkpoints"]
+        clean = TestCheckpointTiming._publishes(clean_dir)[unit]["checkpoints"]
         assert saved == clean - (0 if resumed_from is None else resumed_from + 1)
 
 
