@@ -70,14 +70,16 @@ bench-e2e:
 	$(PYTHON) e2ebench/run.py --workload sharded-table1 --seed $(SEED) --seconds 30
 
 ## A/B the end-to-end benchmark: REF (exported with git archive) against
-## the worktree, both workloads, seeds 1..PAIRS, the two sides run back to
-## back in alternating order.  Prints every pair's end-to-end metrics,
-## each metric's median change and in how many pairs it got better; cite
-## its summary for a perf claim.
+## the worktree, seeds 1..PAIRS, the two sides run back to back in
+## alternating order.  Runs every workload, or those WORKLOADS names
+## (comma-separated).  Prints every pair's end-to-end metrics, each
+## metric's median change and in how many pairs it got better; cite its
+## summary for a perf claim.
 REF ?= HEAD
 PAIRS ?= 5
+WORKLOADS ?=
 bench-e2e-ab:
-	$(PYTHON) benchmarks/e2e_ab.py $(REF) --pairs $(PAIRS)
+	$(PYTHON) benchmarks/e2e_ab.py $(REF) --pairs $(PAIRS) --workloads "$(WORKLOADS)"
 
 ## cProfile a smoke-scale table1 run: per-unit .prof dumps plus a merged
 ## top-25 cumulative summary in $(PROFILE_DIR)/profile.txt.  Override the

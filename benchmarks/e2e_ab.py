@@ -2,11 +2,12 @@
 
 Run from the repository root::
 
-    python benchmarks/e2e_ab.py REF [--pairs 5] [--seconds 30]
-    make bench-e2e-ab REF=HEAD~1 PAIRS=5
+    python benchmarks/e2e_ab.py REF [--pairs 5] [--seconds 30] [--workloads NAME[,NAME]]
+    make bench-e2e-ab REF=HEAD~1 PAIRS=5 [WORKLOADS=laptop-suite]
 
 REF is exported with ``git archive`` into a temporary directory.  For each
-seed 1..PAIRS and each workload of ``BENCHMARK.json``, ``e2ebench/run.py``
+seed 1..PAIRS and each selected workload of ``BENCHMARK.json`` (all of
+them unless ``--workloads`` names some), ``e2ebench/run.py``
 runs once in each tree, the two runs back to back and their order swapped
 from pair to pair, so slow drift of the host hits both sides alike.  Each
 pair's end-to-end metrics are printed as they come in; the summary gives
@@ -87,16 +88,38 @@ def median_gap(old_values, new_values, better: str) -> float:
     return old - new if better == "lower" else new - old
 
 
+def select_workloads(declared, requested):
+    """The workloads to run: every ``declared`` one when ``requested`` (a
+    comma-separated list) is empty, else the requested ones in the order
+    given.  An unknown or repeated name raises ``ValueError``."""
+    if not requested:
+        return list(declared)
+    names = [name.strip() for name in requested.split(",")]
+    unknown = [name for name in names if name not in declared]
+    if unknown:
+        raise ValueError(f"unknown workload(s) {', '.join(unknown)}; "
+                         f"BENCHMARK.json declares {', '.join(declared)}")
+    if len(set(names)) != len(names):
+        raise ValueError(f"workload named twice in {requested!r}")
+    return names
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", help="the reference commit (any git revision)")
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--workloads", default="", metavar="NAME[,NAME]",
+                        help="run only these workloads (default: all)")
     args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [metric["name"] for metric in benchmark["end_to_end"]]
     better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
-    workloads = [workload["name"] for workload in benchmark["workloads"]]
+    try:
+        workloads = select_workloads(
+            [workload["name"] for workload in benchmark["workloads"]], args.workloads)
+    except ValueError as exc:
+        parser.error(str(exc))
     ok = True
     with tempfile.TemporaryDirectory(prefix="e2e-ab-") as scratch:
         reference = pathlib.Path(scratch) / "ref"

@@ -87,16 +87,11 @@ class BlurProgram:
     def noise_model(self) -> NoiseModel:
         return self._noise
 
-    # -- the small surface ActiveLearner needs beyond the protocol --------
+    # -- beyond the protocol, ActiveLearner needs only the search space ----
+    # (the session featurizes configurations with the space itself)
     @property
     def search_space(self) -> SearchSpace:
         return self.space
-
-    def features(self, configuration):
-        return self.space.normalize(configuration)
-
-    def features_many(self, configurations):
-        return self.space.normalize_many(configurations)
 
 
 def main() -> None:
@@ -114,7 +109,7 @@ def main() -> None:
         means.append(profiler.mean_runtime(configuration))
     test_set = TestSet(
         configurations=tuple(test_configurations),
-        features=program.features_many(test_configurations),
+        features=program.space.normalize_many(test_configurations),
         mean_runtimes=np.asarray(means),
     )
 

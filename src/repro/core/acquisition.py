@@ -91,7 +91,8 @@ class AcquisitionFunction(ABC):
         subset = scores[available]
         best = float(subset.max())
         ties = available[np.flatnonzero(subset >= best - self.TIE_RTOL * abs(best))]
-        return int(rng.choice(ties))
+        # The one draw ``rng.choice(ties)`` makes, without its set-up.
+        return int(ties[rng.integers(0, len(ties), dtype=np.int64)])
 
     def select_batch(
         self,

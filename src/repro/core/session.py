@@ -462,9 +462,10 @@ class TuningSession:
             )
             self._curve = LearningCurve(self._plan.name)
             self._n_seed = min(self._config.n_initial, space.size)
-            self._seed_configurations = space.sample_distinct(
+            self._seed_configurations, seed_features = space.sample_distinct_featurized(
                 self._n_seed, self._rng
             )
+            self._pool.remember_features(self._seed_configurations, seed_features)
         remaining = self._n_seed - self._seed_index
         return [
             MeasurementRequest(
@@ -484,6 +485,10 @@ class TuningSession:
         draw and one reference draw serve the whole round; the acquisition
         function's ``select_batch`` owns the interaction between members
         (fantasized updates, diversity penalties, or plain top-``k``).
+        The candidates' features come with the draw (the pool's featurized
+        draw and feature cache), and the chosen rows go into the cache for
+        ``tell`` and later revisits: the session reads features from the
+        search space only, never from the benchmark.
         """
         config = self._config
         if self._iteration >= config.max_training_examples or self._budget_exhausted():
@@ -491,12 +496,13 @@ class TuningSession:
             return []
         # An exhausted pool draws nothing (and consumes no randomness), so
         # the empty draw is the exhaustion check.
-        candidates = self._pool.draw(config.n_candidates, self._rng)
+        candidates, candidate_features = self._pool.draw_featurized(
+            config.n_candidates, self._rng
+        )
         if not candidates:
             self._finish()
             return []
         k_eff = min(k, config.max_training_examples - self._iteration, len(candidates))
-        candidate_features = self._benchmark.features_many(candidates)
         reference_rows = self._reference_rows(len(candidates))
         indices = self._acquisition.select_batch(
             self._model, candidate_features, reference_rows, self._rng, k_eff
@@ -506,6 +512,9 @@ class TuningSession:
                 f"{type(self._acquisition).__name__}.select_batch returned "
                 "duplicate candidate indices"
             )
+        self._pool.remember_features(
+            [candidates[index] for index in indices], candidate_features[indices]
+        )
         # Members are distinct configurations, so no member's measurement
         # changes another's prior-statistics snapshot.
         return [
@@ -522,7 +531,7 @@ class TuningSession:
         self._seed_index += 1
         if self._seed_index < self._n_seed:
             return
-        seed_features = self._benchmark.features_many(self._seed_configurations)
+        seed_features = self._pool.features(self._seed_configurations)
         self._model.fit(seed_features, np.asarray(self._seed_targets))
         self._record_point(self._n_seed)
         self._training_examples = self._n_seed
@@ -533,7 +542,7 @@ class TuningSession:
         self, key: Tuple[int, ...], result: MeasurementResult
     ) -> None:
         observations = np.asarray(result.runtimes)
-        chosen_features = self._benchmark.features(key)
+        chosen_features = self._pool.features([key])[0]
         if self._plan.aggregate_mean:
             self._model.update(chosen_features, float(np.mean(observations)))
         else:

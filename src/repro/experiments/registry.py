@@ -44,6 +44,7 @@ import importlib
 import os
 import pathlib
 import pickle
+import threading
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -366,10 +367,11 @@ def _atomic_write_bytes(path: pathlib.Path, payload: bytes) -> None:
     """Write ``payload`` so that ``path`` is either absent, old or complete.
 
     The temporary file lives in the target directory (same filesystem) and
-    carries the writer's pid, so concurrent workers never collide and a
-    crash mid-write leaves at worst a stray ``*.tmp`` behind.
+    carries the writer's pid and thread, so concurrent workers never
+    collide (two runners may share one process, as threads) and a crash
+    mid-write leaves at worst a stray ``*.tmp`` behind.
     """
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     with open(tmp, "wb") as handle:
         handle.write(payload)
         handle.flush()

@@ -26,8 +26,9 @@ from a persistent on-disk queue:
   — each (benchmark, repetition)'s held-out test set, published by the
   first unit that profiles it and read by every other unit of the
   repetition, on any worker or host;
-* ``<run_dir>/claims/<unit>.claim`` — per-unit claim files created with
-  ``O_EXCL`` (host + pid + lease timestamp), so several *machines* can
+* ``<run_dir>/claims/<unit>.claim`` — per-unit claim files created
+  exclusively, payload included, by hard-linking a private file into
+  place (host + pid + lease timestamp), so several *machines* can
   point workers at one shared run directory: a unit is executed by
   whichever worker wins the atomic create, peers skip fresh claims and
   poll for the owner's result, and a claim whose lease expired (owner
@@ -297,19 +298,37 @@ def _claim_is_stale(path: pathlib.Path, default_lease: float) -> bool:
     return time.time() - renewed > lease
 
 
+def _create_claim(path: pathlib.Path, lease_seconds: float) -> bool:
+    """Create the claim ``path`` with its full payload; False if it exists.
+
+    The payload goes to a file private to this thread first, which is
+    then hard-linked into place: ``link`` fails on an existing name, like
+    an ``O_EXCL`` create, and the claim never exists empty, so a writer
+    killed mid-claim cannot leave a torn claim that peers and a resumed
+    run could take over only after the full lease.
+    """
+    private = path.with_name(f"{path.name}.new.{_host_tag()}.{threading.get_ident()}")
+    private.write_bytes(_claim_payload(lease_seconds))
+    try:
+        os.link(private, path)
+    except FileExistsError:
+        return False
+    finally:
+        private.unlink()
+    return True
+
+
 def _try_claim(path: pathlib.Path, lease_seconds: float) -> bool:
     """Atomically claim a unit; returns False when a peer holds a live claim.
 
-    The create is ``O_EXCL``, so exactly one contender wins a free unit.
-    A stale claim (owner's lease expired — it died without releasing) is
-    taken over by renaming it aside first: rename is atomic and succeeds
-    for exactly one contender, so two hosts discovering the same dead
-    claim cannot both take it.
+    The create is exclusive (:func:`_create_claim`), so exactly one
+    contender wins a free unit.  A stale claim (owner's lease expired — it
+    died without releasing) is taken over by renaming it aside first:
+    rename is atomic and succeeds for exactly one contender, so two hosts
+    discovering the same dead claim cannot both take it.
     """
     run_dir = path.parent.parent
-    try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-    except FileExistsError:
+    if not _create_claim(path, lease_seconds):
         if not _claim_is_stale(path, lease_seconds):
             return False
         graveyard = path.with_name(f"{path.name}.stale.{_host_tag()}")
@@ -322,14 +341,8 @@ def _try_claim(path: pathlib.Path, lease_seconds: float) -> bool:
         except OSError:
             pass
         _append_event(run_dir, "takeover", path.stem)
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-        except FileExistsError:
+        if not _create_claim(path, lease_seconds):
             return False
-    try:
-        os.write(fd, _claim_payload(lease_seconds))
-    finally:
-        os.close(fd)
     _append_event(run_dir, "claim", path.stem)
     return True
 

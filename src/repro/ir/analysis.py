@@ -106,39 +106,51 @@ def innermost_bodies(kernel: Kernel) -> List[InnermostBodyStats]:
 
     An "innermost body" is the statement list of a loop that contains at
     least one statement directly (it may also contain nested loops; only the
-    direct statements are attributed to it).
+    direct statements are attributed to it).  Bodies come in pre-order: a
+    loop's own body before those of the loops nested in it.
     """
     results: List[InnermostBodyStats] = []
-
-    def visit(nodes: Sequence[Node], chain: List[Loop]) -> None:
-        direct_statements = [n for n in nodes if isinstance(n, Statement)]
-        if direct_statements and chain:
-            iterations = 1.0
-            for depth, loop in enumerate(chain):
-                iterations *= _average_trip_count(loop, chain[:depth], kernel.sizes)
-            unroll_product = 1
-            for loop in chain:
-                unroll_product *= loop.unrolled_by
-            flops = sum(s.flops for s in direct_statements)
-            loads = sum(len(s.reads) for s in direct_statements)
-            stores = sum(len(s.writes) for s in direct_statements)
-            results.append(
-                InnermostBodyStats(
-                    context=LoopContext(tuple(chain)),
-                    statements=len(direct_statements),
-                    flops=flops,
-                    loads=loads,
-                    stores=stores,
-                    iterations=int(round(iterations)),
-                    unroll_product=unroll_product,
-                )
-            )
-        for node in nodes:
-            if isinstance(node, Loop):
-                visit(node.body, chain + [node])
-
-    visit(kernel.loops, [])
+    _collect_bodies(kernel.loops, [], kernel.sizes, results)
     return results
+
+
+def _collect_bodies(
+    nodes: Sequence[Node],
+    chain: List[Loop],
+    sizes: Mapping[str, int],
+    results: List[InnermostBodyStats],
+) -> None:
+    """Append the stats of the bodies under ``nodes`` (reached through the
+    loops in ``chain``) to ``results``, in pre-order.
+
+    A module-level function, not a closure: a nested function that calls
+    itself is a reference cycle that only the cyclic collector frees.
+    """
+    direct_statements = [n for n in nodes if isinstance(n, Statement)]
+    if direct_statements and chain:
+        iterations = 1.0
+        for depth, loop in enumerate(chain):
+            iterations *= _average_trip_count(loop, chain[:depth], sizes)
+        unroll_product = 1
+        for loop in chain:
+            unroll_product *= loop.unrolled_by
+        flops = sum(s.flops for s in direct_statements)
+        loads = sum(len(s.reads) for s in direct_statements)
+        stores = sum(len(s.writes) for s in direct_statements)
+        results.append(
+            InnermostBodyStats(
+                context=LoopContext(tuple(chain)),
+                statements=len(direct_statements),
+                flops=flops,
+                loads=loads,
+                stores=stores,
+                iterations=int(round(iterations)),
+                unroll_product=unroll_product,
+            )
+        )
+    for node in nodes:
+        if isinstance(node, Loop):
+            _collect_bodies(node.body, chain + [node], sizes, results)
 
 
 def dynamic_statement_count(kernel: Kernel) -> int:

@@ -68,33 +68,44 @@ class NoiseComponent(ABC):
     """A single source of measurement noise.
 
     A component perturbs the runtimes of one measurement request — one or
-    more runs of one configuration — in two steps:
+    more runs of one configuration — in three steps:
 
-    * :meth:`drawer` is called once per request and returns a zero-argument
-      callable that makes one run's scalar draws from the generator and
-      returns them as one float (``None`` when the component is inactive
-      and draws nothing, e.g. a zero sigma);
+    * :meth:`level` is called once per request and returns the request's
+      noise level (a sigma, a probability or a step); a component whose
+      level is not positive is inactive and draws nothing;
+    * :meth:`draw` makes one run's scalar draws from the generator and
+      returns them as one float;
     * :meth:`perturb` then applies the component's arithmetic to the whole
-      request at once, given the runtimes so far and one draw per run.
+      request at once, given the runtimes so far, one draw per run and
+      the level.
 
-    The ``sensitivity`` argument is a per-configuration scalar in
-    ``[0, 1]`` produced by the benchmark substrate; it lets a component be
-    heteroskedastic — stronger in some regions of the optimization space
-    than others — which is the property Table 2 documents and the
-    sequential-analysis learner exploits.
+    No step builds a closure per request: a normal component's ``draw``
+    is ``Generator.standard_normal`` itself.  The ``sensitivity`` argument is
+    a per-configuration scalar in ``[0, 1]`` produced by the benchmark
+    substrate; it lets a component be heteroskedastic — stronger in some
+    regions of the optimization space than others — which is the property
+    Table 2 documents and the sequential-analysis learner exploits.
     """
 
     @abstractmethod
-    def drawer(
-        self, rng: np.random.Generator, sensitivity: float = 0.0
-    ) -> Optional[Callable[[], float]]:
-        """The callable making one run's draws, or ``None`` if inactive."""
+    def level(self, sensitivity: float = 0.0) -> float:
+        """The request's noise level; not positive means inactive."""
 
     @abstractmethod
-    def perturb(
-        self, runtimes: np.ndarray, draws: np.ndarray, sensitivity: float = 0.0
-    ) -> np.ndarray:
+    def draw(self, rng: np.random.Generator) -> float:
+        """One run's scalar draws, as one float."""
+
+    @abstractmethod
+    def perturb(self, runtimes: np.ndarray, draws: np.ndarray, level: float) -> np.ndarray:
         """Return ``runtimes`` perturbed by this component, one draw per run."""
+
+
+def _standard_normal(component: NoiseComponent) -> Callable[[np.random.Generator], float]:
+    """``draw`` of a component whose draw is one standard normal:
+    ``Generator.standard_normal`` itself.  Read on access, so importing
+    this module does not import ``numpy.random`` (which moves where the
+    interpreter places that import's memory)."""
+    return np.random.Generator.standard_normal
 
 
 @dataclass
@@ -109,11 +120,13 @@ class LognormalInterference(NoiseComponent):
 
     sigma: float = 0.005
 
-    def drawer(self, rng, sensitivity=0.0):
-        return None if self.sigma <= 0 else rng.standard_normal
+    draw = property(_standard_normal)
 
-    def perturb(self, runtimes, draws, sensitivity=0.0):
-        return runtimes * np.exp(self.sigma * draws)
+    def level(self, sensitivity=0.0):
+        return self.sigma
+
+    def perturb(self, runtimes, draws, level):
+        return runtimes * np.exp(level * draws)
 
 
 @dataclass
@@ -126,11 +139,13 @@ class GaussianJitter(NoiseComponent):
 
     sigma_seconds: float = 1e-4
 
-    def drawer(self, rng, sensitivity=0.0):
-        return None if self.sigma_seconds <= 0 else rng.standard_normal
+    draw = property(_standard_normal)
 
-    def perturb(self, runtimes, draws, sensitivity=0.0):
-        return np.maximum(runtimes + self.sigma_seconds * draws, runtimes * 0.01)
+    def level(self, sensitivity=0.0):
+        return self.sigma_seconds
+
+    def perturb(self, runtimes, draws, level):
+        return np.maximum(runtimes + level * draws, runtimes * 0.01)
 
 
 @dataclass
@@ -144,20 +159,15 @@ class HeavyTailedSpikes(NoiseComponent):
     probability: float = 0.01
     scale: float = 0.05
 
-    def drawer(self, rng, sensitivity=0.0):
-        if self.probability <= 0:
-            return None
-        random, exponential = rng.random, rng.exponential
-        probability, scale = self.probability, self.scale
+    def level(self, sensitivity=0.0):
+        return self.probability
 
-        def factor() -> float:
-            if random() < probability:
-                return 1.0 + exponential(scale)
-            return 1.0
+    def draw(self, rng):
+        if rng.random() < self.probability:
+            return 1.0 + rng.exponential(self.scale)
+        return 1.0
 
-        return factor
-
-    def perturb(self, runtimes, draws, sensitivity=0.0):
+    def perturb(self, runtimes, draws, level):
         return runtimes * draws
 
 
@@ -177,15 +187,14 @@ class HeteroskedasticLayoutNoise(NoiseComponent):
     sigma_low: float = 0.002
     sigma_high: float = 0.08
 
-    def _sigma(self, sensitivity: float) -> float:
+    draw = property(_standard_normal)
+
+    def level(self, sensitivity=0.0):
         sensitivity = min(max(sensitivity, 0.0), 1.0)
         return self.sigma_low + (self.sigma_high - self.sigma_low) * sensitivity
 
-    def drawer(self, rng, sensitivity=0.0):
-        return None if self._sigma(sensitivity) <= 0 else rng.standard_normal
-
-    def perturb(self, runtimes, draws, sensitivity=0.0):
-        return runtimes * np.exp(self._sigma(sensitivity) * draws)
+    def perturb(self, runtimes, draws, level):
+        return runtimes * np.exp(level * draws)
 
 
 @dataclass
@@ -204,21 +213,18 @@ class FrequencyDrift(NoiseComponent):
     max_deviation: float = 0.03
     _state: float = field(default=0.0, repr=False)
 
-    def drawer(self, rng, sensitivity=0.0):
-        if self.step_sigma <= 0:
-            return None
-        normal, step, bound = rng.standard_normal, self.step_sigma, self.max_deviation
+    def level(self, sensitivity=0.0):
+        return self.step_sigma
 
-        def walk() -> float:
-            # ``0.0 + step * z`` is ``Generator.normal(0.0, step)``'s own
-            # arithmetic, so even the sign of a zero state matches.
-            state = self._state + (0.0 + step * normal())
-            self._state = min(max(state, -bound), bound)
-            return self._state
+    def draw(self, rng):
+        # ``0.0 + step * z`` is ``Generator.normal(0.0, step)``'s own
+        # arithmetic, so even the sign of a zero state matches.
+        bound = self.max_deviation
+        state = self._state + (0.0 + self.step_sigma * rng.standard_normal())
+        self._state = state = min(max(state, -bound), bound)
+        return state
 
-        return walk
-
-    def perturb(self, runtimes, draws, sensitivity=0.0):
+    def perturb(self, runtimes, draws, level):
         return runtimes * (1.0 + draws)
 
 
@@ -327,13 +333,16 @@ class NoiseModel:
         if not math.isfinite(true_runtime):
             raise ValueError("true_runtime must be finite")
         active = []
+        levels = []
         drawers = []
         for component in self._components:
-            draw = component.drawer(rng, sensitivity)
-            if draw is not None:
-                active.append(component)
-                drawers.append(draw)
-        draws = [draw() for _ in range(count) for draw in drawers]
+            level = component.level(sensitivity)
+            if level <= 0:
+                continue
+            active.append(component)
+            levels.append(level)
+            drawers.append(component.draw)
+        draws = [draw(rng) for _ in range(count) for draw in drawers]
         if count == 1:
             # One run (the one-observation plan, each run the CI stopping
             # rule adds): the same arithmetic on scalars, which skips
@@ -343,8 +352,8 @@ class NoiseModel:
         else:
             observed = np.full(count, float(true_runtime))
             columns = np.array(draws).reshape(count, len(drawers)).T
-        for component, column in zip(active, columns):
-            observed = component.perturb(observed, column, sensitivity)
+        for component, column, level in zip(active, columns, levels):
+            observed = component.perturb(observed, column, level)
         return np.maximum(observed, true_runtime * 1e-3, out=np.empty(count))
 
     def drift_state(self) -> list[float]:

@@ -250,7 +250,9 @@ class _Moves(NamedTuple):
 
     The grow fields hold each grower's winning split and both sides'
     ``(count, sum, sum_sq)``; ``sums[g]`` is ``[[sum_l, sq_l],
-    [sum_r, sq_r]]``.
+    [sum_r, sq_r]]``.  ``lml`` and ``beta_n`` are the scoring pass's
+    terms of every new leaf, in cache-row order: the stays' leaves, the
+    growers' left and then right children, the prunes' merged leaves.
     """
 
     stays: np.ndarray
@@ -261,6 +263,8 @@ class _Moves(NamedTuple):
     n_left: np.ndarray
     n_right: np.ndarray
     sums: np.ndarray
+    lml: np.ndarray
+    beta_n: np.ndarray
 
 
 class DynamicTreeRegressor(SurrogateModel):
@@ -967,25 +971,31 @@ class DynamicTreeRegressor(SurrogateModel):
         # bit-identical to the scalar evaluation the reference performs.
         # Each valid distinct split is scored once, whichever particles
         # drew it; a split that leaves fewer than ``min_leaf`` points on a
-        # side is invalid.
+        # side is invalid.  The same pass also evaluates every prunable
+        # particle's merged leaf in the operand order of its cache row
+        # (merge, then absorb ``y``), which is not the order the prune
+        # score sums in, so :meth:`_apply_moves` computes no LML itself.
         totals_stay = leaf[:, _SUM] + y
         sqs_stay = leaf[:, _SUM_SQ] + y * y
         n_right = splits.n_points - splits.n_left
         valid = np.flatnonzero((splits.n_left >= config.min_leaf) & (n_right >= config.min_leaf))
         side_sums = splits.sums[valid]
+        pruned = leaf[pr]
+        merged_counts = n_points_arr[pr] + sibling[:, _COUNT].astype(np.intp)
         counts = np.concatenate([
-            n_points_arr, n_points_arr[pr] + sibling[:, _COUNT].astype(np.intp),
-            splits.n_left[valid], n_right[valid],
+            n_points_arr, merged_counts, splits.n_left[valid], n_right[valid], merged_counts,
         ])
         totals = np.concatenate([
             totals_stay, totals_stay[pr] + sibling[:, _SUM], side_sums[:, 0, 0], side_sums[:, 1, 0],
+            (pruned[:, _SUM] + sibling[:, _SUM]) + y,
         ])
         sqs = np.concatenate([
             sqs_stay, sqs_stay[pr] + sibling[:, _SUM_SQ], side_sums[:, 0, 1], side_sums[:, 1, 1],
+            (pruned[:, _SUM_SQ] + sibling[:, _SUM_SQ]) + y * y,
         ])
         tables = self._leaf_term_tables()
         tables.ensure(int(counts.max()))
-        lml = tables.lml(counts, totals, sqs)[0]
+        lml, beta_n = tables.lml(counts, totals, sqs)
         depth_table = self._depth_table(int(depths_arr.max()))
         log1m_here = depth_table[depths_arr, 0]
         stay_scores = log1m_here + lml[:count]
@@ -1005,10 +1015,12 @@ class DynamicTreeRegressor(SurrogateModel):
         # particle keeps its first maximum, like the scalar
         # ``score > best`` scan.
         n_splits = splits.dims.shape[0]
+        first_left = count + pr.size
+        first_right = first_left + valid.size
         lml_left = np.empty(n_splits)
         lml_right = np.empty(n_splits)
-        lml_left[valid] = lml[count + pr.size : count + pr.size + valid.size]
-        lml_right[valid] = lml[count + pr.size + valid.size :]
+        lml_left[valid] = lml[first_left:first_right]
+        lml_right[valid] = lml[first_right : first_right + valid.size]
         split_scores = np.full(n_splits + 1, neg_inf)
         split_scores[valid] = lml_left[valid] + lml_right[valid]
         slot_split = np.full((count, n_candidates), n_splits, dtype=np.intp)
@@ -1045,15 +1057,26 @@ class DynamicTreeRegressor(SurrogateModel):
         grows = np.flatnonzero(grow_mask)
         won = best[grows]
         n_left_grow = splits.n_left[won]
+        stays = np.flatnonzero(~(prune_mask | grow_mask))
+        prunes = np.flatnonzero(prune_mask)
+        # The new leaves' rows of the scored block, in the order
+        # _apply_moves lays out its cache rows.  A winning split is valid.
+        left_rows = first_left + np.searchsorted(valid, won)
+        scored = np.concatenate([
+            stays, left_rows, left_rows + valid.size,
+            first_right + valid.size + np.searchsorted(pr, prunes),
+        ])
         return _Moves(
-            stays=np.flatnonzero(~(prune_mask | grow_mask)),
+            stays=stays,
             grows=grows,
-            prunes=np.flatnonzero(prune_mask),
+            prunes=prunes,
             dims=splits.dims[won],
             thresholds=splits.thresholds[won],
             n_left=n_left_grow,
             n_right=n_points_arr[grows] - n_left_grow,
             sums=splits.sums[won],
+            lml=lml[scored],
+            beta_n=beta_n[scored],
         )
 
     def _apply_moves(
@@ -1072,8 +1095,10 @@ class DynamicTreeRegressor(SurrogateModel):
         both children from the proposal's partition statistics, prunes
         merge leaf and sibling and then absorb ``y`` — in the operand order
         of the reference's ``merge(...).add(y)``, which is not the order
-        the prune score sums in.  Then one row write lands every stay, one
-        splice every grow and one every prune (see
+        the prune score sums in.  Every row's ``(lml, beta_n)`` comes from
+        the scoring pass, which evaluated the same statistics in the same
+        operand order (:meth:`_draw_moves`).  Then one row write lands
+        every stay, one splice every grow and one every prune (see
         :class:`~repro.models.flat_tree.ParticleForest`, which also
         renumbers ``leaf_of``), and one column write records the new
         point's final leaf.
@@ -1090,6 +1115,7 @@ class DynamicTreeRegressor(SurrogateModel):
                             (pruned[:, _SUM] + sibling[:, _SUM]) + y]),
             np.concatenate([stay[:, _SUM_SQ] + y * y, moves.sums[:, 0, 1], moves.sums[:, 1, 1],
                             (pruned[:, _SUM_SQ] + sibling[:, _SUM_SQ]) + y * y]),
+            (moves.lml, moves.beta_n),
         )
         forest = self._particle_forest
         local_ids = routing.local_ids
@@ -1122,7 +1148,11 @@ class DynamicTreeRegressor(SurrogateModel):
         forest.assign(index, new_leaf)
 
     def _cache_rows(
-        self, counts: np.ndarray, totals: np.ndarray, total_sqs: np.ndarray
+        self,
+        counts: np.ndarray,
+        totals: np.ndarray,
+        total_sqs: np.ndarray,
+        scored: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> np.ndarray:
         """Leaf-cache rows of leaves holding ``(count, sum, sum_sq)`` statistics.
 
@@ -1130,10 +1160,13 @@ class DynamicTreeRegressor(SurrogateModel):
         oracle's per-leaf scalar evaluation groups it, with the scalar
         ``log`` map, so every row is bit-identical to the oracle's.  Every
         count must be at least 1 and already covered by the term tables.
+        ``scored`` passes the leaves' ``(lml, beta_n)`` when the term
+        tables' :meth:`~repro.models.leaf.LeafTermTables.lml` has already
+        computed them from these same statistics.
         """
         tables = self._leaf_term_tables()
         prior = self._prior
-        lml, beta_n = tables.lml(counts, totals, total_sqs)
+        lml, beta_n = tables.lml(counts, totals, total_sqs) if scored is None else scored
         kappa_n = tables.kappa_n[counts]
         alpha_n = tables.alpha_n[counts]
         scale = (beta_n * (kappa_n + 1.0)) / (alpha_n * kappa_n)

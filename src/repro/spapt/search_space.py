@@ -150,6 +150,11 @@ class SearchSpace:
             self._value_table[i, : param.cardinality] = param.values
         self._feature_mid = mids
         self._feature_scale = scales
+        # The normalised value of every admissible value, laid out like the
+        # value table and computed with normalize_many's own expression, so
+        # a drawn index row gathers the features normalize_many would give.
+        self._feature_table = (self._value_table - mids[:, None]) / scales[:, None]
+        self._dims = np.arange(d)
         self._size = math.prod(int(card) for card in self._cardinalities)
         # Batch validation keys: value v of parameter j is admissible iff
         # j * stride + v is in the sorted key table.  Values are >= 1, so
@@ -225,10 +230,13 @@ class SearchSpace:
 
     def random_configuration(self, rng: np.random.Generator) -> Tuple[int, ...]:
         """One configuration sampled uniformly at random."""
-        return self._draw_block(1, rng)[0]
+        return self._draw_block(1, rng)[0][0]
 
-    def _draw_block(self, rows: int, rng: np.random.Generator) -> List[Tuple[int, ...]]:
-        """``rows`` uniform configurations from one ``(rows, d)`` index draw.
+    def _draw_block(
+        self, rows: int, rng: np.random.Generator
+    ) -> Tuple[List[Tuple[int, ...]], np.ndarray]:
+        """``rows`` uniform configurations from one ``(rows, d)`` index draw,
+        and the index block itself.
 
         Draw-order contract: ``Generator.integers(cardinalities, size=(k, d))``
         consumes the bit stream exactly like ``k * d`` scalar
@@ -239,8 +247,8 @@ class SearchSpace:
         trajectory.
         """
         indices = rng.integers(self._cardinalities, size=(rows, self.dimensions))
-        values = self._value_table[np.arange(self.dimensions), indices]
-        return [tuple(row) for row in values.tolist()]
+        values = self._value_table[self._dims, indices]
+        return [tuple(row) for row in values.tolist()], indices
 
     def sample_distinct(
         self, count: int, rng: np.random.Generator, exclude: Iterable[Sequence[int]] = ()
@@ -254,6 +262,35 @@ class SearchSpace:
         Raises ``ValueError`` if the space cannot supply that many distinct
         configurations.
         """
+        return self._sample_distinct(count, rng, exclude)[0]
+
+    def sample_distinct_featurized(
+        self, count: int, rng: np.random.Generator, exclude: Iterable[Sequence[int]] = ()
+    ) -> Tuple[List[Tuple[int, ...]], np.ndarray]:
+        """:meth:`sample_distinct`'s configurations and their ``(count, d)``
+        feature matrix.
+
+        The same generator calls and the same configurations as
+        :meth:`sample_distinct`; each drawn row's features are gathered from
+        the feature table at the index row it was drawn from, bitwise equal
+        to :meth:`normalize_many` of the configurations.
+        """
+        configurations, index_blocks = self._sample_distinct(count, rng, exclude)
+        blocks = [self._feature_table[self._dims, block] for block in index_blocks]
+        drawn = sum(block.shape[0] for block in blocks)
+        if drawn < len(configurations):
+            # The enumeration fallback of tiny spaces draws no index rows.
+            blocks.append(self.normalize_many(configurations[drawn:]))
+        if not blocks:
+            return configurations, np.empty((0, self.dimensions))
+        return configurations, blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+    def _sample_distinct(
+        self, count: int, rng: np.random.Generator, exclude: Iterable[Sequence[int]]
+    ) -> Tuple[List[Tuple[int, ...]], List[np.ndarray]]:
+        """The distinct sample, and the index rows of its drawn members in
+        sample order (one block per round; members the enumeration fallback
+        added follow them and have no index row)."""
         if count < 0:
             raise ValueError("count cannot be negative")
         if isinstance(exclude, (Set, Mapping)):
@@ -267,6 +304,7 @@ class SearchSpace:
             )
         chosen: set[Tuple[int, ...]] = set()
         result: List[Tuple[int, ...]] = []
+        index_blocks: List[np.ndarray] = []
         # Rejection sampling is efficient because SPAPT spaces are many orders
         # of magnitude larger than any sample we draw; fall back to exhaustive
         # enumeration only for tiny synthetic spaces used in tests.  Each
@@ -278,11 +316,18 @@ class SearchSpace:
         while len(result) < count and attempts < max_attempts:
             need = min(count - len(result), max_attempts - attempts)
             attempts += need
-            for candidate in self._draw_block(need, rng):
+            candidates, indices = self._draw_block(need, rng)
+            kept = []
+            for row, candidate in enumerate(candidates):
                 if candidate in excluded or candidate in chosen:
                     continue
                 chosen.add(candidate)
                 result.append(candidate)
+                kept.append(row)
+            if len(kept) == need:
+                index_blocks.append(indices)
+            elif kept:
+                index_blocks.append(indices[kept])
         if len(result) < count:
             for candidate in self._enumerate():
                 if candidate in excluded or candidate in chosen:
@@ -291,7 +336,7 @@ class SearchSpace:
                 result.append(candidate)
                 if len(result) == count:
                     break
-        return result
+        return result, index_blocks
 
     def _enumerate(self) -> Iterator[Tuple[int, ...]]:
         """Enumerate every configuration (only sensible for tiny spaces)."""

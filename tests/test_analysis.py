@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.ir.analysis import (
@@ -29,6 +31,21 @@ class TestInnermostBodies:
         assert body.stores == 1
         assert body.iterations == 64 * 64
         assert body.context.variables() == ("i", "j")
+
+    def test_leaves_no_cyclic_garbage(self):
+        """The body walk makes no reference cycle: nothing is left for the
+        cyclic collector once the call returns."""
+        kernel = build_lu(n=100)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            bodies = innermost_bodies(kernel)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+        assert bodies
 
     def test_multi_nest_kernel(self):
         mm = build_mm(n=32)

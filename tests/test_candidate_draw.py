@@ -5,13 +5,18 @@
 Every seeded trajectory in the repository depends on those producing
 exactly what the historical one-configuration-at-a-time code produced, and
 on leaving the generator in exactly the same state.  The historical scalar
-loop is kept below as the oracle.
+loop is kept below as the oracle.  The featurized draw
+(``sample_distinct_featurized``, ``CandidatePool.draw_featurized``) must
+return the same configurations, leave the same generator state, and give
+features bitwise equal to ``normalize_many``.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
+import pathlib
 import pickle
 from collections.abc import Mapping
 
@@ -79,7 +84,8 @@ def oracle_normalize(space, configuration):
 
 
 def assert_same_draws(space, count, seed, exclude=()):
-    """New and oracle sampling agree on the list and the generator state."""
+    """New and oracle sampling agree on the list and the generator state;
+    so does the featurized draw, whose features are ``normalize_many``'s."""
     new_rng = np.random.default_rng(seed)
     oracle_rng = np.random.default_rng(seed)
     sample = space.sample_distinct(count, new_rng, exclude=exclude)
@@ -87,13 +93,38 @@ def assert_same_draws(space, count, seed, exclude=()):
     assert sample == expected
     assert all(type(v) is int for cfg in sample for v in cfg)
     assert new_rng.bit_generator.state == oracle_rng.bit_generator.state
+    featurized_rng = np.random.default_rng(seed)
+    configurations, features = space.sample_distinct_featurized(
+        count, featurized_rng, exclude=exclude
+    )
+    assert configurations == expected
+    assert featurized_rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert features.shape == (count, space.dimensions)
+    if count:
+        assert_bitwise_equal(features, space.normalize_many(expected))
     return sample
+
+
+def assert_bitwise_equal(actual, expected):
+    """Same shape, dtype and bits (so ``-0.0`` differs from ``0.0``)."""
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert np.ascontiguousarray(actual).tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 # -------------------------------------------------------------- fixtures
 
 
 SPAPT_SPACES = {name: get_benchmark(name).search_space for name in benchmark_names()}
+
+
+def _custom_example_space():
+    """The search space of ``examples/custom_kernel_autotuning.py``."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = root / "examples" / "custom_kernel_autotuning.py"
+    spec = importlib.util.spec_from_file_location("custom_kernel_example", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.BlurProgram().search_space
 
 
 def small_space(cardinalities):
@@ -196,6 +227,83 @@ def test_too_many_requested_raises():
 
 
 # ------------------------------------------------------------ features
+
+
+@pytest.mark.parametrize("name", sorted(SPAPT_SPACES) + ["custom-example"])
+def test_feature_table_is_normalize_many_bitwise(name):
+    """Every admissible value of every parameter: the table entry is the
+    value's ``normalize_many`` feature, to the bit."""
+    space = _custom_example_space() if name == "custom-example" else SPAPT_SPACES[name]
+    base = list(space.default_configuration())
+    for j, param in enumerate(space.parameters):
+        configurations = [
+            tuple(base[:j] + [value] + base[j + 1:]) for value in param.values
+        ]
+        column = space.normalize_many(configurations)[:, j]
+        assert_bitwise_equal(space._feature_table[j, : param.cardinality], column)
+
+
+@pytest.mark.parametrize("name", sorted(SPAPT_SPACES))
+def test_pool_draw_featurized_matches_draw(name):
+    """Fresh and revisitable rows alike: the same candidates, generator
+    state and ``normalize_many`` features as ``draw``."""
+    space = SPAPT_SPACES[name]
+    for revisit in (False, True):
+        pool = CandidatePool(space, max_observations=3, revisit=revisit)
+        seen = oracle_sample_distinct(space, 12, np.random.default_rng(4))
+        for i, cfg in enumerate(seen):
+            pool.record(cfg, 1 + i % 4)
+        # Some revisitable rows are cached, the rest are cache misses.
+        pool.remember_features(seen[:5], space.normalize_many(seen[:5]))
+        for seed in range(3):
+            plain_rng = np.random.default_rng(seed)
+            featurized_rng = np.random.default_rng(seed)
+            candidates = pool.draw(20, plain_rng)
+            drawn, features = pool.draw_featurized(20, featurized_rng)
+            assert drawn == candidates
+            assert plain_rng.bit_generator.state == featurized_rng.bit_generator.state
+            assert_bitwise_equal(features, space.normalize_many(candidates))
+
+
+def test_pool_features_fill_and_serve_the_cache(mm_benchmark):
+    space = mm_benchmark.search_space
+    pool = CandidatePool(space, max_observations=3, revisit=True)
+    configurations, features = space.sample_distinct_featurized(
+        70, np.random.default_rng(5)
+    )
+    pool.remember_features(configurations[:40], features[:40])
+    # Hits, misses and a repeated configuration in one call.
+    wanted = configurations[30:70] + configurations[:3] + configurations[65:70]
+    assert_bitwise_equal(pool.features(wanted), space.normalize_many(wanted))
+    assert len(pool._feature_rows) == 70
+    assert_bitwise_equal(pool.features(configurations), features)
+
+
+def test_pickled_pool_rebuilds_its_feature_cache(mm_benchmark):
+    """The cache is derived state: not pickled, rebuilt from the counts."""
+    space = mm_benchmark.search_space
+    pool = CandidatePool(space, max_observations=3, revisit=True)
+    configurations, features = space.sample_distinct_featurized(
+        10, np.random.default_rng(7)
+    )
+    for cfg in configurations:
+        pool.record(cfg)
+    pool.remember_features(configurations, features)
+    blob = pickle.dumps(pool)
+    assert b"_feature_rows" not in blob and b"_feature_matrix" not in blob
+    restored = pickle.loads(blob)
+    assert restored._feature_rows.keys() == set(configurations)
+    assert_bitwise_equal(restored.features(configurations), features)
+    draws = [p.draw_featurized(5, np.random.default_rng(9)) for p in (pool, restored)]
+    assert draws[0][0] == draws[1][0]
+    assert_bitwise_equal(draws[0][1], draws[1][1])
+    # A pool pickled before the cache existed: a bare instance dict.
+    old = CandidatePool.__new__(CandidatePool)
+    old.__setstate__(
+        {"_space": space, "_max_observations": 3, "_revisit": True,
+         "_counts": dict.fromkeys(configurations, 1)}
+    )
+    assert_bitwise_equal(old.features(configurations), features)
 
 
 @pytest.mark.parametrize("name", sorted(SPAPT_SPACES))
@@ -356,9 +464,12 @@ def test_pool_draw_passes_its_own_counts(mm_benchmark, monkeypatch):
 
 def test_search_space_pickles_as_its_parameters(mm_benchmark):
     space = mm_benchmark.search_space
-    restored = pickle.loads(pickle.dumps(space))
+    blob = pickle.dumps(space)
+    assert b"_feature_table" not in blob
+    restored = pickle.loads(blob)
     assert restored.parameters == space.parameters
     assert restored.size == space.size
+    assert_bitwise_equal(restored._feature_table, space._feature_table)
     assert restored.sample_distinct(20, np.random.default_rng(8)) == (
         space.sample_distinct(20, np.random.default_rng(8))
     )
@@ -371,3 +482,4 @@ def test_old_layout_pickle_state_rebuilds_tables(mm_benchmark):
     restored.__setstate__({"_parameters": space.parameters, "_value_sets": ()})
     assert_same_draws(restored, 10, 0)
     assert restored.size == space.size
+    assert_bitwise_equal(restored._feature_table, space._feature_table)

@@ -187,6 +187,24 @@ class TestAcquisition:
         picks = {_tie_broken_pick(_Scored(), 3, seed) for seed in range(20)}
         assert picks == {1}
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    def test_tie_pick_is_the_draw_choice_makes(self, size):
+        """``_pick_best`` makes ``rng.choice(ties)``'s one draw itself: the
+        same picks and the same generator state, for ties of 1 to 5."""
+        acquisition = ALMAcquisition()
+        for seed in range(30):
+            layout = np.random.default_rng(1000 + seed)
+            scores = layout.random(9) - 2.0
+            tied = np.sort(layout.choice(9, size=size, replace=False))
+            scores[tied] = 0.25
+            available = np.arange(9)
+            new_rng = np.random.default_rng(seed)
+            choice_rng = np.random.default_rng(seed)
+            for _ in range(4):
+                pick = acquisition._pick_best(scores, available, new_rng)
+                assert pick == int(choice_rng.choice(tied))
+            assert new_rng.bit_generator.state == choice_rng.bit_generator.state
+
     def test_alc_with_real_dynamic_tree_prefers_sparse_noisy_region(self, rng):
         """A candidate in a barely-sampled region must score at least as well
         (lower expected remaining variance is better) than one in a densely

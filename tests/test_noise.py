@@ -18,12 +18,12 @@ from repro.measurement.noise import (
 
 
 def apply_once(component, runtime, rng, sensitivity=0.0):
-    """One run through one component: its draw step, then its array step."""
-    draw = component.drawer(rng, sensitivity)
-    if draw is None:
+    """One run through one component: its level, its draw, then its array step."""
+    level = component.level(sensitivity)
+    if level <= 0:
         return runtime
     return float(
-        component.perturb(np.array([runtime]), np.array([draw()]), sensitivity)[0]
+        component.perturb(np.array([runtime]), np.array([component.draw(rng)]), level)[0]
     )
 
 

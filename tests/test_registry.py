@@ -443,6 +443,41 @@ class TestPartialArtifactResult:
             bare.rows
 
 
+class TestAtomicWrite:
+    def test_two_threads_of_one_process_write_one_file(self, tmp_path, monkeypatch):
+        """Two runners sharing a process (threads) publish the same file at
+        once: each writes its own temporary file, so both renames succeed
+        and the file holds one complete payload."""
+        import os
+
+        barrier = threading.Barrier(2)
+        real_replace = os.replace
+
+        def replace_together(source, destination):
+            barrier.wait(timeout=30)
+            return real_replace(source, destination)
+
+        monkeypatch.setattr(registry.os, "replace", replace_together)
+        path = tmp_path / "shared.pkl"
+        errors = []
+
+        def write(payload):
+            try:
+                registry._atomic_write_bytes(path, payload)
+            except BaseException as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(p,)) for p in (b"a" * 64, b"b" * 64)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert path.read_bytes() in (b"a" * 64, b"b" * 64)
+        assert [p.name for p in tmp_path.iterdir()] == ["shared.pkl"]
+
+
 class TestClaimLocking:
     def test_claim_is_exclusive(self, tmp_path):
         (tmp_path / "claims").mkdir()

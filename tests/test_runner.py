@@ -974,3 +974,47 @@ class TestClaimOrder:
         # per unit; per-host permutations mostly pick different heads.
         assert shared == len(units)
         assert permuted < shared
+
+
+class TestClaimCreation:
+    """A claim file exists only with its full payload: a writer killed
+    between creating and filling it cannot leave an empty claim, which a
+    resumed run could take over only after the whole lease."""
+
+    @staticmethod
+    def _claims(tmp_path):
+        (tmp_path / "log").mkdir()
+        claims = tmp_path / "claims"
+        claims.mkdir()
+        return claims
+
+    def test_claim_is_linked_into_place_already_written(self, tmp_path, monkeypatch):
+        from repro.experiments import runner as runner_module
+
+        claims = self._claims(tmp_path)
+        linked = []
+        real_link = os.link
+
+        def checked_link(source, destination):
+            # The payload is complete before the claim name exists.
+            linked.append(json.loads(pathlib.Path(source).read_text("utf-8")))
+            return real_link(source, destination)
+
+        monkeypatch.setattr(runner_module.os, "link", checked_link)
+        claim = claims / "unit.claim"
+        assert runner_module._try_claim(claim, lease_seconds=900.0)
+        record = json.loads(claim.read_text("utf-8"))
+        assert linked == [record]
+        assert record["pid"] == os.getpid() and record["lease_seconds"] == 900.0
+        assert [path.name for path in claims.iterdir()] == ["unit.claim"]
+
+    def test_losing_contender_leaves_the_claim_and_no_file(self, tmp_path):
+        from repro.experiments.runner import _try_claim
+
+        claims = self._claims(tmp_path)
+        claim = claims / "unit.claim"
+        assert _try_claim(claim, lease_seconds=900.0)
+        before = claim.read_bytes()
+        assert not _try_claim(claim, lease_seconds=900.0)
+        assert claim.read_bytes() == before
+        assert [path.name for path in claims.iterdir()] == ["unit.claim"]

@@ -235,6 +235,34 @@ class TestBitIdentity:
             session.rng.bit_generator.state == reference_rng.bit_generator.state
         )
 
+    @pytest.mark.parametrize("plan_name", ["fixed1", "sequential"])
+    def test_session_reads_features_from_the_search_space_only(self, mm, plan_name):
+        """A program with only ``search_space`` beyond the profiler's
+        protocol (no ``features``/``features_many``) runs the same trajectory."""
+
+        class ProtocolOnly:
+            name = mm.name
+            search_space = mm.search_space
+            true_runtime = mm.true_runtime
+            compile_time = mm.compile_time
+            noise_sensitivity = mm.noise_sensitivity
+            noise_model = mm.noise_model
+            restore_noise_model = mm.restore_noise_model
+
+        expected, reference_rng = _reference_run(
+            mm, PLANS[plan_name](), SMALL, _test_set(mm), np.random.default_rng(778)
+        )
+        program = ProtocolOnly()
+        session = TuningSession(
+            program, plan=PLANS[plan_name](), config=SMALL,
+            rng=np.random.default_rng(778), test_set=_test_set(mm),
+        )
+        broker = ProfilerBroker(Profiler(program, rng=session.rng))
+        while (request := session.ask()) is not None:
+            session.tell(broker.measure(request))
+        assert _fingerprint(session.result()) == expected
+        assert session.rng.bit_generator.state == reference_rng.bit_generator.state
+
     def test_learner_run_is_the_same_driver(self, mm):
         """``ActiveLearner.run`` is a thin ask/measure/tell wrapper."""
         manual_learner = ActiveLearner(
