@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test docs-check bench bench-update bench-session bench-batch bench-broker bench-gate bench-e2e bench-e2e-ab lint coverage profile chaos
+.PHONY: test docs-check bench bench-update bench-session bench-broker bench-gate bench-e2e bench-e2e-ab lint coverage profile chaos
 
 ## Coverage ratchet for the CI coverage job: fail below this line rate.
 ## Raise it when coverage grows; never lower it to make a PR pass.
@@ -38,11 +38,6 @@ bench-update:
 ## run vs the frozen inline loop; also asserts < 5% dispatch overhead).
 bench-session:
 	$(PYTHON) -m pytest benchmarks/test_bench_session_overhead.py -q --bench-export
-
-## Refresh the batch-acquisition group: one ask(5) batch cycle vs five
-## ask(1) cycles from the same primed session.
-bench-batch:
-	$(PYTHON) -m pytest benchmarks/test_bench_batch_ask.py -q --bench-export
 
 ## Refresh the broker-overhead group (bare ProfilerBroker vs the
 ## ResilientBroker happy path; also asserts < 5% wrapper overhead).

@@ -31,7 +31,6 @@ DEFAULT_GROUPS = (
     "model-update",
     "forest-maintenance",
     "session-overhead",
-    "batch-acquisition",
     "broker-overhead",
 )
 DEFAULT_THRESHOLD = 0.20

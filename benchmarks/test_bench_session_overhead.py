@@ -105,7 +105,7 @@ def _inline_run(mm, test_set):
     for iteration in range(n_seed, config.max_training_examples):
         if pool.exhausted():
             break
-        candidates = pool.draw(config.n_candidates, rng)
+        candidates = pool.draw_featurized(config.n_candidates, rng)[0]
         if not candidates:
             break
         candidate_features = mm.features_many(candidates)

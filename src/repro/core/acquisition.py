@@ -10,16 +10,9 @@ the generic :class:`~repro.models.base.SurrogateModel` interface, together
 with a random-selection control.
 
 Selection (``TuningSession.ask(k)``; ``ask()`` is ``k = 1``) goes through
-:meth:`AcquisitionFunction.select_batch`.  The base implementation takes
-the top ``k`` of one scoring pass; two interaction-aware strategies refine
-it: :class:`GreedyALCFantasyAcquisition` (``"greedy-alc-fantasy"``) picks
-the ALC argmax, fantasizes its observation at the model's predictive mean
-on a copy, and re-scores — the kriging-believer construction — while
-:class:`DiversityPenaltyAcquisition` (``"diversity-penalty"``) approximates
-the same spreading effect with a single scoring pass and an RBF similarity
-penalty against already-picked batch members.  Every strategy's ``k=1``
-batch is one scoring pass and one tie-break draw — Algorithm 1's
-sequential pick.
+:meth:`AcquisitionFunction.select_batch`: the top ``k`` of one scoring
+pass, so a ``k=1`` round is one scoring pass and one tie-break draw —
+Algorithm 1's sequential pick.
 """
 
 from __future__ import annotations
@@ -36,8 +29,6 @@ __all__ = [
     "ALCAcquisition",
     "ALMAcquisition",
     "RandomAcquisition",
-    "GreedyALCFantasyAcquisition",
-    "DiversityPenaltyAcquisition",
     "make_acquisition",
     "acquisition_names",
 ]
@@ -104,11 +95,9 @@ class AcquisitionFunction(ABC):
     ) -> List[int]:
         """Indices of ``k`` distinct candidates, best first.
 
-        The default strategy scores once and takes the top ``k`` greedily,
-        re-applying the relative tie band (and a generator draw) at every
-        pick, so ``k=1`` is the plain tie-broken argmax.  Subclasses with
-        an interaction-aware batch rule (fantasized updates, diversity
-        penalties) override this.
+        Scores once and takes the top ``k`` greedily, re-applying the
+        relative tie band (and a generator draw) at every pick, so ``k=1``
+        is the plain tie-broken argmax.
         """
         n = np.atleast_2d(candidates).shape[0]
         if not 1 <= k <= n:
@@ -182,128 +171,10 @@ class RandomAcquisition(AcquisitionFunction):
         return rng.random(np.atleast_2d(candidates).shape[0])
 
 
-class GreedyALCFantasyAcquisition(ALCAcquisition):
-    """Greedy-ALC batch selection with fantasized model updates.
-
-    The kriging-believer recipe applied to ALC: pick the ALC argmax, then
-    pretend its measurement came back at the model's current predictive
-    mean — updating a *copy* of the model with the fantasy — and re-score
-    the remaining candidates against the fantasized posterior.  Repeated
-    ``k`` times this spreads the batch across the space (a fantasized
-    observation collapses the variance around its location, so near
-    neighbours stop looking useful) at the price of ``k`` scoring passes
-    and ``k - 1`` fantasy updates per batch.
-
-    ``select_batch(..., k=1)`` never copies or fantasizes — it scores the
-    real model once and tie-breaks once, exactly like plain ALC.
-    """
-
-    name = "greedy-alc-fantasy"
-
-    def select_batch(
-        self,
-        model: SurrogateModel,
-        candidates: np.ndarray,
-        reference_rows: np.ndarray,
-        rng: np.random.Generator,
-        k: int,
-    ) -> List[int]:
-        C = np.atleast_2d(np.asarray(candidates, dtype=float))
-        n = C.shape[0]
-        if not 1 <= k <= n:
-            raise ValueError(f"batch size k={k} must be within [1, {n}] candidates")
-        chosen: List[int] = []
-        taken = np.zeros(n, dtype=bool)
-        current = model
-        for step in range(k):
-            available = np.flatnonzero(~taken)
-            # The whole batch is scored, since a reference row may be a
-            # taken candidate, and taken candidates are masked.  The
-            # dynamic tree sums each candidate's column over particles in
-            # row order, so an available candidate scores as it would alone.
-            scores = np.asarray(self.score(current, C, reference_rows, rng), dtype=float)
-            scores = np.where(taken, -np.inf, scores)
-            pick = self._pick_best(scores, available, rng)
-            chosen.append(pick)
-            taken[pick] = True
-            if step + 1 < k:
-                if current is model:
-                    # First fantasy of the batch: all believed observations
-                    # go into a throwaway copy; the session's model sees
-                    # only real measurements through tell().  A model may
-                    # return a cheaper copy than a deep clone here (the
-                    # dynamic tree copies only its arrays).
-                    current = model.fantasy_copy()
-                believed = float(current.predict(C[pick : pick + 1]).mean[0])
-                current.update(C[pick], believed)
-        return chosen
-
-
-class DiversityPenaltyAcquisition(ALCAcquisition):
-    """ALC batch selection with an RBF diversity penalty — the cheap variant.
-
-    One ALC scoring pass; each subsequent pick subtracts a penalty
-    proportional to the candidate's kernel similarity to the closest
-    already-picked batch member, approximating the variance collapse a
-    fantasized update would produce without copying or re-scoring the
-    model.  The similarity lengthscale is the median pairwise candidate
-    distance and the penalty is scaled by the score range, so the
-    behaviour is invariant to affine rescaling of scores and features.
-
-    ``select_batch(..., k=1)`` reduces to plain ALC selection (one scoring
-    pass, one tie-break draw).
-    """
-
-    name = "diversity-penalty"
-
-    #: Penalty at zero distance, as a fraction of the batch's score range.
-    PENALTY_WEIGHT = 1.0
-
-    def select_batch(
-        self,
-        model: SurrogateModel,
-        candidates: np.ndarray,
-        reference_rows: np.ndarray,
-        rng: np.random.Generator,
-        k: int,
-    ) -> List[int]:
-        C = np.atleast_2d(np.asarray(candidates, dtype=float))
-        n = C.shape[0]
-        if not 1 <= k <= n:
-            raise ValueError(f"batch size k={k} must be within [1, {n}] candidates")
-        base = np.asarray(self.score(model, C, reference_rows, rng), dtype=float)
-        if base.shape[0] != n:
-            raise ValueError("score() must return one value per candidate")
-        chosen: List[int] = []
-        taken = np.zeros(n, dtype=bool)
-        similarity = np.zeros(n)
-        if k > 1:
-            deltas = C[:, None, :] - C[None, :, :]
-            distances = np.sqrt((deltas ** 2).sum(axis=-1))
-            positive = distances[distances > 0]
-            lengthscale = float(np.median(positive)) if positive.size else 1.0
-            spread = float(base.max() - base.min())
-            if spread <= 0.0:
-                spread = max(abs(float(base.max())), 1.0)
-        for step in range(k):
-            available = np.flatnonzero(~taken)
-            adjusted = base - self.PENALTY_WEIGHT * spread * similarity if step else base
-            pick = self._pick_best(adjusted, available, rng)
-            chosen.append(pick)
-            taken[pick] = True
-            if step + 1 < k:
-                sq = ((C - C[pick]) ** 2).sum(axis=1)
-                fresh = np.exp(-0.5 * sq / lengthscale ** 2)
-                similarity = np.maximum(similarity, fresh)
-        return chosen
-
-
 _ACQUISITION_REGISTRY = {
     "alc": ALCAcquisition,
     "alm": ALMAcquisition,
     "random": RandomAcquisition,
-    "greedy-alc-fantasy": GreedyALCFantasyAcquisition,
-    "diversity-penalty": DiversityPenaltyAcquisition,
 }
 
 
@@ -314,7 +185,7 @@ def acquisition_names() -> list[str]:
 
 def make_acquisition(name: str) -> AcquisitionFunction:
     """Look up an acquisition function by name (``"alc"``, ``"alm"``,
-    ``"random"``, ``"greedy-alc-fantasy"``, ``"diversity-penalty"``)."""
+    ``"random"``)."""
     key = name.strip().lower()
     if key not in _ACQUISITION_REGISTRY:
         raise KeyError(

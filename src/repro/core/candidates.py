@@ -92,46 +92,31 @@ class CandidatePool:
             if count < self._max_observations
         ]
 
-    def draw(self, n_fresh: int, rng: np.random.Generator) -> List[Configuration]:
-        """One iteration's candidate set: fresh random points plus revisitable ones.
+    def draw_featurized(
+        self, n_fresh: int, rng: np.random.Generator
+    ) -> Tuple[List[Configuration], np.ndarray]:
+        """One iteration's candidate set — fresh random points plus
+        revisitable ones — and its feature matrix, one row per candidate.
 
         ``n_fresh`` is the paper's ``nc``; fresh candidates are drawn from
         the space excluding everything already observed, so the two halves of
         the pool never overlap.  The observation-count dict itself is the
         exclusion set (no per-draw copy).  An :meth:`exhausted` pool
-        returns an empty list without drawing from ``rng``.
+        returns an empty list without drawing from ``rng``.  Fresh rows are
+        gathered from the indices the space drew them from; revisitable
+        rows come from the feature cache (see :meth:`features`).
         """
-        n_fresh = self._fresh_count(n_fresh)
-        fresh = (
-            self._space.sample_distinct(n_fresh, rng, exclude=self._counts)
-            if n_fresh > 0
-            else []
-        )
-        return fresh + self.revisitable()
-
-    def draw_featurized(
-        self, n_fresh: int, rng: np.random.Generator
-    ) -> Tuple[List[Configuration], np.ndarray]:
-        """:meth:`draw`'s candidate set (same generator calls, same
-        configurations) and its feature matrix, one row per candidate.
-
-        Fresh rows are gathered from the indices the space drew them from;
-        revisitable rows come from the feature cache (see :meth:`features`).
-        """
+        if n_fresh < 0:
+            raise ValueError("n_fresh cannot be negative")
+        n_available = max(self._space.size - len(self._counts), 0)
         # A zero-count sample draws nothing from ``rng``.
         fresh, features = self._space.sample_distinct_featurized(
-            self._fresh_count(n_fresh), rng, exclude=self._counts
+            min(n_fresh, n_available), rng, exclude=self._counts
         )
         revisitable = self.revisitable()
         if revisitable:
             features = np.concatenate([features, self.features(revisitable)])
         return fresh + revisitable, features
-
-    def _fresh_count(self, n_fresh: int) -> int:
-        if n_fresh < 0:
-            raise ValueError("n_fresh cannot be negative")
-        n_available = self._space.size - len(self._counts)
-        return min(n_fresh, max(n_available, 0))
 
     def remember_features(
         self, configurations: Sequence[Configuration], features: np.ndarray

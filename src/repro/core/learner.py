@@ -224,7 +224,6 @@ class ActiveLearner:
         checkpoint_interval: Optional[int] = None,
         checkpoint_sink: Optional[Callable[[TuningSession], None]] = None,
         broker_factory: Optional[BrokerFactory] = None,
-        batch_size: int = 1,
     ) -> LearningResult:
         """Execute the learning loop and return its learning curve and costs.
 
@@ -243,15 +242,11 @@ class ActiveLearner:
         state restored.  A session pickled mid-round resumes by measuring
         its still-pending requests before asking again.
 
-        Every round asks the session for up to ``batch_size`` requests
-        (``batch_size > 1`` is batch acquisition; the default is Algorithm
-        1's one pick per round), measures them in ask order and tells the
-        results back.
+        Every round asks the session for one request (Algorithm 1's one
+        pick per round), measures it and tells the result back.
         """
         if checkpoint_interval is not None and checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be positive when given")
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
         if resume is not None:
             if resume.plan_name != self._plan.name:
                 raise ValueError(
@@ -271,7 +266,7 @@ class ActiveLearner:
             # A session checkpointed mid-round still owes measurements for
             # the requests it had already handed out; serve those first.
             if not session.pending_requests:
-                session.ask(batch_size)
+                session.ask()
             requests = session.pending_requests
             if not requests:
                 break

@@ -34,13 +34,12 @@ noise stream, same float accumulation in the ledger, same curve.  The
 tests in ``tests/test_session.py`` pin this against a frozen copy of the
 inline loop.
 
-``ask(k)`` returns a *batch* of up to ``k`` requests for N parallel
-workers, and ``ask()`` is simply a batch of one: the acquisition
-function's ``select_batch`` picks ``k`` distinct candidates in one round
-(greedy-ALC with fantasized updates, a diversity penalty, or plain
-top-``k``), and the resulting ``tell()``\\ s may arrive in any order — the
-session stores them and folds the whole batch in *ask order* once the last
-one lands, so the trajectory is a deterministic function of the requests
+``ask(k)`` returns a round of up to ``k`` requests for N parallel
+workers, and ``ask()`` is simply a round of one: the acquisition
+function's ``select_batch`` takes the top ``k`` distinct candidates of one
+scoring pass, and the resulting ``tell()``\\ s may arrive in any order —
+the session stores them and folds the whole round in *ask order* once the
+last one lands, so the trajectory is a deterministic function of the requests
 alone, not of measurement-arrival races.  A pickled session checkpoints
 its outstanding requests; :attr:`TuningSession.pending_requests` lists
 what is still owed after a resume.
@@ -482,9 +481,8 @@ class TuningSession:
         The completion checks run once per round (not per member), and the
         round is truncated at the remaining example budget, so a run with
         ``max_training_examples`` examples never overshoots.  One candidate
-        draw and one reference draw serve the whole round; the acquisition
-        function's ``select_batch`` owns the interaction between members
-        (fantasized updates, diversity penalties, or plain top-``k``).
+        draw and one reference draw serve the whole round, and the
+        acquisition function's ``select_batch`` takes its top ``k``.
         The candidates' features come with the draw (the pool's featurized
         draw and feature cache), and the chosen rows go into the cache for
         ``tell`` and later revisits: the session reads features from the

@@ -12,7 +12,6 @@ Figure 6            ``figure6`` (from Table 1)  :mod:`.figure6`
 Noise robustness    ``noise_robustness``        :mod:`.noise_robustness`
 Acquisition study   ``acquisition-ablation``    :mod:`.ablations`
 Model study         ``model-ablation``          :mod:`.ablations`
-Batch acquisition   ``batch-acquisition``       :mod:`.ablations`
 ==================  ==========================  ==========================
 
 Every artifact registers an :class:`~repro.experiments.registry.ExperimentSpec`

@@ -14,13 +14,7 @@ list of names carried in the work-unit parameters:
   else (variable-observation plan, dynamic tree) held at the paper's
   choices;
 * ``model-ablation`` — dynamic tree vs Gaussian process vs k-NN under the
-  identical learning loop;
-* ``batch-acquisition`` — batch sizes k ∈ {1, 2, 5} crossed with the batch
-  selection strategies (greedy-ALC with fantasized updates, the cheap
-  diversity-penalty variant, and random top-k) driven through
-  ``TuningSession.ask(k)``; the ``k1-greedy-alc-fantasy`` reference is
-  bit-identical to the sequential ALC loop, so the arm isolates what a
-  batch of parallel workers costs in sample efficiency.
+  identical learning loop.
 
 Each variant runs under the same seeded (benchmark × variant ×
 repetition) unit shape as Table 1 — the variant index takes the place of
@@ -60,7 +54,6 @@ __all__ = [
     "AblationResult",
     "AcquisitionAblationSpec",
     "ModelAblationSpec",
-    "BatchAcquisitionSpec",
 ]
 
 
@@ -246,41 +239,5 @@ class ModelAblationSpec(_LearnerAblationSpec):
         }
 
 
-class BatchAcquisitionSpec(_LearnerAblationSpec):
-    """Batch sizes k ∈ {1, 2, 5} × batch selection strategies.
-
-    Each variant name is ``k<batch>-<strategy>``; the strategy resolves
-    through :func:`~repro.core.acquisition.make_acquisition` and the batch
-    size becomes ``execute_learner_run(batch_size=...)``, driving the run
-    through ``TuningSession.ask(k)``.  The reference variant
-    (``k1-greedy-alc-fantasy``) is bit-identical to the paper's sequential
-    ALC loop — every strategy's ``k=1`` batch selection is one scoring
-    pass and one tie-break draw — so cost ratios and speed-up
-    factors against it measure the pure price of batching.
-    """
-
-    name = "batch-acquisition"
-    title = "Batch acquisition ablation"
-    axis = "batch strategy"
-    variants = tuple(
-        f"k{k}-{strategy}"
-        for k in (1, 2, 5)
-        for strategy in ("greedy-alc-fantasy", "diversity-penalty", "random")
-    )
-
-    @staticmethod
-    def parse_variant(variant: str) -> Tuple[int, str]:
-        """``"k5-greedy-alc-fantasy"`` → ``(5, "greedy-alc-fantasy")``."""
-        prefix, _, strategy = variant.partition("-")
-        if not prefix.startswith("k") or not prefix[1:].isdigit() or not strategy:
-            raise ValueError(f"malformed batch variant name {variant!r}")
-        return int(prefix[1:]), strategy
-
-    def learner_kwargs(self, variant: str, scale: ExperimentScale) -> dict:
-        batch_size, strategy = self.parse_variant(variant)
-        return {"acquisition": strategy, "batch_size": batch_size}
-
-
 register(AcquisitionAblationSpec())
 register(ModelAblationSpec())
-register(BatchAcquisitionSpec())

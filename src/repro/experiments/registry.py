@@ -10,8 +10,8 @@ the same shape:
   **executes** (a picklable payload per unit), and how completed payloads
   **fold** back into the artifact's report object;
 * the registry maps artifact names (``table1`` … ``figure6``,
-  ``noise_robustness``, ``acquisition-ablation``, ``model-ablation``,
-  ``batch-acquisition``) to their specs and resolves dependency closures
+  ``noise_robustness``, ``acquisition-ablation``, ``model-ablation``)
+  to their specs and resolves dependency closures
   (Figures 5 and 6 fold from Table 1's comparisons instead of recomputing
   them);
 * one executor core runs the units and folds them for both backends:
@@ -722,7 +722,6 @@ def execute_learner_run(
     acquisition: Optional[object] = None,
     model_factory: Optional[Callable] = None,
     context: Optional[UnitContext] = None,
-    batch_size: int = 1,
 ) -> LearningResult:
     """One seeded active-learner run — the shared learner-unit body.
 
@@ -744,9 +743,6 @@ def execute_learner_run(
     ``replay_trace`` directory, measurements go through a
     :class:`~repro.measurement.broker.ReplayBroker` over that trace
     (replay recorded requests, record live-measured misses).
-    ``batch_size > 1`` drives the run through batch acquisition
-    (``TuningSession.ask(k)``) — the ``batch-acquisition`` ablation's
-    axis; the default of 1 is the paper's sequential loop.
     """
     context = context if context is not None else UnitContext()
     benchmark = get_benchmark(benchmark_name)
@@ -828,6 +824,5 @@ def execute_learner_run(
         checkpoint_interval=interval if interval > 0 else None,
         checkpoint_sink=sink if interval > 0 else None,
         broker_factory=broker_factory,
-        batch_size=batch_size,
     )
     return dataclasses.replace(result, model=None)

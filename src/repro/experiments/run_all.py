@@ -8,9 +8,8 @@
 [--max-unit-attempts N]``
 
 Every artifact — table1, table2, figure1, figure2, figure5, figure6,
-noise_robustness, acquisition-ablation, model-ablation,
-batch-acquisition — is declared in
-:mod:`repro.experiments.registry`; this module merely selects artifacts
+noise_robustness, acquisition-ablation, model-ablation — is declared
+in :mod:`repro.experiments.registry`; this module merely selects artifacts
 (``--only``, default: the consolidated report), picks a backend, and
 streams each artifact's rendered section to ``--output``/stdout *as it
 completes* (atomic appends), so a killed report run still leaves the
@@ -75,12 +74,6 @@ paper-run workflow:
   --run-dir holds the task queue (manifest.jsonl), one result file per
   completed work unit, in-flight checkpoints, claim files and an events
   journal; see docs/reproduction.md for runtimes and output layout.
-
-batch-acquisition workflow:
-  # the batch-acquisition ablation (k in {1,2,5} x {greedy-alc-fantasy,
-  # diversity-penalty, random}) at smoke scale on the sharded runner:
-  python -m repro.experiments.run_all --paper-run --scale smoke \\
-      --only batch-acquisition --run-dir /tmp/batch_smoke
 
 profile workflow:
   # where does a smoke-scale table1 run spend its time?  per-unit cProfile

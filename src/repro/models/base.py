@@ -12,7 +12,6 @@ training point (needed for the ALC/Cohn acquisition) additionally implement
 
 from __future__ import annotations
 
-import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -109,14 +108,3 @@ class SurrogateModel(ABC):
         # Higher own-variance candidates are assumed to remove more variance.
         reduction = candidate_pred.variance / (len(reference_rows) + 1.0)
         return np.maximum(base - reduction, 0.0)
-
-    def fantasy_copy(self) -> "SurrogateModel":
-        """A throwaway copy safe to ``update`` with believed observations.
-
-        Batch acquisition strategies (kriging believer) update a copy of
-        the model with fantasized measurements and must not leak those
-        into the real model.  The default is a full deep copy; a model
-        that can copy less (the dynamic tree copies only its arrays and
-        shares its pure caches) overrides it.
-        """
-        return copy.deepcopy(self)

@@ -372,27 +372,6 @@ class DynamicTreeRegressor(SurrogateModel):
             return []
         return ((self._forest().n_nodes + 1) // 2).tolist()
 
-    def fantasy_copy(self) -> "DynamicTreeRegressor":
-        """A cheap copy safe to ``update`` with fantasies.
-
-        Batch acquisition (kriging believer) needs a throwaway model to
-        absorb believed observations.  The particle forest's arrays and the
-        training buffers are copied (one memcpy each; updates write both in
-        place), and the RNG is deep-copied so fantasy draws do not consume
-        the real model's stream.  The memoized pure caches (count-term
-        tables, depth terms) stay shared — both sides only ever add
-        deterministically recomputable entries.
-        """
-        clone = type(self).__new__(type(self))
-        clone.__dict__.update(self.__dict__)
-        clone._rng = copy.deepcopy(self._rng)
-        clone._X = None if self._X is None else self._X.copy()
-        clone._y = None if self._y is None else self._y.copy()
-        clone._particle_forest = None if self._prior is None else self._forest().copy()
-        clone._snapshot = None
-        clone._phase_timings = dict.fromkeys(self._PHASES, 0.0)
-        return clone
-
     # ------------------------------------------------------- data management
 
     def _append_observation(self, x: np.ndarray, y: float) -> int:

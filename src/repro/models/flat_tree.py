@@ -296,13 +296,6 @@ class ParticleForest:
             leaf_offsets=np.arange(count, dtype=np.intp) * self.leaf_capacity,
         )
 
-    def copy(self) -> "ParticleForest":
-        """An independent forest (every array copied)."""
-        clone = ParticleForest.__new__(ParticleForest)
-        for name in self.__slots__:
-            setattr(clone, name, getattr(self, name).copy())
-        return clone
-
     # ---------------------------------------------------------------- updates
 
     def gather(self, chosen: np.ndarray) -> None:

@@ -245,8 +245,10 @@ def test_feature_table_is_normalize_many_bitwise(name):
 
 @pytest.mark.parametrize("name", sorted(SPAPT_SPACES))
 def test_pool_draw_featurized_matches_draw(name):
-    """Fresh and revisitable rows alike: the same candidates, generator
-    state and ``normalize_many`` features as ``draw``."""
+    """Fresh and revisitable rows alike: the candidates and generator
+    state of the unfeaturized draw (``sample_distinct`` excluding the seen
+    configurations, then the revisitable ones) and their
+    ``normalize_many`` features."""
     space = SPAPT_SPACES[name]
     for revisit in (False, True):
         pool = CandidatePool(space, max_observations=3, revisit=revisit)
@@ -258,7 +260,9 @@ def test_pool_draw_featurized_matches_draw(name):
         for seed in range(3):
             plain_rng = np.random.default_rng(seed)
             featurized_rng = np.random.default_rng(seed)
-            candidates = pool.draw(20, plain_rng)
+            candidates = space.sample_distinct(
+                20, plain_rng, exclude=pool.observation_counts
+            ) + pool.revisitable()
             drawn, features = pool.draw_featurized(20, featurized_rng)
             assert drawn == candidates
             assert plain_rng.bit_generator.state == featurized_rng.bit_generator.state
@@ -447,14 +451,14 @@ def test_pool_draw_passes_its_own_counts(mm_benchmark, monkeypatch):
     for cfg in oracle_sample_distinct(space, 10, np.random.default_rng(4)):
         pool.record(cfg)
     received = []
-    sample_distinct = space.sample_distinct
+    sample_distinct_featurized = space.sample_distinct_featurized
 
     def spy(count, rng, exclude=()):
         received.append(exclude)
-        return sample_distinct(count, rng, exclude=exclude)
+        return sample_distinct_featurized(count, rng, exclude=exclude)
 
-    monkeypatch.setattr(space, "sample_distinct", spy)
-    candidates = pool.draw(5, np.random.default_rng(6))
+    monkeypatch.setattr(space, "sample_distinct_featurized", spy)
+    candidates = pool.draw_featurized(5, np.random.default_rng(6))[0]
     assert len(received) == 1 and received[0] is pool._counts
     assert len(candidates) == 5 + 10
 

@@ -238,14 +238,14 @@ class TestCandidatePool:
         seen = (1, 1)
         pool.record(seen)
         for _ in range(5):
-            candidates = pool.draw(5, rng)
+            candidates = pool.draw_featurized(5, rng)[0]
             assert seen not in candidates
 
     def test_revisit_pool_includes_unsaturated_examples(self, space, rng):
         pool = CandidatePool(space, max_observations=3, revisit=True)
         pool.record((1, 1), observations=1)
         pool.record((2, 2), observations=3)
-        candidates = pool.draw(0, rng)
+        candidates = pool.draw_featurized(0, rng)[0]
         assert (1, 1) in candidates
         assert (2, 2) not in candidates
 
@@ -267,7 +267,10 @@ class TestCandidatePool:
         for configuration in space.sample_distinct(space.size, rng):
             pool.record(configuration)
         assert pool.exhausted()
-        assert pool.draw(10, rng) == []
+        state = rng.bit_generator.state
+        candidates, features = pool.draw_featurized(10, rng)
+        assert candidates == [] and features.shape == (0, space.dimensions)
+        assert rng.bit_generator.state == state
 
     def test_validation(self, space):
         with pytest.raises(ValueError):
@@ -276,7 +279,7 @@ class TestCandidatePool:
         with pytest.raises(ValueError):
             pool.record((1, 1), observations=0)
         with pytest.raises(ValueError):
-            pool.draw(-1, np.random.default_rng(0))
+            pool.draw_featurized(-1, np.random.default_rng(0))
 
 
 class TestLearningCurves:
@@ -396,8 +399,6 @@ class TestNameBasedFactories:
             "alc",
             "alm",
             "random",
-            "greedy-alc-fantasy",
-            "diversity-penalty",
         ]
         for name in acquisition_names():
             assert make_acquisition(name).name == name

@@ -14,8 +14,8 @@ that the result is indistinguishable from the per-particle oracle:
 * predictions and ALC scores are bitwise those of a forest rebuilt from
   its checkpoint snapshot before every query and of the per-particle
   ``ReferenceDynamicTree``;
-* ``copy.deepcopy`` and ``fantasy_copy`` clones evolve independently of
-  their original in both directions.
+* ``copy.deepcopy`` clones evolve independently of their original in both
+  directions.
 """
 
 from __future__ import annotations
@@ -205,8 +205,7 @@ class TestCompileOracle:
 
 
 class TestCopies:
-    @pytest.mark.parametrize("make_copy", ["deepcopy", "fantasy_copy"])
-    def test_copies_evolve_independently(self, make_copy):
+    def test_copies_evolve_independently(self):
         X, y = _training_data(140, seed=13)
         model = DynamicTreeRegressor(
             DynamicTreeConfig(n_particles=20), rng=np.random.default_rng(6)
@@ -227,7 +226,7 @@ class TestCopies:
         def same(a, b):
             return all(np.array_equal(u, v) for u, v in zip(a, b))
 
-        clone = copy.deepcopy(model) if make_copy == "deepcopy" else model.fantasy_copy()
+        clone = copy.deepcopy(model)
         # Oracle twins of both sides, stepped in lockstep with them.
         model_twin = ReferenceDynamicTree.from_model(model)
         clone_twin = ReferenceDynamicTree.from_model(clone)
@@ -301,7 +300,7 @@ class TestLeafAssignment:
             DynamicTreeConfig(n_particles=5), rng=np.random.default_rng(2)
         )
         model.fit(X, y)
-        forest = model._particle_forest.copy()
+        forest = copy.deepcopy(model._particle_forest)
         forest.gather(np.zeros(2, dtype=np.intp))
         train = model._X[: model._n]
         for grown, other in ((0, 1), (1, 0)):
@@ -329,8 +328,7 @@ class TestLeafAssignment:
             routed = _routed_leaf_ids(forest, train)
             assert np.array_equal(forest.leaf_of[:, : model._n], routed)
 
-    @pytest.mark.parametrize("make_copy", ["deepcopy", "fantasy_copy"])
-    def test_copy_arrays_evolve_independently(self, make_copy):
+    def test_copy_arrays_evolve_independently(self):
         """Updating a clone leaves the original's arrays — ``leaf_of``
         included — bitwise unchanged, and the other way round."""
         X, y = _training_data(110, seed=9)
@@ -339,7 +337,7 @@ class TestLeafAssignment:
             rng=np.random.default_rng(8),
         )
         model.fit(X[:40], y[:40])
-        clone = copy.deepcopy(model) if make_copy == "deepcopy" else model.fantasy_copy()
+        clone = copy.deepcopy(model)
         model_arrays = _forest_arrays(model._particle_forest)
         for i in range(40, 75):
             clone.update(X[i], float(y[i]))

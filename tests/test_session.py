@@ -8,6 +8,10 @@ The load-bearing guarantees:
   copy of the old loop kept in this file;
 * **resume** — a mid-session pickle resumed through ``ActiveLearner.run``
   continues the trajectory bit-for-bit, from any checkpoint;
+* **ask(k) rounds** — out-of-order ``tell()`` arrival folds in ask order,
+  a session pickled with a round partially answered resumes with the same
+  pending requests, and a round holds distinct configurations, truncated
+  at the example budget and the phase boundary;
 * **replay** — a :class:`ReplayBroker` over a recorded trace serves a
   repeated run without a single live ``Profiler.measure`` call, and the
   registry's ``replay_trace`` plumbing re-scores ablation arms from a
@@ -22,11 +26,13 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 
+from repro.core.acquisition import make_acquisition
 from repro.core.curves import CurvePoint, LearningCurve
 from repro.core.candidates import CandidatePool
 from repro.core.evaluation import build_test_set, evaluate_rmse
@@ -91,6 +97,34 @@ def _fingerprint(result):
     )
 
 
+def _start_session(mm, plan, acquisition=None, seed=777, config=SMALL):
+    learner = ActiveLearner(
+        mm,
+        plan=plan,
+        acquisition=acquisition,
+        config=config,
+        rng=np.random.default_rng(seed),
+    )
+    session = learner.start_session(_test_set(mm))
+    broker = ProfilerBroker(Profiler(mm, rng=session.rng))
+    return session, broker
+
+
+def _drive_batched(mm, plan, k, acquisition=None, seed=777, tell_order=None):
+    """Drive a session with ask(k); measure in ask order, tell in
+    ``tell_order`` (a permutation function of the round length)."""
+    session, broker = _start_session(mm, plan, acquisition, seed)
+    order = tell_order if tell_order is not None else lambda n: range(n)
+    while True:
+        requests = session.ask(k)
+        if not requests:
+            break
+        results = [broker.measure(request) for request in requests]
+        for index in order(len(results)):
+            session.tell(results[index])
+    return _fingerprint(session.result()), session.rng.bit_generator.state
+
+
 def _reference_run(benchmark, plan, config, test_set, rng):
     """Frozen copy of the pre-refactor inline loop (Algorithm 1).
 
@@ -145,7 +179,7 @@ def _reference_run(benchmark, plan, config, test_set, rng):
             break
         if pool.exhausted():
             break
-        candidates = pool.draw(config.n_candidates, rng)
+        candidates = pool.draw_featurized(config.n_candidates, rng)[0]
         if not candidates:
             break
         candidate_features = benchmark.features_many(candidates)
@@ -321,9 +355,9 @@ class TestSessionProtocol:
         assert session.ask() is None
 
     def test_batched_ask_returns_a_list_of_requests(self, mm):
-        # ask(k > 1) is batch acquisition now (tests/test_batch_acquisition.py
-        # covers it in depth); at the protocol level a batch ask returns a
-        # list of distinct-configuration requests and k must be positive.
+        # ask(k > 1) is one top-k acquisition round (TestBatchSemantics
+        # and TestFoldDeterminism cover it in depth); at the protocol level
+        # it returns a list of distinct-configuration requests.
         session = self._session(mm)
         requests = session.ask(k=2)
         assert isinstance(requests, list) and len(requests) == 2
@@ -484,6 +518,180 @@ class TestSessionPickle:
         session = TuningSession.__new__(TuningSession)
         with pytest.raises(AttributeError, match="incompatible checkpoint"):
             session.__setstate__({"plan_name": "variable", "next_iteration": 9})
+
+
+class TestFoldDeterminism:
+    """Shuffled tell() arrival folds identically to in-order arrival."""
+
+    @pytest.mark.parametrize("strategy", ["alc", "random"])
+    def test_reversed_and_shuffled_tells_match_in_order(self, mm, strategy):
+        def shuffled(n, _rng=np.random.default_rng(5)):
+            return _rng.permutation(n)
+
+        in_order = _drive_batched(
+            mm, sequential_plan(5), k=3, acquisition=make_acquisition(strategy)
+        )
+        reversed_order = _drive_batched(
+            mm, sequential_plan(5), k=3, acquisition=make_acquisition(strategy),
+            tell_order=lambda n: reversed(range(n)),
+        )
+        shuffled_order = _drive_batched(
+            mm, sequential_plan(5), k=3, acquisition=make_acquisition(strategy),
+            tell_order=shuffled,
+        )
+        assert reversed_order == in_order
+        assert shuffled_order == in_order
+
+    def test_seeding_batches_fold_deterministically_too(self, mm):
+        # k covers the whole seed phase in one round; reversed arrival
+        # must not change the seed targets' order.
+        in_order = _drive_batched(mm, fixed_plan(3), k=4)
+        reversed_order = _drive_batched(
+            mm, fixed_plan(3), k=4, tell_order=lambda n: reversed(range(n))
+        )
+        assert reversed_order == in_order
+
+
+class TestMidBatchPickle:
+    """A session pickled mid-round resumes with the same pending requests."""
+
+    def _advance_to_learning(self, session, broker):
+        while session.phase == SEEDING:
+            for request in session.ask(2):
+                session.tell(broker.measure(request))
+
+    def test_round_trip_restores_pending_requests_and_trajectory(self, mm):
+        session, broker = _start_session(mm, sequential_plan(5))
+        self._advance_to_learning(session, broker)
+        requests = session.ask(4)
+        assert len(requests) == 4
+        results = [broker.measure(request) for request in requests]
+        session.tell(results[0])
+        session.tell(results[2])
+
+        clone = pickle.loads(pickle.dumps(session))
+        clone.attach_benchmark(get_benchmark("mm"))
+        assert [r.configuration for r in clone.pending_requests] == [
+            requests[1].configuration,
+            requests[3].configuration,
+        ]
+
+        # Answer the outstanding requests on both; the fold happens on the
+        # last tell and both sessions continue bit-identically.
+        for target in (session, clone):
+            target.tell(results[1])
+            target.tell(results[3])
+        assert clone.pending_requests == []
+
+        def finish(target):
+            b = ProfilerBroker(Profiler(get_benchmark("mm"), rng=target.rng))
+            while (batch := target.ask(4)):
+                for request in batch:
+                    target.tell(b.measure(request))
+            return _fingerprint(target.result()), target.rng.bit_generator.state
+
+        assert finish(clone) == finish(session)
+
+    @pytest.mark.parametrize("phase", [SEEDING, LEARNING])
+    def test_single_ask_pickled_outstanding_resumes_bit_identically(self, mm, phase):
+        """A plain ``ask()`` is a round of one: pickled before its tell,
+        the clone owes that one request and, measured through
+        ``pending_requests``, continues exactly like the original."""
+        session, broker = _start_session(mm, sequential_plan(5))
+        session.tell(broker.measure(session.ask()))  # one seed in
+        if phase == LEARNING:
+            self._advance_to_learning(session, broker)
+            session.tell(broker.measure(session.ask()))
+        request = session.ask()
+        assert session.phase == phase
+        clone = pickle.loads(pickle.dumps(session))
+        benchmark = get_benchmark("mm")
+        clone.attach_benchmark(benchmark)
+        assert [r.configuration for r in clone.pending_requests] == [
+            request.configuration
+        ]
+
+        def finish(target, b):
+            for pending in target.pending_requests:
+                target.tell(b.measure(pending))
+            while (batch := target.ask(2)):
+                for each in batch:
+                    target.tell(b.measure(each))
+            return _fingerprint(target.result()), target.rng.bit_generator.state
+
+        clone_broker = ProfilerBroker(Profiler(benchmark, rng=clone.rng))
+        assert finish(clone, clone_broker) == finish(session, broker)
+
+
+class TestBatchSemantics:
+    def test_batch_members_are_distinct_configurations(self, mm):
+        for strategy in ("alc", "random"):
+            session, broker = _start_session(
+                mm, sequential_plan(5), make_acquisition(strategy)
+            )
+            while session.phase == SEEDING:
+                session.tell(broker.measure(session.ask()))
+            requests = session.ask(5)
+            configurations = [r.configuration for r in requests]
+            assert len(set(configurations)) == len(configurations) == 5
+
+    def test_batch_truncates_at_the_example_budget(self, mm):
+        config = dataclasses.replace(SMALL, max_training_examples=SMALL.n_initial + 2)
+        session, broker = _start_session(mm, sequential_plan(5), config=config)
+        while session.phase == SEEDING:
+            session.tell(broker.measure(session.ask()))
+        requests = session.ask(5)
+        assert len(requests) == 2
+        for request in requests:
+            session.tell(broker.measure(request))
+        assert session.ask(5) == []
+        assert session.done
+
+    def test_seeding_batch_never_crosses_the_phase_boundary(self, mm):
+        session, broker = _start_session(mm, sequential_plan(5))
+        requests = session.ask(10)
+        assert len(requests) == SMALL.n_initial
+        for request in requests:
+            session.tell(broker.measure(request))
+        assert session.phase == LEARNING
+
+    def test_duplicate_tell_rejected(self, mm):
+        session, broker = _start_session(mm, sequential_plan(5))
+        requests = session.ask(3)
+        result = broker.measure(requests[0])
+        session.tell(result)
+        with pytest.raises(ValueError, match="duplicate"):
+            session.tell(result)
+
+    def test_foreign_configuration_rejected(self, mm):
+        session, _ = _start_session(mm, sequential_plan(5))
+        requests = session.ask(2)
+        foreign = tuple(v + 1 for v in requests[0].configuration)
+        if foreign in {r.configuration for r in requests}:
+            foreign = tuple(v + 2 for v in requests[0].configuration)
+        with pytest.raises(ValueError, match="not part of"):
+            session.tell(
+                MeasurementResult(configuration=foreign, runtimes=(1.0,))
+            )
+
+    def test_ask_rejected_while_batch_outstanding(self, mm):
+        session, broker = _start_session(mm, sequential_plan(5))
+        requests = session.ask(2)
+        with pytest.raises(RuntimeError, match="outstanding"):
+            session.ask(2)
+        session.tell(broker.measure(requests[0]))
+        with pytest.raises(RuntimeError, match="outstanding"):
+            session.ask()
+
+    def test_batch_ask_after_done_returns_empty_list(self, mm):
+        config = dataclasses.replace(SMALL, max_training_examples=SMALL.n_initial + 1)
+        session, broker = _start_session(mm, sequential_plan(5), config=config)
+        while (batch := session.ask(2)):
+            for request in batch:
+                session.tell(broker.measure(request))
+        assert session.done
+        assert session.ask(2) == []
+        assert session.ask() is None
 
 
 class TestMeasurementRequest:
